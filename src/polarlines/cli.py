@@ -371,7 +371,6 @@ def _cmd_search_packing(args):
 def build_parser():
     top = argparse.ArgumentParser(prog="polarlines", description=__doc__)
     top.add_argument("--cache", help="space cache directory (or POLARLINES_CACHE)")
-    top.add_argument("--threads", type=int, default=1, help="worker bound (advisory)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("space", help="build or inspect a polar space")

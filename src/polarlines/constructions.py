@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .gf import field_make
 from .linalg import rref
-from .spaces import GeometryError, _normalize, _table_matmul
+from .spaces import GeometryError, _normalize, _projective_points, _table_matmul
 from .schemetables import tables_for_space
 
 
@@ -100,14 +100,8 @@ class HyperplaneSection:
 
 
 def ambient_projective_points(space):
-    f = space.field
-    pts = []
-    d = space.d
-    for lead in range(d):
-        for tail in itertools.product(range(f.q), repeat=d - lead - 1):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return pts
+    """All projective points of the ambient GF(q)^d, in lex order."""
+    return _projective_points(space.field, space.d)
 
 
 def _points_in_hyperplane(space, dual_point):
@@ -422,9 +416,17 @@ def symplectic_spread_planes(space):
             raise GeometryError("trace left the prime subfield")
         return out
 
+    def inverse(rows):
+        """Inverse over GF(p), read off the RREF [I | M^-1] of [M | I]."""
+        eye = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        rr, pivots = rref([tuple(r) + e for r, e in zip(rows, eye)], f)
+        if pivots[:3] != (0, 1, 2):
+            raise GeometryError("basis change over GF(p) is singular")
+        return [row[3:] for row in rr]
+
     # dual basis: rows of M^-1 (over GF(p)) combine basis into trace-dual elements
     M = [[tr(cubic.mul(bi, bj)) for bj in basis] for bi in basis]
-    Minv = _invert_gfp(M, p)
+    Minv = inverse(M)
     dual_basis = []
     for j in range(3):
         acc = 0
@@ -434,8 +436,8 @@ def symplectic_spread_planes(space):
 
     Bmat = [digitvec(b) for b in basis]
     Bstar = [digitvec(b) for b in dual_basis]
-    Binv = _invert_gfp(Bmat, p)
-    Bstarinv = _invert_gfp(Bstar, p)
+    Binv = inverse(Bmat)
+    Bstarinv = inverse(Bstar)
 
     def coords(z, inv):
         dv = digitvec(z)
@@ -460,21 +462,6 @@ def symplectic_spread_planes(space):
         if set(space.plane_points[a]) & set(space.plane_points[b]):
             raise GeometryError("spread planes intersect")
     return tuple(indices)
-
-
-def _invert_gfp(M, p):
-    k = len(M)
-    aug = [[M[i][j] % p for j in range(k)] + [int(i == j) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
 
 
 def symplectic_spread_lines(space):

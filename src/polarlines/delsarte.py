@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import solve_rational
 from .schemetables import make_tables
 from .spaces import REL_TAGS
 
@@ -51,24 +52,8 @@ class LPResult:
 
 def _solve_square(rows, rhs):
     """Solve an exact square linear system; None if singular."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+    x = solve_rational(rows, [[v] for v in rhs])
+    return None if x is None else [row[0] for row in x]
 
 
 def delsarte_lp_bound(q, e2, forbidden):

@@ -1,4 +1,5 @@
-"""Exact linear algebra over GF(q): RREF canonical forms and subspaces.
+"""Exact linear algebra: RREF canonical forms and subspaces over GF(q), and
+Gauss-Jordan solving over the rationals.
 
 Vectors are tuples of field element codes (ints).  A subspace is identified
 globally by its reduced row echelon basis; equal subspaces have byte-identical
@@ -6,6 +7,8 @@ canonical forms, which is what the geometry layer hashes on.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def rref(rows, field):
@@ -131,7 +134,8 @@ def intersect(a, b):
     echelon, pivots = rref(stacked, a.field)
     inter_rows = [r[d:] for r, p in zip(echelon, pivots) if p >= d]
     sub = Subspace(a.field, d, inter_rows)
-    assert sub.dim == a.dim + b.dim - subspace_sum(a, b).dim
+    if sub.dim != a.dim + b.dim - subspace_sum(a, b).dim:
+        raise RuntimeError("intersection violates dim(A + B) + dim(A & B) = dim A + dim B")
     return sub, sub.dim
 
 
@@ -148,3 +152,24 @@ def kernel(rows, field, ncols):
             v[piv] = int(neg[row[fc]])
         out.append(tuple(v))
     return Subspace(field, ncols, out)
+
+
+def solve_rational(mat, rhs):
+    """Exact X with mat . X = rhs by Gauss-Jordan over the rationals; None if singular.
+
+    mat is square and rhs has one row per row of mat; returns the rows of X.
+    """
+    k = len(mat)
+    aug = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(mat, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import solve_rational
 from .spaces import REL_TAGS, q_to_e_power
 
 
@@ -78,22 +79,6 @@ def _q_matrix_closed_form(q, e2):
     )
 
 
-def _invert_rational(mat):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan elimination."""
-    k = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class SchemeTables:
     q: int
@@ -108,9 +93,6 @@ class SchemeTables:
     def valencies(self):
         return self.P[0]
 
-    def relation_index(self, tag):
-        return REL_TAGS.index(tag)
-
 
 def make_tables(q, e2):
     """Exact scheme tables for parameters (q, e = e2/2)."""
@@ -118,8 +100,8 @@ def make_tables(q, e2):
     n = (s * q + 1) * (s * q * q + 1) * (q * q + q + 1)
     P = p_matrix(q, e2)
     Q = _q_matrix_closed_form(q, e2)
-    Q_inv = tuple(tuple(n * x for x in row) for row in _invert_rational(P))
-    if Q != Q_inv:
+    P_inv = solve_rational(P, [[int(i == j) for j in range(5)] for i in range(5)])
+    if P_inv is None or Q != tuple(tuple(n * x for x in row) for row in P_inv):
         raise RuntimeError(
             f"dual eigenvalue matrix mismatch at (q={q}, e2={e2}): closed form != n*P^-1"
         )

@@ -1,15 +1,17 @@
 """Exhaustive and budgeted searches over line sets.
 
 All searches run depth-first with exact integer propagation and report
-honestly: a completeness flag distinguishes an exhausted search from one
-stopped by a node budget.  Every returned set is re-verified through the
-analysis layer, independently of the search's own bookkeeping.
+honestly why they stopped: the search space was exhausted, the node budget
+ran out, or the requested number of solutions was reached.  Every returned
+set is re-verified through the analysis layer, independently of the search's
+own bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -21,10 +23,6 @@ from .analysis import (
     regular_set_check,
 )
 from .spaces import REL_TAGS
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,250 @@ class PackingResult:
     nodes: int
 
 
-def _neighbor_lists(space, line_pool=None):
-    """Per relation, per line: the neighbor indices (restricted to a pool)."""
-    if line_pool is None:
-        line_pool = range(space.n_lines)
-    pool = np.array(sorted(line_pool))
-    sub = space.labels[np.ix_(pool, pool)]
-    per_rel = []
-    for i in range(1, 5):
-        rows = []
-        mask = sub == i
-        for r in range(len(pool)):
-            rows.append(np.nonzero(mask[r])[0])
-        per_rel.append(rows)
-    return pool, per_rel
+# -- the node counter and stop signal every search shares --------------------------
+
+# why a search stopped -> the note its result carries
+_STOP_NOTES = {
+    "exhausted": "",
+    "budget": "node budget exhausted",
+    "solution_cap": "solution cap reached",
+}
+
+
+class _Stop(Exception):
+    """Unwinds a search early; reason is "budget" or "solution_cap"."""
+
+    def __init__(self, reason):
+        super().__init__(reason)
+        self.reason = reason
+
+
+class _Nodes:
+    """Counts search nodes; the node after the budget raises _Stop("budget")."""
+
+    def __init__(self, budget):
+        self.limit = float("inf") if budget is None else budget
+        self.count = 0
+
+    def tick(self):
+        self.count += 1
+        if self.count > self.limit:
+            raise _Stop("budget")
+
+    def run(self, dfs, *args):
+        """Run a search; returns why it stopped: exhausted, budget or solution_cap."""
+        try:
+            dfs(*args)
+        except _Stop as stop:
+            return stop.reason
+        return "exhausted"
+
+
+# -- the membership DFS core -------------------------------------------------------
+
+_OUT, _IN, _UNDECIDED = 0, 1, 2
+# degree-rule domains as bits: 1 = may be in, 2 = may be out
+_DOMAIN = np.array([2, 1, 3], dtype=np.uint8)  # indexed by status
+
+
+class _MembershipSearch:
+    """DFS over the 0/1 memberships of n items with exact propagation.
+
+    Constraints plug in at construction:
+
+    - size: the exact number of members, or None for any;
+    - labels: the line relation table of a line search.  The per-relation
+      counts of members and undecided neighbours feed either degrees, the
+      (inside, outside) targets of relations R10..R21, which force items and,
+      once the cardinality is settled, the rest; or projectors, integer
+      projector rows (c0, c) whose value on the final set must vanish, which
+      only prune;
+    - blocks: (members, target) pairs; each block ends with exactly target
+      members and forces its undecided members once it is settled.
+
+    Branching takes the lowest undecided item, first in and then out.
+    """
+
+    def __init__(
+        self, n, budget, size=None, labels=None, degrees=None, projectors=None, blocks=()
+    ):
+        self.nodes = _Nodes(budget)
+        self.size = size
+        self.status = bytearray([_UNDECIDED]) * n
+        self.view = np.frombuffer(self.status, dtype=np.uint8)
+        self.n_in = 0
+        self.n_und = n
+        self.trail = []
+        self.solutions = []
+        self.stop_after = None
+
+        self.nbr = None
+        if labels is not None:
+            # flat indices into the (4, n) tables: relation i neighbour y of x
+            # sits at (i - 1) * n + y
+            self.nbr = []
+            for row in labels:
+                ys = np.flatnonzero(row)
+                self.nbr.append((row[ys].astype(np.intp) - 1) * n + ys)
+            self.cnt = np.zeros((4, n), dtype=np.int32)
+            self.und = np.stack([(labels == i).sum(axis=1) for i in range(1, 5)]).astype(np.int32)
+            self.cnt_flat, self.und_flat = self.cnt.reshape(-1), self.und.reshape(-1)
+        self.degrees = None
+        if degrees is not None:
+            self.degrees = tuple(np.array(t, dtype=np.int32)[:, None] for t in degrees)
+        self.projectors = None
+        if projectors:
+            c0 = np.array([[p[0]] for p in projectors], dtype=np.int64)
+            c = np.array([p[1] for p in projectors], dtype=np.int64)
+            self.projectors = (
+                c, np.minimum(c, 0), np.maximum(c, 0), c0, np.minimum(c0, 0), np.maximum(c0, 0)
+            )
+
+        self.members = [tuple(m) for m, _ in blocks]
+        self.cap_in = [t for _, t in blocks]
+        self.cap_out = [len(m) - t for m, t in blocks]
+        self.cin = [0] * len(blocks)
+        self.cout = [0] * len(blocks)
+        self.item_blocks = [[] for _ in range(n)]
+        for b, m in enumerate(self.members):
+            for x in m:
+                self.item_blocks[x].append(b)
+        self.hot = list(range(len(blocks)))  # blocks that may be settled or broken
+
+    def run(self, stop_after=None):
+        """Search; an incomplete result's note says why the search stopped."""
+        self.stop_after = stop_after
+        stop = self.nodes.run(self._dfs)
+        return SearchResult(
+            tuple(self.solutions), stop == "exhausted", self.nodes.count, _STOP_NOTES[stop]
+        )
+
+    def _set(self, x, val):
+        self.status[x] = val
+        self.trail.append(x)
+        self.n_und -= 1
+        if self.nbr is not None:
+            idx = self.nbr[x]
+            self.und_flat[idx] -= 1
+            if val:
+                self.cnt_flat[idx] += 1
+        if val:
+            self.n_in += 1
+            cin, cap = self.cin, self.cap_in
+            for b in self.item_blocks[x]:
+                cin[b] += 1
+                if cin[b] >= cap[b]:
+                    self.hot.append(b)
+        else:
+            cout, cap = self.cout, self.cap_out
+            for b in self.item_blocks[x]:
+                cout[b] += 1
+                if cout[b] >= cap[b]:
+                    self.hot.append(b)
+
+    def _undo_to(self, mark):
+        trail, status = self.trail, self.status
+        cin, cout = self.cin, self.cout
+        while len(trail) > mark:
+            x = trail.pop()
+            val = status[x]
+            status[x] = _UNDECIDED
+            self.n_und += 1
+            if self.nbr is not None:
+                idx = self.nbr[x]
+                self.und_flat[idx] += 1
+                if val:
+                    self.cnt_flat[idx] -= 1
+            if val:
+                self.n_in -= 1
+                for b in self.item_blocks[x]:
+                    cin[b] -= 1
+            else:
+                for b in self.item_blocks[x]:
+                    cout[b] -= 1
+        self.hot.clear()
+
+    def _propagate(self):
+        """Apply forced memberships up to the fixpoint; False on a contradiction.
+
+        The fixpoint does not depend on the order in which forced items are
+        applied, so neither do the search tree and its node count.
+        """
+        status, hot = self.status, self.hot
+        while True:
+            while hot:
+                b = hot.pop()
+                if self.cin[b] > self.cap_in[b] or self.cout[b] > self.cap_out[b]:
+                    return False
+                if self.cin[b] == self.cap_in[b]:
+                    val = _OUT
+                elif self.cout[b] == self.cap_out[b]:
+                    val = _IN
+                else:
+                    continue
+                for x in self.members[b]:
+                    if status[x] == _UNDECIDED:
+                        self._set(x, val)
+            if self.size is not None and not self.n_in <= self.size <= self.n_in + self.n_und:
+                return False
+            if self.projectors is not None:
+                return self._projectors_ok()
+            if self.degrees is None:
+                return True
+            forced = self._degree_forced()
+            if forced is None:
+                return False
+            if not forced[0]:
+                return True
+            for x, val in zip(*forced):
+                self._set(x, val)
+
+    def _degree_forced(self):
+        """Degree-target rule: (items, values) it forces, or None on a contradiction."""
+        cnt, und = self.cnt, self.und.view(np.uint32)
+        t_in, t_out = self.degrees
+        # a target t stays reachable while 0 <= t - cnt <= und
+        may_in = ((t_in - cnt).view(np.uint32) <= und).all(axis=0)
+        may_out = ((t_out - cnt).view(np.uint32) <= und).all(axis=0)
+        dom = _DOMAIN[self.view] & (may_in.view(np.uint8) | (may_out.view(np.uint8) << 1))
+        if not dom.all():
+            return None
+        # only undecided items keep both bits; a settled cardinality decides them
+        if self.n_in == self.size:
+            dom[dom == 3] = 2
+        elif self.n_in + self.n_und == self.size:
+            dom[dom == 3] = 1
+        items = np.flatnonzero((self.view == _UNDECIDED) & (dom != 3))
+        return items.tolist(), (2 - dom[items]).tolist()
+
+    def _projectors_ok(self):
+        """Every projector row can still vanish at every line: 0 in [now + lo, now + hi]."""
+        c, c_neg, c_pos, c0, c0_neg, c0_pos = self.projectors
+        undec = self.view == _UNDECIDED
+        now = c @ self.cnt + c0 * (self.view == _IN)
+        lo = now + c_neg @ self.und + c0_neg * undec
+        hi = now + c_pos @ self.und + c0_pos * undec
+        return not ((lo > 0) | (hi < 0)).any()
+
+    def _dfs(self):
+        self.nodes.tick()
+        mark = len(self.trail)
+        if self._propagate():
+            x = self.status.find(_UNDECIDED)
+            if x < 0:
+                self.solutions.append(tuple(np.flatnonzero(self.view == _IN).tolist()))
+                if self.stop_after is not None and len(self.solutions) >= self.stop_after:
+                    raise _Stop("solution_cap")
+            else:
+                settled = len(self.trail)
+                for val in (_IN, _OUT):
+                    self._set(x, val)
+                    self._dfs()
+                    self._undo_to(settled)
+        self._undo_to(mark)
+
+
+# -- regular sets and feasibility probes ------------------------------------------
 
 
 def _orbit_constraints(space, tables, j, size):
@@ -104,173 +332,21 @@ def _orbit_constraints(space, tables, j, size):
     return out
 
 
-class _DegreeSearch:
-    """DFS over line memberships with exact per-vertex degree targets.
-
-    Optional orbit constraints add exact block counts (every plane, every
-    pencil) with their own unit propagation.
-    """
-
-    def __init__(self, space, tables, j, size, budget):
-        self.space = space
-        self.size = size
-        self.budget = budget
-        self.nodes = 0
-        jidx = REL_TAGS.index(j)
-        inside, outside = expected_degrees(tables, jidx, size)
-        if any(v.denominator != 1 or v < 0 for v in inside + outside):
-            self.feasible = False
-            return
-        constraints = _orbit_constraints(space, tables, j, size)
-        if constraints is None:
-            self.feasible = False
-            return
-        self.feasible = True
-        self.t_in = np.array([int(v) for v in inside[1:]])
-        self.t_out = np.array([int(v) for v in outside[1:]])
-        n = space.n_lines
-        self.n = n
-        _, self.nbr = _neighbor_lists(space)
-        self.status = np.full(n, -1, dtype=np.int8)  # -1 undecided, 0 out, 1 in
-        self.cnt = np.zeros((4, n), dtype=np.int32)
-        self.und = np.stack(
-            [np.array([len(self.nbr[i][x]) for x in range(n)], dtype=np.int32) for i in range(4)]
-        )
-        self.n_in = 0
-        self.n_und = n
-        self.solutions = []
-
-        blocks = []  # (member tuple, target)
-        line_blocks = [[] for _ in range(n)]
-        for members, target in constraints:
-            for lines in members:
-                bi = len(blocks)
-                blocks.append((lines, target))
-                for li in lines:
-                    line_blocks[li].append(bi)
-        self.blocks = blocks
-        self.line_blocks = [np.array(v, dtype=np.int64) for v in line_blocks]
-        self.b_target = np.array([t for _, t in blocks], dtype=np.int32)
-        self.b_in = np.zeros(len(blocks), dtype=np.int32)
-        self.b_und = np.array([len(b[0]) for b in blocks], dtype=np.int32)
-
-    def _apply(self, x, val):
-        self.status[x] = val
-        self.n_und -= 1
-        if val:
-            self.n_in += 1
-        for i in range(4):
-            idx = self.nbr[i][x]
-            self.und[i][idx] -= 1
-            if val:
-                self.cnt[i][idx] += 1
-        self.b_und[self.line_blocks[x]] -= 1
-        if val:
-            self.b_in[self.line_blocks[x]] += 1
-
-    def _undo(self, x):
-        val = self.status[x]
-        self.status[x] = -1
-        self.n_und += 1
-        if val:
-            self.n_in -= 1
-        for i in range(4):
-            idx = self.nbr[i][x]
-            self.und[i][idx] += 1
-            if val:
-                self.cnt[i][idx] -= 1
-        self.b_und[self.line_blocks[x]] += 1
-        if val:
-            self.b_in[self.line_blocks[x]] -= 1
-
-    def _scan(self):
-        """Vectorized feasibility; returns (ok, forced list of (x, val))."""
-        if self.n_in > self.size or self.n_in + self.n_und < self.size:
-            return False, ()
-        cnt, und = self.cnt, self.und
-        reach = cnt + und
-        ok_in = ((cnt <= self.t_in[:, None]) & (reach >= self.t_in[:, None])).all(axis=0)
-        ok_out = ((cnt <= self.t_out[:, None]) & (reach >= self.t_out[:, None])).all(axis=0)
-        stat = self.status
-        if ((stat == 1) & ~ok_in).any() or ((stat == 0) & ~ok_out).any():
-            return False, ()
-        undec = stat == -1
-        dead = undec & ~ok_in & ~ok_out
-        if dead.any():
-            return False, ()
-        forced = []
-        for x in np.nonzero(undec & (ok_in ^ ok_out))[0]:
-            forced.append((int(x), 1 if ok_in[x] else 0))
-        if len(self.blocks):
-            b_in, b_und, target = self.b_in, self.b_und, self.b_target
-            if ((b_in > target) | (b_in + b_und < target)).any():
-                return False, ()
-            active = b_und > 0
-            for bi in np.nonzero(active & (b_in == target))[0]:
-                forced.extend((li, 0) for li in self.blocks[bi][0] if stat[li] == -1)
-            for bi in np.nonzero(active & (b_in + b_und == target))[0]:
-                forced.extend((li, 1) for li in self.blocks[bi][0] if stat[li] == -1)
-        # global cardinality forcing
-        if self.n_in == self.size:
-            forced.extend((int(x), 0) for x in np.nonzero(undec & ok_in & ok_out)[0])
-        elif self.n_in + self.n_und == self.size:
-            forced.extend((int(x), 1) for x in np.nonzero(undec & ok_in & ok_out)[0])
-        return True, forced
-
-    def run(self, stop_after=None):
-        if not self.feasible:
-            return SearchResult(
-                (), True, 0, "degree or block targets are not nonnegative integers"
-            )
-        try:
-            self._dfs(stop_after)
-            complete = True
-        except _BudgetExceeded:
-            complete = False
-        note = "" if complete else "node budget exhausted"
-        return SearchResult(tuple(self.solutions), complete, self.nodes, note)
-
-    def _dfs(self, stop_after):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise _BudgetExceeded
-        trail = []
-        while True:
-            ok, forced = self._scan()
-            if not ok:
-                for x in reversed(trail):
-                    self._undo(x)
-                return
-            if not forced:
-                break
-            for x, val in forced:
-                if self.status[x] == -1:
-                    self._apply(x, val)
-                    trail.append(x)
-                elif self.status[x] != val:
-                    for t in reversed(trail):
-                        self._undo(t)
-                    return
-        undec = np.nonzero(self.status == -1)[0]
-        if len(undec) == 0:
-            if self.n_in == self.size:
-                self.solutions.append(tuple(int(i) for i in np.nonzero(self.status == 1)[0]))
-                if stop_after is not None and len(self.solutions) >= stop_after:
-                    for x in reversed(trail):
-                        self._undo(x)
-                    raise _BudgetExceeded
-            for x in reversed(trail):
-                self._undo(x)
-            return
-        x = int(undec[0])
-        for val in (1, 0):
-            self._apply(x, val)
-            try:
-                self._dfs(stop_after)
-            finally:
-                self._undo(x)
-        for t in reversed(trail):
-            self._undo(t)
+def _regular_search(space, tables, j, size, budget, stop_after):
+    """V_j-regular sets of exactly this size, by degree targets and block counts."""
+    inside, outside = expected_degrees(tables, REL_TAGS.index(j), size)
+    constraints = _orbit_constraints(space, tables, j, size)
+    if constraints is None or any(v.denominator != 1 or v < 0 for v in inside + outside):
+        return SearchResult((), True, 0, "degree or block targets are not nonnegative integers")
+    search = _MembershipSearch(
+        space.n_lines,
+        budget,
+        size=size,
+        labels=space.labels,
+        degrees=([int(v) for v in inside[1:]], [int(v) for v in outside[1:]]),
+        blocks=[(lines, target) for members, target in constraints for lines in members],
+    )
+    return search.run(stop_after)
 
 
 def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None):
@@ -279,7 +355,8 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
     Sizes failing the divisibility conditions are rejected without search;
     sizes above n/2 are searched through their complements (a set is regular
     for V_j exactly when its complement is).  Every found set is re-checked
-    through regular_set_check.
+    through regular_set_check.  A search stopped by the node budget or by
+    stop_after is incomplete, and its note says which of the two stopped it.
     """
     if j not in REL_TAGS[1:]:
         raise ValueError(f"eigenspace must be one of {REL_TAGS[1:]}")
@@ -290,8 +367,7 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
         return SearchResult((), True, 0, "only proper nonempty sets are searched")
     complemented = size > space.n_lines // 2
     target_size = space.n_lines - size if complemented else size
-    search = _DegreeSearch(space, tables, j, target_size, budget)
-    result = search.run(stop_after)
+    result = _regular_search(space, tables, j, target_size, budget, stop_after)
     sets = result.sets
     if complemented:
         full = set(range(space.n_lines))
@@ -305,115 +381,21 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
     return result
 
 
-class _ProbeSearch:
-    """DFS for sets with eigenspace support within S, via projector intervals."""
+def _projector_rows(tables, support):
+    """Integer projector rows (c0, (c1..c4)) of the eigenspaces outside the support.
 
-    def __init__(self, space, tables, support, size, budget):
-        self.space = space
-        self.size = size
-        self.budget = budget
-        self.nodes = 0
-        n = space.n_lines
-        self.n = n
-        _, self.nbr = _neighbor_lists(space)
-        # integer projector rows: for each forbidden eigenspace j,
-        # (M_j chi)_x = c0 * [x in Y] + sum_i c_i * cnt_i(x) must vanish
-        self.projs = []
-        for jtag in REL_TAGS[1:]:
-            if jtag in support:
-                continue
-            j = REL_TAGS.index(jtag)
-            den = 1
-            for i in range(5):
-                den = den * tables.Q[i][j].denominator // np.gcd(
-                    den, tables.Q[i][j].denominator
-                )
-            coefs = [int(tables.Q[i][j] * den) for i in range(5)]
-            self.projs.append((coefs[0], np.array(coefs[1:], dtype=np.int64)))
-        self.status = np.full(n, -1, dtype=np.int8)
-        self.cnt = np.zeros((4, n), dtype=np.int64)
-        self.und = np.stack(
-            [np.array([len(self.nbr[i][x]) for x in range(n)], dtype=np.int64) for i in range(4)]
-        )
-        self.n_in = 0
-        self.n_und = n
-        self.witness = None
-
-    def _apply(self, x, val):
-        self.status[x] = val
-        self.n_und -= 1
-        if val:
-            self.n_in += 1
-        for i in range(4):
-            idx = self.nbr[i][x]
-            self.und[i][idx] -= 1
-            if val:
-                self.cnt[i][idx] += 1
-
-    def _undo(self, x):
-        val = self.status[x]
-        self.status[x] = -1
-        self.n_und += 1
-        if val:
-            self.n_in -= 1
-        for i in range(4):
-            idx = self.nbr[i][x]
-            self.und[i][idx] += 1
-            if val:
-                self.cnt[i][idx] -= 1
-
-    def _ok(self):
-        if self.n_in > self.size or self.n_in + self.n_und < self.size:
-            return False
-        stat = self.status
-        undec = stat == -1
-        inset = stat == 1
-        for c0, ci in self.projs:
-            now = np.zeros(self.n, dtype=np.int64)
-            lo = np.zeros(self.n, dtype=np.int64)
-            hi = np.zeros(self.n, dtype=np.int64)
-            for i in range(4):
-                now += ci[i] * self.cnt[i]
-                extent = ci[i] * self.und[i]
-                lo += np.minimum(0, extent)
-                hi += np.maximum(0, extent)
-            now += c0 * inset
-            if c0 >= 0:
-                hi += c0 * undec
-            else:
-                lo += c0 * undec
-            if ((now + lo > 0) | (now + hi < 0)).any():
-                return False
-        return True
-
-    def run(self):
-        try:
-            self._dfs()
-            return ProbeResult("none", None, self.nodes)
-        except _BudgetExceeded:
-            if self.witness is not None:
-                return ProbeResult("witness", self.witness, self.nodes)
-            return ProbeResult("unknown", None, self.nodes, "node budget exhausted")
-
-    def _dfs(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise _BudgetExceeded
-        if not self._ok():
-            return
-        undec = np.nonzero(self.status == -1)[0]
-        if len(undec) == 0:
-            if self.n_in == self.size:
-                self.witness = tuple(int(i) for i in np.nonzero(self.status == 1)[0])
-                raise _BudgetExceeded  # stop at the first witness
-            return
-        x = int(undec[0])
-        for val in (1, 0):
-            self._apply(x, val)
-            try:
-                self._dfs()
-            finally:
-                self._undo(x)
+    For a forbidden eigenspace j, (M_j chi)_x = c0 [x in Y] + sum_i c_i cnt_i(x)
+    must vanish at every line x.
+    """
+    rows = []
+    for jtag in REL_TAGS[1:]:
+        if jtag in support:
+            continue
+        j = REL_TAGS.index(jtag)
+        den = lcm(*(tables.Q[i][j].denominator for i in range(5)))
+        coefs = [int(tables.Q[i][j] * den) for i in range(5)]
+        rows.append((coefs[0], coefs[1:]))
+    return rows
 
 
 def _find_disjoint_members(pool, k):
@@ -514,24 +496,19 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
     if len(support) == 1:
         # support {j} on a proper nonempty set is exactly V_j-regularity, where
         # per-vertex degree targets prune far harder than projector intervals
-        search = _DegreeSearch(space, tables, next(iter(support)), size, budget)
+        result = _regular_search(space, tables, next(iter(support)), size, budget, 1)
+    else:
+        projectors = _projector_rows(tables, support)
+        search = _MembershipSearch(
+            space.n_lines, budget, size=size, labels=space.labels, projectors=projectors
+        )
         result = search.run(stop_after=1)
-        if result.sets:
-            witness = result.sets[0]
-            got = eigenspace_support(space, tables, witness)
-            if not got <= support:
-                raise RuntimeError("probe witness fails independent support verification")
-            return ProbeResult("witness", witness, result.nodes)
-        if result.complete:
-            return ProbeResult("none", None, result.nodes, result.note)
-        return ProbeResult("unknown", None, result.nodes, "node budget exhausted")
-    probe = _ProbeSearch(space, tables, support, size, budget)
-    result = probe.run()
-    if result.status == "witness" and result.witness:
-        got = eigenspace_support(space, tables, result.witness)
-        if not got <= support:
+    if result.sets:
+        if not eigenspace_support(space, tables, result.sets[0]) <= support:
             raise RuntimeError("probe witness fails independent support verification")
-    return result
+        return ProbeResult("witness", result.sets[0], result.nodes)
+    # without a witness, only the node budget can have stopped the search early
+    return ProbeResult("none" if result.complete else "unknown", None, result.nodes, result.note)
 
 
 # -- exact cover: line spreads ---------------------------------------------------
@@ -566,16 +543,13 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
             covers[b.bit_length() - 1].append(ci)
             m ^= b
     full = (1 << len(pts)) - 1
-    nodes = 0
+    nodes = _Nodes(budget)
     chosen = []
 
     def dfs(covered):
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExceeded
+        nodes.tick()
         if covered == full:
-            return True
+            raise _Stop("solution_cap")  # the first spread is the answer
         # most-constrained uncovered point
         best_p, best_opts = None, None
         m = full & ~covered
@@ -586,24 +560,17 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
             if best_opts is None or len(opts) < len(best_opts):
                 best_p, best_opts = p, opts
                 if not opts:
-                    return False
+                    return
             m ^= b
         for ci in best_opts:
             chosen.append(cand[ci][0])
-            if dfs(covered | cand[ci][1]):
-                return True
+            dfs(covered | cand[ci][1])
             chosen.pop()
-        return False
 
-    try:
-        found = dfs(0)
-        complete = True
-    except _BudgetExceeded:
-        found = False
-        complete = False
-    if found:
-        return SpreadResult(tuple(sorted(chosen)), True, nodes)
-    return SpreadResult(None, complete, nodes)
+    stop = nodes.run(dfs, 0)
+    if stop == "solution_cap":
+        return SpreadResult(tuple(sorted(chosen)), True, nodes.count)
+    return SpreadResult(None, stop == "exhausted", nodes.count)
 
 
 def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
@@ -624,87 +591,10 @@ def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
     per_line = space.q + 1
     if not 0 <= m <= per_line:
         raise ValueError(f"m must be between 0 and {per_line}")
-    n = len(pts)
-    point_lines = [[] for _ in range(n)]
-    for k, ln in enumerate(lines):
-        for p in ln:
-            point_lines[p].append(k)
-    status = [-1] * n
-    cin = [0] * len(lines)
-    cout = [0] * len(lines)
-    nodes = 0
-
-    def assign(p, v, trail):
-        status[p] = v
-        trail.append(p)
-        for k in point_lines[p]:
-            if v:
-                cin[k] += 1
-            else:
-                cout[k] += 1
-
-    def undo(trail, upto):
-        while len(trail) > upto:
-            p = trail.pop()
-            v = status[p]
-            status[p] = -1
-            for k in point_lines[p]:
-                if v:
-                    cin[k] -= 1
-                else:
-                    cout[k] -= 1
-
-    def propagate(trail):
-        changed = True
-        while changed:
-            changed = False
-            for k, ln in enumerate(lines):
-                if cin[k] > m or cout[k] > per_line - m:
-                    return False
-                if cin[k] == m:
-                    for p in ln:
-                        if status[p] == -1:
-                            assign(p, 0, trail)
-                            changed = True
-                elif cout[k] == per_line - m:
-                    for p in ln:
-                        if status[p] == -1:
-                            assign(p, 1, trail)
-                            changed = True
-        return True
-
-    def dfs():
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExceeded
-        trail = []
-        if not propagate(trail):
-            undo(trail, 0)
-            return None
-        und = next((p for p in range(n) if status[p] == -1), None)
-        if und is None:
-            sol = tuple(pts[p] for p in range(n) if status[p] == 1)
-            undo(trail, 0)
-            return sol
-        for v in (1, 0):
-            mark = len(trail)
-            assign(und, v, trail)
-            r = dfs()
-            undo(trail, mark)
-            if r is not None:
-                undo(trail, 0)
-                return r
-        undo(trail, 0)
-        return None
-
-    try:
-        found = dfs()
-        complete = True
-    except _BudgetExceeded:
-        found = None
-        complete = False
-    return PointSetResult(points=found, complete=complete, nodes=nodes)
+    search = _MembershipSearch(len(pts), budget, blocks=[(ln, m) for ln in lines])
+    result = search.run(stop_after=1)
+    found = tuple(pts[p] for p in result.sets[0]) if result.sets else None
+    return PointSetResult(found, result.complete or found is not None, result.nodes)
 
 
 # -- maximum clique and section packings ------------------------------------------
@@ -724,7 +614,7 @@ def max_clique(adj, budget=None):
                 m |= 1 << int(j)
         masks.append(m)
     best = []
-    nodes = 0
+    nodes = _Nodes(budget)
 
     def color_order(cand):
         order, bounds = [], []
@@ -744,10 +634,8 @@ def max_clique(adj, budget=None):
         return order, bounds
 
     def expand(current, cand):
-        nonlocal nodes, best
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExceeded
+        nonlocal best
+        nodes.tick()
         order, bounds = color_order(cand)
         for k in range(len(order) - 1, -1, -1):
             if len(current) + bounds[k] <= len(best):
@@ -762,12 +650,8 @@ def max_clique(adj, budget=None):
             current.pop()
             cand &= ~(1 << v)
 
-    try:
-        expand([], (1 << n) - 1)
-        complete = True
-    except _BudgetExceeded:
-        complete = False
-    return tuple(sorted(best)), complete, nodes
+    complete = nodes.run(expand, [], (1 << n) - 1) == "exhausted"
+    return tuple(sorted(best)), complete, nodes.count
 
 
 def disjoint_section_packing(space, budget=None):

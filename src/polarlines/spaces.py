@@ -241,7 +241,7 @@ class PolarSpace:
 
         f = self.field
         self.line_basis = [tuple(tuple(r) for r in b) for b in line_bases]
-        self.line_points = [self._span_points_2(b) for b in self.line_basis]
+        self.line_points = [_span_key(f, u, w, self.point_index) for u, w in self.line_basis]
         self.plane_basis = [tuple(tuple(r) for r in b) for b in plane_bases]
         self.plane_points = [self._span_points_3(b) for b in self.plane_basis]
 
@@ -297,19 +297,10 @@ class PolarSpace:
         if got != want:
             raise GeometryError(f"{self.family}/q={q}: object counts {got} != predicted {want}")
 
-    def _span_points_2(self, basis):
-        f = self.field
-        u, w = basis
-        pts = [self.point_index[_normalize(f, u)]]
-        for a in range(f.q):
-            v = f.add_vec(f.scale(a, u), w)
-            pts.append(self.point_index[_normalize(f, v)])
-        return tuple(sorted(pts))
-
     def _span_points_3(self, basis):
         f = self.field
         u, v, w = basis
-        pts = set(self._span_points_2((u, v)))
+        pts = set(_span_key(f, u, v, self.point_index))
         for a in range(f.q):
             au = f.scale(a, u)
             for b in range(f.q):
@@ -408,12 +399,6 @@ class PolarSpace:
     def line_subspace(self, li):
         return Subspace(self.field, self.d, self.line_basis[li])
 
-    def plane_subspace(self, pi):
-        return Subspace(self.field, self.d, self.plane_basis[pi])
-
-    def point_vector(self, i):
-        return self.points[i]
-
     def classify_pair(self, li, mi):
         """Relation tag of an ordered line pair, from the precomputed table."""
         return REL_TAGS[int(self.labels[li, mi])]
@@ -492,11 +477,7 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
         u, w = basis
         iu = index[_normalize(f, u)]
         iw = index[_normalize(f, w)]
-        on_line = set()
-        pts = [index[_normalize(f, u)]]
-        for a in range(f.q):
-            pts.append(index[_normalize(f, f.add_vec(f.scale(a, u), w))])
-        on_line.update(pts)
+        on_line = set(_span_key(f, u, w, index))
         cand = np.nonzero(perp[iu] & perp[iw])[0]
         for x in cand:
             if int(x) in on_line:
@@ -511,6 +492,7 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
 
 
 def _span_key(field, u, w, index):
+    """Sorted point indices of the line spanned by u and w."""
     pts = [index[_normalize(field, u)]]
     for a in range(field.q):
         pts.append(index[_normalize(field, field.add_vec(field.scale(a, u), w))])

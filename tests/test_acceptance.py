@@ -411,11 +411,10 @@ def test_criterion_9_census_stretch(spaces):
     print("[criterion 9] PASS V21: no admissible proper sizes")
 
     # sizes 15, 30 and (via complements) 75, 90 are enumerable in seconds;
-    # 45 and 60 need about 4.3M nodes each and complete exhaustively when
-    # POLARLINES_CENSUS_BUDGET is raised to 5e6, finding exactly 336 sets:
-    # the triangles of the section-disjointness graph (56 of those triples
-    # are simultaneously ovoid pencil-unions); lower budgets report honestly
-    # incomplete
+    # 45 and 60 need about 4.3M nodes each to find all 336 sets (the
+    # triangles of the section-disjointness graph; 56 of those triples are
+    # simultaneously ovoid pencil-unions), so here they stop at a cap of 40
+    # sets and report the cap as their stop reason
     known_counts = {15: 28, 30: 168, 45: 336, 60: 336, 75: 168, 90: 28}
     for size, case_budget, cap in (
         (15, 10**6, None),
@@ -434,7 +433,7 @@ def test_criterion_9_census_stretch(spaces):
             assert res.complete
         if res.complete:
             assert len(res.sets) == known_counts[size]
-        status = "exhaustive" if res.complete else f"budget-limited ({res.nodes} nodes)"
+        status = "exhaustive" if res.complete else f"{res.note} ({res.nodes} nodes)"
         print(
             f"[criterion 9] {'PASS' if res.complete else 'INCOMPLETE'} V11 size {size}: "
             f"{len(res.sets)} sets, all matching known catalog; {status}"

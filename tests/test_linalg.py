@@ -88,6 +88,17 @@ def test_dimension_formula(q):
         assert dim_int + subspace_sum(a, b).dim == a.dim + b.dim
 
 
+def test_intersection_dimension_check_raises(monkeypatch):
+    # the dimension identity is enforced by an exception, so python -O keeps it
+    import polarlines.linalg as la
+
+    a = Subspace(GF2, 3, [(1, 0, 0)])
+    b = Subspace(GF2, 3, [(0, 1, 0)])
+    monkeypatch.setattr(la, "subspace_sum", lambda x, y: x)
+    with pytest.raises(RuntimeError, match="dim"):
+        la.intersect(a, b)
+
+
 def test_kernel_rank_nullity():
     f = field_for_order(3)
     rows = [(1, 2, 0, 1), (0, 1, 1, 1)]

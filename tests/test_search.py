@@ -20,6 +20,7 @@ def test_search_rediscovers_the_quadrangle_sections(o6plus2):
     res = enumerate_regular_sets(o6plus2, tables, "11", 15)
     assert res.complete
     assert len(res.sets) == 28  # one per nondegenerate hyperplane
+    assert res.nodes == 67
     sections = {
         frozenset(con.hyperplane_section_lines(o6plus2, s).indices)
         for s in con.hyperplane_sections(o6plus2)
@@ -32,6 +33,7 @@ def test_no_regular_v20_set_of_size_35(o6plus2):
     tables = tables_for_space(o6plus2)
     res = enumerate_regular_sets(o6plus2, tables, "20", 35, budget=10**9)
     assert res.complete and not res.sets
+    assert res.nodes == 167
 
 
 def test_inadmissible_sizes_rejected_without_search(o6plus2):
@@ -54,6 +56,7 @@ def test_search_finds_spreads_and_hexagons_in_sp62(sp62):
     tables = tables_for_space(sp62)
     res = enumerate_regular_sets(sp62, tables, "20", 63, budget=200_000, stop_after=2)
     assert len(res.sets) == 2
+    assert not res.complete and "solution cap" in res.note
     for found in res.sets:
         rep = regular_set_check(sp62, tables, found)
         assert rep.is_regular and rep.eigenspace == "20"
@@ -70,6 +73,7 @@ def test_probe_none_with_and_without_prefilter(o6plus2):
     assert fast.status == "none" and fast.nodes == 0
     honest = feasibility_probe(o6plus2, tables, {"10"}, 21, prefilter=False)
     assert honest.status == "none" and honest.nodes > 0
+    assert honest.nodes == 31
 
 
 def test_probe_witnesses(o6plus2):
