@@ -215,21 +215,28 @@ def _cmd_construct(args):
     )
 
 
-def _construct_one_system(space, args):
+def _gq_points_and_lines(space):
+    """Points and lines of the generalized quadrangle that hosts spreads and m-ovoids.
+
+    In Sp(6,q), q even, that is the elliptic quadric section; elsewhere the
+    first GQ hyperplane section.
+    """
     from . import constructions as con
-    from .analysis import inner_distribution
 
     if space.family == "Sp6" and space.q % 2 == 0:
-        section = con.quadric_section(space, "minus")
-        pts = section.point_indices
-        inside = set(pts)
-        lines = [li for li, lp in enumerate(space.line_points) if all(p in inside for p in lp)]
-    elif space.family == "O7":
-        section = con.find_section(space, "gq")
-        pts = con.section_point_indices(space, section)
-        lines = list(con.hyperplane_section_lines(space, section).indices)
-    else:
+        pts = con.quadric_section(space, "minus").point_indices
+        return pts, space.lines_inside(pts)
+    section = con.find_section(space, "gq")
+    lines = con.hyperplane_section_lines(space, section).indices
+    return con.section_point_indices(space, section), list(lines)
+
+
+def _construct_one_system(space, args):
+    from .analysis import inner_distribution
+
+    if space.family != "O7" and not (space.family == "Sp6" and space.q % 2 == 0):
         raise CommandError("one-system search runs in Sp6 (even q) or O7")
+    pts, lines = _gq_points_and_lines(space)
     res = line_spread_search(space, pts, lines, budget=args.budget)
     if res.lines is None:
         raise CommandError(
@@ -327,18 +334,8 @@ def _cmd_search_spread(args):
 
 
 def _cmd_search_movoid(args):
-    from . import constructions as con
-
     space = _get_space(args)
-    if space.family == "Sp6" and space.q % 2 == 0:
-        sec = con.quadric_section(space, "minus")
-        pts = sec.point_indices
-        inside = set(pts)
-        lines = [li for li, lp in enumerate(space.line_points) if all(p in inside for p in lp)]
-    else:
-        sec = con.find_section(space, "gq")
-        pts = con.section_point_indices(space, sec)
-        lines = list(con.hyperplane_section_lines(space, sec).indices)
+    pts, lines = _gq_points_and_lines(space)
     res = m_ovoid_search(space, pts, lines, args.m, budget=args.budget)
     out = {
         "space": args.space,

@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .gf import field_make
 from .linalg import rref
-from .spaces import GeometryError, _normalize, _projective_points, _table_matmul
+from .spaces import GeometryError, _normalize, _projective_points, form_values
 from .schemetables import tables_for_space
 
 
@@ -61,29 +61,14 @@ def point_pencil(space, point_index, mode="through"):
         return y
     if mode != "perp_avoiding":
         raise ValueError("mode must be 'through' or 'perp_avoiding'")
-    u = space.points[point_index]
-    functional = space.form.perp_functional(u)
-    f = space.field
-    keep = []
-    through = set(space.point_lines[point_index])
-    for li, basis in enumerate(space.line_basis):
-        if li in through:
-            continue
-        if all(_func_value(f, functional, row) == 0 for row in basis):
-            keep.append(li)
+    avoiding = space.perp_points[point_index].copy()
+    avoiding[point_index] = False
+    keep = space.lines_inside(avoiding)
     y = make_lineset(space, keep, name=f"pencil_perp_avoiding[{point_index}]")
     a1 = (1, q * q - 1, s * q * (q + 1), (q * q - 1) * s * q, s * s * q**3)
     _check_inner(space, y, a1, "perp-avoiding pencil")
     _check_support(space, y, {"10", "11"}, "perp-avoiding pencil")
     return y
-
-
-def _func_value(field, functional, vec):
-    acc = 0
-    for c, x in zip(functional, vec):
-        if c and x:
-            acc = field.add(acc, field.mul(c, x))
-    return acc
 
 
 # -- hyperplane sections ---------------------------------------------------------
@@ -104,17 +89,6 @@ def ambient_projective_points(space):
     return _projective_points(space.field, space.d)
 
 
-def _points_in_hyperplane(space, dual_point):
-    """Boolean mask over the space's points for membership in dual_point^perp."""
-    functional = space.form.perp_functional(dual_point)
-    f = space.field
-    vals = np.zeros(len(space.points), dtype=np.uint8)
-    for k, c in enumerate(functional):
-        if c:
-            vals = f.ADD[vals, f.MUL[c, space.pts_arr[:, k]]]
-    return vals == 0
-
-
 def hyperplane_sections(space):
     """Classify every ambient hyperplane u^perp of the space's vector space.
 
@@ -128,12 +102,13 @@ def hyperplane_sections(space):
     theta = space.theta
     rank3_count = ((s // q) * q * q + 1) * theta if space.e2 >= 2 else None
     gq_count = (s * q * q + 1) * (q + 1)
+    duals = ambient_projective_points(space)
+    counts = (form_values(space.form, space.pts_arr, duals) == 0).sum(axis=0)
     out = []
-    for u in ambient_projective_points(space):
-        mask = _points_in_hyperplane(space, u)
-        cnt = int(mask.sum())
-        pt = space.point_index.get(_normalize(space.field, u))
-        if space.form.is_singular(u):
+    for u, cnt in zip(duals, counts.tolist()):
+        # u is normalized, so it is singular exactly when it is a point
+        pt = space.point_index.get(u)
+        if pt is not None:
             out.append(HyperplaneSection(u, "degenerate", pt, cnt))
         elif rank3_count is not None and cnt == rank3_count:
             out.append(HyperplaneSection(u, "rank3", None, cnt))
@@ -155,22 +130,16 @@ def find_section(space, kind):
 
 
 def section_point_indices(space, section):
-    mask = _points_in_hyperplane(space, section.dual_point)
-    return tuple(int(i) for i in np.nonzero(mask)[0])
+    inside = form_values(space.form, space.pts_arr, [section.dual_point])[:, 0] == 0
+    return tuple(np.flatnonzero(inside).tolist())
 
 
 def hyperplane_section_lines(space, section):
     """Lines of the space inside a nondegenerate hyperplane, distribution-checked."""
     if section.kind == "degenerate":
         raise ValueError("section is degenerate; expected a nondegenerate hyperplane")
-    functional = space.form.perp_functional(section.dual_point)
-    f = space.field
-    keep = [
-        li
-        for li, basis in enumerate(space.line_basis)
-        if all(_func_value(f, functional, row) == 0 for row in basis)
-    ]
     q, s = space.q, space.qe
+    keep = space.lines_inside(section_point_indices(space, section))
     y = make_lineset(space, keep, name=f"{section.kind}_section")
     if section.kind == "rank3":
         t = s // q  # q^(e-1)
@@ -247,11 +216,8 @@ def quadric_section(space, kind):
 
 def quadric_section_lines(space, section):
     """Sp(6,q) lines all of whose points are singular for the section's quadric."""
-    inside = set(section.point_indices)
-    keep = [
-        li for li, pts in enumerate(space.line_points) if all(p in inside for p in pts)
-    ]
     q, s = space.q, space.qe
+    keep = space.lines_inside(section.point_indices)
     y = make_lineset(space, keep, name=f"quadric_{section.kind}_section")
     if section.kind == "plus":
         a = (1, q * (q + 1) * 2, s * q * (q + 1), s * q * q * (q + 1) * 2, s * s * q**3)
@@ -267,14 +233,6 @@ def quadric_section_lines(space, section):
 # -- ovoids and pencil unions ----------------------------------------------------
 
 
-def _dual_value_matrix(space, duals):
-    """B(point, u) for all space points x ambient duals u, as a value matrix."""
-    f = space.field
-    rows = np.array([space.form.perp_functional(u) for u in duals], dtype=np.uint8)
-    # value[i, j] = sum_k functional_j[k] * point_i[k]
-    return _table_matmul(f, space.pts_arr, rows.T)
-
-
 def elliptic_ovoid(space, fixed_duals=()):
     """Point set of a fixed 4-dimensional elliptic section of O+(6,q).
 
@@ -287,7 +245,7 @@ def elliptic_ovoid(space, fixed_duals=()):
         raise ValueError("elliptic ovoids are built in O6plus only")
     q = space.q
     duals = ambient_projective_points(space)
-    vals = _dual_value_matrix(space, duals)
+    vals = form_values(space.form, space.pts_arr, duals)
     dual_index = {u: k for k, u in enumerate(duals)}
     fixed = [dual_index[_normalize(space.field, u)] for u in fixed_duals]
     need = 2 - len(fixed)
@@ -637,22 +595,15 @@ def two_weight_profile(space, y):
     cov = covered_points(space, y)
     cov_set = set(cov)
     duals = ambient_projective_points(space)
-    f = space.field
-    rows = np.array([space.form.perp_functional(u) for u in duals], dtype=np.uint8)
-    cov_arr = space.pts_arr[list(cov)]
-    vals = _table_matmul(f, cov_arr, rows.T)
-    counts = (vals == 0).sum(axis=0)
+    counts = (form_values(space.form, space.pts_arr[list(cov)], duals) == 0).sum(axis=0)
 
     values = {}
     dichotomy_ok = True
     for k, u in enumerate(duals):
         c = Fraction(int(counts[k]))
         values[c] = values.get(c, 0) + 1
-        if space.form.is_singular(u):
-            covered = space.point_index[_normalize(f, u)] in cov_set
-            want = small if covered else big
-        else:
-            want = big
+        # only a degenerate hyperplane, u a point, can have a covered radical
+        want = small if space.point_index.get(u) in cov_set else big
         if c != want:
             dichotomy_ok = False
     if not set(values) <= {big, small}:

@@ -19,7 +19,7 @@ from .analysis import (
     regular_set_check,
 )
 from .linalg import rref
-from .spaces import REL_TAGS
+from .spaces import REL_TAGS, _normalize
 
 LINESET_VERSION = 1
 POINTSET_VERSION = 1
@@ -46,10 +46,41 @@ def write_lineset(space, y, path, with_bases=False):
         json.dump(doc, fh)
 
 
-def parse_lineset_file(path, space):
-    """Load a line-set file, resolving bases through canonical RREF if needed."""
+def _read_object(path, what):
     with open(str(path)) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must hold a JSON object")
+    return doc
+
+
+def _list_of(doc, key, is_entry, what):
+    """doc[key], which must be a list whose entries all pass is_entry."""
+    values = doc.get(key)
+    if not isinstance(values, list) or not all(is_entry(v) for v in values):
+        raise ValueError(f"{what} file has a missing or malformed {key!r} list")
+    return values
+
+
+def _is_index(x):
+    return type(x) is int
+
+
+def _is_vector(v, space):
+    return (
+        isinstance(v, list)
+        and len(v) == space.d
+        and all(_is_index(x) and 0 <= x < space.q for x in v)
+    )
+
+
+def _is_basis(rows, space):
+    return isinstance(rows, list) and all(_is_vector(r, space) for r in rows)
+
+
+def parse_lineset_file(path, space):
+    """Load a line-set file, resolving bases through canonical RREF if needed."""
+    doc = _read_object(path, "line-set")
     if doc.get("version") != LINESET_VERSION:
         raise ValueError(f"unsupported line-set file version {doc.get('version')!r}")
     head = doc.get("space", {})
@@ -59,16 +90,16 @@ def parse_lineset_file(path, space):
         raise ValueError("line-set file fingerprint does not match this space")
     if "bases" in doc:
         indices = []
-        for rows in doc["bases"]:
+        for rows in _list_of(doc, "bases", lambda b: _is_basis(b, space), "line-set"):
             basis, _ = rref([tuple(r) for r in rows], space.field)
             key = b"".join(bytes(r) for r in basis)
             if key not in space.line_key_index:
                 raise ValueError(f"basis {rows} is not a line of this space")
             indices.append(space.line_key_index[key])
-        if "lines" in doc and sorted(set(indices)) != sorted(set(doc["lines"])):
+        if "lines" in doc and set(indices) != set(_list_of(doc, "lines", _is_index, "line-set")):
             raise ValueError("line indices and bases disagree")
     else:
-        indices = doc["lines"]
+        indices = _list_of(doc, "lines", _is_index, "line-set")
     return make_lineset(space, indices, name=doc.get("name", ""))
 
 
@@ -85,8 +116,7 @@ def write_pointset(space, points, path, name=""):
 
 
 def parse_pointset_file(path, space):
-    with open(str(path)) as fh:
-        doc = json.load(fh)
+    doc = _read_object(path, "point-set")
     if doc.get("version") != POINTSET_VERSION:
         raise ValueError(f"unsupported point-set file version {doc.get('version')!r}")
     if doc.get("space", {}) != _space_header(space):
@@ -95,15 +125,13 @@ def parse_pointset_file(path, space):
         raise ValueError("point-set file fingerprint does not match this space")
     if "vectors" in doc:
         points = []
-        for v in doc["vectors"]:
-            from .spaces import _normalize
-
-            key = _normalize(space.field, tuple(int(x) for x in v))
+        for v in _list_of(doc, "vectors", lambda v: _is_vector(v, space), "point-set"):
+            key = _normalize(space.field, tuple(v))
             if key not in space.point_index:
                 raise ValueError(f"vector {v} is not a point of this space")
             points.append(space.point_index[key])
     else:
-        points = [int(p) for p in doc["points"]]
+        points = _list_of(doc, "points", _is_index, "point-set")
     bad = [p for p in points if p < 0 or p >= len(space.points)]
     if bad:
         raise ValueError(f"point indices out of range: {bad[:4]}")

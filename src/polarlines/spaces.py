@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import random
 
 import numpy as np
 
@@ -221,10 +223,50 @@ def _table_matmul(field, A, M):
     return out
 
 
+def form_values(form, X, Y):
+    """The matrix of B(x_i, y_j) over GF(q), for row vectors x_i of X and y_j of Y.
+
+    Table-driven: the only evaluation of the form on many vectors at once, and
+    with perp = form_values(form, pts, pts) == 0 the source of all incidence.
+    """
+    f = form.field
+    X = np.asarray(X, dtype=np.uint8).reshape(-1, form.d)
+    Y = np.asarray(Y, dtype=np.uint8).reshape(-1, form.d)
+    if form.kind == "hermitian":
+        Y = f.CONJ[Y]
+    gram = np.array(form.gram, dtype=np.uint8)
+    return _table_matmul(f, X, _table_matmul(f, gram, Y.T))
+
+
+def _line_points(perp, a, b):
+    """Points of the line through points a and b.
+
+    A point of the line's perp lies on the line exactly when it is
+    perpendicular to every point of that perp, because those points span it.
+    """
+    c = np.flatnonzero(perp[a] & perp[b])
+    return tuple(c[perp[c[:, None], c].all(axis=1)].tolist())
+
+
+def _plane_points(perp, a, b, x):
+    """Points of the plane spanned by points a, b and x.
+
+    In a rank-3 space a plane is maximal, so the only singular points of its
+    perp are its own.
+    """
+    return tuple(np.flatnonzero(perp[a] & perp[b] & perp[x]).tolist())
+
+
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
     def __init__(self, form, points, line_bases, plane_bases, labels=None):
+        self._set_points(form, points)
+        self._set_lines_and_planes(line_bases, plane_bases, labels)
+
+    # -- construction helpers -------------------------------------------------
+
+    def _set_points(self, form, points):
         self.form = form
         self.family = form.family
         self.q = form.q
@@ -236,14 +278,19 @@ class PolarSpace:
         self.points = [tuple(p) for p in points]
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.pts_arr = np.array(self.points, dtype=np.uint8)
+        self.perp_points = form_values(form, self.pts_arr, self.pts_arr) == 0
 
+    def _set_lines_and_planes(self, line_bases, plane_bases, labels):
         self._check_counts_predicted(len(line_bases), len(plane_bases))
 
-        f = self.field
+        # RREF basis rows are normalized, so they are points as they stand
+        index, perp = self.point_index, self.perp_points
         self.line_basis = [tuple(tuple(r) for r in b) for b in line_bases]
-        self.line_points = [_span_key(f, u, w, self.point_index) for u, w in self.line_basis]
+        self.line_points = [_line_points(perp, index[u], index[w]) for u, w in self.line_basis]
         self.plane_basis = [tuple(tuple(r) for r in b) for b in plane_bases]
-        self.plane_points = [self._span_points_3(b) for b in self.plane_basis]
+        self.plane_points = [
+            _plane_points(perp, *(index[r] for r in b)) for b in self.plane_basis
+        ]
 
         n = len(self.line_basis)
         self.n_lines = n
@@ -280,11 +327,9 @@ class PolarSpace:
         self.line_key_index = {_basis_key(b): i for i, b in enumerate(self.line_basis)}
         self.plane_key_index = {_basis_key(b): i for i, b in enumerate(self.plane_basis)}
 
-        self.perp_points = self._point_perp_matrix()
+        self._line_points_arr = np.array(self.line_points)
         self.labels = self._label_table() if labels is None else labels
         self.fingerprint = self._fingerprint()
-
-    # -- construction helpers -------------------------------------------------
 
     def _check_counts_predicted(self, nlines, nplanes):
         q, s = self.q, self.qe
@@ -297,17 +342,6 @@ class PolarSpace:
         if got != want:
             raise GeometryError(f"{self.family}/q={q}: object counts {got} != predicted {want}")
 
-    def _span_points_3(self, basis):
-        f = self.field
-        u, v, w = basis
-        pts = set(_span_key(f, u, v, self.point_index))
-        for a in range(f.q):
-            au = f.scale(a, u)
-            for b in range(f.q):
-                x = f.add_vec(f.add_vec(au, f.scale(b, v)), w)
-                pts.add(self.point_index[_normalize(f, x)])
-        return tuple(sorted(pts))
-
     def _check_incidence_constants(self):
         q, s = self.q, self.qe
         per_point = (q + 1) * (s * q + 1)
@@ -319,24 +353,6 @@ class PolarSpace:
             raise GeometryError("planes through a line is not the predicted constant")
         if any(len(v) != per_plane for v in self.plane_lines):
             raise GeometryError("lines in a plane is not the predicted constant")
-
-    def _point_perp_matrix(self):
-        form, f = self.form, self.field
-        pts = self.pts_arr
-        if form.kind == "hermitian":
-            right = f.CONJ[pts]
-        else:
-            right = pts
-        gram = np.array(form.gram, dtype=np.uint8)
-        transformed = _table_matmul(f, right, gram.T)
-        npts = len(self.points)
-        vals = np.zeros((npts, npts), dtype=np.uint8)
-        for k in range(self.d):
-            col = pts[:, k]
-            if not col.any():
-                continue
-            vals = f.ADD[vals, f.MUL[col[:, None], transformed[:, k][None, :]]]
-        return vals == 0
 
     def _label_table(self):
         """n x n uint8 relation table from point-set and perp incidences."""
@@ -419,6 +435,15 @@ class PolarSpace:
         rows = [self.form.perp_functional(s) for s in sub.basis]
         return kernel(rows, self.field, self.d)
 
+    def lines_inside(self, points):
+        """Indices of the lines all of whose points lie in a point set.
+
+        The set is given as point indices or as a boolean mask over the points.
+        """
+        inside = np.zeros(len(self.points), dtype=bool)
+        inside[list(points)] = True
+        return np.flatnonzero(inside[self._line_points_arr].all(axis=1)).tolist()
+
     def valency_census(self, li):
         """Count of lines in each relation to line li."""
         return tuple(int(c) for c in np.bincount(self.labels[li], minlength=5))
@@ -438,65 +463,40 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
         raise ValueError(
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
-    f = form.field
+    points = [p for p in _projective_points(form.field, form.d) if form.is_singular(p)]
+    space = PolarSpace.__new__(PolarSpace)
+    space._set_points(form, points)
+    perp = space.perp_points
 
-    points = [p for p in _projective_points(f, form.d) if form.is_singular(p)]
-    index = {p: i for i, p in enumerate(points)}
+    # lines: each found once, from its least point i and the next point j
+    lines = []
+    for i in range(len(points)):
+        rest = perp[i].copy()
+        rest[: i + 1] = False
+        while rest.any():
+            j = int(rest.argmax())
+            pts = _line_points(perp, i, j)
+            rest[list(pts)] = False
+            if pts[0] == i:
+                lines.append((rref([points[i], points[j]], form.field)[0], pts))
+    lines.sort(key=lambda line: _basis_key(line[0]))
 
-    # pairwise perpendicularity of points
-    pts_arr = np.array(points, dtype=np.uint8)
-    gram = np.array(form.gram, dtype=np.uint8)
-    right = f.CONJ[pts_arr] if form.kind == "hermitian" else pts_arr
-    transformed = _table_matmul(f, right, gram.T)
-    npts = len(points)
-    vals = np.zeros((npts, npts), dtype=np.uint8)
-    for k in range(form.d):
-        col = pts_arr[:, k]
-        if not col.any():
-            continue
-        vals = f.ADD[vals, f.MUL[col[:, None], transformed[:, k][None, :]]]
-    perp = vals == 0
-
-    # lines: totally isotropic spans of perpendicular point pairs
-    seen_lines = {}
-    for i in range(npts):
-        row = np.nonzero(perp[i])[0]
-        for j in row:
-            if j <= i:
-                continue
-            pset = _span_key(f, points[i], points[j], index)
-            if pset in seen_lines:
-                continue
-            basis, _ = rref([points[i], points[j]], f)
-            seen_lines[pset] = basis
-    line_bases = sorted(seen_lines.values(), key=_basis_key)
-
-    # planes: extend each line by a perpendicular singular point
+    # planes: the planes through a line u, w are common & perp[x], x off the line
     seen_planes = {}
-    for basis in line_bases:
-        u, w = basis
-        iu = index[_normalize(f, u)]
-        iw = index[_normalize(f, w)]
-        on_line = set(_span_key(f, u, w, index))
-        cand = np.nonzero(perp[iu] & perp[iw])[0]
-        for x in cand:
-            if int(x) in on_line:
-                continue
-            b3, _ = rref([u, w, points[int(x)]], f)
-            key = _basis_key(b3)
-            if key not in seen_planes:
-                seen_planes[key] = b3
+    for (u, w), pts in lines:
+        a, b = space.point_index[u], space.point_index[w]
+        rest = perp[a] & perp[b]
+        rest[list(pts)] = False
+        while rest.any():
+            x = int(rest.argmax())
+            plane = _plane_points(perp, a, b, x)
+            rest[list(plane)] = False
+            if plane not in seen_planes:
+                seen_planes[plane] = rref([u, w, points[x]], form.field)[0]
     plane_bases = sorted(seen_planes.values(), key=_basis_key)
 
-    return PolarSpace(form, points, line_bases, plane_bases)
-
-
-def _span_key(field, u, w, index):
-    """Sorted point indices of the line spanned by u and w."""
-    pts = [index[_normalize(field, u)]]
-    for a in range(field.q):
-        pts.append(index[_normalize(field, field.add_vec(field.scale(a, u), w))])
-    return tuple(sorted(pts))
+    space._set_lines_and_planes([basis for basis, _ in lines], plane_bases, None)
+    return space
 
 
 def _basis_key(basis):
@@ -526,9 +526,22 @@ def save_space(space, path):
         "planes": [[list(r) for r in b] for b in space.plane_basis],
     }
     path = str(path)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    np.save(path + ".labels.npy", space.labels)
+    # the JSON goes last: a reader never sees it before its labels
+    _write_atomically(path + ".labels.npy", lambda fh: np.save(fh, space.labels))
+    _write_atomically(path, lambda fh: fh.write(json.dumps(doc).encode()))
+
+
+def _write_atomically(path, write):
+    """Write a file through write(fh) into a temporary sibling, then rename it over path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_space(path):
@@ -561,4 +574,19 @@ def load_space(path):
         counts["planes"],
     ):
         raise ValueError("space cache counts mismatch; file corrupt or stale")
+    if labels is not None and not _labels_look_right(space):
+        raise ValueError("labels sidecar corrupt or stale")
     return space
+
+
+def _labels_look_right(space):
+    """Shape and dtype of a loaded relation table, and a seeded spot check of its pairs."""
+    n, labels = space.n_lines, space.labels
+    if labels.shape != (n, n) or labels.dtype != np.uint8:
+        return False
+    rng = random.Random(n)
+    for _ in range(32):
+        li, mi = rng.randrange(n), rng.randrange(n)
+        if labels[li, mi] != REL_INDEX[space.classify_pair_geometric(li, mi)]:
+            return False
+    return True

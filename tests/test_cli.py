@@ -215,3 +215,44 @@ def test_report_rationals_are_exact_strings(o6plus2):
     assert rep["a"] == ["1", "1", "0", "0", "0"]
     assert rep["aQ"][1] == "133/6"
     assert all("." not in s for s in rep["a"] + rep["aQ"])
+
+
+_HEADER = {"version": 1, "space": {"family": "O6plus", "p": 2, "h": 1}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(_HEADER),  # neither lines nor bases
+        [0, 1, 2],  # a top-level list
+        dict(_HEADER, lines=7),
+        dict(_HEADER, lines=[[0, 1]]),
+        dict(_HEADER, bases=[[[1, 0, 0, 0, 0, 9], [0, 1, 0, 0, 0, 0]]]),
+        dict(_HEADER, bases=[[1, 0]]),
+    ],
+)
+def test_malformed_lineset_file_is_a_json_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "set", "eval", "--space", "o6plus_q2", "--file", str(path))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(_HEADER),  # neither points nor vectors
+        [0, 1, 2],
+        dict(_HEADER, points=[{"p": 0}]),
+        dict(_HEADER, vectors=[[1, 0, 0]]),
+        dict(_HEADER, vectors=5),
+    ],
+)
+def test_malformed_pointset_file_is_a_json_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad_points.json"
+    path.write_text(json.dumps(doc))
+    argv = ["construct", "pencil-union", "--space", "o6plus_q2", "--point-file", str(path)]
+    code, out = run_cli(capsys, *argv, "-o", str(tmp_path / "union.json"))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}

@@ -5,7 +5,14 @@ import pytest
 
 from polarlines.linalg import Subspace
 from polarlines.schemetables import empirical_valencies, tables_for_space
-from polarlines.spaces import FormSpec, build_space, load_space, predicted_line_count, save_space
+from polarlines.spaces import (
+    FormSpec,
+    _normalize,
+    build_space,
+    load_space,
+    predicted_line_count,
+    save_space,
+)
 
 EXPECTED_COUNTS = {
     # family, q: (points, lines, planes)
@@ -128,3 +135,92 @@ def test_deterministic_rebuild(o6plus2):
     again = build_space("O6plus", 2)
     assert again.fingerprint == o6plus2.fingerprint
     assert again.line_basis == o6plus2.line_basis
+
+
+# -- incidence against brute-force span enumeration ------------------------------
+
+
+def _span_point_set(space, basis):
+    """Point indices of a subspace, from its q^dim vectors by field arithmetic."""
+    vecs = Subspace(space.field, space.d, basis).vectors()
+    return tuple(sorted({space.point_index[_normalize(space.field, v)] for v in vecs if any(v)}))
+
+
+@pytest.mark.parametrize(
+    "family,q,sample",
+    [("O6plus", 2, None), ("Sp6", 2, None), ("O8minus", 2, None), ("O7", 3, 200), ("U6", 4, 200)],
+)
+def test_incidence_matches_span_enumeration(spaces, family, q, sample):
+    space = spaces.get(family, q)
+    rng = random.Random(2024)
+    for bases, point_sets in (
+        (space.line_basis, space.line_points),
+        (space.plane_basis, space.plane_points),
+    ):
+        idx = range(len(bases)) if sample is None else rng.sample(range(len(bases)), sample)
+        for i in idx:
+            assert tuple(point_sets[i]) == _span_point_set(space, bases[i])
+
+
+@pytest.mark.parametrize(
+    "family,q", [("O6plus", 2), ("Sp6", 2), ("O8minus", 2), ("O7", 3), ("U6", 4)]
+)
+def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
+    space = spaces.get(family, q)
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    again = load_space(path)
+    assert again.line_points == space.line_points
+    assert again.plane_points == space.plane_points
+    assert np.array_equal(again.perp_points, space.perp_points)
+
+
+# -- the labels sidecar -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("corrupt", ["wrong_shape", "reversed"])
+def test_corrupt_labels_sidecar_is_rejected(tmp_path, o6plus2, corrupt):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    sidecar = str(path) + ".labels.npy"
+    bad = np.zeros((3, 3), dtype=np.uint8) if corrupt == "wrong_shape" else o6plus2.labels[::-1]
+    np.save(sidecar, np.ascontiguousarray(bad))
+    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
+        load_space(path)
+
+
+def test_labels_sidecar_with_wrong_dtype_is_rejected(tmp_path, o6plus2):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    np.save(str(path) + ".labels.npy", o6plus2.labels.astype(np.int64))
+    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("failing", ["labels", "json"])
+def test_failed_cache_write_keeps_the_previous_cache(tmp_path, monkeypatch, o6plus2, failing):
+    import polarlines.spaces as spaces_mod
+
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def partial_write(fh, *args, **kwargs):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    def failing_dumps(*args, **kwargs):
+        raise OSError("disk full")
+
+    if failing == "labels":
+        monkeypatch.setattr(spaces_mod.np, "save", partial_write)
+    else:
+        monkeypatch.setattr(spaces_mod.json, "dumps", failing_dumps)
+    with pytest.raises(OSError, match="disk full"):
+        save_space(o6plus2, path)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    again = load_space(path)
+    assert again.fingerprint == o6plus2.fingerprint
+    assert np.array_equal(again.labels, o6plus2.labels)
