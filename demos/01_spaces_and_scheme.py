@@ -3,8 +3,8 @@
 The hyperbolic quadric in dimension 6 over GF(2) is the smallest of the six
 families: 35 points, 105 lines, 30 planes.  Its line pairs split into five
 relations, and that partition is a 5-class association scheme whose exact
-eigenvalue tables we can write down and then check against the enumerated
-geometry, with no floating point anywhere.
+eigenvalue tables we can write down and then check exactly against the
+enumerated geometry.
 """
 
 from polarlines import build_space, tables_for_space, verify_scheme

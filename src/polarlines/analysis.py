@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .schemetables import relation_products
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 EIGEN_TAGS = REL_TAGS  # eigenspaces carry the same labels, in the same order
@@ -90,17 +91,12 @@ def weighted_dual_distribution(space, tables, weights):
     w = np.asarray(weights, dtype=np.int64)
     if w.shape != (space.n_lines,):
         raise ValueError("weight vector has wrong length")
-    if np.abs(w).max(initial=0) ** 2 * space.n_lines >= 2**62:
+    # each term w_r (A_i w)_r is below 2^62 in magnitude; the terms are summed
+    # as Python ints
+    if max(int(w.max(initial=0)), -int(w.min(initial=0))) ** 2 * space.n_lines >= 2**62:
         raise OverflowError("weights too large for exact int64 arithmetic")
-    quad = []
-    labels = space.labels
-    for i in range(5):
-        acc = 0
-        block = max(1, 2**24 // space.n_lines)
-        for lo in range(0, space.n_lines, block):
-            hi = min(space.n_lines, lo + block)
-            acc += int(w[lo:hi] @ ((labels[lo:hi] == i) @ w))
-        quad.append(acc)
+    Aw = relation_products(space.labels, w[:, None])[:, :, 0]
+    quad = [int((w * Aw[i]).astype(object).sum()) for i in range(5)]
     return tuple(sum(Fraction(quad[i]) * tables.Q[i][j] for i in range(5)) for j in range(5))
 
 

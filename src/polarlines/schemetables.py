@@ -126,19 +126,27 @@ def tables_for_space(space):
 
 # -- randomized-exact verification against an enumerated space ----------------
 
-_INT64_LIMIT = 2**62
 
+def relation_products(labels, Y):
+    """Exact A_i Y for all five relations, as an int64 array of shape (5, n, m).
 
-def _relation_matvec(labels, rel, x):
-    """A_rel . x for an integer vector x, blocked to bound memory."""
+    Y is an n x m integer matrix.  The products run in float64 BLAS over row
+    blocks of about 2^20 label entries, so the masks stay at a few MiB.  Every
+    partial sum is an integer of magnitude at most max|Y| * n, so under the
+    guard max|Y| * n < 2^53 each one is exact in whatever order BLAS adds;
+    beyond it this raises OverflowError.
+    """
+    Y = np.asarray(Y, dtype=np.int64)
     n = labels.shape[0]
-    if abs(int(np.abs(x).max(initial=0))) * n >= _INT64_LIMIT:
-        raise OverflowError("matvec operand too large for exact int64 arithmetic")
-    out = np.zeros(n, dtype=np.int64)
-    block = max(1, 2**24 // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        out[lo:hi] = (labels[lo:hi] == rel) @ x
+    if max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * n >= 2**53:
+        raise OverflowError("operand too large for exact float64 relation products")
+    Yf = Y.astype(np.float64)
+    out = np.empty((5, n, Y.shape[1]), dtype=np.int64)
+    rows = max(1, 2**20 // max(n, 1))
+    for lo in range(0, n, rows):
+        block = labels[lo : lo + rows]
+        for i in range(5):
+            out[i, lo : lo + rows] = (block == i).astype(np.float64) @ Yf
     return out
 
 
@@ -150,15 +158,21 @@ def _lcm(values):
     return int(out)
 
 
+def _project(tables, j, AX):
+    """(D * E_j X, D) from the relation products AX of an integer matrix X."""
+    L = _lcm([tables.Q[i][j].denominator for i in range(5)])
+    Z = np.zeros(AX.shape[1:], dtype=np.int64)
+    for i in range(5):
+        c = int(tables.Q[i][j] * L)
+        if c:
+            Z += c * AX[i]
+    return Z, tables.n * L
+
+
 def project_scaled(labels, tables, j, x):
     """(D * E_j x, D) with D chosen so the projection is an integer vector."""
-    L = _lcm([tables.Q[i][j].denominator for i in range(5)])
-    coefs = [int(tables.Q[i][j] * L) for i in range(5)]
-    z = np.zeros(labels.shape[0], dtype=np.int64)
-    for i in range(5):
-        if coefs[i]:
-            z = z + coefs[i] * _relation_matvec(labels, i, x)
-    return z, tables.n * L
+    z, D = _project(tables, j, relation_products(labels, np.asarray(x)[:, None]))
+    return z[:, 0], D
 
 
 def verify_scheme(space, tables, k=5, seed=0x5EED):
@@ -166,30 +180,28 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
 
     Also checks that the projections sum back to x.  Returns a report dict;
     report["ok"] is True iff all 25 (relation, eigenspace) pairs pass on all
-    vectors.
+    vectors.  The k vectors and their five projections are stacked, so the
+    label table is read twice whatever k is.
     """
     if tables.n != space.n_lines:
         raise ValueError("tables do not match the space")
+    if k < 1:
+        raise ValueError(f"verify_scheme needs at least one vector, got {k}")
     rng = np.random.default_rng(seed)
     n = space.n_lines
     labels = space.labels
-    pair_ok = {(i, j): True for i in range(5) for j in range(5)}
-    resolution_ok = True
-    for _ in range(k):
-        x = rng.integers(-9, 10, size=n).astype(np.int64)
-        parts = []
-        for j in range(5):
-            z, D = project_scaled(labels, tables, j, x)
-            parts.append((z, D))
-            for i in range(5):
-                if not np.array_equal(_relation_matvec(labels, i, z), tables.P[j][i] * z):
-                    pair_ok[(i, j)] = False
-        D_all = _lcm([D for _, D in parts])
-        total = np.zeros(n, dtype=np.int64)
-        for z, D in parts:
-            total += z * (D_all // D)
-        if not np.array_equal(total, D_all * x):
-            resolution_ok = False
+    X = np.stack([rng.integers(-9, 10, size=n) for _ in range(k)], axis=1).astype(np.int64)
+    AX = relation_products(labels, X)
+    parts = [_project(tables, j, AX) for j in range(5)]
+    AZ = relation_products(labels, np.concatenate([Z for Z, _ in parts], axis=1))
+    pair_ok = {
+        (i, j): np.array_equal(AZ[i][:, j * k : (j + 1) * k], tables.P[j][i] * Z)
+        for j, (Z, _) in enumerate(parts)
+        for i in range(5)
+    }
+    D_all = _lcm([D for _, D in parts])
+    total = sum(Z * (D_all // D) for Z, D in parts)
+    resolution_ok = np.array_equal(total, D_all * X)
     ok = resolution_ok and all(pair_ok.values())
     return {
         "ok": ok,

@@ -202,6 +202,13 @@ def test_cli_determinism(capsys, tmp_path):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize("vectors", ["0", "-3"])
+def test_scheme_verify_without_vectors_is_a_json_error(capsys, vectors):
+    code, out = run_cli(capsys, "scheme", "verify", "--space", "o6plus_q2", "--vectors", vectors)
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_report_rationals_are_exact_strings(o6plus2):
     tables = tables_for_space(o6plus2)
     from polarlines.analysis import make_lineset

@@ -1,7 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 
-from polarlines.schemetables import project_scaled, tables_for_space, verify_scheme
+from polarlines.analysis import weighted_dual_distribution
+from polarlines.schemetables import (
+    project_scaled,
+    relation_products,
+    tables_for_space,
+    verify_scheme,
+)
 
 
 @pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2), ("O6plus", 3)])
@@ -59,3 +67,77 @@ def test_mismatched_tables_rejected(o6plus2):
 
     with pytest.raises(ValueError):
         verify_scheme(o6plus2, make_tables(3, 0))
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_verify_scheme_needs_a_vector(o6plus2, k):
+    with pytest.raises(ValueError):
+        verify_scheme(o6plus2, tables_for_space(o6plus2), k=k)
+
+
+def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
+    # move one symmetric pair from R20 to R21: the copy is no longer a scheme
+    broken = copy.copy(o6plus2)
+    broken.labels = o6plus2.labels.copy()
+    a, b = np.argwhere(broken.labels == 3)[0]
+    broken.labels[a, b] = broken.labels[b, a] = 4
+    report = verify_scheme(broken, tables_for_space(o6plus2), k=2)
+    assert report["ok"] is False
+    assert not all(report["pairs"].values())
+    assert verify_scheme(o6plus2, tables_for_space(o6plus2), k=2)["ok"] is True
+
+
+def _random_labels(rng, n):
+    upper = np.triu(rng.integers(0, 5, size=(n, n)), 1)
+    return (upper + upper.T).astype(np.uint8)
+
+
+# with 1025 lines a block is 1023 rows, so the last block holds two rows
+@pytest.mark.parametrize("n", [50, 1025])
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_relation_products_match_integer_matmul(n, m):
+    rng = np.random.default_rng(n * 100 + m)
+    labels = _random_labels(rng, n)
+    # entries near 2^53 / n, so float64 partial sums use the full mantissa
+    Y = rng.integers(-(2**42), 2**42, size=(n, m))
+    got = relation_products(labels, Y)
+    assert got.dtype == np.int64 and got.shape == (5, n, m)
+    for i in range(5):
+        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+
+
+def test_relation_products_guard_is_max_entry_times_n():
+    labels = _random_labels(np.random.default_rng(3), 4)
+    for bad in (2**51, -(2**51)):
+        Y = np.zeros((4, 2), dtype=np.int64)
+        Y[1, 1] = bad
+        with pytest.raises(OverflowError):
+            relation_products(labels, Y)
+    Y = np.full((4, 2), 2**51 - 1, dtype=np.int64)
+    Y[0, 0] = -(2**51 - 1)
+    got = relation_products(labels, Y)
+    for i in range(5):
+        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+
+
+@pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2)])
+def test_weighted_dual_distribution_matches_object_arithmetic(spaces, family, q):
+    space = spaces.get(family, q)
+    tables = tables_for_space(space)
+    w = np.random.default_rng(q).integers(-6, 7, size=space.n_lines)
+    wo = w.astype(object)
+    quad = [wo @ ((space.labels == i).astype(object) @ wo) for i in range(5)]
+    want = tuple(sum(quad[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
+    assert weighted_dual_distribution(space, tables, w) == want
+
+
+def test_weighted_dual_distribution_is_exact_near_its_guard(o6plus2):
+    # A_i c1 = c k_i 1, so b = (c^2 n^2, 0, 0, 0, 0); w^T A_21 w exceeds 2^63
+    tables = tables_for_space(o6plus2)
+    n = o6plus2.n_lines
+    c = 2**27
+    assert c * c * n < 2**62 and c * c * n * tables.P[0][4] >= 2**63
+    got = weighted_dual_distribution(o6plus2, tables, [c] * n)
+    assert got == (c * c * n * n, 0, 0, 0, 0)
+    with pytest.raises(OverflowError):
+        weighted_dual_distribution(o6plus2, tables, [2**32] + [0] * (n - 1))
