@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schemetables import relation_products
+from .schemetables import relation_census, relation_products
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 EIGEN_TAGS = REL_TAGS  # eigenspaces carry the same labels, in the same order
@@ -143,51 +143,34 @@ def regular_set_check(space, tables, y):
         raise ValueError("regularity undefined for the full line set")
 
     support = eigenspace_support(space, tables, y)
-    support_route = len(support) == 1
-    j_tag = next(iter(support)) if support_route else None
+    j_tag = next(iter(support)) if len(support) == 1 else None
 
-    labels = space.labels[:, idx]
-    counts = np.stack([(labels == i).sum(axis=1) for i in range(5)], axis=1)
+    counts = relation_census(space.labels[:, idx])
     in_mask = np.zeros(space.n_lines, dtype=bool)
     in_mask[idx] = True
-
-    degree_route = False
-    inside = outside = None
-    witness = None
+    # counts and targets are compared times n, so a fractional target misses everywhere
+    routes = {}
     for j in range(1, 5):
         want_in, want_out = expected_degrees(tables, j, len(idx))
-        if any(v.denominator != 1 for v in want_in + want_out):
-            continue
-        win = np.array([int(v) for v in want_in])
-        wout = np.array([int(v) for v in want_out])
-        if (counts[in_mask] == win).all() and (counts[~in_mask] == wout).all():
-            degree_route = True
-            inside, outside = want_in, want_out
-            degree_j = EIGEN_TAGS[j]
-            break
-
-    if degree_route != support_route or (degree_route and degree_j != j_tag):
+        scaled = [np.array([int(v * tables.n) for v in w]) for w in (want_in, want_out)]
+        off = counts.astype(np.int64) * tables.n != np.where(in_mask[:, None], *scaled)
+        routes[EIGEN_TAGS[j]] = (off, want_in, want_out)
+    degree_tag = next((t for t, (off, _, _) in routes.items() if not off.any()), None)
+    if degree_tag != j_tag:
         raise GeometryError("support-based and degree-based regularity verdicts disagree")
 
-    if not degree_route:
-        # record one deviating vertex for the report
-        bad = None
-        for j in range(1, 5):
-            want_in, want_out = expected_degrees(tables, j, len(idx))
-            for x in range(space.n_lines):
-                want = want_in if in_mask[x] else want_out
-                for i in range(5):
-                    if counts[x, i] != want[i]:
-                        bad = (x, REL_TAGS[i], int(counts[x, i]), str(want[i]))
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        witness = bad
+    inside = outside = witness = None
+    if degree_tag:
+        _, inside, outside = routes[degree_tag]
+    else:
+        # the first (line, relation) off the V10 targets
+        off, want_in, want_out = routes["10"]
+        x, i = divmod(int(off.argmax()), 5)
+        want = want_in if in_mask[x] else want_out
+        witness = (x, REL_TAGS[i], int(counts[x, i]), str(want[i]))
 
     return RegularSetReport(
-        is_regular=support_route,
+        is_regular=j_tag is not None,
         eigenspace=j_tag,
         size=len(idx),
         support=support,

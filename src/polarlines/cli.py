@@ -24,7 +24,7 @@ from .search import (
     line_spread_search,
     m_ovoid_search,
 )
-from .spaces import FAMILIES, REL_TAGS, build_space, load_space, save_space
+from .spaces import DEFAULT_MAX_LINES, FAMILIES, REL_TAGS, build_space, load_space, save_space
 
 _FAMILY_BY_LOWER = {name.lower(): name for name in FAMILIES}
 
@@ -49,14 +49,19 @@ def _space_path(cache_dir, family, q):
     return os.path.join(cache_dir, f"{family}_q{q}.json")
 
 
+def _cache_dir(args):
+    """The space cache directory: --cache, else POLARLINES_CACHE, else None."""
+    return args.cache or os.environ.get("POLARLINES_CACHE")
+
+
 def _get_space(args):
     family, q = _parse_space_name(args.space)
-    cache = getattr(args, "cache", None) or os.environ.get("POLARLINES_CACHE")
+    cache = _cache_dir(args)
     if cache:
         path = _space_path(cache, family, q)
         if os.path.exists(path):
             return load_space(path)
-    space = build_space(family, q, max_lines=getattr(args, "max_lines", 20000))
+    space = build_space(family, q)
     if cache:
         os.makedirs(cache, exist_ok=True)
         save_space(space, _space_path(cache, family, q))
@@ -79,7 +84,7 @@ def _emit(doc):
 def _cmd_space_build(args):
     family, q = _parse_space_name(args.space)
     space = build_space(family, q, max_lines=args.max_lines)
-    cache = args.cache or os.environ.get("POLARLINES_CACHE")
+    cache = _cache_dir(args)
     out = {
         "space": args.space,
         "fingerprint": space.fingerprint,
@@ -374,8 +379,8 @@ def build_parser():
     ss = p.add_subparsers(dest="subcommand", required=True)
     b = ss.add_parser("build")
     b.add_argument("--space", required=True)
-    b.add_argument("--max-lines", type=int, default=20000)
-    b.add_argument("--cache", help="write the built space to this cache directory")
+    b.add_argument("--max-lines", type=int, default=DEFAULT_MAX_LINES)
+    b.add_argument("--cache", default=argparse.SUPPRESS, help="write the built space here")
     b.set_defaults(func=_cmd_space_build)
     i = ss.add_parser("info")
     i.add_argument("--space", required=True)
@@ -452,15 +457,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
         return 0
     except (CommandError, ValueError, OSError) as exc:
-        json.dump({"error": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
-        return 1
+        code, error = 1, exc
+    except RuntimeError as exc:  # GeometryError among them: the program contradicts itself
+        code, error = 3, exc
+    print(json.dumps({"error": str(error)}))
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .gf import field_make
 from .linalg import rref
-from .spaces import GeometryError, _normalize, _projective_points, form_values
+from .spaces import GeometryError, _basis_key, _normalize, _projective_points, form_values
 from .schemetables import tables_for_space
 
 
@@ -410,7 +410,7 @@ def symplectic_spread_planes(space):
     indices = []
     for rows in planes:
         rr, _ = rref(rows, f)
-        key = b"".join(bytes(r) for r in rr)
+        key = _basis_key(rr)
         if key not in space.plane_key_index:
             raise GeometryError("spread plane is not totally isotropic")
         indices.append(space.plane_key_index[key])

@@ -19,7 +19,7 @@ from .analysis import (
     regular_set_check,
 )
 from .linalg import rref
-from .spaces import REL_TAGS, _normalize
+from .spaces import REL_TAGS, _basis_key, _normalize
 
 LINESET_VERSION = 1
 POINTSET_VERSION = 1
@@ -92,7 +92,7 @@ def parse_lineset_file(path, space):
         indices = []
         for rows in _list_of(doc, "bases", lambda b: _is_basis(b, space), "line-set"):
             basis, _ = rref([tuple(r) for r in rows], space.field)
-            key = b"".join(bytes(r) for r in basis)
+            key = _basis_key(basis)
             if key not in space.line_key_index:
                 raise ValueError(f"basis {rows} is not a line of this space")
             indices.append(space.line_key_index[key])

@@ -67,10 +67,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def key(self):
-        """Canonical byte string; the global identity of the subspace."""
-        return bytes([self.ambient]) + b"".join(bytes(r) for r in self.basis)
-
     def contains(self, vec):
         """Membership test via elimination against the RREF basis."""
         f = self.field

@@ -142,12 +142,30 @@ def relation_products(labels, Y):
         raise OverflowError("operand too large for exact float64 relation products")
     Yf = Y.astype(np.float64)
     out = np.empty((5, n, Y.shape[1]), dtype=np.int64)
-    rows = max(1, 2**20 // max(n, 1))
-    for lo in range(0, n, rows):
-        block = labels[lo : lo + rows]
+    for lo, block in _row_blocks(labels):
         for i in range(5):
-            out[i, lo : lo + rows] = (block == i).astype(np.float64) @ Yf
+            out[i, lo : lo + len(block)] = (block == i).astype(np.float64) @ Yf
     return out
+
+
+def relation_census(labels):
+    """Per-row relation counts of a label table, as an int32 array of shape (rows, 5).
+
+    labels may also be a column slice labels[:, idx]; row x then counts the
+    lines of idx in each relation to line x.
+    """
+    out = np.empty((labels.shape[0], 5), dtype=np.int32)
+    for lo, block in _row_blocks(labels):
+        for i in range(5):
+            out[lo : lo + len(block), i] = (block == i).sum(axis=1, dtype=np.int32)
+    return out
+
+
+def _row_blocks(labels):
+    """(first row, block) over row blocks of about 2^20 label entries."""
+    rows = max(1, 2**20 // max(labels.shape[1], 1))
+    for lo in range(0, labels.shape[0], rows):
+        yield lo, labels[lo : lo + rows]
 
 
 def _lcm(values):
@@ -216,7 +234,7 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
 
 def empirical_valencies(space):
     """Per-line relation census; raises if it is not constant over lines."""
-    counts = np.stack([np.bincount(row, minlength=5) for row in space.labels])
+    counts = relation_census(space.labels)
     first = counts[0]
     if not (counts == first).all():
         bad = int(np.nonzero((counts != first).any(axis=1))[0][0])

@@ -22,6 +22,7 @@ from .analysis import (
     make_lineset,
     regular_set_check,
 )
+from .schemetables import relation_census
 from .spaces import REL_TAGS
 
 
@@ -150,7 +151,7 @@ class _MembershipSearch:
                 ys = np.flatnonzero(row)
                 self.nbr.append((row[ys].astype(np.intp) - 1) * n + ys)
             self.cnt = np.zeros((4, n), dtype=np.int32)
-            self.und = np.stack([(labels == i).sum(axis=1) for i in range(1, 5)]).astype(np.int32)
+            self.und = np.ascontiguousarray(relation_census(labels)[:, 1:].T)
             self.cnt_flat, self.und_flat = self.cnt.reshape(-1), self.und.reshape(-1)
         self.degrees = None
         if degrees is not None:

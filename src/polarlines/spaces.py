@@ -302,7 +302,6 @@ class PolarSpace:
             for a, b in itertools.combinations(pts, 2):
                 pair_to_line[(a, b)] = li
         self.point_lines = [tuple(v) for v in self.point_lines]
-        self._pair_to_line = pair_to_line
 
         self.plane_lines = []
         self.line_planes = [[] for _ in range(n)]
@@ -315,12 +314,6 @@ class PolarSpace:
             for li in lines:
                 self.line_planes[li].append(pi)
         self.line_planes = [tuple(v) for v in self.line_planes]
-
-        self.point_planes = [[] for _ in self.points]
-        for pi, pts in enumerate(self.plane_points):
-            for a in pts:
-                self.point_planes[a].append(pi)
-        self.point_planes = [tuple(v) for v in self.point_planes]
 
         self._check_incidence_constants()
 
@@ -355,42 +348,33 @@ class PolarSpace:
             raise GeometryError("lines in a plane is not the predicted constant")
 
     def _label_table(self):
-        """n x n uint8 relation table from point-set and perp incidences."""
-        q = self.q
-        n = self.n_lines
-        npts = len(self.points)
-        lp = np.zeros((n, npts), dtype=np.float32)
-        for li, pts in enumerate(self.line_points):
-            lp[li, list(pts)] = 1.0
-        mp = np.zeros((n, npts), dtype=np.float32)
-        for li, pts in enumerate(self.line_points):
-            mask = self.perp_points[pts[0]] & self.perp_points[pts[1]]
-            mp[li] = mask
-        labels = np.zeros((n, n), dtype=np.uint8)
+        """n x n uint8 relation table from one incidence product per row block.
+
+        With N the line-point incidence and T the incidence of lines with the
+        points of their perps, entry (L, M) of N (T + (q+2) N)^T is
+        t + (q+2) s, where s = |L cap M| and t = |L cap M^perp| count points.
+        Both are at most q+1, so the entry fixes (s, t), and it is an exact
+        float32 integer below 256.  One lookup table decodes the five legal
+        values and maps every other one to 255.
+        """
+        q, n = self.q, self.n_lines
+        if (q + 1) * (q + 3) > 254:
+            raise GeometryError(f"q={q} is too large for the uint8 relation decode")
+        decode = np.full(256, 255, dtype=np.uint8)
+        for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
+            decode[t + (q + 2) * s] = rel
+        lines, perp = self._line_points_arr, self.perp_points
+        N = np.zeros((n, len(self.points)), dtype=np.float32)
+        N[np.arange(n)[:, None], lines] = 1
+        W = (perp[lines[:, 0]] & perp[lines[:, 1]]) + (q + 2) * N
+        labels = np.empty((n, n), dtype=np.uint8)
         block = max(1, 2**24 // max(n, 1))
         for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            scount = np.rint(lp[lo:hi] @ lp.T).astype(np.int32)
-            tcount = np.rint(lp[lo:hi] @ mp.T).astype(np.int32)
-            blk = np.full(scount.shape, 255, dtype=np.uint8)
-            same = scount == q + 1
-            s1 = scount == 1
-            s0 = scount == 0
-            t2 = tcount == q + 1
-            t1 = tcount == 1
-            t0 = tcount == 0
-            blk[same & t2] = 0
-            blk[s1 & t2] = 1
-            blk[s1 & t1] = 2
-            blk[s0 & t1] = 3
-            blk[s0 & t0] = 4
-            if (blk == 255).any():
-                i, j = np.argwhere(blk == 255)[0]
-                raise GeometryError(
-                    f"illegal (s,t) pair for lines {lo + i},{j}: "
-                    f"s-count={scount[i, j]}, t-count={tcount[i, j]}"
-                )
-            labels[lo:hi] = blk
+            labels[lo : lo + block] = decode[(N[lo : lo + block] @ W.T).astype(np.uint8)]
+        if labels.max(initial=0) == 255:
+            i, j = np.argwhere(labels == 255)[0]
+            s, t = divmod(int(N[i] @ W[j]), q + 2)
+            raise GeometryError(f"illegal (s,t) pair for lines {i},{j}: s-count={s}, t-count={t}")
         if not (labels == labels.T).all():
             raise GeometryError("relation table is not symmetric")
         return labels
@@ -443,10 +427,6 @@ class PolarSpace:
         inside = np.zeros(len(self.points), dtype=bool)
         inside[list(points)] = True
         return np.flatnonzero(inside[self._line_points_arr].all(axis=1)).tolist()
-
-    def valency_census(self, li):
-        """Count of lines in each relation to line li."""
-        return tuple(int(c) for c in np.bincount(self.labels[li], minlength=5))
 
 
 def predicted_line_count(family, q):

@@ -181,7 +181,20 @@ def test_regular_check_verdicts(o6plus2):
     rep = regular_set_check(o6plus2, tables, pencil)
     assert not rep.is_regular
     assert rep.support == {"10", "11"}
-    assert rep.witness is not None
+    assert rep.witness == (0, "10", 4, "52/7")
+
+
+def test_regular_check_witness_is_the_first_deviation_from_v10(o6plus2, sp62):
+    # the first two sets have integer V10 targets; line 0 of the first meets its own
+    cases = [
+        (o6plus2, random.Random(64).sample(range(o6plus2.n_lines), 21), (1, "10", 3, "1")),
+        (sp62, random.Random(280).sample(range(sp62.n_lines), 280), (0, "11", 23, "22")),
+        (sp62, range(0, sp62.n_lines, 7), (0, "10", 2, "72/7")),
+    ]
+    for space, y, witness in cases:
+        rep = regular_set_check(space, tables_for_space(space), y)
+        assert not rep.is_regular
+        assert rep.witness == witness
 
 
 def test_complement_symmetry(o6plus2, sp62):

@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 
+from polarlines import cli
 from polarlines.cli import main
 from polarlines.files import parse_lineset_file, write_lineset, build_report
 from polarlines.schemetables import tables_for_space
+from polarlines.spaces import GeometryError
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,18 @@ def test_space_build_info_and_cache(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["valencies"] == [1, 12, 12, 48, 32]
     assert doc["e"] == "0"
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_space_build_writes_the_cache_under_either_spelling(tmp_path, monkeypatch, capsys, before):
+    monkeypatch.delenv("POLARLINES_CACHE", raising=False)
+    cache = str(tmp_path / "cache")
+    where, argv = ["--cache", cache], ["space", "build", "--space", "o6plus_q2"]
+    code, out = run_cli(capsys, *(where + argv if before else argv + where))
+    assert code == 0
+    path = json.loads(out)["cache_file"]
+    assert path == os.path.join(cache, "O6plus_q2.json")
+    assert os.path.exists(path) and os.path.exists(path + ".labels.npy")
 
 
 def test_construct_hexagon_then_eval(tmp_path, capsys):
@@ -191,6 +206,26 @@ def test_cli_error_is_machine_readable(capsys):
     assert code == 1
     doc = json.loads(out)
     assert "error" in doc
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [GeometryError("relation table is not symmetric"), RuntimeError("P row sums wrong")],
+)
+def test_internal_failure_is_a_json_error_with_exit_code_3(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_space_info", fail)
+    code, out = run_cli(capsys, "space", "info", "--space", "o6plus_q2")
+    assert code == 3
+    assert json.loads(out) == {"error": str(exc)}
+
+
+def test_usage_error_keeps_exit_code_2(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["space", "info"])
+    assert stop.value.code == 2
 
 
 def test_cli_determinism(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from polarlines.analysis import weighted_dual_distribution
 from polarlines.schemetables import (
     project_scaled,
+    relation_census,
     relation_products,
     tables_for_space,
     verify_scheme,
@@ -141,3 +142,16 @@ def test_weighted_dual_distribution_is_exact_near_its_guard(o6plus2):
     assert got == (c * c * n * n, 0, 0, 0, 0)
     with pytest.raises(OverflowError):
         weighted_dual_distribution(o6plus2, tables, [2**32] + [0] * (n - 1))
+
+
+def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):
+    rng = np.random.default_rng(5)
+    # 1100 columns leave a two-block census
+    for labels in (
+        o6plus2.labels,
+        sp62.labels,
+        sp62.labels[:, ::7],
+        rng.integers(0, 5, size=(1100, 1100), dtype=np.uint8),
+    ):
+        want = np.stack([np.bincount(row, minlength=5) for row in labels])
+        assert np.array_equal(relation_census(labels), want)

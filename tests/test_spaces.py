@@ -7,6 +7,8 @@ from polarlines.linalg import Subspace
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
     FormSpec,
+    GeometryError,
+    PolarSpace,
     _normalize,
     build_space,
     load_space,
@@ -224,3 +226,73 @@ def test_failed_cache_write_keeps_the_previous_cache(tmp_path, monkeypatch, o6pl
     again = load_space(path)
     assert again.fingerprint == o6plus2.fingerprint
     assert np.array_equal(again.labels, o6plus2.labels)
+
+
+# -- the relation table against incidence counts ----------------------------------
+
+
+def _incidence(members, width):
+    M = np.zeros((len(members), width), dtype=np.float32)
+    for i, m in enumerate(members):
+        M[i, list(m)] = 1
+    return M
+
+
+@pytest.mark.parametrize(
+    "family,q,sample",
+    [
+        ("O6plus", 2, None),
+        ("Sp6", 2, None),
+        ("O8minus", 2, None),
+        ("O6plus", 3, None),
+        ("O7", 3, None),
+        ("U6", 4, 300),
+    ],
+)
+def test_label_table_against_point_and_plane_incidence(spaces, family, q, sample):
+    """N N^T = (q+1) I + A10 + A11 and K K^T = (s+1) I + A10.
+
+    N is the line-point and K the line-plane incidence.  The lines of a plane
+    come from its point pairs, not from the perp matrix, so K shares nothing
+    with the table's own decode.
+    """
+    space = spaces.get(family, q)
+    n = space.n_lines
+    N = _incidence(space.line_points, len(space.points))
+    K = _incidence(space.line_planes, len(space.plane_basis))
+    rows = np.arange(n)
+    if sample is not None:
+        rows = np.sort(np.random.default_rng(99).choice(n, sample, replace=False))
+    for block in np.array_split(rows, max(1, len(rows) // 512)):
+        A = space.labels[block]
+        eye = block[:, None] == np.arange(n)
+        assert np.array_equal(N[block] @ N.T, (q + 1) * eye + (A == 1) + (A == 2))
+        assert np.array_equal(K[block] @ K.T, (space.qe + 1) * eye + (A == 1))
+
+
+def _made_up_space(q, extra_perp):
+    """Two point-disjoint lines {0, 1, 2} and {3, 4, 5}, each perpendicular to itself only.
+
+    extra_perp adds (point, point) entries to the perp matrix, which need not
+    stay symmetric.
+    """
+    space = PolarSpace.__new__(PolarSpace)
+    space.q, space.n_lines, space.points = q, 2, range(6)
+    space._line_points_arr = np.array([[0, 1, 2], [3, 4, 5]])
+    space.perp_points = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))
+    for a, b in extra_perp:
+        space.perp_points[a, b] = True
+    return space
+
+
+def test_label_table_decode_rejects_what_no_space_gives():
+    assert _made_up_space(2, [])._label_table().tolist() == [[0, 4], [4, 0]]
+    # line 0's perp meets line 1 in one point, not conversely: R20 one way, R21 back
+    with pytest.raises(GeometryError, match="not symmetric"):
+        _made_up_space(2, [(0, 3), (1, 3)])._label_table()
+    # two points of line 0 in line 1's perp: no relation has s = 0, t = 2
+    with pytest.raises(GeometryError, match="lines 0,1: s-count=0, t-count=2"):
+        _made_up_space(2, [(3, 0), (4, 0), (3, 1), (4, 1)])._label_table()
+    # (q+1)(q+3) = 323 does not fit the uint8 decode
+    with pytest.raises(GeometryError, match="too large"):
+        _made_up_space(16, [])._label_table()
