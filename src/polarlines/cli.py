@@ -294,7 +294,7 @@ def _cmd_search_regular(args):
             "nodes": res.nodes,
             "note": res.note,
             "count": len(res.sets),
-            "sets": [list(s) for s in res.sets[: args.limit or len(res.sets)]],
+            "sets": [list(s) for s in res.sets],
         }
     )
 

@@ -321,9 +321,9 @@ def _orbit_constraints(space, tables, j, size):
     """
     orbits = []
     if j in ("11", "21"):
-        orbits.append([lines for lines in space.plane_lines])
+        orbits.append(space.plane_lines)
     if j in ("20", "21"):
-        orbits.append([lines for lines in space.point_lines])
+        orbits.append(space.point_lines)
     out = []
     for members in orbits:
         target = Fraction(size * len(members[0]), tables.n)

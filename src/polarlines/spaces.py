@@ -25,7 +25,7 @@ import random
 
 import numpy as np
 
-from .gf import field_for_order
+from .gf import MAX_Q, field_for_order
 from .linalg import Subspace, intersect, kernel, rref
 
 REL_TAGS = ("00", "10", "11", "20", "21")
@@ -257,12 +257,60 @@ def _plane_points(perp, a, b, x):
     return tuple(np.flatnonzero(perp[a] & perp[b] & perp[x]).tolist())
 
 
+def _pair_lines(n_points, line_points):
+    """points x points int32 array: the line through each collinear pair, else -1.
+
+    The diagonal is -1 too, since a point alone names no line.
+    """
+    lines = np.asarray(line_points)
+    pair = np.full((n_points, n_points), -1, dtype=np.int32)
+    index = np.arange(len(lines), dtype=np.int32)
+    pair[lines[:, :, None], lines[:, None, :]] = index[:, None, None]
+    np.fill_diagonal(pair, -1)
+    return pair
+
+
+def _lines_in(pair, point_sets):
+    """For each row of point indices, the ascending lines through two of its points."""
+    pts = np.array(point_sets)
+    found = np.sort(pair[pts[:, :, None], pts[:, None, :]].reshape(len(pts), -1), axis=1)
+    first = found >= 0
+    first[:, 1:] &= found[:, 1:] != found[:, :-1]
+    return [tuple(row[keep].tolist()) for row, keep in zip(found, first)]
+
+
+def _transpose(members, n):
+    """For each of n objects, the ascending indices of the members that hold it."""
+    out = [[] for _ in range(n)]
+    for i, member in enumerate(members):
+        for x in member:
+            out[x].append(i)
+    return [tuple(v) for v in out]
+
+
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
     def __init__(self, form, points, line_bases, plane_bases, labels=None):
+        """A space from its points and the canonical bases of its lines and planes.
+
+        Each line's and each plane's point set is derived once from its basis,
+        whose RREF rows are normalized and so are points as they stand.
+        """
         self._set_points(form, points)
-        self._set_lines_and_planes(line_bases, plane_bases, labels)
+        index, perp = self.point_index, self.perp_points
+        line_points = [_line_points(perp, index[u], index[w]) for u, w in line_bases]
+        plane_rows = [[index[r] for r in b] for b in plane_bases]
+        plane_points = [_plane_points(perp, *rows) for rows in plane_rows]
+        # the planes are not fingerprinted: each must hold its own rows and theta points
+        if any(
+            len(pts) != self.theta or not set(rows) <= set(pts)
+            for rows, pts in zip(plane_rows, plane_points)
+        ):
+            raise ValueError("a plane basis spans no plane of the space")
+        self._set_lines_and_planes(
+            line_bases, line_points, plane_bases, plane_points, labels=labels
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -280,58 +328,39 @@ class PolarSpace:
         self.pts_arr = np.array(self.points, dtype=np.uint8)
         self.perp_points = form_values(form, self.pts_arr, self.pts_arr) == 0
 
-    def _set_lines_and_planes(self, line_bases, plane_bases, labels):
+    def _set_lines_and_planes(
+        self, line_bases, line_points, plane_bases, plane_points, plane_lines=None, labels=None
+    ):
+        """The one incidence assembly of build and load.
+
+        A build passes the lines of each plane, which its plane pass read from
+        the pair array; a load reads them here from its own pair array.
+        """
         self._check_counts_predicted(len(line_bases), len(plane_bases))
-
-        # RREF basis rows are normalized, so they are points as they stand
-        index, perp = self.point_index, self.perp_points
-        self.line_basis = [tuple(tuple(r) for r in b) for b in line_bases]
-        self.line_points = [_line_points(perp, index[u], index[w]) for u, w in self.line_basis]
-        self.plane_basis = [tuple(tuple(r) for r in b) for b in plane_bases]
-        self.plane_points = [
-            _plane_points(perp, *(index[r] for r in b)) for b in self.plane_basis
-        ]
-
-        n = len(self.line_basis)
-        self.n_lines = n
-        self.point_lines = [[] for _ in self.points]
-        pair_to_line = {}
-        for li, pts in enumerate(self.line_points):
-            for a in pts:
-                self.point_lines[a].append(li)
-            for a, b in itertools.combinations(pts, 2):
-                pair_to_line[(a, b)] = li
-        self.point_lines = [tuple(v) for v in self.point_lines]
-
-        self.plane_lines = []
-        self.line_planes = [[] for _ in range(n)]
-        for pi, pts in enumerate(self.plane_points):
-            seen = set()
-            for a, b in itertools.combinations(pts, 2):
-                seen.add(pair_to_line[(a, b)])
-            lines = tuple(sorted(seen))
-            self.plane_lines.append(lines)
-            for li in lines:
-                self.line_planes[li].append(pi)
-        self.line_planes = [tuple(v) for v in self.line_planes]
-
+        self.line_basis = list(line_bases)
+        self.line_points = list(line_points)
+        self.plane_basis = list(plane_bases)
+        self.plane_points = list(plane_points)
+        self.n_lines = len(self.line_basis)
+        self._line_points_arr = np.array(self.line_points)
+        if plane_lines is None:
+            pair = _pair_lines(len(self.points), self._line_points_arr)
+            plane_lines = _lines_in(pair, self.plane_points)
+        self.plane_lines = list(plane_lines)
+        self.point_lines = _transpose(self.line_points, len(self.points))
+        self.line_planes = _transpose(self.plane_lines, self.n_lines)
         self._check_incidence_constants()
 
         self.line_key_index = {_basis_key(b): i for i, b in enumerate(self.line_basis)}
         self.plane_key_index = {_basis_key(b): i for i, b in enumerate(self.plane_basis)}
 
-        self._line_points_arr = np.array(self.line_points)
         self.labels = self._label_table() if labels is None else labels
-        self.fingerprint = self._fingerprint()
+        self.fingerprint = _fingerprint(self.form, self.line_basis)
 
     def _check_counts_predicted(self, nlines, nplanes):
-        q, s = self.q, self.qe
-        theta = q * q + q + 1
-        want_points = (s * q * q + 1) * theta
-        want_lines = (s * q + 1) * (s * q * q + 1) * theta
-        want_planes = (s + 1) * (s * q + 1) * (s * q * q + 1)
+        q = self.q
         got = (len(self.points), nlines, nplanes)
-        want = (want_points, want_lines, want_planes)
+        want = _predicted_counts(self.family, q)
         if got != want:
             raise GeometryError(f"{self.family}/q={q}: object counts {got} != predicted {want}")
 
@@ -379,17 +408,6 @@ class PolarSpace:
             raise GeometryError("relation table is not symmetric")
         return labels
 
-    def _fingerprint(self):
-        h = hashlib.sha256()
-        f = self.field
-        h.update(
-            f"polarlines-space-v{SPACE_FORMAT_VERSION}|{self.family}|p{f.p}|h{f.h}|e2{self.e2}".encode()
-        )
-        for b in self.line_basis:
-            for row in b:
-                h.update(bytes(row))
-        return h.hexdigest()[:16]
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -429,10 +447,19 @@ class PolarSpace:
         return np.flatnonzero(inside[self._line_points_arr].all(axis=1)).tolist()
 
 
+def _predicted_counts(family, q):
+    """(points, lines, planes) of the space, from the closed forms."""
+    s = q_to_e_power(q, FAMILIES[family][1])
+    theta = q * q + q + 1
+    return (
+        (s * q * q + 1) * theta,
+        (s * q + 1) * (s * q * q + 1) * theta,
+        (s + 1) * (s * q + 1) * (s * q * q + 1),
+    )
+
+
 def predicted_line_count(family, q):
-    _, e2, _ = FAMILIES[family]
-    s = q_to_e_power(q, e2)
-    return (s * q + 1) * (s * q * q + 1) * (q * q + q + 1)
+    return _predicted_counts(family, q)[1]
 
 
 def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
@@ -448,39 +475,61 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
     space._set_points(form, points)
     perp = space.perp_points
 
-    # lines: each found once, from its least point i and the next point j
+    # lines: each found once, from its least point i and the first point j
+    # whose pair with i lies on no line found so far
+    on_a_line = np.zeros_like(perp)
     lines = []
     for i in range(len(points)):
-        rest = perp[i].copy()
+        rest = perp[i] & ~on_a_line[i]
         rest[: i + 1] = False
         while rest.any():
             j = int(rest.argmax())
             pts = _line_points(perp, i, j)
-            rest[list(pts)] = False
-            if pts[0] == i:
-                lines.append((rref([points[i], points[j]], form.field)[0], pts))
+            idx = np.array(pts)
+            on_a_line[idx[:, None], idx] = True
+            rest[idx] = False
+            lines.append((rref([points[i], points[j]], form.field)[0], pts))
     lines.sort(key=lambda line: _basis_key(line[0]))
+    line_bases, line_points = zip(*lines)
 
-    # planes: the planes through a line u, w are common & perp[x], x off the line
-    seen_planes = {}
-    for (u, w), pts in lines:
-        a, b = space.point_index[u], space.point_index[w]
-        rest = perp[a] & perp[b]
+    # planes: each found once, through the first line in it; covered[li] holds
+    # the points of the planes already found through line li
+    pair = _pair_lines(len(points), line_points)
+    covered = np.zeros((len(lines), len(points)), dtype=bool)
+    planes = []
+    for li, ((u, w), pts) in enumerate(lines):
+        a, b = pts[:2]
+        rest = perp[a] & perp[b] & ~covered[li]
         rest[list(pts)] = False
         while rest.any():
             x = int(rest.argmax())
             plane = _plane_points(perp, a, b, x)
-            rest[list(plane)] = False
-            if plane not in seen_planes:
-                seen_planes[plane] = rref([u, w, points[x]], form.field)[0]
-    plane_bases = sorted(seen_planes.values(), key=_basis_key)
+            (plane_lines,) = _lines_in(pair, [plane])
+            idx = np.array(plane)
+            covered[np.array(plane_lines)[:, None], idx] = True
+            rest[idx] = False
+            planes.append((rref([u, w, points[x]], form.field)[0], plane, plane_lines))
+    planes.sort(key=lambda plane: _basis_key(plane[0]))
 
-    space._set_lines_and_planes([basis for basis, _ in lines], plane_bases, None)
+    plane_bases, plane_points, plane_lines = zip(*planes)
+    space._set_lines_and_planes(line_bases, line_points, plane_bases, plane_points, plane_lines)
     return space
 
 
 def _basis_key(basis):
     return b"".join(bytes(r) for r in basis)
+
+
+def _fingerprint(form, line_basis):
+    h = hashlib.sha256()
+    f = form.field
+    h.update(
+        f"polarlines-space-v{SPACE_FORMAT_VERSION}|{form.family}|p{f.p}|h{f.h}|e2{form.e2}".encode()
+    )
+    for b in line_basis:
+        for row in b:
+            h.update(bytes(row))
+    return h.hexdigest()[:16]
 
 
 # -- cache file format --------------------------------------------------------
@@ -525,38 +574,69 @@ def _write_atomically(path, write):
 
 
 def load_space(path):
-    """Reload a cached space; indices are bit-exact with the original build."""
+    """Reload a cached space; indices are bit-exact with the original build.
+
+    The document's shape, fingerprint, counts and points are checked before
+    any geometry is derived from it, and a malformed, corrupt or stale file
+    raises ValueError.
+    """
     path = str(path)
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("space cache must hold a JSON object")
     if doc.get("format_version") != SPACE_FORMAT_VERSION:
         raise ValueError(f"unsupported space cache version {doc.get('format_version')!r}")
-    q = doc["p"] ** doc["h"]
-    form = FormSpec(doc["family"], q)
-    labels = None
+    family, p, h = doc.get("family"), doc.get("p"), doc.get("h")
+    if not (isinstance(family, str) and type(p) is type(h) is int and 1 < p and 0 < h <= MAX_Q):
+        raise ValueError("space cache has a malformed family or field")
+    if p**h > MAX_Q:
+        raise ValueError(f"unsupported field: q={p}^{h}")
+    form = FormSpec(family, p**h)
+    points = [tuple(v) for v in _cached_rows(doc, "points", form, ())]
+    lines = [tuple(map(tuple, b)) for b in _cached_rows(doc, "lines", form, (2,))]
+    planes = [tuple(map(tuple, b)) for b in _cached_rows(doc, "planes", form, (3,))]
+    if _fingerprint(form, lines) != doc.get("fingerprint"):
+        raise ValueError("space cache fingerprint mismatch; file corrupt or stale")
+    counts = doc.get("counts")
+    got = (len(points), len(lines), len(planes))
+    if (
+        not isinstance(counts, dict)
+        or got != tuple(counts.get(k) for k in ("points", "lines", "planes"))
+        or got != _predicted_counts(family, form.q)
+    ):
+        raise ValueError("space cache counts mismatch; file corrupt or stale")
+    # as many distinct normalized points as the space has, in lexicographic order
+    if points != sorted(set(points)) or not all(
+        form.is_singular(v) and _normalize(form.field, v) == v for v in points
+    ):
+        raise ValueError("space cache points are not the points of the space")
+    on_space = set(points)
+    if not all(row in on_space for basis in lines + planes for row in basis):
+        raise ValueError("space cache has a basis row that is not a point of the space")
     try:
         labels = np.load(path + ".labels.npy")
     except OSError:
         labels = None
-    space = PolarSpace(
-        form,
-        [tuple(p) for p in doc["points"]],
-        [tuple(tuple(r) for r in b) for b in doc["lines"]],
-        [tuple(tuple(r) for r in b) for b in doc["planes"]],
-        labels=labels,
-    )
-    if space.fingerprint != doc["fingerprint"]:
-        raise ValueError("space cache fingerprint mismatch; file corrupt or stale")
-    counts = doc["counts"]
-    if (len(space.points), space.n_lines, len(space.plane_basis)) != (
-        counts["points"],
-        counts["lines"],
-        counts["planes"],
-    ):
-        raise ValueError("space cache counts mismatch; file corrupt or stale")
+    space = PolarSpace(form, points, lines, planes, labels=labels)
     if labels is not None and not _labels_look_right(space):
         raise ValueError("labels sidecar corrupt or stale")
     return space
+
+
+def _cached_rows(doc, key, form, shape):
+    """doc[key] as lists: n items of the given shape, each a vector over GF(q)."""
+    try:
+        arr = np.array(doc.get(key))
+    except ValueError:  # ragged nesting
+        arr = np.array(None)
+    if (
+        arr.dtype.kind != "i"
+        or arr.shape[1:] != shape + (form.d,)
+        or ((arr < 0) | (arr >= form.q)).any()
+    ):
+        raise ValueError(f"space cache has a missing or malformed {key!r} list")
+    return arr.tolist()
 
 
 def _labels_look_right(space):

@@ -298,3 +298,45 @@ def test_malformed_pointset_file_is_a_json_error(tmp_path, capsys, doc):
     code, out = run_cli(capsys, *argv, "-o", str(tmp_path / "union.json"))
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+
+
+def _first_row_replaced(doc, key, row):
+    """The cache document with the first row of the first basis under key replaced."""
+    return dict(doc, **{key: [[row] + doc[key][0][1:]] + doc[key][1:]})
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "counts"},
+        lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0]),
+        lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0]),
+        # a point of the space, but one off the plane: the rows span no plane
+        lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1]),
+        lambda doc: dict(doc, p="x"),
+        lambda doc: dict(doc, points=doc["points"][::-1]),
+        lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:]),
+    ],
+    ids=[
+        "list",
+        "no_counts",
+        "line_row",
+        "plane_row",
+        "plane_of_points",
+        "p",
+        "points_reversed",
+        "ragged_lines",
+    ],
+)
+def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, corrupt):
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "space", "build", "--space", "o6plus_q2", "--cache", cache)[0] == 0
+    path = os.path.join(cache, "O6plus_q2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(corrupt(doc), fh)
+    code, out = run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}

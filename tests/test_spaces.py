@@ -44,6 +44,8 @@ def test_incidence_constants(spaces, family, q):
     assert all(len(v) == s + 1 for v in space.line_planes)
     assert all(len(v) == space.theta for v in space.plane_lines)
     assert all(len(pts) == q + 1 for pts in space.line_points)
+    # the lines of a plane are the lines inside its point set
+    assert [tuple(space.lines_inside(pts)) for pts in space.plane_points] == space.plane_lines
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
@@ -175,6 +177,32 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
     assert again.line_points == space.line_points
     assert again.plane_points == space.plane_points
     assert np.array_equal(again.perp_points, space.perp_points)
+    # a build reads each plane's lines during its plane pass, a load from the
+    # pair array of its reloaded line point sets
+    assert again.point_lines == space.point_lines
+    assert again.plane_lines == space.plane_lines
+    assert again.line_planes == space.line_planes
+
+
+@pytest.mark.parametrize("family,q", [("O6plus", 2), ("O7", 3)])
+def test_build_finds_each_line_and_plane_once(monkeypatch, family, q):
+    import polarlines.spaces as spaces_mod
+
+    calls = {"_line_points": 0, "_plane_points": 0}
+
+    def counted(name):
+        fn = getattr(spaces_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spaces_mod, name, counted(name))
+    space = build_space(family, q)
+    assert calls == {"_line_points": space.n_lines, "_plane_points": len(space.plane_basis)}
 
 
 # -- the labels sidecar -----------------------------------------------------------
