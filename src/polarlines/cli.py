@@ -45,6 +45,13 @@ def _parse_space_name(name):
         )
 
 
+def _positive_int(text):
+    """argparse type: an integer of at least 1, so a smaller one is a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _space_path(cache_dir, family, q):
     return os.path.join(cache_dir, f"{family}_q{q}.json")
 
@@ -430,7 +437,7 @@ def build_parser():
     r.add_argument("--j", required=True, choices=list(REL_TAGS[1:]))
     r.add_argument("--size", type=int, required=True)
     r.add_argument("--budget", type=int, default=None)
-    r.add_argument("--limit", type=int, default=None)
+    r.add_argument("--limit", type=_positive_int, default=None)
     r.set_defaults(func=_cmd_search_regular)
     pr = ss.add_parser("probe")
     pr.add_argument("--space", required=True)

@@ -580,8 +580,7 @@ def two_weight_profile(space, y):
     if space.family not in ("Sp6", "U7", "O8minus"):
         raise ValueError("two-weight profiles need Sp6, U7 or O8minus")
     idx = _as_indices(space, y)
-    sub = space.labels[np.ix_(idx, idx)]
-    if ((sub == 1) | (sub == 2)).any():
+    if any(inner_distribution(space, idx)[1:3]):
         raise ValueError("lines must be pairwise non-intersecting")
     tables = tables_for_space(space)
     aq = dual_distribution(space, tables, idx)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -94,8 +96,9 @@ class SchemeTables:
         return self.P[0]
 
 
+@lru_cache(maxsize=None)
 def make_tables(q, e2):
-    """Exact scheme tables for parameters (q, e = e2/2)."""
+    """Exact scheme tables for parameters (q, e = e2/2), built once per pair."""
     s = q_to_e_power(q, e2)
     n = (s * q + 1) * (s * q * q + 1) * (q * q + q + 1)
     P = p_matrix(q, e2)
@@ -168,17 +171,9 @@ def _row_blocks(labels):
         yield lo, labels[lo : lo + rows]
 
 
-def _lcm(values):
-    out = 1
-    for v in values:
-        g = np.gcd(out, v)
-        out = out // g * v
-    return int(out)
-
-
 def _project(tables, j, AX):
     """(D * E_j X, D) from the relation products AX of an integer matrix X."""
-    L = _lcm([tables.Q[i][j].denominator for i in range(5)])
+    L = lcm(*(tables.Q[i][j].denominator for i in range(5)))
     Z = np.zeros(AX.shape[1:], dtype=np.int64)
     for i in range(5):
         c = int(tables.Q[i][j] * L)
@@ -217,7 +212,7 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
         for j, (Z, _) in enumerate(parts)
         for i in range(5)
     }
-    D_all = _lcm([D for _, D in parts])
+    D_all = lcm(*(D for _, D in parts))
     total = sum(Z * (D_all // D) for Z, D in parts)
     resolution_ok = np.array_equal(total, D_all * X)
     ok = resolution_ok and all(pair_ok.values())

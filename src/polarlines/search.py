@@ -21,6 +21,7 @@ from .analysis import (
     expected_degrees,
     make_lineset,
     regular_set_check,
+    span_orthogonal_divisor,
 )
 from .schemetables import relation_census
 from .spaces import REL_TAGS
@@ -361,6 +362,8 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
     """
     if j not in REL_TAGS[1:]:
         raise ValueError(f"eigenspace must be one of {REL_TAGS[1:]}")
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     report = divisibility_report(size, j, space.q, space.e2)
     if not report.consistent:
         return SearchResult((), True, 0, f"size rejected: {report.reason}")
@@ -468,25 +471,15 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
         raise ValueError("support must be a subset of the nontrivial eigenspaces")
     if size == 0:
         return ProbeResult("witness", (), 0, "empty set")
-    q, s = space.q, space.qe
     if prefilter:
         if len(support) == 1:
-            rep = divisibility_report(size, next(iter(support)), q, space.e2)
+            rep = divisibility_report(size, next(iter(support)), space.q, space.e2)
             if not rep.consistent:
                 return ProbeResult("none", None, 0, f"divisibility prefilter: {rep.reason}")
-        if support <= {"11", "21"}:
-            modulus = (s * q + 1) * (s * q * q + 1)
-            if size % modulus:
-                return ProbeResult(
-                    "none", None, 0, f"divisibility prefilter: size not a multiple of {modulus}"
-                )
-        if support <= {"20", "21"}:
-            modulus = Fraction((q * q + q + 1) * (s * q * q + 1))
-            if space.e2 == 2:
-                modulus = Fraction(q**4 + q * q + 1)
-            elif q % 2:
-                modulus = modulus / 2
-            if Fraction(size) % modulus != 0:
+        # a set within these eigenspaces is orthogonal to the other two
+        for within, orthogonal in (({"11", "21"}, {"10", "20"}), ({"20", "21"}, {"10", "11"})):
+            modulus = span_orthogonal_divisor(orthogonal, space.q, space.e2)
+            if support <= within and Fraction(size) % modulus:
                 return ProbeResult(
                     "none", None, 0, f"divisibility prefilter: size not a multiple of {modulus}"
                 )

@@ -173,19 +173,8 @@ class FormSpec:
         f = self.field
         if self.kind == "hermitian":
             s = tuple(f.conj(x) for x in s)
-        return tuple(
-            # c_k = sum_l G[k][l] * s_l  (conjugate already applied)
-            _dot_row(f, self.gram[k], s)
-            for k in range(self.d)
-        )
-
-
-def _dot_row(field, row, s):
-    acc = 0
-    for a, b in zip(row, s):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+        # c_k = sum_l G[k][l] * s_l  (conjugate already applied)
+        return tuple(f.dot(row, s) for row in self.gram)
 
 
 def _normalize(field, v):
@@ -257,6 +246,31 @@ def _plane_points(perp, a, b, x):
     return tuple(np.flatnonzero(perp[a] & perp[b] & perp[x]).tolist())
 
 
+def _span_points(field, codes, bases):
+    """Ascending point indices of the spans of many RREF bases of one dimension r.
+
+    The normalized coefficient vectors of GF(q)^r times an RREF basis are the
+    normalized vectors of its span, one per point.  Each is looked up by its
+    base-q code in codes, the sorted codes of the points.  Raises ValueError
+    if a basis is not in RREF or its span holds a vector that is not a point.
+    """
+    bases = np.asarray(bases, dtype=np.uint8)
+    r = bases.shape[1]
+    pivots = (bases != 0).argmax(axis=2)
+    at_pivots = np.take_along_axis(bases, np.repeat(pivots[:, None], r, axis=1), axis=2)
+    if not ((np.diff(pivots, axis=1) > 0).all() and (at_pivots == np.eye(r)).all()):
+        raise ValueError("a line or plane basis is not in reduced row echelon form")
+    coeffs = np.array(_projective_points(field, r), dtype=np.uint8)
+    vectors = np.zeros((len(bases), len(coeffs), bases.shape[2]), dtype=np.uint8)
+    for k in range(r):
+        vectors = field.ADD[vectors, field.MUL[coeffs[:, k, None], bases[:, None, k]]]
+    found = np.ravel_multi_index(np.moveaxis(vectors, -1, 0), (field.q,) * vectors.shape[-1])
+    pos = np.searchsorted(codes, found).clip(max=len(codes) - 1)
+    if (codes[pos] != found).any():
+        raise ValueError("a line or plane basis spans a vector that is not a point of the space")
+    return np.sort(pos, axis=1)
+
+
 def _pair_lines(n_points, line_points):
     """points x points int32 array: the line through each collinear pair, else -1.
 
@@ -294,27 +308,12 @@ class PolarSpace:
     def __init__(self, form, points, line_bases, plane_bases, labels=None):
         """A space from its points and the canonical bases of its lines and planes.
 
-        Each line's and each plane's point set is derived once from its basis,
-        whose RREF rows are normalized and so are points as they stand.
+        The points must be normalized and in lexicographic order.  The line
+        and plane bases must be RREF, totally isotropic and strictly
+        increasing in _basis_key order, as build_space writes them; otherwise
+        this raises ValueError.  Every line's and every plane's point set comes
+        from one bulk span pass over its bases.
         """
-        self._set_points(form, points)
-        index, perp = self.point_index, self.perp_points
-        line_points = [_line_points(perp, index[u], index[w]) for u, w in line_bases]
-        plane_rows = [[index[r] for r in b] for b in plane_bases]
-        plane_points = [_plane_points(perp, *rows) for rows in plane_rows]
-        # the planes are not fingerprinted: each must hold its own rows and theta points
-        if any(
-            len(pts) != self.theta or not set(rows) <= set(pts)
-            for rows, pts in zip(plane_rows, plane_points)
-        ):
-            raise ValueError("a plane basis spans no plane of the space")
-        self._set_lines_and_planes(
-            line_bases, line_points, plane_bases, plane_points, labels=labels
-        )
-
-    # -- construction helpers -------------------------------------------------
-
-    def _set_points(self, form, points):
         self.form = form
         self.family = form.family
         self.q = form.q
@@ -327,42 +326,43 @@ class PolarSpace:
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.pts_arr = np.array(self.points, dtype=np.uint8)
         self.perp_points = form_values(form, self.pts_arr, self.pts_arr) == 0
+        got = (len(self.points), len(line_bases), len(plane_bases))
+        want = _predicted_counts(self.family, self.q)
+        if got != want:
+            raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
 
-    def _set_lines_and_planes(
-        self, line_bases, line_points, plane_bases, plane_points, plane_lines=None, labels=None
-    ):
-        """The one incidence assembly of build and load.
+        # base-q codes, whose order is the lexicographic order of the points
+        codes = np.ravel_multi_index(self.pts_arr.T, (self.q,) * self.d)
+        spans = []
+        for bases in (line_bases, plane_bases):
+            keys = [_basis_key(b) for b in bases]
+            if any(a >= b for a, b in zip(keys, keys[1:])):
+                raise ValueError("line or plane bases are not in strictly increasing order")
+            pts = _span_points(self.field, codes, bases)
+            # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof
+            if not self.perp_points[pts[:, :, None], pts[:, None, :]].all():
+                raise ValueError("a line or plane basis spans no totally isotropic subspace")
+            spans.append((keys, pts))
+        (line_keys, self._line_points_arr), (plane_keys, plane_arr) = spans
 
-        A build passes the lines of each plane, which its plane pass read from
-        the pair array; a load reads them here from its own pair array.
-        """
-        self._check_counts_predicted(len(line_bases), len(plane_bases))
         self.line_basis = list(line_bases)
-        self.line_points = list(line_points)
         self.plane_basis = list(plane_bases)
-        self.plane_points = list(plane_points)
         self.n_lines = len(self.line_basis)
-        self._line_points_arr = np.array(self.line_points)
-        if plane_lines is None:
-            pair = _pair_lines(len(self.points), self._line_points_arr)
-            plane_lines = _lines_in(pair, self.plane_points)
-        self.plane_lines = list(plane_lines)
+        self.line_points = [tuple(r) for r in self._line_points_arr.tolist()]
+        self.plane_points = [tuple(r) for r in plane_arr.tolist()]
+        # unnamed, the pair array is freed before the label table is built
+        self.plane_lines = _lines_in(
+            _pair_lines(len(self.points), self._line_points_arr), plane_arr
+        )
         self.point_lines = _transpose(self.line_points, len(self.points))
         self.line_planes = _transpose(self.plane_lines, self.n_lines)
         self._check_incidence_constants()
 
-        self.line_key_index = {_basis_key(b): i for i, b in enumerate(self.line_basis)}
-        self.plane_key_index = {_basis_key(b): i for i, b in enumerate(self.plane_basis)}
+        self.line_key_index = {k: i for i, k in enumerate(line_keys)}
+        self.plane_key_index = {k: i for i, k in enumerate(plane_keys)}
 
         self.labels = self._label_table() if labels is None else labels
         self.fingerprint = _fingerprint(self.form, self.line_basis)
-
-    def _check_counts_predicted(self, nlines, nplanes):
-        q = self.q
-        got = (len(self.points), nlines, nplanes)
-        want = _predicted_counts(self.family, q)
-        if got != want:
-            raise GeometryError(f"{self.family}/q={q}: object counts {got} != predicted {want}")
 
     def _check_incidence_constants(self):
         q, s = self.q, self.qe
@@ -471,9 +471,12 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
     points = [p for p in _projective_points(form.field, form.d) if form.is_singular(p)]
-    space = PolarSpace.__new__(PolarSpace)
-    space._set_points(form, points)
-    perp = space.perp_points
+    # discovery finds the canonical bases; it needs each object's points only
+    # to mark what it has covered, and PolarSpace derives them again.  Its
+    # arrays live until this returns: freed before the constructor, they
+    # left heap holes that raised the peak RSS of a build (see CHANGES.md)
+    pts_arr = np.array(points, dtype=np.uint8)
+    perp = form_values(form, pts_arr, pts_arr) == 0
 
     # lines: each found once, from its least point i and the first point j
     # whose pair with i lies on no line found so far
@@ -490,11 +493,10 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             rest[idx] = False
             lines.append((rref([points[i], points[j]], form.field)[0], pts))
     lines.sort(key=lambda line: _basis_key(line[0]))
-    line_bases, line_points = zip(*lines)
 
     # planes: each found once, through the first line in it; covered[li] holds
     # the points of the planes already found through line li
-    pair = _pair_lines(len(points), line_points)
+    pair = _pair_lines(len(points), [pts for _, pts in lines])
     covered = np.zeros((len(lines), len(points)), dtype=bool)
     planes = []
     for li, ((u, w), pts) in enumerate(lines):
@@ -508,12 +510,8 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             idx = np.array(plane)
             covered[np.array(plane_lines)[:, None], idx] = True
             rest[idx] = False
-            planes.append((rref([u, w, points[x]], form.field)[0], plane, plane_lines))
-    planes.sort(key=lambda plane: _basis_key(plane[0]))
-
-    plane_bases, plane_points, plane_lines = zip(*planes)
-    space._set_lines_and_planes(line_bases, line_points, plane_bases, plane_points, plane_lines)
-    return space
+            planes.append(rref([u, w, points[x]], form.field)[0])
+    return PolarSpace(form, points, [b for b, _ in lines], sorted(planes, key=_basis_key))
 
 
 def _basis_key(basis):
@@ -611,9 +609,6 @@ def load_space(path):
         form.is_singular(v) and _normalize(form.field, v) == v for v in points
     ):
         raise ValueError("space cache points are not the points of the space")
-    on_space = set(points)
-    if not all(row in on_space for basis in lines + planes for row in basis):
-        raise ValueError("space cache has a basis row that is not a point of the space")
     try:
         labels = np.load(path + ".labels.npy")
     except OSError:

@@ -228,6 +228,15 @@ def test_usage_error_keeps_exit_code_2(capsys):
     assert stop.value.code == 2
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_limit_below_one_is_a_usage_error(capsys, limit):
+    argv = ["search", "regular", "--space", "o6plus_q2", "--j", "11", "--size", "15"]
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--limit", limit])
+    assert stop.value.code == 2
+    assert "--limit: must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_determinism(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     _, out1 = run_cli(capsys, "--cache", cache, "scheme", "verify", "--space", "o6plus_q2")
@@ -305,18 +314,36 @@ def _first_row_replaced(doc, key, row):
     return dict(doc, **{key: [[row] + doc[key][0][1:]] + doc[key][1:]})
 
 
+# Sp(6,2) plane 1 is 001000, 000100, 000010.  Both bases below still sort
+# between planes 0 and 2.  The first swaps in an RREF third row 000001 that
+# is not perpendicular to 001000; the second spans plane 1 itself, in echelon
+# form but not reduced.
+_NON_ISOTROPIC_PLANE = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
+_UNREDUCED_PLANE = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 0]]
+
+
+def _second_plane_replaced(doc, basis):
+    return dict(doc, planes=[doc["planes"][0], basis] + doc["planes"][2:])
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "space,corrupt",
     [
-        lambda doc: [doc],
-        lambda doc: {k: v for k, v in doc.items() if k != "counts"},
-        lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0]),
-        lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0]),
+        ("o6plus_q2", lambda doc: [doc]),
+        ("o6plus_q2", lambda doc: {k: v for k, v in doc.items() if k != "counts"}),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0])),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0])),
         # a point of the space, but one off the plane: the rows span no plane
-        lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1]),
-        lambda doc: dict(doc, p="x"),
-        lambda doc: dict(doc, points=doc["points"][::-1]),
-        lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:]),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1])),
+        ("o6plus_q2", lambda doc: dict(doc, p="x")),
+        ("o6plus_q2", lambda doc: dict(doc, points=doc["points"][::-1])),
+        ("o6plus_q2", lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:])),
+        (
+            "o6plus_q2",
+            lambda doc: dict(doc, planes=[doc["planes"][1], doc["planes"][0]] + doc["planes"][2:]),
+        ),
+        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE)),
+        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE)),
     ],
     ids=[
         "list",
@@ -327,16 +354,19 @@ def _first_row_replaced(doc, key, row):
         "p",
         "points_reversed",
         "ragged_lines",
+        "planes_swapped",
+        "non_isotropic_plane",
+        "unreduced_plane",
     ],
 )
-def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, corrupt):
+def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, space, corrupt):
     cache = str(tmp_path / "cache")
-    assert run_cli(capsys, "space", "build", "--space", "o6plus_q2", "--cache", cache)[0] == 0
-    path = os.path.join(cache, "O6plus_q2.json")
+    assert run_cli(capsys, "space", "build", "--space", space, "--cache", cache)[0] == 0
+    path = cli._space_path(cache, *cli._parse_space_name(space))
     with open(path) as fh:
         doc = json.load(fh)
     with open(path, "w") as fh:
         json.dump(corrupt(doc), fh)
-    code, out = run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")
+    code, out = run_cli(capsys, "--cache", cache, "space", "info", "--space", space)
     assert code == 1
     assert set(json.loads(out)) == {"error"}

@@ -67,5 +67,6 @@ def test_closed_form_mismatch_is_a_hard_error(monkeypatch):
     doctored = [list(row) for row in good]
     doctored[3][1] += 1
     monkeypatch.setattr(st, "_q_matrix_closed_form", lambda q, e2: tuple(tuple(r) for r in doctored))
+    # the uncached builder: make_tables(2, 0) may already be cached from an earlier test
     with pytest.raises(RuntimeError, match="mismatch"):
-        st.make_tables(2, 0)
+        st.make_tables.__wrapped__(2, 0)

@@ -43,6 +43,13 @@ def test_inadmissible_sizes_rejected_without_search(o6plus2):
     assert "rejected" in res.note
 
 
+@pytest.mark.parametrize("stop_after", [0, -1])
+def test_stop_after_below_one_is_rejected(o6plus2, stop_after):
+    tables = tables_for_space(o6plus2)
+    with pytest.raises(ValueError, match="stop_after must be at least 1"):
+        enumerate_regular_sets(o6plus2, tables, "11", 15, stop_after=stop_after)
+
+
 def test_budget_exhaustion_is_flagged(sp62):
     tables = tables_for_space(sp62)
     res = enumerate_regular_sets(sp62, tables, "20", 63, budget=10)

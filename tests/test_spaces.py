@@ -9,7 +9,10 @@ from polarlines.spaces import (
     FormSpec,
     GeometryError,
     PolarSpace,
+    _line_points,
     _normalize,
+    _plane_points,
+    _span_points,
     build_space,
     load_space,
     predicted_line_count,
@@ -177,15 +180,37 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
     assert again.line_points == space.line_points
     assert again.plane_points == space.plane_points
     assert np.array_equal(again.perp_points, space.perp_points)
-    # a build reads each plane's lines during its plane pass, a load from the
-    # pair array of its reloaded line point sets
+    # build and load share one constructor, so equal incidence shows that the
+    # cache keeps every basis in its order
     assert again.point_lines == space.point_lines
     assert again.plane_lines == space.plane_lines
     assert again.line_planes == space.line_planes
 
 
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_span_points_match_the_perp_route(spaces, family, q):
+    """Span-derived point sets, against the perp matrix read from their first points."""
+    space = spaces.get(family, q)
+    perp = space.perp_points
+    for pts in space.line_points:
+        assert _line_points(perp, *pts[:2]) == pts
+    for pts in space.plane_points:
+        a, b = pts[:2]
+        line = _line_points(perp, a, b)
+        x = next(x for x in pts if x not in line)
+        assert _plane_points(perp, a, b, x) == pts
+
+
+def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
+    space = o6plus2
+    codes = np.ravel_multi_index(space.pts_arr.T, (space.q,) * space.d)
+    # an RREF basis whose first row has Q = x0 x1 + x2 x3 + x4 x5 = 1
+    with pytest.raises(ValueError, match="not a point of the space"):
+        _span_points(space.field, codes, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
+
+
 @pytest.mark.parametrize("family,q", [("O6plus", 2), ("O7", 3)])
-def test_build_finds_each_line_and_plane_once(monkeypatch, family, q):
+def test_build_finds_each_line_and_plane_once(monkeypatch, tmp_path, family, q):
     import polarlines.spaces as spaces_mod
 
     calls = {"_line_points": 0, "_plane_points": 0}
@@ -203,6 +228,11 @@ def test_build_finds_each_line_and_plane_once(monkeypatch, family, q):
         monkeypatch.setattr(spaces_mod, name, counted(name))
     space = build_space(family, q)
     assert calls == {"_line_points": space.n_lines, "_plane_points": len(space.plane_basis)}
+    # a load reads every point set off the cached bases, not the perp matrix
+    save_space(space, tmp_path / "space.json")
+    calls.update(_line_points=0, _plane_points=0)
+    load_space(tmp_path / "space.json")
+    assert calls == {"_line_points": 0, "_plane_points": 0}
 
 
 # -- the labels sidecar -----------------------------------------------------------
