@@ -418,7 +418,7 @@ def build_parser():
     p.add_argument("--space", required=True)
     p.add_argument("--index", type=int, default=0, help="plane/point index where relevant")
     p.add_argument("--point-file", help="point-set JSON for ovoid-driven constructions")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("-o", "--output", default="lineset.json")
     p.set_defaults(func=_cmd_construct)
 
@@ -436,29 +436,29 @@ def build_parser():
     r.add_argument("--space", required=True)
     r.add_argument("--j", required=True, choices=list(REL_TAGS[1:]))
     r.add_argument("--size", type=int, required=True)
-    r.add_argument("--budget", type=int, default=None)
+    r.add_argument("--budget", type=_positive_int, default=None)
     r.add_argument("--limit", type=_positive_int, default=None)
     r.set_defaults(func=_cmd_search_regular)
     pr = ss.add_parser("probe")
     pr.add_argument("--space", required=True)
     pr.add_argument("--support", required=True, help="comma list, e.g. 10,20")
     pr.add_argument("--size", type=int, required=True)
-    pr.add_argument("--budget", type=int, default=None)
+    pr.add_argument("--budget", type=_positive_int, default=None)
     pr.add_argument("--no-prefilter", action="store_true")
     pr.set_defaults(func=_cmd_search_probe)
     sp = ss.add_parser("spread")
     sp.add_argument("--space", required=True)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_positive_int, default=None)
     sp.set_defaults(func=_cmd_search_spread)
     mo = ss.add_parser("movoid")
     mo.add_argument("--space", required=True)
     mo.add_argument("--m", type=int, required=True)
-    mo.add_argument("--budget", type=int, default=None)
+    mo.add_argument("--budget", type=_positive_int, default=None)
     mo.add_argument("-o", "--output", default=None)
     mo.set_defaults(func=_cmd_search_movoid)
     pk = ss.add_parser("packing")
     pk.add_argument("--space", required=True)
-    pk.add_argument("--budget", type=int, default=None)
+    pk.add_argument("--budget", type=_positive_int, default=None)
     pk.set_defaults(func=_cmd_search_packing)
     return top
 

@@ -98,14 +98,19 @@ def hyperplane_sections(space):
     rank-3 polar space with parameter e-1 or a generalized quadrangle with
     parameter e+1, told apart by their point counts.
     """
+    return _section_census(space)[0]
+
+
+def _section_census(space):
+    """(hyperplane_sections, points x sections mask of the points each one holds)."""
     q, s = space.q, space.qe
     theta = space.theta
     rank3_count = ((s // q) * q * q + 1) * theta if space.e2 >= 2 else None
     gq_count = (s * q * q + 1) * (q + 1)
     duals = ambient_projective_points(space)
-    counts = (form_values(space.form, space.pts_arr, duals) == 0).sum(axis=0)
+    inside = form_values(space.form, space.pts_arr, duals) == 0
     out = []
-    for u, cnt in zip(duals, counts.tolist()):
+    for u, cnt in zip(duals, inside.sum(axis=0).tolist()):
         # u is normalized, so it is singular exactly when it is a point
         pt = space.point_index.get(u)
         if pt is not None:
@@ -118,7 +123,7 @@ def hyperplane_sections(space):
             raise GeometryError(
                 f"hyperplane of {space.family}/q={q} has unrecognized point count {cnt}"
             )
-    return out
+    return out, inside
 
 
 def find_section(space, kind):
@@ -134,14 +139,10 @@ def section_point_indices(space, section):
     return tuple(np.flatnonzero(inside).tolist())
 
 
-def hyperplane_section_lines(space, section):
-    """Lines of the space inside a nondegenerate hyperplane, distribution-checked."""
-    if section.kind == "degenerate":
-        raise ValueError("section is degenerate; expected a nondegenerate hyperplane")
+def _section_closed_form(space, kind):
+    """(inner distribution, eigenspace support, name) of a nondegenerate section's lines."""
     q, s = space.q, space.qe
-    keep = space.lines_inside(section_point_indices(space, section))
-    y = make_lineset(space, keep, name=f"{section.kind}_section")
-    if section.kind == "rank3":
+    if kind == "rank3":
         t = s // q  # q^(e-1)
         a = (
             1,
@@ -150,13 +151,49 @@ def hyperplane_section_lines(space, section):
             s * q * q * (q + 1) * (t + 1),
             s * s * q**3,
         )
-        _check_inner(space, y, a, "rank-3 section lines")
-        _check_support(space, y, {"10"}, "rank-3 section lines")
-    else:
-        a = (1, 0, s * q * (q + 1), 0, s * s * q**3)
-        _check_inner(space, y, a, "generalized quadrangle section lines")
-        _check_support(space, y, {"11"}, "generalized quadrangle section lines")
+        return a, {"10"}, "rank-3 section lines"
+    a = (1, 0, s * q * (q + 1), 0, s * s * q**3)
+    return a, {"11"}, "generalized quadrangle section lines"
+
+
+def hyperplane_section_lines(space, section):
+    """Lines of the space inside a nondegenerate hyperplane, distribution-checked."""
+    if section.kind == "degenerate":
+        raise ValueError("section is degenerate; expected a nondegenerate hyperplane")
+    keep = space.lines_inside(section_point_indices(space, section))
+    y = make_lineset(space, keep, name=f"{section.kind}_section")
+    a, support, what = _section_closed_form(space, section.kind)
+    _check_inner(space, y, a, what)
+    _check_support(space, y, support, what)
     return y
+
+
+def section_line_sets(space, kind):
+    """Every hyperplane section of one nondegenerate kind with its lines, in bulk.
+
+    Returns (sections, incidence): the sections of that kind in the order
+    hyperplane_sections lists them, and the boolean sections x lines matrix
+    whose row i marks the lines inside section i, as hyperplane_section_lines
+    would return them.  Every row's inner distribution is checked against the
+    closed form; the eigenspace support is a function of that distribution
+    alone, so it is checked once for all rows.
+    """
+    if kind not in ("rank3", "gq"):
+        raise ValueError("kind must be 'rank3' or 'gq'")
+    sections, inside = _section_census(space)
+    cols = [k for k, sec in enumerate(sections) if sec.kind == kind]
+    sections = [sections[k] for k in cols]
+    inside = np.ascontiguousarray(inside[:, cols].T)
+    lines = space._line_points_arr
+    incidence = inside[:, lines[:, 0]]
+    for c in range(1, lines.shape[1]):
+        incidence &= inside[:, lines[:, c]]
+    a, support, what = _section_closed_form(space, kind)
+    for row in incidence:
+        _check_inner(space, np.flatnonzero(row).tolist(), a, what)
+    if sections:
+        _check_support(space, np.flatnonzero(incidence[0]).tolist(), support, what)
+    return sections, incidence
 
 
 # -- quadric sections of Sp(6,q), q even ----------------------------------------

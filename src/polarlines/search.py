@@ -88,6 +88,8 @@ class _Nodes:
     """Counts search nodes; the node after the budget raises _Stop("budget")."""
 
     def __init__(self, budget):
+        if budget is not None and budget < 1:
+            raise ValueError(f"node budget must be at least 1, got {budget}")
         self.limit = float("inf") if budget is None else budget
         self.count = 0
 
@@ -425,7 +427,7 @@ def _find_disjoint_members(pool, k):
 
 def _catalog_witness(space, tables, support, size):
     """Try to assemble a witness from known structured families."""
-    from .constructions import hyperplane_sections, hyperplane_section_lines
+    from .constructions import section_line_sets
 
     q, s = space.q, space.qe
     theta = space.theta
@@ -444,11 +446,8 @@ def _catalog_witness(space, tables, support, size):
             candidates.append(sorted(set().union(*hit)))
     gq_size = (s * q + 1) * (s * q * q + 1)
     if size % gq_size == 0 and "11" in support and space.family in ("O6plus", "U6", "O7"):
-        pool = [
-            frozenset(hyperplane_section_lines(space, sec).indices)
-            for sec in hyperplane_sections(space)
-            if sec.kind == "gq"
-        ]
+        _, incidence = section_line_sets(space, "gq")
+        pool = [frozenset(np.flatnonzero(row).tolist()) for row in incidence]
         hit = _find_disjoint_members(pool, size // gq_size)
         if hit is not None:
             candidates.append(sorted(set().union(*hit)))
@@ -597,54 +596,67 @@ def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
 def max_clique(adj, budget=None):
     """Exact maximum clique by branch and bound with greedy coloring bounds.
 
-    adj is a boolean numpy matrix.  Returns (clique tuple, complete, nodes).
+    adj is a square symmetric matrix whose nonzero entries are the edges; its
+    diagonal is ignored.  Returns (clique tuple, complete, nodes).
+
+    Each node colours its candidates greedily, lowest vertex first, and
+    branches on them from the last vertex of the last colour class down,
+    returning at the first vertex whose colour c has |current| + c <= |best|.
+    With kmin = |best| - |current| at the node's start, the classes 1..kmin
+    are still swept, since later classes depend on them, but their vertices
+    are never listed: best only grows, so the branch loop would return before
+    it reached any of them.  The tree and its node count are those of listing
+    every vertex.
     """
-    n = adj.shape[0]
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in np.nonzero(adj[i])[0]:
-            if j != i:
-                m |= 1 << int(j)
-        masks.append(m)
+    edges = np.asarray(adj) != 0
+    if edges.ndim != 2 or edges.shape[0] != edges.shape[1] or not (edges == edges.T).all():
+        raise ValueError(f"adjacency must be a square symmetric matrix, got shape {edges.shape}")
+    n = edges.shape[0]
+    full = (1 << n) - 1
+    rows = np.packbits(edges, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") & ~(1 << v) for v, row in enumerate(rows)]
+    keep = [full ^ (m | 1 << v) for v, m in enumerate(masks)]  # non-neighbours, v excluded
     best = []
     nodes = _Nodes(budget)
-
-    def color_order(cand):
-        order, bounds = [], []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                avail &= ~masks[v]
-                avail ^= b
-                rest ^= b
-        return order, bounds
 
     def expand(current, cand):
         nonlocal best
         nodes.tick()
-        order, bounds = color_order(cand)
-        for k in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[k] <= len(best):
-                return
-            v = order[k]
-            current.append(v)
-            nxt = cand & masks[v]
-            if nxt:
-                expand(current, nxt)
-            elif len(current) > len(best):
-                best = list(current)
-            current.pop()
-            cand &= ~(1 << v)
+        kmin = len(best) - len(current)
+        color, rest = 0, cand
+        while color < kmin and rest:
+            color += 1
+            avail = rest
+            while avail:
+                b = avail & -avail
+                avail &= keep[b.bit_length() - 1]
+                rest ^= b
+        classes = []
+        while rest:
+            cls, avail = [], rest
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                cls.append(v)
+                avail &= keep[v]
+                rest ^= b
+            classes.append(cls)
+        # last colour first; a vertex of colour c bounds the clique by |current| + c
+        for c in range(len(classes), 0, -1):
+            bound = len(current) + color + c
+            for v in reversed(classes[c - 1]):
+                if bound <= len(best):
+                    return
+                current.append(v)
+                nxt = cand & masks[v]
+                if nxt:
+                    expand(current, nxt)
+                elif len(current) > len(best):
+                    best = list(current)
+                current.pop()
+                cand ^= 1 << v
 
-    complete = nodes.run(expand, [], (1 << n) - 1) == "exhausted"
+    complete = nodes.run(expand, [], full) == "exhausted"
     return tuple(sorted(best)), complete, nodes.count
 
 
@@ -655,23 +667,18 @@ def disjoint_section_packing(space, budget=None):
     O6plus); two are adjacent when their line sets share no line.  Budget
     exhaustion downgrades the result to a lower bound, flagged incomplete.
     """
-    from .constructions import hyperplane_sections, hyperplane_section_lines
+    from .constructions import section_line_sets
 
     if space.family != "O6plus":
         raise ValueError("section packings are computed for O6plus")
-    sections = [s for s in hyperplane_sections(space) if s.kind == "gq"]
-    line_sets = [frozenset(hyperplane_section_lines(space, s).indices) for s in sections]
-    k = len(sections)
-    adj = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not (line_sets[i] & line_sets[j]):
-                adj[i, j] = adj[j, i] = True
+    sections, incidence = section_line_sets(space, "gq")
+    packed = np.packbits(incidence, axis=1)
+    adj = np.array([~(row & packed).any(axis=1) for row in packed])
     clique, complete, nodes = max_clique(adj, budget=budget)
     return PackingResult(
         count=len(clique),
         sections=tuple(sections[i] for i in clique),
-        line_sets=tuple(sorted(line_sets[i]) for i in clique),
+        line_sets=tuple(np.flatnonzero(incidence[i]).tolist() for i in clique),
         complete=complete,
         nodes=nodes,
     )

@@ -8,6 +8,7 @@ silently.
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polarlines import constructions as con
@@ -331,23 +332,18 @@ def test_criterion_8_packing_g3_stretch(spaces):
         print(f"[criterion 8] INCOMPLETE g(3) >= {res.count} (budget {budget} nodes hit)")
         assert res.count <= 7
         return
-    assert res.count == 7
+    assert res.count == 7 and res.nodes == 156_992
     print(f"[criterion 8] PASS g(3) = 7, exhaustive in {res.nodes} nodes")
 
 
 def _gq_section_sets(space):
-    return [
-        frozenset(con.hyperplane_section_lines(space, s).indices)
-        for s in con.hyperplane_sections(space)
-        if s.kind == "gq"
-    ]
+    _, incidence = con.section_line_sets(space, "gq")
+    return [frozenset(np.flatnonzero(row).tolist()) for row in incidence]
 
 
 def _all_ovoids(space):
     """Every elliptic 4-space ovoid, by scanning functional pairs."""
     import itertools
-
-    import numpy as np
 
     duals = con.ambient_projective_points(space)
     rows = np.array([space.form.perp_functional(u) for u in duals], dtype=np.uint8)

@@ -237,6 +237,26 @@ def test_limit_below_one_is_a_usage_error(capsys, limit):
     assert "--limit: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "regular", "--space", "o6plus_q2", "--j", "11", "--size", "15"],
+        ["search", "probe", "--space", "o6plus_q2", "--support", "10", "--size", "21"],
+        ["search", "spread", "--space", "sp6_q2"],
+        ["search", "movoid", "--space", "o7_q3", "--m", "2"],
+        ["search", "packing", "--space", "o6plus_q2"],
+        ["construct", "one-system", "--space", "sp6_q2"],
+    ],
+    ids=lambda argv: argv[1] if argv[0] == "search" else argv[0],
+)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--budget", budget])
+    assert stop.value.code == 2
+    assert "--budget: must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_determinism(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     _, out1 = run_cli(capsys, "--cache", cache, "scheme", "verify", "--space", "o6plus_q2")

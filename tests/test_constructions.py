@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polarlines import constructions as con
@@ -11,6 +12,7 @@ from polarlines.analysis import (
 )
 from polarlines.schemetables import tables_for_space
 from polarlines.search import line_spread_search
+from polarlines.spaces import GeometryError
 
 
 def one_system_of(space):
@@ -87,6 +89,40 @@ def test_degenerate_section_rejected(o6plus2):
     sec = next(s for s in con.hyperplane_sections(o6plus2) if s.kind == "degenerate")
     with pytest.raises(ValueError, match="degenerate"):
         con.hyperplane_section_lines(o6plus2, sec)
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("o6plus2", {"gq": 28, "rank3": 0}),
+        ("o6plus3", {"gq": 234, "rank3": 0}),
+        ("o8minus2", {"gq": 0, "rank3": 136}),
+        ("o73", {"gq": 351, "rank3": 378}),
+        ("u64", {"gq": 672, "rank3": 0}),
+    ],
+)
+def test_section_line_sets_match_the_one_by_one_sections(request, name, counts):
+    space = request.getfixturevalue(name)
+    for kind, count in counts.items():
+        sections, incidence = con.section_line_sets(space, kind)
+        assert sections == [s for s in con.hyperplane_sections(space) if s.kind == kind]
+        assert incidence.shape == (count, space.n_lines)
+        for sec, row in zip(sections, incidence):
+            want = con.hyperplane_section_lines(space, sec).indices
+            assert tuple(np.flatnonzero(row).tolist()) == want
+
+
+def test_section_line_sets_check_the_closed_form(o6plus2, monkeypatch):
+    with pytest.raises(ValueError, match="kind"):
+        con.section_line_sets(o6plus2, "degenerate")
+    a, support, what = con._section_closed_form(o6plus2, "gq")
+    doctored = (a[0], a[1] + 1) + a[2:]
+    monkeypatch.setattr(con, "_section_closed_form", lambda space, kind: (doctored, support, what))
+    with pytest.raises(GeometryError, match="inner distribution"):
+        con.section_line_sets(o6plus2, "gq")
+    monkeypatch.setattr(con, "_section_closed_form", lambda space, kind: (a, {"10"}, what))
+    with pytest.raises(GeometryError, match="eigenspace support"):
+        con.section_line_sets(o6plus2, "gq")
 
 
 def test_quadric_sections_in_sp62(sp62):

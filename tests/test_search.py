@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from polarlines import constructions as con
 from polarlines.analysis import eigenspace_support, inner_distribution, regular_set_check
 from polarlines.schemetables import tables_for_space
 from polarlines.search import (
+    _Nodes,
     disjoint_section_packing,
     enumerate_regular_sets,
     feasibility_probe,
@@ -21,11 +24,8 @@ def test_search_rediscovers_the_quadrangle_sections(o6plus2):
     assert res.complete
     assert len(res.sets) == 28  # one per nondegenerate hyperplane
     assert res.nodes == 67
-    sections = {
-        frozenset(con.hyperplane_section_lines(o6plus2, s).indices)
-        for s in con.hyperplane_sections(o6plus2)
-        if s.kind == "gq"
-    }
+    _, incidence = con.section_line_sets(o6plus2, "gq")
+    sections = {frozenset(np.flatnonzero(row).tolist()) for row in incidence}
     assert {frozenset(s) for s in res.sets} == sections
 
 
@@ -48,6 +48,15 @@ def test_stop_after_below_one_is_rejected(o6plus2, stop_after):
     tables = tables_for_space(o6plus2)
     with pytest.raises(ValueError, match="stop_after must be at least 1"):
         enumerate_regular_sets(o6plus2, tables, "11", 15, stop_after=stop_after)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(o6plus2, budget):
+    tables = tables_for_space(o6plus2)
+    with pytest.raises(ValueError, match="node budget must be at least 1"):
+        enumerate_regular_sets(o6plus2, tables, "11", 15, budget=budget)
+    with pytest.raises(ValueError, match="node budget must be at least 1"):
+        disjoint_section_packing(o6plus2, budget=budget)
 
 
 def test_budget_exhaustion_is_flagged(sp62):
@@ -168,6 +177,119 @@ def test_max_clique_on_known_graph():
         adj[a, b] = adj[b, a] = True
     clique, complete, _ = max_clique(adj)
     assert complete and len(clique) == 3
+
+
+def _reference_max_clique(adj, budget=None):
+    """Exact maximum clique by branch and bound with greedy coloring bounds.
+
+    adj is a boolean numpy matrix.  Returns (clique tuple, complete, nodes).
+    """
+    n = adj.shape[0]
+    masks = []
+    for i in range(n):
+        m = 0
+        for j in np.nonzero(adj[i])[0]:
+            if j != i:
+                m |= 1 << int(j)
+        masks.append(m)
+    best = []
+    nodes = _Nodes(budget)
+
+    def color_order(cand):
+        order, bounds = [], []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                order.append(v)
+                bounds.append(color)
+                avail &= ~masks[v]
+                avail ^= b
+                rest ^= b
+        return order, bounds
+
+    def expand(current, cand):
+        nonlocal best
+        nodes.tick()
+        order, bounds = color_order(cand)
+        for k in range(len(order) - 1, -1, -1):
+            if len(current) + bounds[k] <= len(best):
+                return
+            v = order[k]
+            current.append(v)
+            nxt = cand & masks[v]
+            if nxt:
+                expand(current, nxt)
+            elif len(current) > len(best):
+                best = list(current)
+            current.pop()
+            cand &= ~(1 << v)
+
+    complete = nodes.run(expand, [], (1 << n) - 1) == "exhausted"
+    return tuple(sorted(best)), complete, nodes.count
+
+
+def _random_graph(rng, n, density):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_max_clique_matches_the_reference_search(seed):
+    """Same clique, completeness and node count as the uncut colouring, budgets included."""
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 3) + tuple(rng.integers(4, 91, size=6).tolist()):
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            adj = _random_graph(rng, n, density)
+            full = _reference_max_clique(adj)
+            for budget in (None, 1, max(1, full[2] // 2)):
+                assert max_clique(adj, budget) == _reference_max_clique(adj, budget)
+
+
+def test_max_clique_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        adj = np.zeros((n, n), dtype=bool)
+        for (a, b), bit in zip(pairs, bits):
+            adj[a, b] = adj[b, a] = bit
+        # the diagonal is ignored, whatever it holds
+        adj[np.diag_indices(n)] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return adj
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs(), st.one_of(st.none(), st.integers(1, 40)))
+    def check(adj, budget):
+        clique, complete, nodes = max_clique(adj, budget)
+        assert (clique, complete, nodes) == _reference_max_clique(adj, budget)
+        assert all(adj[a, b] for a, b in itertools.combinations(clique, 2))
+        if complete:
+            n = adj.shape[0]
+            assert not any(
+                all(adj[a, b] for a, b in itertools.combinations(bigger, 2))
+                for bigger in itertools.combinations(range(n), len(clique) + 1)
+            )
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "adj",
+    [np.ones((3, 4), dtype=bool), np.ones(5, dtype=bool), np.triu(np.ones((4, 4), dtype=bool))],
+    ids=["non_square", "one_dimensional", "asymmetric"],
+)
+def test_max_clique_rejects_a_bad_adjacency(adj):
+    with pytest.raises(ValueError, match="square symmetric"):
+        max_clique(adj)
 
 
 def test_packing_g2(o6plus2):
