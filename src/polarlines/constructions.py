@@ -44,8 +44,15 @@ def _check_support(space, y, expected, what):
 # -- planes and pencils --------------------------------------------------------
 
 
+def _check_index(index, count, what):
+    """Reject an index that is not in range(count), negative ones included."""
+    if not 0 <= index < count:
+        raise ValueError(f"{what} index {index} is out of range: the space has {count} {what}s")
+
+
 def plane_lines(space, plane_index):
     """All q^2+q+1 lines inside one plane."""
+    _check_index(plane_index, len(space.plane_lines), "plane")
     q = space.q
     y = make_lineset(space, space.plane_lines[plane_index], name=f"plane[{plane_index}]")
     _check_inner(space, y, (1, q * q + q, 0, 0, 0), "plane lines")
@@ -54,6 +61,7 @@ def plane_lines(space, plane_index):
 
 def point_pencil(space, point_index, mode="through"):
     """Lines through a point, or the lines inside its perp that avoid it."""
+    _check_index(point_index, len(space.points), "point")
     q, s = space.q, space.qe
     if mode == "through":
         y = make_lineset(space, space.point_lines[point_index], name=f"pencil[{point_index}]")

@@ -377,13 +377,14 @@ class PolarSpace:
             raise GeometryError("lines in a plane is not the predicted constant")
 
     def _label_table(self):
-        """n x n uint8 relation table from one incidence product per row block.
+        """n x n uint8 relation table, one exact gather-sum per row block.
 
-        With N the line-point incidence and T the incidence of lines with the
-        points of their perps, entry (L, M) of N (T + (q+2) N)^T is
-        t + (q+2) s, where s = |L cap M| and t = |L cap M^perp| count points.
-        Both are at most q+1, so the entry fixes (s, t), and it is an exact
-        float32 integer below 256.  One lookup table decodes the five legal
+        W^T is the points x lines table whose entry (p, M) is [p in M^perp] +
+        (q+2) [p in M].  Row L of the table's code matrix is the sum of the
+        q+1 rows of W^T at L's points, so entry (L, M) is t + (q+2) s, where
+        s = |L cap M| and t = |L cap M^perp| count points.  Both are at most
+        q+1, so the entry fixes (s, t), and it is at most (q+1)(q+3) <= 254:
+        the sums are exact in uint8.  One lookup table decodes the five legal
         values and maps every other one to 255.
         """
         q, n = self.q, self.n_lines
@@ -393,19 +394,27 @@ class PolarSpace:
         for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
             decode[t + (q + 2) * s] = rel
         lines, perp = self._line_points_arr, self.perp_points
-        N = np.zeros((n, len(self.points)), dtype=np.float32)
-        N[np.arange(n)[:, None], lines] = 1
-        W = (perp[lines[:, 0]] & perp[lines[:, 1]]) + (q + 2) * N
+        WT = np.ascontiguousarray((perp[lines[:, 0]] & perp[lines[:, 1]]).T, dtype=np.uint8)
+        WT[lines, np.arange(n)[:, None]] += q + 2
         labels = np.empty((n, n), dtype=np.uint8)
-        block = max(1, 2**24 // max(n, 1))
+        # a block of codes is decoded while it is still in cache
+        block = max(1, 2**18 // max(n, 1))
         for lo in range(0, n, block):
-            labels[lo : lo + block] = decode[(N[lo : lo + block] @ W.T).astype(np.uint8)]
+            at = lines[lo : lo + block]
+            codes = WT[at[:, 0]]
+            for k in range(1, q + 1):
+                codes += WT[at[:, k]]
+            np.take(decode, codes, out=labels[lo : lo + block])
         if labels.max(initial=0) == 255:
             i, j = np.argwhere(labels == 255)[0]
-            s, t = divmod(int(N[i] @ W[j]), q + 2)
+            s, t = divmod(int(WT[lines[i], j].sum()), q + 2)
             raise GeometryError(f"illegal (s,t) pair for lines {i},{j}: s-count={s}, t-count={t}")
-        if not (labels == labels.T).all():
-            raise GeometryError("relation table is not symmetric")
+        # symmetry over square tiles, each pair compared once, with no n x n transpose
+        tiles = [slice(a, a + 256) for a in range(0, n, 256)]
+        for k, ta in enumerate(tiles):
+            for tb in tiles[k:]:
+                if not (labels[ta, tb] == labels[tb, ta].T).all():
+                    raise GeometryError("relation table is not symmetric")
         return labels
 
     # -- queries ---------------------------------------------------------------
@@ -609,6 +618,7 @@ def load_space(path):
         form.is_singular(v) and _normalize(form.field, v) == v for v in points
     ):
         raise ValueError("space cache points are not the points of the space")
+    del doc  # freed before the geometry is derived, to lower the peak memory of a load
     try:
         labels = np.load(path + ".labels.npy")
     except OSError:

@@ -266,6 +266,19 @@ def test_cli_determinism(capsys, tmp_path):
     assert doc["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "what,index", [("plane", "-1"), ("pencil", "99999"), ("pencil-perp-avoiding", "-1")]
+)
+def test_construct_index_out_of_range_is_a_json_error(tmp_path, capsys, what, index):
+    out_file = str(tmp_path / "set.json")
+    argv = ["construct", what, "--space", "o6plus_q2", "--index", index, "-o", out_file]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error"} and "out of range" in doc["error"]
+    assert not os.path.exists(out_file)
+
+
 @pytest.mark.parametrize("vectors", ["0", "-3"])
 def test_scheme_verify_without_vectors_is_a_json_error(capsys, vectors):
     code, out = run_cli(capsys, "scheme", "verify", "--space", "o6plus_q2", "--vectors", vectors)

@@ -328,16 +328,48 @@ def test_label_table_against_point_and_plane_incidence(spaces, family, q, sample
         assert np.array_equal(K[block] @ K.T, (space.qe + 1) * eye + (A == 1))
 
 
-def _made_up_space(q, extra_perp):
-    """Two point-disjoint lines {0, 1, 2} and {3, 4, 5}, each perpendicular to itself only.
+def _reference_label_table(space):
+    """The relation table from a float32 incidence product per row block.
+
+    An independent route to PolarSpace._label_table's table: entry (L, M) of
+    N (T + (q+2) N)^T, with N the line-point incidence and T the incidence of
+    lines with the points of their perps, is t + (q+2) s, decoded by the same
+    five legal values.
+    """
+    q, n = space.q, space.n_lines
+    decode = np.full(256, 255, dtype=np.uint8)
+    for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
+        decode[t + (q + 2) * s] = rel
+    lines, perp = space._line_points_arr, space.perp_points
+    N = np.zeros((n, len(space.points)), dtype=np.float32)
+    N[np.arange(n)[:, None], lines] = 1
+    W = (perp[lines[:, 0]] & perp[lines[:, 1]]) + (q + 2) * N
+    labels = np.empty((n, n), dtype=np.uint8)
+    block = max(1, 2**24 // max(n, 1))
+    for lo in range(0, n, block):
+        labels[lo : lo + block] = decode[(N[lo : lo + block] @ W.T).astype(np.uint8)]
+    return labels
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_label_table_matches_the_float_product(spaces, family, q):
+    space = spaces.get(family, q)
+    labels = space._label_table()
+    assert labels.dtype == np.uint8
+    assert np.array_equal(labels, _reference_label_table(space))
+    assert np.array_equal(labels, space.labels)
+
+
+def _made_up_space(q, extra_perp, n_lines=2):
+    """n_lines point-disjoint lines {0, 1, 2}, {3, 4, 5}, ..., each perpendicular to itself only.
 
     extra_perp adds (point, point) entries to the perp matrix, which need not
     stay symmetric.
     """
     space = PolarSpace.__new__(PolarSpace)
-    space.q, space.n_lines, space.points = q, 2, range(6)
-    space._line_points_arr = np.array([[0, 1, 2], [3, 4, 5]])
-    space.perp_points = np.kron(np.eye(2, dtype=bool), np.ones((3, 3), dtype=bool))
+    space.q, space.n_lines, space.points = q, n_lines, range(3 * n_lines)
+    space._line_points_arr = np.arange(3 * n_lines).reshape(n_lines, 3)
+    space.perp_points = np.kron(np.eye(n_lines, dtype=bool), np.ones((3, 3), dtype=bool))
     for a, b in extra_perp:
         space.perp_points[a, b] = True
     return space
@@ -351,6 +383,13 @@ def test_label_table_decode_rejects_what_no_space_gives():
     # two points of line 0 in line 1's perp: no relation has s = 0, t = 2
     with pytest.raises(GeometryError, match="lines 0,1: s-count=0, t-count=2"):
         _made_up_space(2, [(3, 0), (4, 0), (3, 1), (4, 1)])._label_table()
+    # with 600 lines, row 599 lies in the last, partial row block of 2^18
+    # entries, and the pair of lines 599 and 0 in an off-diagonal 256 x 256 tile
+    assert np.array_equal(_made_up_space(2, [], 600)._label_table(), 4 - 4 * np.eye(600))
+    with pytest.raises(GeometryError, match="not symmetric"):
+        _made_up_space(2, [(0, 1797), (1, 1797)], 600)._label_table()
+    with pytest.raises(GeometryError, match="lines 599,0: s-count=0, t-count=2"):
+        _made_up_space(2, [(0, 1797), (1, 1797), (0, 1798), (1, 1798)], 600)._label_table()
     # (q+1)(q+3) = 323 does not fit the uint8 decode
     with pytest.raises(GeometryError, match="too large"):
         _made_up_space(16, [])._label_table()
