@@ -35,4 +35,4 @@ print("  (A_i E_j x = P[j][i] E_j x for all 25 pairs, and the E_j x sum back to 
 
 pair = (0, 17)
 print(f"\nrelation of lines {pair}: {space.classify_pair(*pair)}")
-print(f"recomputed from subspace intersections: {space.classify_pair_geometric(*pair)}")
+print(f"recomputed by two ranks of the bases and the form: {space.classify_pair_geometric(*pair)}")

@@ -355,9 +355,9 @@ def _cmd_search_movoid(args):
         "found": res.points is not None,
         "complete": res.complete,
         "nodes": res.nodes,
-        "points": list(res.points) if res.points else None,
+        "points": list(res.points) if res.points is not None else None,
     }
-    if res.points and args.output:
+    if res.points is not None and args.output:
         files.write_pointset(space, res.points, args.output, name=f"{args.m}_ovoid")
         out["file"] = args.output
     _emit(out)

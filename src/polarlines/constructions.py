@@ -487,32 +487,31 @@ def symplectic_spread_lines(space):
 # -- the split Cayley hexagon -------------------------------------------------------
 
 
-def _to_tits_coords(space, vec):
-    """Map a host vector to the 7 coordinates of the reference quadric.
+def _to_tits_coords(space, vecs):
+    """Map host vectors to the 7 coordinates of the reference quadric.
 
-    Reference quadric: X0X4 + X1X5 + X2X6 - X3^2 = 0.  For O(7,q) hosts the
-    map is linear with negations; for Sp(6,q), q even, the vector is lifted to
-    the quadric by solving for the X3 coordinate (unique square root).
+    The vectors lie along the last axis of a uint8 array.  Reference
+    quadric: X0X4 + X1X5 + X2X6 - X3^2 = 0.  For O(7,q) hosts the map is
+    linear with negations; for Sp(6,q), q even, the vector is lifted to the
+    quadric by solving for the X3 coordinate (unique square root).
     """
     f = space.field
     if space.family == "O7":
-        x = vec
-        neg = f.neg
         # (x0,x1)(x2,x3)(x4,x5) hyperbolic pairs, x6^2 square term
-        return (x[0], x[2], x[4], x[6], neg(x[1]), neg(x[3]), neg(x[5]))
-    # Sp6, q even: symplectic coords pair i with i+3
-    x = vec
-    prod = 0
-    X = (x[0], x[1], x[2], 0, x[3], x[4], x[5])
-    for i, j in ((0, 4), (1, 5), (2, 6)):
-        prod = f.add(prod, f.mul(X[i], X[j]))
-    root = prod
-    for _ in range(f.h - 1):
-        root = f.mul(root, root)
-    # char 2: (root)^2 = prod since squaring has order h on GF(2^h)
-    if f.mul(root, root) != prod:
+        X = vecs[..., [0, 2, 4, 6, 1, 3, 5]]
+        X[..., 4:] = f.NEG[X[..., 4:]]
+        return X
+    # Sp6, q even: symplectic coords pair i with i+3, and X3 goes in between
+    X = np.insert(vecs, 3, 0, axis=-1)
+    prod = np.zeros(vecs.shape[:-1], dtype=np.uint8)
+    for i in range(3):
+        prod = f.ADD[prod, f.MUL[vecs[..., i], vecs[..., i + 3]]]
+    # char 2: x -> x^(q/2) inverts squaring, which has order h on GF(2^h)
+    sqrt = np.array([f.pow(x, f.q // 2) for x in range(f.q)], dtype=np.uint8)
+    X[..., 3] = sqrt[prod]
+    if (f.MUL[X[..., 3], X[..., 3]] != prod).any():
         raise GeometryError("square root failed in characteristic 2")
-    return (X[0], X[1], X[2], root, X[4], X[5], X[6])
+    return X
 
 
 _HEXAGON_EQS = (
@@ -536,24 +535,17 @@ def hexagon_lines(space):
     if not (space.family == "O7" or (space.family == "Sp6" and space.q % 2 == 0)):
         raise ValueError("the hexagon lives in O7 (odd q) or Sp6 (even q)")
     f = space.field
+    tits = _to_tits_coords(space, np.array(space.line_basis, dtype=np.uint8))
+    u, v = tits[:, 0], tits[:, 1]
 
-    def plucker(u, v):
-        p = {}
-        for i in range(7):
-            for j in range(7):
-                if i != j:
-                    p[(i, j)] = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
-        return p
+    def plucker(i, j):
+        return f.SUB[f.MUL[u[:, i], v[:, j]], f.MUL[u[:, j], v[:, i]]]
 
-    keep = []
-    for li, basis in enumerate(space.line_basis):
-        u = _to_tits_coords(space, basis[0])
-        v = _to_tits_coords(space, basis[1])
-        p = plucker(u, v)
-        if all(p[a] == p[b] for a, b in _HEXAGON_EQS):
-            keep.append(li)
+    on = np.ones(space.n_lines, dtype=bool)
+    for a, b in _HEXAGON_EQS:
+        on &= plucker(*a) == plucker(*b)
     q = space.q
-    y = make_lineset(space, keep, name="hexagon_lines")
+    y = make_lineset(space, np.flatnonzero(on).tolist(), name="hexagon_lines")
     want = (q**3 + 1) * space.theta
     if len(y) != want:
         raise GeometryError(f"hexagon has {len(y)} lines, expected {want}")

@@ -26,7 +26,7 @@ import random
 import numpy as np
 
 from .gf import MAX_Q, field_for_order
-from .linalg import Subspace, intersect, kernel, rref
+from .linalg import Subspace, kernel, rref
 
 REL_TAGS = ("00", "10", "11", "20", "21")
 REL_INDEX = {t: i for i, t in enumerate(REL_TAGS)}
@@ -151,22 +151,30 @@ class FormSpec:
                         acc = f.add(acc, f.mul(ui, f.mul(row[j], vj)))
         return acc
 
-    def quad_value(self, v):
-        if self.kind != "orthogonal":
-            raise ValueError("quadratic value only defined for orthogonal forms")
+    def singular_rows(self, X):
+        """Boolean mask of the singular rows of an n x d uint8 array.
+
+        A row v is singular when Q(v) = 0 for an orthogonal form and when
+        B(v, v) = 0 for a Hermitian one; every row is for a symplectic form.
+        The zero row passes too: whether a row is a vector is the caller's check.
+        """
         f = self.field
-        acc = 0
-        for (i, j, c) in self.quad:
-            acc = f.add(acc, f.mul(c, f.mul(v[i], v[j])))
-        return acc
+        X = np.asarray(X, dtype=np.uint8).reshape(-1, self.d)
+        if self.kind == "symplectic":
+            return np.ones(len(X), dtype=bool)
+        if self.kind == "orthogonal":
+            terms, Y = self.quad, X
+        else:
+            terms = [(i, j, c) for i, row in enumerate(self.gram) for j, c in enumerate(row) if c]
+            Y = f.CONJ[X]
+        acc = np.zeros(len(X), dtype=np.uint8)
+        for i, j, c in terms:
+            acc = f.ADD[acc, f.MUL[c, f.MUL[X[:, i], Y[:, j]]]]
+        return acc == 0
 
     def is_singular(self, v):
         """Whether <v> is a point of the polar space."""
-        if self.kind == "symplectic":
-            return any(v)
-        if self.kind == "orthogonal":
-            return any(v) and self.quad_value(v) == 0
-        return any(v) and self.bilinear(v, v) == 0
+        return any(v) and bool(self.singular_rows(v)[0])
 
     def perp_functional(self, s):
         """Coefficient row c with c.x = 0 <=> B(x, s) = 0."""
@@ -293,13 +301,20 @@ def _lines_in(pair, point_sets):
     return [tuple(row[keep].tolist()) for row, keep in zip(found, first)]
 
 
-def _transpose(members, n):
-    """For each of n objects, the ascending indices of the members that hold it."""
-    out = [[] for _ in range(n)]
-    for i, member in enumerate(members):
-        for x in member:
-            out[x].append(i)
-    return [tuple(v) for v in out]
+def _transpose(members, n, per_object, what):
+    """For each of n objects, the ascending indices of the rows of members that hold it.
+
+    members is a 2-d array of object indices, and each object must lie in
+    exactly per_object rows; otherwise this raises GeometryError naming what.
+    """
+    flat = members.ravel()
+    if (np.bincount(flat, minlength=n) != per_object).any():
+        raise GeometryError(f"{what} is not the predicted constant")
+    # a stable sort keeps each object's rows in ascending order
+    rows = np.argsort(flat, kind="stable") // members.shape[1]
+    # one int object per row, shared by every tuple that holds it
+    ids = np.arange(len(members)).astype(object)
+    return [tuple(r) for r in ids[rows].reshape(n, per_object).tolist()]
 
 
 class PolarSpace:
@@ -308,11 +323,13 @@ class PolarSpace:
     def __init__(self, form, points, line_bases, plane_bases, labels=None):
         """A space from its points and the canonical bases of its lines and planes.
 
-        The points must be normalized and in lexicographic order.  The line
-        and plane bases must be RREF, totally isotropic and strictly
-        increasing in _basis_key order, as build_space writes them; otherwise
-        this raises ValueError.  Every line's and every plane's point set comes
-        from one bulk span pass over its bases.
+        Each argument is a uint8 array, or anything np.asarray turns into one:
+        points is n x d, and the bases are n x 2 x d and n x 3 x d.  The points
+        must be normalized and in lexicographic order.  The line and plane
+        bases must be RREF, totally isotropic and strictly increasing in
+        _basis_key order, as build_space writes them; otherwise this raises
+        ValueError.  Every line's and every plane's point set comes from one
+        bulk span pass over its bases.
         """
         self.form = form
         self.family = form.family
@@ -322,9 +339,11 @@ class PolarSpace:
         self.qe = q_to_e_power(self.q, self.e2)
         self.d = form.d
 
-        self.points = [tuple(p) for p in points]
+        self.pts_arr = np.ascontiguousarray(points, dtype=np.uint8)
+        line_bases = np.ascontiguousarray(line_bases, dtype=np.uint8)
+        plane_bases = np.ascontiguousarray(plane_bases, dtype=np.uint8)
+        self.points = [tuple(p) for p in self.pts_arr.tolist()]
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self.pts_arr = np.array(self.points, dtype=np.uint8)
         self.perp_points = form_values(form, self.pts_arr, self.pts_arr) == 0
         got = (len(self.points), len(line_bases), len(plane_bases))
         want = _predicted_counts(self.family, self.q)
@@ -335,7 +354,9 @@ class PolarSpace:
         codes = np.ravel_multi_index(self.pts_arr.T, (self.q,) * self.d)
         spans = []
         for bases in (line_bases, plane_bases):
-            keys = [_basis_key(b) for b in bases]
+            # each row's bytes are its _basis_key
+            width = bases.shape[1] * bases.shape[2]
+            keys = bases.reshape(len(bases), width).view(f"V{width}").ravel().tolist()
             if any(a >= b for a, b in zip(keys, keys[1:])):
                 raise ValueError("line or plane bases are not in strictly increasing order")
             pts = _span_points(self.field, codes, bases)
@@ -345,36 +366,30 @@ class PolarSpace:
             spans.append((keys, pts))
         (line_keys, self._line_points_arr), (plane_keys, plane_arr) = spans
 
-        self.line_basis = list(line_bases)
-        self.plane_basis = list(plane_bases)
+        self.line_basis = [tuple(map(tuple, b)) for b in line_bases.tolist()]
+        self.plane_basis = [tuple(map(tuple, b)) for b in plane_bases.tolist()]
         self.n_lines = len(self.line_basis)
         self.line_points = [tuple(r) for r in self._line_points_arr.tolist()]
         self.plane_points = [tuple(r) for r in plane_arr.tolist()]
+        q, s = self.q, self.qe
         # unnamed, the pair array is freed before the label table is built
         self.plane_lines = _lines_in(
             _pair_lines(len(self.points), self._line_points_arr), plane_arr
         )
-        self.point_lines = _transpose(self.line_points, len(self.points))
-        self.line_planes = _transpose(self.plane_lines, self.n_lines)
-        self._check_incidence_constants()
+        if any(len(v) != q * q + q + 1 for v in self.plane_lines):
+            raise GeometryError("lines in a plane is not the predicted constant")
+        self.point_lines = _transpose(
+            self._line_points_arr, len(self.points), (q + 1) * (s * q + 1), "lines through a point"
+        )
+        self.line_planes = _transpose(
+            np.array(self.plane_lines), self.n_lines, s + 1, "planes through a line"
+        )
 
         self.line_key_index = {k: i for i, k in enumerate(line_keys)}
         self.plane_key_index = {k: i for i, k in enumerate(plane_keys)}
 
         self.labels = self._label_table() if labels is None else labels
-        self.fingerprint = _fingerprint(self.form, self.line_basis)
-
-    def _check_incidence_constants(self):
-        q, s = self.q, self.qe
-        per_point = (q + 1) * (s * q + 1)
-        per_line = s + 1
-        per_plane = q * q + q + 1
-        if any(len(v) != per_point for v in self.point_lines):
-            raise GeometryError("lines through a point is not the predicted constant")
-        if any(len(v) != per_line for v in self.line_planes):
-            raise GeometryError("planes through a line is not the predicted constant")
-        if any(len(v) != per_plane for v in self.plane_lines):
-            raise GeometryError("lines in a plane is not the predicted constant")
+        self.fingerprint = _fingerprint(self.form, line_bases)
 
     def _label_table(self):
         """n x n uint8 relation table, one exact gather-sum per row block.
@@ -431,11 +446,16 @@ class PolarSpace:
         return REL_TAGS[int(self.labels[li, mi])]
 
     def classify_pair_geometric(self, li, mi):
-        """Relation tag recomputed from scratch (independent of the table)."""
-        lsub = self.line_subspace(li)
-        msub = self.line_subspace(mi)
-        s = intersect(lsub, msub)[1]
-        t = intersect(lsub, self.perp(msub))[1]
+        """Relation tag recomputed from the two bases and the form (independent of the table).
+
+        s = dim(L cap M) = 4 - rank [L; M].  L cap M^perp is the kernel on L
+        of x -> (B(x, m1), B(x, m2)), so t = dim(L cap M^perp) = 2 - rank G,
+        with G[i][j] = B(l_i, m_j).  Two rank computations, and no point
+        incidence.
+        """
+        L, M = self.line_basis[li], self.line_basis[mi]
+        s = 4 - len(rref(L + M, self.field)[0])
+        t = 2 - len(rref([[self.form.bilinear(l, m) for m in M] for l in L], self.field)[0])
         table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
         if (s, t) not in table:
             raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
@@ -479,12 +499,13 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
         raise ValueError(
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
-    points = [p for p in _projective_points(form.field, form.d) if form.is_singular(p)]
+    candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
+    pts_arr = candidates[form.singular_rows(candidates)]
+    points = [tuple(p) for p in pts_arr.tolist()]
     # discovery finds the canonical bases; it needs each object's points only
     # to mark what it has covered, and PolarSpace derives them again.  Its
     # arrays live until this returns: freed before the constructor, they
     # left heap holes that raised the peak RSS of a build (see CHANGES.md)
-    pts_arr = np.array(points, dtype=np.uint8)
     perp = form_values(form, pts_arr, pts_arr) == 0
 
     # lines: each found once, from its least point i and the first point j
@@ -520,22 +541,25 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             covered[np.array(plane_lines)[:, None], idx] = True
             rest[idx] = False
             planes.append(rref([u, w, points[x]], form.field)[0])
-    return PolarSpace(form, points, [b for b, _ in lines], sorted(planes, key=_basis_key))
+    line_bases = np.array([b for b, _ in lines], dtype=np.uint8)
+    plane_bases = np.array(sorted(planes, key=_basis_key), dtype=np.uint8)
+    # the constructor makes the public basis tuples again, from the arrays
+    del points, lines, planes
+    return PolarSpace(form, pts_arr, line_bases, plane_bases)
 
 
 def _basis_key(basis):
     return b"".join(bytes(r) for r in basis)
 
 
-def _fingerprint(form, line_basis):
+def _fingerprint(form, line_bases):
+    """Digest of the form and the n x 2 x d uint8 array of line bases, in index order."""
     h = hashlib.sha256()
     f = form.field
     h.update(
         f"polarlines-space-v{SPACE_FORMAT_VERSION}|{form.family}|p{f.p}|h{f.h}|e2{form.e2}".encode()
     )
-    for b in line_basis:
-        for row in b:
-            h.update(bytes(row))
+    h.update(line_bases.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -600,9 +624,9 @@ def load_space(path):
     if p**h > MAX_Q:
         raise ValueError(f"unsupported field: q={p}^{h}")
     form = FormSpec(family, p**h)
-    points = [tuple(v) for v in _cached_rows(doc, "points", form, ())]
-    lines = [tuple(map(tuple, b)) for b in _cached_rows(doc, "lines", form, (2,))]
-    planes = [tuple(map(tuple, b)) for b in _cached_rows(doc, "planes", form, (3,))]
+    points = _cached_rows(doc, "points", form, ())
+    lines = _cached_rows(doc, "lines", form, (2,))
+    planes = _cached_rows(doc, "planes", form, (3,))
     if _fingerprint(form, lines) != doc.get("fingerprint"):
         raise ValueError("space cache fingerprint mismatch; file corrupt or stale")
     counts = doc.get("counts")
@@ -613,9 +637,12 @@ def load_space(path):
         or got != _predicted_counts(family, form.q)
     ):
         raise ValueError("space cache counts mismatch; file corrupt or stale")
-    # as many distinct normalized points as the space has, in lexicographic order
-    if points != sorted(set(points)) or not all(
-        form.is_singular(v) and _normalize(form.field, v) == v for v in points
+    # as many distinct normalized points as the space has, in lexicographic
+    # order: strictly increasing base-q codes, each first nonzero coordinate 1
+    codes = np.ravel_multi_index(points.T, (form.q,) * form.d)
+    leading = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
+    if not (
+        (np.diff(codes) > 0).all() and (leading == 1).all() and form.singular_rows(points).all()
     ):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
@@ -630,7 +657,7 @@ def load_space(path):
 
 
 def _cached_rows(doc, key, form, shape):
-    """doc[key] as lists: n items of the given shape, each a vector over GF(q)."""
+    """doc[key] as a uint8 array: n items of the given shape, each a vector over GF(q)."""
     try:
         arr = np.array(doc.get(key))
     except ValueError:  # ragged nesting
@@ -641,7 +668,7 @@ def _cached_rows(doc, key, form, shape):
         or ((arr < 0) | (arr >= form.q)).any()
     ):
         raise ValueError(f"space cache has a missing or malformed {key!r} list")
-    return arr.tolist()
+    return arr.astype(np.uint8)
 
 
 def _labels_look_right(space):

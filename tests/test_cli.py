@@ -5,7 +5,7 @@ import pytest
 
 from polarlines import cli
 from polarlines.cli import main
-from polarlines.files import parse_lineset_file, write_lineset, build_report
+from polarlines.files import build_report, parse_lineset_file, parse_pointset_file, write_lineset
 from polarlines.schemetables import tables_for_space
 from polarlines.spaces import GeometryError
 
@@ -201,6 +201,16 @@ def test_search_movoid_cli(tmp_path, capsys):
     assert doc["found"] and len(doc["points"]) == 15
 
 
+def test_search_movoid_finds_the_empty_0_ovoid(tmp_path, capsys, sp62):
+    out_file = str(tmp_path / "no_points.json")
+    argv = ["search", "movoid", "--space", "sp6_q2", "--m", "0", "-o", out_file]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["found"] and doc["points"] == [] and doc["file"] == out_file
+    assert parse_pointset_file(out_file, sp62) == ()
+
+
 def test_cli_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "space", "info", "--space", "nonsense")
     assert code == 1
@@ -359,24 +369,52 @@ def _second_plane_replaced(doc, basis):
     return dict(doc, planes=[doc["planes"][0], basis] + doc["planes"][2:])
 
 
+def _point_slipped_in(doc, vector):
+    """The cache document with vector in place of the first point after it, else of the last.
+
+    The points stay in strictly increasing order, so only a check on the
+    vector itself can reject it.
+    """
+    points = doc["points"]
+    k = next((i for i, p in enumerate(points) if p > vector), len(points) - 1)
+    return dict(doc, points=points[:k] + [vector] + points[k + 1 :])
+
+
+_NOT_THE_POINTS = "space cache points are not the points of the space"
+
+
 @pytest.mark.parametrize(
-    "space,corrupt",
+    "space,corrupt,error",
     [
-        ("o6plus_q2", lambda doc: [doc]),
-        ("o6plus_q2", lambda doc: {k: v for k, v in doc.items() if k != "counts"}),
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0])),
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0])),
+        ("o6plus_q2", lambda doc: [doc], None),
+        ("o6plus_q2", lambda doc: {k: v for k, v in doc.items() if k != "counts"}, None),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0]), None),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0]), None),
         # a point of the space, but one off the plane: the rows span no plane
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1])),
-        ("o6plus_q2", lambda doc: dict(doc, p="x")),
-        ("o6plus_q2", lambda doc: dict(doc, points=doc["points"][::-1])),
-        ("o6plus_q2", lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:])),
+        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1]), None),
+        ("o6plus_q2", lambda doc: dict(doc, p="x"), None),
+        ("o6plus_q2", lambda doc: dict(doc, points=doc["points"][::-1]), None),
+        ("o6plus_q2", lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:]), None),
         (
             "o6plus_q2",
             lambda doc: dict(doc, planes=[doc["planes"][1], doc["planes"][0]] + doc["planes"][2:]),
+            None,
         ),
-        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE)),
-        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE)),
+        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE), None),
+        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE), None),
+        # 2 times the last point: singular, but its leading coefficient is 2
+        (
+            "o6plus_q3",
+            lambda doc: _point_slipped_in(doc, [2 * x % 3 for x in doc["points"][-1]]),
+            _NOT_THE_POINTS,
+        ),
+        # Q = x0 x1 + x2 x3 + x4 x5 = 1
+        ("o6plus_q2", lambda doc: _point_slipped_in(doc, [1, 1, 1, 1, 1, 1]), _NOT_THE_POINTS),
+        (
+            "o6plus_q2",
+            lambda doc: dict(doc, points=doc["points"][:1] + doc["points"][:-1]),
+            _NOT_THE_POINTS,
+        ),
     ],
     ids=[
         "list",
@@ -390,9 +428,12 @@ def _second_plane_replaced(doc, basis):
         "planes_swapped",
         "non_isotropic_plane",
         "unreduced_plane",
+        "point_leading_2",
+        "non_singular_point",
+        "duplicated_point",
     ],
 )
-def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, space, corrupt):
+def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, space, corrupt, error):
     cache = str(tmp_path / "cache")
     assert run_cli(capsys, "space", "build", "--space", space, "--cache", cache)[0] == 0
     path = cli._space_path(cache, *cli._parse_space_name(space))
@@ -403,3 +444,4 @@ def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, space, corrupt)
     code, out = run_cli(capsys, "--cache", cache, "space", "info", "--space", space)
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+    assert error in (None, json.loads(out)["error"])

@@ -251,6 +251,57 @@ def test_hexagon_o73(o73):
     assert rep.is_regular and rep.eigenspace == "20"
 
 
+def _reference_tits_coords(space, vec):
+    """One host vector in the reference quadric's coordinates, one field operation at a time."""
+    f = space.field
+    if space.family == "O7":
+        x = vec
+        neg = f.neg
+        # (x0,x1)(x2,x3)(x4,x5) hyperbolic pairs, x6^2 square term
+        return (x[0], x[2], x[4], x[6], neg(x[1]), neg(x[3]), neg(x[5]))
+    # Sp6, q even: symplectic coords pair i with i+3
+    x = vec
+    prod = 0
+    X = (x[0], x[1], x[2], 0, x[3], x[4], x[5])
+    for i, j in ((0, 4), (1, 5), (2, 6)):
+        prod = f.add(prod, f.mul(X[i], X[j]))
+    root = prod
+    for _ in range(f.h - 1):
+        root = f.mul(root, root)
+    # char 2: (root)^2 = prod since squaring has order h on GF(2^h)
+    if f.mul(root, root) != prod:
+        raise GeometryError("square root failed in characteristic 2")
+    return (X[0], X[1], X[2], root, X[4], X[5], X[6])
+
+
+def _reference_hexagon_lines(space):
+    """The hexagon's line indices, from all 42 Plucker coordinates of each line in turn."""
+    f = space.field
+
+    def plucker(u, v):
+        p = {}
+        for i in range(7):
+            for j in range(7):
+                if i != j:
+                    p[(i, j)] = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
+        return p
+
+    keep = []
+    for li, basis in enumerate(space.line_basis):
+        u = _reference_tits_coords(space, basis[0])
+        v = _reference_tits_coords(space, basis[1])
+        p = plucker(u, v)
+        if all(p[a] == p[b] for a, b in con._HEXAGON_EQS):
+            keep.append(li)
+    return tuple(keep)
+
+
+@pytest.mark.parametrize("name", ["sp62", "o73"])
+def test_hexagon_lines_match_the_per_line_filter(request, name):
+    space = request.getfixturevalue(name)
+    assert con.hexagon_lines(space).indices == _reference_hexagon_lines(space)
+
+
 def test_hexagon_rejected_elsewhere(o6plus2, sp63):
     with pytest.raises(ValueError):
         con.hexagon_lines(o6plus2)

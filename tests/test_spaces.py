@@ -1,14 +1,18 @@
+import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from polarlines.linalg import Subspace
+from polarlines.linalg import Subspace, intersect
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
+    REL_TAGS,
     FormSpec,
     GeometryError,
     PolarSpace,
+    _basis_key,
     _line_points,
     _normalize,
     _plane_points,
@@ -71,6 +75,39 @@ def test_table_agrees_with_geometric_classification(spaces, family, q):
     assert space.classify_pair(7, 7) == "00"
 
 
+def _reference_classify_pair(space, li, mi):
+    """Relation tag from Zassenhaus intersections with the line and with its perp."""
+    lsub = space.line_subspace(li)
+    msub = space.line_subspace(mi)
+    s = intersect(lsub, msub)[1]
+    t = intersect(lsub, space.perp(msub))[1]
+    table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
+    if (s, t) not in table:
+        raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
+    return table[(s, t)]
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_two_rank_classification_matches_the_intersections(spaces, family, q):
+    space = spaces.get(family, q)
+    rng = random.Random(77)
+    for rel, tag in enumerate(REL_TAGS):
+        for _ in range(6):
+            li = rng.randrange(space.n_lines)
+            mi = rng.choice(np.flatnonzero(space.labels[li] == rel).tolist())
+            assert space.classify_pair_geometric(li, mi) == tag
+            assert _reference_classify_pair(space, li, mi) == tag
+
+
+def test_geometric_classification_rejects_an_illegal_pair(o6plus2):
+    space = PolarSpace.__new__(PolarSpace)
+    space.form, space.field, space.d = o6plus2.form, o6plus2.field, o6plus2.d
+    # e0 and e1 span a hyperbolic line, so L = M but L meets L^perp in 0
+    space.line_basis = [((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))]
+    with pytest.raises(GeometryError, match=r"illegal \(s,t\)=\(2,0\) for lines 0,0"):
+        space.classify_pair_geometric(0, 0)
+
+
 def test_coplanar_concurrent_lines_are_relation_10(o6plus2):
     lines = o6plus2.plane_lines[0]
     a, b = lines[0], lines[1]
@@ -118,6 +155,31 @@ def test_u7_form_exists_even_though_enumeration_is_out_of_reach():
     assert form.bilinear((1,) + (0,) * 6, (1,) + (0,) * 6) == 1
     assert form.is_singular((1, 1, 0, 0, 0, 0, 0))  # 1 + 1 = 0 in GF(4) norms
 
+
+
+def _reference_is_singular(form, v):
+    """Whether <v> is a point, one field operation at a time."""
+    f = form.field
+    if form.kind == "symplectic":
+        return any(v)
+    if form.kind == "orthogonal":
+        acc = 0
+        for (i, j, c) in form.quad:
+            acc = f.add(acc, f.mul(c, f.mul(v[i], v[j])))
+        return any(v) and acc == 0
+    return any(v) and form.bilinear(v, v) == 0
+
+
+@pytest.mark.parametrize(
+    "family,q", [("O6plus", 3), ("O8minus", 2), ("O7", 3), ("Sp6", 2), ("U6", 4)]
+)
+def test_singular_rows_match_the_per_vector_forms(family, q):
+    form = FormSpec(family, q)
+    vectors = list(itertools.product(range(q), repeat=form.d))
+    mask = form.singular_rows(np.array(vectors, dtype=np.uint8))
+    assert [bool(m) and any(v) for m, v in zip(mask, vectors)] == [
+        _reference_is_singular(form, v) for v in vectors
+    ]
 
 
 def test_enumeration_budget():
@@ -185,6 +247,27 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
     assert again.point_lines == space.point_lines
     assert again.plane_lines == space.plane_lines
     assert again.line_planes == space.line_planes
+    for bases, index in (
+        (again.line_basis, again.line_key_index),
+        (again.plane_basis, again.plane_key_index),
+    ):
+        assert len(index) == len(bases)
+        assert all(index[_basis_key(b)] == i for i, b in enumerate(bases))
+
+
+def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
+    path = tmp_path / "u6_q4.json"
+    save_space(u64, path)
+    doc = json.loads(path.read_text())
+    # five nonzero coordinates of norm 1: B(v, v) = 1 in characteristic 2
+    vector = [1, 3, 3, 3, 3, 0]
+    assert not u64.form.is_singular(vector)
+    # in place of the next point, so the points still strictly increase
+    k = next(i for i, p in enumerate(doc["points"]) if p > vector)
+    doc["points"][k] = vector
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="space cache points are not the points of the space"):
+        load_space(path)
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
