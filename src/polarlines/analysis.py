@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schemetables import relation_census, relation_products
+from .schemetables import relation_census
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 EIGEN_TAGS = REL_TAGS  # eigenspaces carry the same labels, in the same order
@@ -80,29 +80,6 @@ def eigenspace_support(space, tables, y):
     """The nontrivial eigenspaces j with (aQ)_j != 0, as a frozenset of tags."""
     aq = dual_distribution(space, tables, y)
     return frozenset(EIGEN_TAGS[j] for j in range(1, 5) if aq[j] != 0)
-
-
-def weighted_dual_distribution(space, tables, weights):
-    """aQ generalized to an integer weight vector w: b_j = sum_i (w^T A_i w) Q[i][j].
-
-    b_j is a nonnegative multiple of |E_j w|^2, so b_j = 0 exactly when w is
-    orthogonal to V_j.
-    """
-    w = np.asarray(weights, dtype=np.int64)
-    if w.shape != (space.n_lines,):
-        raise ValueError("weight vector has wrong length")
-    # each term w_r (A_i w)_r is below 2^62 in magnitude; the terms are summed
-    # as Python ints
-    if max(int(w.max(initial=0)), -int(w.min(initial=0))) ** 2 * space.n_lines >= 2**62:
-        raise OverflowError("weights too large for exact int64 arithmetic")
-    Aw = relation_products(space.labels, w[:, None])[:, :, 0]
-    quad = [int((w * Aw[i]).astype(object).sum()) for i in range(5)]
-    return tuple(sum(Fraction(quad[i]) * tables.Q[i][j] for i in range(5)) for j in range(5))
-
-
-def weighted_support(space, tables, weights):
-    b = weighted_dual_distribution(space, tables, weights)
-    return frozenset(EIGEN_TAGS[j] for j in range(1, 5) if b[j] != 0)
 
 
 @dataclass(frozen=True)

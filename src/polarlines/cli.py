@@ -8,6 +8,7 @@ bit-exactly.  All numbers in the output are exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -377,7 +378,9 @@ def _cmd_search_packing(args):
     )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     top = argparse.ArgumentParser(prog="polarlines", description=__doc__)
     top.add_argument("--cache", help="space cache directory (or POLARLINES_CACHE)")
     sub = top.add_subparsers(dest="command", required=True)
@@ -388,10 +391,8 @@ def build_parser():
     b.add_argument("--space", required=True)
     b.add_argument("--max-lines", type=int, default=DEFAULT_MAX_LINES)
     b.add_argument("--cache", default=argparse.SUPPRESS, help="write the built space here")
-    b.set_defaults(func=_cmd_space_build)
     i = ss.add_parser("info")
     i.add_argument("--space", required=True)
-    i.set_defaults(func=_cmd_space_info)
 
     p = sub.add_parser("scheme", help="eigenvalue tables and scheme verification")
     ss = p.add_subparsers(dest="subcommand", required=True)
@@ -399,19 +400,16 @@ def build_parser():
     t.add_argument("--q", type=int, required=True)
     t.add_argument("--e", required=True)
     t.add_argument("--csv", action="store_true")
-    t.set_defaults(func=_cmd_scheme_tables)
     v = ss.add_parser("verify")
     v.add_argument("--space", required=True)
     v.add_argument("--vectors", type=int, default=5)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.set_defaults(func=_cmd_scheme_verify)
 
     p = sub.add_parser("set", help="evaluate a line-set file")
     ss = p.add_subparsers(dest="subcommand", required=True)
     e = ss.add_parser("eval")
     e.add_argument("--space", required=True)
     e.add_argument("--file", required=True)
-    e.set_defaults(func=_cmd_set_eval)
 
     p = sub.add_parser("construct", help="build a known family and write it to a file")
     p.add_argument("what")
@@ -420,7 +418,6 @@ def build_parser():
     p.add_argument("--point-file", help="point-set JSON for ovoid-driven constructions")
     p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("-o", "--output", default="lineset.json")
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("lp", help="Delsarte LP bounds")
     ss = p.add_subparsers(dest="subcommand", required=True)
@@ -428,7 +425,6 @@ def build_parser():
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--e", required=True)
     b.add_argument("--forbid", required=True, help="comma list, e.g. R10,R11")
-    b.set_defaults(func=_cmd_lp_bound)
 
     p = sub.add_parser("search", help="exhaustive and budgeted searches")
     ss = p.add_subparsers(dest="subcommand", required=True)
@@ -438,35 +434,33 @@ def build_parser():
     r.add_argument("--size", type=int, required=True)
     r.add_argument("--budget", type=_positive_int, default=None)
     r.add_argument("--limit", type=_positive_int, default=None)
-    r.set_defaults(func=_cmd_search_regular)
     pr = ss.add_parser("probe")
     pr.add_argument("--space", required=True)
     pr.add_argument("--support", required=True, help="comma list, e.g. 10,20")
     pr.add_argument("--size", type=int, required=True)
     pr.add_argument("--budget", type=_positive_int, default=None)
     pr.add_argument("--no-prefilter", action="store_true")
-    pr.set_defaults(func=_cmd_search_probe)
     sp = ss.add_parser("spread")
     sp.add_argument("--space", required=True)
     sp.add_argument("--budget", type=_positive_int, default=None)
-    sp.set_defaults(func=_cmd_search_spread)
     mo = ss.add_parser("movoid")
     mo.add_argument("--space", required=True)
     mo.add_argument("--m", type=int, required=True)
     mo.add_argument("--budget", type=_positive_int, default=None)
     mo.add_argument("-o", "--output", default=None)
-    mo.set_defaults(func=_cmd_search_movoid)
     pk = ss.add_parser("packing")
     pk.add_argument("--space", required=True)
     pk.add_argument("--budget", type=_positive_int, default=None)
-    pk.set_defaults(func=_cmd_search_packing)
     return top
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # the parser is built once, so it holds no handler: _cmd_<command>[_<subcommand>]
+    # is looked up by name when the command runs
+    name = "_cmd_" + args.command + (f"_{args.subcommand}" if "subcommand" in args else "")
     try:
-        args.func(args)
+        globals()[name](args)
         return 0
     except (CommandError, ValueError, OSError) as exc:
         code, error = 1, exc

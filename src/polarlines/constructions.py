@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
-    LineSet,
     _as_indices,
     dual_distribution,
     eigenspace_support,
@@ -553,38 +552,6 @@ def hexagon_lines(space):
     _check_inner(space, y, a, "hexagon lines")
     _check_support(space, y, {"20"}, "hexagon lines")
     return y
-
-
-def incidence_girth(space, y, cap=16):
-    """Girth of the point-line incidence graph of the covered subgeometry."""
-    idx = _as_indices(space, y)
-    adj = {}
-    for li in idx:
-        lnode = ("L", li)
-        for p in space.line_points[li]:
-            pnode = ("P", p)
-            adj.setdefault(lnode, []).append(pnode)
-            adj.setdefault(pnode, []).append(lnode)
-    best = cap
-    for start in adj:
-        # BFS shortest cycle through start
-        dist = {start: 0}
-        parent = {start: None}
-        queue = [start]
-        while queue:
-            nxt = []
-            for node in queue:
-                if dist[node] * 2 >= best:
-                    continue
-                for nb in adj[node]:
-                    if nb not in dist:
-                        dist[nb] = dist[node] + 1
-                        parent[nb] = node
-                        nxt.append(nb)
-                    elif parent[node] != nb and parent.get(nb) != node:
-                        best = min(best, dist[node] + dist[nb] + 1)
-            queue = nxt
-    return best
 
 
 # -- two-weight point sets and strongly regular graphs -------------------------------

@@ -172,12 +172,6 @@ class Field:
             k >>= 1
         return out
 
-    def dot(self, u, v):
-        acc = 0
-        for a, b in zip(u, v):
-            acc = int(self.ADD[acc, self.MUL[a, b]])
-        return acc
-
     def scale(self, c, v):
         return tuple(int(self.MUL[c, x]) for x in v)
 

@@ -1,5 +1,5 @@
-"""Exact linear algebra: RREF canonical forms and subspaces over GF(q), and
-Gauss-Jordan solving over the rationals.
+"""Exact linear algebra: RREF canonical forms over GF(q), and Gauss-Jordan
+solving over the rationals.
 
 Vectors are tuples of field element codes (ints).  A subspace is identified
 globally by its reduced row echelon basis; equal subspaces have byte-identical
@@ -48,106 +48,6 @@ def rref(rows, field):
             break
     basis = tuple(tuple(r) for r in mat[:prow])
     return basis, tuple(pivots)
-
-
-class Subspace:
-    """A subspace of GF(q)^d in canonical RREF form."""
-
-    __slots__ = ("field", "ambient", "basis", "pivots")
-
-    def __init__(self, field, ambient, rows=()):
-        self.field = field
-        self.ambient = ambient
-        for r in rows:
-            if len(r) != ambient:
-                raise ValueError("row length does not match ambient dimension")
-        self.basis, self.pivots = rref(rows, field)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def contains(self, vec):
-        """Membership test via elimination against the RREF basis."""
-        f = self.field
-        v = list(vec)
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if c:
-                cneg = f.neg(c)
-                v = [f.add(x, f.mul(cneg, y)) for x, y in zip(v, row)]
-        return not any(v)
-
-    def vectors(self):
-        """All q^dim vectors of the subspace (small dims only)."""
-        f = self.field
-        out = [(0,) * self.ambient]
-        for row in self.basis:
-            nxt = []
-            for v in out:
-                for c in range(f.q):
-                    nxt.append(f.add_vec(v, f.scale(c, row)))
-            out = nxt
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def rref_canonicalize(rows, field, ambient=None):
-    """Canonical Subspace spanned by the given rows."""
-    rows = [tuple(r) for r in rows]
-    if ambient is None:
-        if not rows:
-            raise ValueError("ambient dimension required for an empty row list")
-        ambient = len(rows[0])
-    return Subspace(field, ambient, rows)
-
-
-def subspace_sum(a, b):
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace(a.field, a.ambient, a.basis + b.basis)
-
-
-def intersect(a, b):
-    """Intersection via the Zassenhaus trick; returns (subspace, dim)."""
-    if a.ambient != b.ambient or a.field is not b.field:
-        raise ValueError("ambient dimension mismatch")
-    d = a.ambient
-    stacked = [tuple(r) + tuple(r) for r in a.basis]
-    stacked += [tuple(r) + (0,) * d for r in b.basis]
-    echelon, pivots = rref(stacked, a.field)
-    inter_rows = [r[d:] for r, p in zip(echelon, pivots) if p >= d]
-    sub = Subspace(a.field, d, inter_rows)
-    if sub.dim != a.dim + b.dim - subspace_sum(a, b).dim:
-        raise RuntimeError("intersection violates dim(A + B) + dim(A & B) = dim A + dim B")
-    return sub, sub.dim
-
-
-def kernel(rows, field, ncols):
-    """Basis of {x : rows . x^T = 0} as a canonical Subspace."""
-    basis, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    neg = field.NEG
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, piv in zip(basis, pivots):
-            v[piv] = int(neg[row[fc]])
-        out.append(tuple(v))
-    return Subspace(field, ncols, out)
 
 
 def solve_rational(mat, rhs):

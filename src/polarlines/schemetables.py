@@ -182,12 +182,6 @@ def _project(tables, j, AX):
     return Z, tables.n * L
 
 
-def project_scaled(labels, tables, j, x):
-    """(D * E_j x, D) with D chosen so the projection is an integer vector."""
-    z, D = _project(tables, j, relation_products(labels, np.asarray(x)[:, None]))
-    return z[:, 0], D
-
-
 def verify_scheme(space, tables, k=5, seed=0x5EED):
     """Check A_i E_j x = P[j][i] E_j x exactly on k random integer vectors.
 

@@ -26,7 +26,7 @@ import random
 import numpy as np
 
 from .gf import MAX_Q, field_for_order
-from .linalg import Subspace, kernel, rref
+from .linalg import rref
 
 REL_TAGS = ("00", "10", "11", "20", "21")
 REL_INDEX = {t: i for i, t in enumerate(REL_TAGS)}
@@ -133,8 +133,7 @@ class FormSpec:
         self.gram = tuple(tuple(r) for r in gram)
         self.quad = tuple(quad)
 
-        rad = kernel(self.gram, field, d)
-        if rad.dim != 0:
+        if len(rref(self.gram, field)[0]) != d:
             raise GeometryError(f"{family}/q={q}: bilinear form is degenerate")
 
     def bilinear(self, u, v):
@@ -171,18 +170,6 @@ class FormSpec:
         for i, j, c in terms:
             acc = f.ADD[acc, f.MUL[c, f.MUL[X[:, i], Y[:, j]]]]
         return acc == 0
-
-    def is_singular(self, v):
-        """Whether <v> is a point of the polar space."""
-        return any(v) and bool(self.singular_rows(v)[0])
-
-    def perp_functional(self, s):
-        """Coefficient row c with c.x = 0 <=> B(x, s) = 0."""
-        f = self.field
-        if self.kind == "hermitian":
-            s = tuple(f.conj(x) for x in s)
-        # c_k = sum_l G[k][l] * s_l  (conjugate already applied)
-        return tuple(f.dot(row, s) for row in self.gram)
 
 
 def _normalize(field, v):
@@ -438,9 +425,6 @@ class PolarSpace:
     def theta(self):
         return self.q * self.q + self.q + 1
 
-    def line_subspace(self, li):
-        return Subspace(self.field, self.d, self.line_basis[li])
-
     def classify_pair(self, li, mi):
         """Relation tag of an ordered line pair, from the precomputed table."""
         return REL_TAGS[int(self.labels[li, mi])]
@@ -460,11 +444,6 @@ class PolarSpace:
         if (s, t) not in table:
             raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
         return table[(s, t)]
-
-    def perp(self, sub):
-        """S^perp with respect to the space's form."""
-        rows = [self.form.perp_functional(s) for s in sub.basis]
-        return kernel(rows, self.field, self.d)
 
     def lines_inside(self, points):
         """Indices of the lines all of whose points lie in a point set.

@@ -29,7 +29,7 @@ from polarlines.search import (
     feasibility_probe,
     line_spread_search,
 )
-from polarlines.spaces import q_to_e_power
+from polarlines.spaces import form_values, q_to_e_power
 
 from test_analysis import (
     aq_gq,
@@ -346,11 +346,7 @@ def _all_ovoids(space):
     import itertools
 
     duals = con.ambient_projective_points(space)
-    rows = np.array([space.form.perp_functional(u) for u in duals], dtype=np.uint8)
-    from polarlines.spaces import _table_matmul
-
-    vals = _table_matmul(space.field, space.pts_arr, rows.T)
-    masks = vals == 0
+    masks = form_values(space.form, space.pts_arr, duals) == 0
     q = space.q
     out = set()
     for i, j in itertools.combinations(range(len(duals)), 2):

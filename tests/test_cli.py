@@ -238,6 +238,41 @@ def test_usage_error_keeps_exit_code_2(capsys):
     assert stop.value.code == 2
 
 
+def test_main_calls_in_one_process_share_nothing_but_the_parser(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("POLARLINES_CACHE", raising=False)
+    cache = str(tmp_path / "cache")
+    calls = [
+        ["space", "info"],
+        ["space", "build", "--space", "o6plus_q2", "--cache", cache],
+        ["space", "info", "--space", "o6plus_q2"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    loads = []
+    monkeypatch.setattr(cli, "load_space", loads.append)
+    assert cli.build_parser() is cli.build_parser()
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 0]
+    assert "required: --space" in together[0][2]
+    assert json.loads(together[1][1])["cache_file"] == os.path.join(cache, "O6plus_q2.json")
+    # the build's --cache does not carry over: info builds the space and loads nothing
+    assert loads == []
+    assert sorted(os.listdir(cache)) == ["O6plus_q2.json", "O6plus_q2.json.labels.npy"]
+    assert json.loads(together[2][1])["fingerprint"] == json.loads(together[1][1])["fingerprint"]
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_limit_below_one_is_a_usage_error(capsys, limit):
     argv = ["search", "regular", "--space", "o6plus_q2", "--j", "11", "--size", "15"]

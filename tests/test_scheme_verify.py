@@ -3,9 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from polarlines.analysis import weighted_dual_distribution
 from polarlines.schemetables import (
-    project_scaled,
+    _project,
     relation_census,
     relation_products,
     tables_for_space,
@@ -27,7 +26,7 @@ def test_projection_onto_v00_is_the_mean(o6plus2):
     tables = tables_for_space(o6plus2)
     rng = np.random.default_rng(7)
     x = rng.integers(-5, 6, size=o6plus2.n_lines).astype(np.int64)
-    z, D = project_scaled(o6plus2.labels, tables, 0, x)
+    z, D = _project(tables, 0, relation_products(o6plus2.labels, x[:, None]))
     total = int(x.sum())
     # E_00 x = (sum x / n) * all-ones
     assert np.array_equal(z * tables.n, np.full_like(z, total * D))
@@ -38,7 +37,7 @@ def test_r21_eigenvalue_on_v21_image(o73):
     tables = tables_for_space(o73)
     rng = np.random.default_rng(11)
     x = rng.integers(-5, 6, size=o73.n_lines).astype(np.int64)
-    z, _ = project_scaled(o73.labels, tables, 4, x)
+    z, _ = _project(tables, 4, relation_products(o73.labels, x[:, None]))
     a21 = np.zeros_like(z)
     block = 512
     for lo in range(0, o73.n_lines, block):
@@ -54,9 +53,9 @@ def test_projectors_are_orthogonal_idempotents(o6plus2):
     rng = np.random.default_rng(23)
     x = rng.integers(-4, 5, size=o6plus2.n_lines).astype(np.int64)
     for j in range(5):
-        zj, _ = project_scaled(o6plus2.labels, tables, j, x)
+        zj, _ = _project(tables, j, relation_products(o6plus2.labels, x[:, None]))
         for kk in range(5):
-            zz, Dz = project_scaled(o6plus2.labels, tables, kk, zj)
+            zz, Dz = _project(tables, kk, relation_products(o6plus2.labels, zj))
             if kk == j:
                 assert np.array_equal(zz, Dz * zj)
             else:
@@ -119,29 +118,6 @@ def test_relation_products_guard_is_max_entry_times_n():
     got = relation_products(labels, Y)
     for i in range(5):
         assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
-
-
-@pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2)])
-def test_weighted_dual_distribution_matches_object_arithmetic(spaces, family, q):
-    space = spaces.get(family, q)
-    tables = tables_for_space(space)
-    w = np.random.default_rng(q).integers(-6, 7, size=space.n_lines)
-    wo = w.astype(object)
-    quad = [wo @ ((space.labels == i).astype(object) @ wo) for i in range(5)]
-    want = tuple(sum(quad[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
-    assert weighted_dual_distribution(space, tables, w) == want
-
-
-def test_weighted_dual_distribution_is_exact_near_its_guard(o6plus2):
-    # A_i c1 = c k_i 1, so b = (c^2 n^2, 0, 0, 0, 0); w^T A_21 w exceeds 2^63
-    tables = tables_for_space(o6plus2)
-    n = o6plus2.n_lines
-    c = 2**27
-    assert c * c * n < 2**62 and c * c * n * tables.P[0][4] >= 2**63
-    got = weighted_dual_distribution(o6plus2, tables, [c] * n)
-    assert got == (c * c * n * n, 0, 0, 0, 0)
-    with pytest.raises(OverflowError):
-        weighted_dual_distribution(o6plus2, tables, [2**32] + [0] * (n - 1))
 
 
 def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -5,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from polarlines.linalg import Subspace, intersect
+from polarlines.gf import field_for_order
+from polarlines.linalg import rref
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
     REL_TAGS,
@@ -75,12 +77,78 @@ def test_table_agrees_with_geometric_classification(spaces, family, q):
     assert space.classify_pair(7, 7) == "00"
 
 
+def _nullspace(rows, field, d):
+    """RREF basis of {x : r . x = 0 for every row r}, one vector per free column of rref(rows)."""
+    basis, pivots = rref(rows, field)
+    out = []
+    for fc in (c for c in range(d) if c not in pivots):
+        v = [0] * d
+        v[fc] = 1
+        for row, piv in zip(basis, pivots):
+            v[piv] = field.neg(row[fc])
+        out.append(v)
+    return rref(out, field)[0]
+
+
+def _perp(space, basis):
+    """RREF basis of S^perp: the nullspace of the rows G . conj(m) over the rows m of S."""
+    f = space.field
+    rows = []
+    for m in basis:
+        if space.form.kind == "hermitian":
+            m = [f.conj(x) for x in m]
+        rows.append([functools.reduce(f.add, map(f.mul, g, m), 0) for g in space.form.gram])
+    return _nullspace(rows, f, space.d)
+
+
+def _intersection(field, d, a, b):
+    """RREF basis of A cap B by the Zassenhaus trick: the right halves of rref [a | a; b | 0].
+
+    Raises unless dim(A + B) + dim(A cap B) = dim A + dim B.
+    """
+    a, b = rref(a, field)[0], rref(b, field)[0]
+    echelon, pivots = rref([r + r for r in a] + [r + (0,) * d for r in b], field)
+    inter = rref([r[d:] for r, p in zip(echelon, pivots) if p >= d], field)[0]
+    if len(rref(a + b, field)[0]) + len(inter) != len(a) + len(b):
+        raise AssertionError("intersection violates dim(A + B) + dim(A & B) = dim A + dim B")
+    return inter
+
+
+def _span_vectors(field, d, basis):
+    """All q^r vectors of the span of r rows, one coefficient vector at a time."""
+    out = []
+    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+        v = (0,) * d
+        for c, row in zip(coeffs, basis):
+            v = tuple(int(field.ADD[x, field.MUL[c, y]]) for x, y in zip(v, row))
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_zassenhaus_intersection_matches_span_membership(q):
+    f = field_for_order(q)
+    a = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    assert _intersection(f, 4, a, a) == rref(a, f)[0]
+    assert _intersection(f, 4, a, [(0, 0, 1, 0), (0, 0, 0, 1)]) == ()
+    assert _intersection(f, 4, a, [(1, 0, 0, 0), (0, 0, 1, 1)]) == ((1, 0, 0, 0),)
+    rng = random.Random(99 + q)
+    for _ in range(30):
+        d = rng.randint(2, 4)
+        a, b = (
+            [tuple(rng.randrange(q) for _ in range(d)) for _ in range(rng.randint(1, d))]
+            for _ in range(2)
+        )
+        common = set(_span_vectors(f, d, a)) & set(_span_vectors(f, d, b))
+        assert sorted(_span_vectors(f, d, _intersection(f, d, a, b))) == sorted(common)
+
+
 def _reference_classify_pair(space, li, mi):
     """Relation tag from Zassenhaus intersections with the line and with its perp."""
-    lsub = space.line_subspace(li)
-    msub = space.line_subspace(mi)
-    s = intersect(lsub, msub)[1]
-    t = intersect(lsub, space.perp(msub))[1]
+    f, d = space.field, space.d
+    L, M = space.line_basis[li], space.line_basis[mi]
+    s = len(_intersection(f, d, L, M))
+    t = len(_intersection(f, d, L, _perp(space, M)))
     table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
     if (s, t) not in table:
         raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
@@ -117,25 +185,26 @@ def test_coplanar_concurrent_lines_are_relation_10(o6plus2):
 
 def test_perp_of_whole_space_is_zero(o6plus2):
     space = o6plus2
-    whole = Subspace(space.field, space.d, [tuple(int(i == j) for j in range(space.d)) for i in range(space.d)])
-    assert space.perp(whole).dim == 0
+    whole = [tuple(int(i == j) for j in range(space.d)) for i in range(space.d)]
+    assert _perp(space, whole) == ()
 
 
 def test_perp_of_isotropic_point_contains_it(o6plus2):
     space = o6plus2
-    pt = Subspace(space.field, space.d, [space.points[0]])
-    perp = space.perp(pt)
-    assert perp.dim == space.d - 1
-    assert perp.contains(space.points[0])
+    perp = _perp(space, [space.points[0]])
+    assert len(perp) == space.d - 1
+    assert _intersection(space.field, space.d, perp, [space.points[0]]) == (space.points[0],)
 
 
 def test_perp_of_line_contains_it(o6plus2):
     space = o6plus2
-    sub = space.line_subspace(0)
-    perp = space.perp(sub)
-    assert perp.dim == space.d - 2
-    for row in sub.basis:
-        assert perp.contains(row)
+    basis = space.line_basis[0]
+    perp = _perp(space, basis)
+    assert len(perp) == space.d - 2
+    assert _intersection(space.field, space.d, perp, basis) == basis
+    # every vector of the perp is perpendicular to the line under the form itself
+    for x in _span_vectors(space.field, space.d, perp):
+        assert all(space.form.bilinear(x, m) == 0 for m in basis)
 
 
 def test_o7_rejected_for_even_q():
@@ -148,12 +217,21 @@ def test_hermitian_requires_square_q():
         FormSpec("U6", 2)
 
 
+def test_degenerate_form_is_rejected(monkeypatch):
+    import polarlines.spaces as spaces_mod
+
+    # x6^2 alone over GF(2) polarizes to 2 x6 y6 = 0, so Gram rows 6 and 7 vanish
+    monkeypatch.setattr(spaces_mod, "_anisotropic_binary", lambda field: (0, 0))
+    with pytest.raises(GeometryError, match="O8minus/q=2: bilinear form is degenerate"):
+        FormSpec("O8minus", 2)
+
+
 def test_u7_form_exists_even_though_enumeration_is_out_of_reach():
     form = FormSpec("U7", 4)
     assert form.d == 7 and form.e2 == 3
     # Hermitian Gram is the identity with conjugation on the second slot
     assert form.bilinear((1,) + (0,) * 6, (1,) + (0,) * 6) == 1
-    assert form.is_singular((1, 1, 0, 0, 0, 0, 0))  # 1 + 1 = 0 in GF(4) norms
+    assert form.singular_rows((1, 1, 0, 0, 0, 0, 0))[0]  # 1 + 1 = 0 in GF(4) norms
 
 
 
@@ -211,7 +289,7 @@ def test_deterministic_rebuild(o6plus2):
 
 def _span_point_set(space, basis):
     """Point indices of a subspace, from its q^dim vectors by field arithmetic."""
-    vecs = Subspace(space.field, space.d, basis).vectors()
+    vecs = _span_vectors(space.field, space.d, basis)
     return tuple(sorted({space.point_index[_normalize(space.field, v)] for v in vecs if any(v)}))
 
 
@@ -261,7 +339,7 @@ def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
     doc = json.loads(path.read_text())
     # five nonzero coordinates of norm 1: B(v, v) = 1 in characteristic 2
     vector = [1, 3, 3, 3, 3, 0]
-    assert not u64.form.is_singular(vector)
+    assert not u64.form.singular_rows(vector)[0]
     # in place of the next point, so the points still strictly increase
     k = next(i for i, p in enumerate(doc["points"]) if p > vector)
     doc["points"][k] = vector
