@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -52,3 +53,84 @@ def test_canonical_form_is_basis_independent(q):
                 mixed[i] = tuple(f.mul(c, a) for a in mixed[i])
         assert rref(mixed, f)[0] == basis
         assert rref(basis, f)[0] == basis  # idempotent
+
+
+def nullspace(rows, field, d):
+    """RREF basis of {x : r . x = 0 for every row r}, one vector per free column of rref(rows)."""
+    basis, pivots = rref(rows, field)
+    out = []
+    for fc in (c for c in range(d) if c not in pivots):
+        v = [0] * d
+        v[fc] = 1
+        for row, piv in zip(basis, pivots):
+            v[piv] = field.neg(row[fc])
+        out.append(v)
+    return rref(out, field)[0]
+
+
+def intersection(field, d, a, b):
+    """RREF basis of A cap B by the Zassenhaus trick: the right halves of rref [a | a; b | 0]."""
+    if any(len(r) != d for r in (*a, *b)):
+        raise ValueError(f"rows must lie in the same {d}-dimensional space")
+    echelon, pivots = rref([tuple(r) * 2 for r in a] + [tuple(r) + (0,) * d for r in b], field)
+    return rref([r[d:] for r, p in zip(echelon, pivots) if p >= d], field)[0]
+
+
+def span_vectors(field, d, basis):
+    """All q^r vectors of the span of r rows, one coefficient vector at a time."""
+    out = []
+    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
+        v = (0,) * d
+        for c, row in zip(coeffs, basis):
+            v = tuple(int(field.ADD[x, field.MUL[c, y]]) for x, y in zip(v, row))
+        out.append(v)
+    return out
+
+
+def _random_rows(rng, q, d):
+    return [tuple(rng.randrange(q) for _ in range(d)) for _ in range(rng.randint(1, d))]
+
+
+def test_intersection_idempotent_and_disjoint():
+    a = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    assert intersection(GF2, 4, a, a) == rref(a, GF2)[0]
+    assert intersection(GF2, 4, a, [(0, 0, 1, 0), (0, 0, 0, 1)]) == ()
+
+
+def test_intersection_matches_bruteforce_span_membership():
+    a = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    assert intersection(GF2, 4, a, [(1, 0, 0, 0), (0, 0, 1, 1)]) == ((1, 0, 0, 0),)
+    for q in (2, 3, 4):
+        f = field_for_order(q)
+        rng = random.Random(99 + q)
+        for _ in range(30):
+            d = rng.randint(2, 4)
+            a, b = _random_rows(rng, q, d), _random_rows(rng, q, d)
+            common = set(span_vectors(f, d, a)) & set(span_vectors(f, d, b))
+            assert sorted(span_vectors(f, d, intersection(f, d, a, b))) == sorted(common)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dimension_formula(q):
+    f = field_for_order(q)
+    rng = random.Random(99 + q)
+    for _ in range(30):
+        d = rng.randint(2, 5)
+        a, b = _random_rows(rng, q, d), _random_rows(rng, q, d)
+        dim_a, dim_b = len(rref(a, f)[0]), len(rref(b, f)[0])
+        assert len(intersection(f, d, a, b)) + len(rref(a + b, f)[0]) == dim_a + dim_b
+
+
+def test_kernel_rank_nullity():
+    f = field_for_order(3)
+    rows = [(1, 2, 0, 1), (0, 1, 1, 1)]
+    ker = nullspace(rows, f, 4)
+    assert len(ker) == 4 - len(rref(rows, f)[0])
+    for v in span_vectors(f, 4, ker):
+        for row in rows:
+            assert sum(int(f.MUL[x, y]) for x, y in zip(row, v)) % 3 == 0
+
+
+def test_mismatched_ambient_rejected():
+    with pytest.raises(ValueError):
+        intersection(GF2, 3, [(1, 0, 0)], [(1, 0, 0, 0)])

@@ -6,8 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from polarlines.gf import field_for_order
-from polarlines.linalg import rref
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
     REL_TAGS,
@@ -24,6 +22,8 @@ from polarlines.spaces import (
     predicted_line_count,
     save_space,
 )
+
+from test_linalg import intersection, nullspace, span_vectors
 
 EXPECTED_COUNTS = {
     # family, q: (points, lines, planes)
@@ -77,19 +77,6 @@ def test_table_agrees_with_geometric_classification(spaces, family, q):
     assert space.classify_pair(7, 7) == "00"
 
 
-def _nullspace(rows, field, d):
-    """RREF basis of {x : r . x = 0 for every row r}, one vector per free column of rref(rows)."""
-    basis, pivots = rref(rows, field)
-    out = []
-    for fc in (c for c in range(d) if c not in pivots):
-        v = [0] * d
-        v[fc] = 1
-        for row, piv in zip(basis, pivots):
-            v[piv] = field.neg(row[fc])
-        out.append(v)
-    return rref(out, field)[0]
-
-
 def _perp(space, basis):
     """RREF basis of S^perp: the nullspace of the rows G . conj(m) over the rows m of S."""
     f = space.field
@@ -98,57 +85,15 @@ def _perp(space, basis):
         if space.form.kind == "hermitian":
             m = [f.conj(x) for x in m]
         rows.append([functools.reduce(f.add, map(f.mul, g, m), 0) for g in space.form.gram])
-    return _nullspace(rows, f, space.d)
-
-
-def _intersection(field, d, a, b):
-    """RREF basis of A cap B by the Zassenhaus trick: the right halves of rref [a | a; b | 0].
-
-    Raises unless dim(A + B) + dim(A cap B) = dim A + dim B.
-    """
-    a, b = rref(a, field)[0], rref(b, field)[0]
-    echelon, pivots = rref([r + r for r in a] + [r + (0,) * d for r in b], field)
-    inter = rref([r[d:] for r, p in zip(echelon, pivots) if p >= d], field)[0]
-    if len(rref(a + b, field)[0]) + len(inter) != len(a) + len(b):
-        raise AssertionError("intersection violates dim(A + B) + dim(A & B) = dim A + dim B")
-    return inter
-
-
-def _span_vectors(field, d, basis):
-    """All q^r vectors of the span of r rows, one coefficient vector at a time."""
-    out = []
-    for coeffs in itertools.product(range(field.q), repeat=len(basis)):
-        v = (0,) * d
-        for c, row in zip(coeffs, basis):
-            v = tuple(int(field.ADD[x, field.MUL[c, y]]) for x, y in zip(v, row))
-        out.append(v)
-    return out
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_zassenhaus_intersection_matches_span_membership(q):
-    f = field_for_order(q)
-    a = [(1, 0, 0, 0), (0, 1, 0, 0)]
-    assert _intersection(f, 4, a, a) == rref(a, f)[0]
-    assert _intersection(f, 4, a, [(0, 0, 1, 0), (0, 0, 0, 1)]) == ()
-    assert _intersection(f, 4, a, [(1, 0, 0, 0), (0, 0, 1, 1)]) == ((1, 0, 0, 0),)
-    rng = random.Random(99 + q)
-    for _ in range(30):
-        d = rng.randint(2, 4)
-        a, b = (
-            [tuple(rng.randrange(q) for _ in range(d)) for _ in range(rng.randint(1, d))]
-            for _ in range(2)
-        )
-        common = set(_span_vectors(f, d, a)) & set(_span_vectors(f, d, b))
-        assert sorted(_span_vectors(f, d, _intersection(f, d, a, b))) == sorted(common)
+    return nullspace(rows, f, space.d)
 
 
 def _reference_classify_pair(space, li, mi):
     """Relation tag from Zassenhaus intersections with the line and with its perp."""
     f, d = space.field, space.d
     L, M = space.line_basis[li], space.line_basis[mi]
-    s = len(_intersection(f, d, L, M))
-    t = len(_intersection(f, d, L, _perp(space, M)))
+    s = len(intersection(f, d, L, M))
+    t = len(intersection(f, d, L, _perp(space, M)))
     table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
     if (s, t) not in table:
         raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
@@ -193,7 +138,7 @@ def test_perp_of_isotropic_point_contains_it(o6plus2):
     space = o6plus2
     perp = _perp(space, [space.points[0]])
     assert len(perp) == space.d - 1
-    assert _intersection(space.field, space.d, perp, [space.points[0]]) == (space.points[0],)
+    assert intersection(space.field, space.d, perp, [space.points[0]]) == (space.points[0],)
 
 
 def test_perp_of_line_contains_it(o6plus2):
@@ -201,9 +146,9 @@ def test_perp_of_line_contains_it(o6plus2):
     basis = space.line_basis[0]
     perp = _perp(space, basis)
     assert len(perp) == space.d - 2
-    assert _intersection(space.field, space.d, perp, basis) == basis
+    assert intersection(space.field, space.d, perp, basis) == basis
     # every vector of the perp is perpendicular to the line under the form itself
-    for x in _span_vectors(space.field, space.d, perp):
+    for x in span_vectors(space.field, space.d, perp):
         assert all(space.form.bilinear(x, m) == 0 for m in basis)
 
 
@@ -289,7 +234,7 @@ def test_deterministic_rebuild(o6plus2):
 
 def _span_point_set(space, basis):
     """Point indices of a subspace, from its q^dim vectors by field arithmetic."""
-    vecs = _span_vectors(space.field, space.d, basis)
+    vecs = span_vectors(space.field, space.d, basis)
     return tuple(sorted({space.point_index[_normalize(space.field, v)] for v in vecs if any(v)}))
 
 
