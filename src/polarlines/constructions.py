@@ -3,6 +3,8 @@
 Every constructor checks the inner distribution (and usually the eigenspace
 support) of what it built against the known closed form and raises
 GeometryError on any mismatch, so a returned set is already verified.
+Input that cannot give the structure, such as a point set that is no ovoid,
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -329,7 +331,7 @@ def pencil_union(space, ovoid_points):
     for p in ovoid_points:
         lines.extend(space.point_lines[p])
     if len(set(lines)) != len(lines):
-        raise GeometryError("point-pencils are not pairwise disjoint; not an ovoid")
+        raise ValueError("point-pencils are not pairwise disjoint; not an ovoid")
     y = make_lineset(space, lines, name="pencil_union")
     want = (q + 1) * (s * q + 1) * (s * q * q + 1)
     if len(y) != want:
@@ -406,14 +408,9 @@ def symplectic_spread_planes(space):
         return [(z // p**i) % p for i in range(3)]
 
     basis = [1, p, cubic.mul(p, p)]  # 1, g, g^2 where g is the class of x
-    frob = lambda z: cubic.pow(z, p)
 
     def tr(z):
-        out = z
-        zz = z
-        for _ in range(2):
-            zz = frob(zz)
-            out = cubic.add(out, zz)
+        out = cubic.trace(z)
         if out >= p:
             raise GeometryError("trace left the prime subfield")
         return out

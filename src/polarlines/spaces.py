@@ -222,25 +222,6 @@ def form_values(form, X, Y):
     return _table_matmul(f, X, _table_matmul(f, gram, Y.T))
 
 
-def _line_points(perp, a, b):
-    """Points of the line through points a and b.
-
-    A point of the line's perp lies on the line exactly when it is
-    perpendicular to every point of that perp, because those points span it.
-    """
-    c = np.flatnonzero(perp[a] & perp[b])
-    return tuple(c[perp[c[:, None], c].all(axis=1)].tolist())
-
-
-def _plane_points(perp, a, b, x):
-    """Points of the plane spanned by points a, b and x.
-
-    In a rank-3 space a plane is maximal, so the only singular points of its
-    perp are its own.
-    """
-    return tuple(np.flatnonzero(perp[a] & perp[b] & perp[x]).tolist())
-
-
 def _span_points(field, codes, bases):
     """Ascending point indices of the spans of many RREF bases of one dimension r.
 
@@ -471,7 +452,17 @@ def predicted_line_count(family, q):
 
 
 def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
-    """Enumerate the polar space of the given family over GF(q)."""
+    """Enumerate the polar space of the given family over GF(q).
+
+    The RREF basis of a totally isotropic r-space is r of its points in
+    echelon position: their leading positions increase, and each is zero at
+    the others' leading positions.  Conversely, r pairwise perpendicular
+    points in echelon position are the RREF basis of the totally isotropic
+    space they span.  So each line is one pair and each plane one triple of
+    such points, read off the perp matrix with no rref call.  The points are
+    in lexicographic order and a basis's _basis_key is its rows' bytes, so the
+    row-major order of np.nonzero is already _basis_key order.
+    """
     form = FormSpec(family, q)
     n_pred = predicted_line_count(family, q)
     if n_pred > max_lines:
@@ -479,52 +470,17 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
     candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
-    pts_arr = candidates[form.singular_rows(candidates)]
-    points = [tuple(p) for p in pts_arr.tolist()]
-    # discovery finds the canonical bases; it needs each object's points only
-    # to mark what it has covered, and PolarSpace derives them again.  Its
-    # arrays live until this returns: freed before the constructor, they
-    # left heap holes that raised the peak RSS of a build (see CHANGES.md)
-    perp = form_values(form, pts_arr, pts_arr) == 0
-
-    # lines: each found once, from its least point i and the first point j
-    # whose pair with i lies on no line found so far
-    on_a_line = np.zeros_like(perp)
-    lines = []
-    for i in range(len(points)):
-        rest = perp[i] & ~on_a_line[i]
-        rest[: i + 1] = False
-        while rest.any():
-            j = int(rest.argmax())
-            pts = _line_points(perp, i, j)
-            idx = np.array(pts)
-            on_a_line[idx[:, None], idx] = True
-            rest[idx] = False
-            lines.append((rref([points[i], points[j]], form.field)[0], pts))
-    lines.sort(key=lambda line: _basis_key(line[0]))
-
-    # planes: each found once, through the first line in it; covered[li] holds
-    # the points of the planes already found through line li
-    pair = _pair_lines(len(points), [pts for _, pts in lines])
-    covered = np.zeros((len(lines), len(points)), dtype=bool)
-    planes = []
-    for li, ((u, w), pts) in enumerate(lines):
-        a, b = pts[:2]
-        rest = perp[a] & perp[b] & ~covered[li]
-        rest[list(pts)] = False
-        while rest.any():
-            x = int(rest.argmax())
-            plane = _plane_points(perp, a, b, x)
-            (plane_lines,) = _lines_in(pair, [plane])
-            idx = np.array(plane)
-            covered[np.array(plane_lines)[:, None], idx] = True
-            rest[idx] = False
-            planes.append(rref([u, w, points[x]], form.field)[0])
-    line_bases = np.array([b for b, _ in lines], dtype=np.uint8)
-    plane_bases = np.array(sorted(planes, key=_basis_key), dtype=np.uint8)
-    # the constructor makes the public basis tuples again, from the arrays
-    del points, lines, planes
-    return PolarSpace(form, pts_arr, line_bases, plane_bases)
+    pts = candidates[form.singular_rows(candidates)]
+    perp = form_values(form, pts, pts) == 0
+    # follows[i, j]: j may come after i in an RREF basis of points, the two
+    # perpendicular, j's leading position past i's and i zero at it
+    lead = (pts != 0).argmax(axis=1)
+    follows = perp & (lead[:, None] < lead) & (pts[:, lead] == 0)
+    a, b = np.nonzero(follows)
+    line, c = np.nonzero(follows[a] & follows[b])
+    line_bases = np.stack((pts[a], pts[b]), axis=1)
+    plane_bases = np.stack((pts[a[line]], pts[b[line]], pts[c]), axis=1)
+    return PolarSpace(form, pts, line_bases, plane_bases)
 
 
 def _basis_key(basis):

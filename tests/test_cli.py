@@ -387,6 +387,17 @@ def test_malformed_pointset_file_is_a_json_error(tmp_path, capsys, doc):
     assert set(json.loads(out)) == {"error"}
 
 
+def test_pencil_union_of_collinear_points_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "collinear.json"
+    # O+(6,2) points 0 and 2 lie on line 0, so their pencils share it
+    path.write_text(json.dumps(dict(_HEADER, points=[0, 1, 2, 3, 4])))
+    argv = ["construct", "pencil-union", "--space", "o6plus_q2", "--point-file", str(path)]
+    code, out = run_cli(capsys, *argv, "-o", str(tmp_path / "union.json"))
+    assert code == 1
+    assert json.loads(out) == {"error": "point-pencils are not pairwise disjoint; not an ovoid"}
+    assert not (tmp_path / "union.json").exists()
+
+
 def _first_row_replaced(doc, key, row):
     """The cache document with the first row of the first basis under key replaced."""
     return dict(doc, **{key: [[row] + doc[key][0][1:]] + doc[key][1:]})

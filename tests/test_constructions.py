@@ -168,12 +168,12 @@ def test_pencil_union(o6plus2, o6plus3):
 def test_pencil_union_rejects_non_ovoid(o6plus2):
     with pytest.raises(ValueError, match="ovoid must have"):
         con.pencil_union(o6plus2, (0, 1, 2))
-    # five collinear-ish points: pencils meet, caught by the disjointness check
+    # five points, three of them on line 0: their pencils meet, and this is bad input
     pts = list(o6plus2.line_points[0]) + [o6plus2.line_points[1][0], o6plus2.line_points[2][-1]]
-    pts = list(dict.fromkeys(pts))[:5]
-    if len(pts) == 5:
-        with pytest.raises(Exception):
-            con.pencil_union(o6plus2, pts)
+    pts = list(dict.fromkeys(pts))
+    assert len(pts) == 5
+    with pytest.raises(ValueError, match="point-pencils are not pairwise disjoint; not an ovoid"):
+        con.pencil_union(o6plus2, pts)
 
 
 def test_m_ovoid_lift(o6plus3):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from polarlines.linalg import rref
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
     REL_TAGS,
@@ -13,11 +14,13 @@ from polarlines.spaces import (
     GeometryError,
     PolarSpace,
     _basis_key,
-    _line_points,
+    _lines_in,
     _normalize,
-    _plane_points,
+    _pair_lines,
+    _projective_points,
     _span_points,
     build_space,
+    form_values,
     load_space,
     predicted_line_count,
     save_space,
@@ -36,6 +39,17 @@ EXPECTED_COUNTS = {
     ("U6", 4): (693, 6237, 891),
 }
 
+# copied from perfbench/oracles.py, not imported, so a change in basis order fails here too
+EXPECTED_FINGERPRINTS = {
+    ("O6plus", 2): "f3cba4a549f48de9",
+    ("Sp6", 2): "a3ca35c6127593ba",
+    ("O8minus", 2): "e6593b7eaf47089b",
+    ("O6plus", 3): "9dbff42cbd265fa7",
+    ("Sp6", 3): "35c7f40b8dac6a3a",
+    ("O7", 3): "a5bf988fd5909aee",
+    ("U6", 4): "2d3e1ac8ae40baee",
+}
+
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
 def test_object_counts(spaces, family, q):
@@ -43,6 +57,11 @@ def test_object_counts(spaces, family, q):
     got = (len(space.points), space.n_lines, len(space.plane_basis))
     assert got == EXPECTED_COUNTS[(family, q)]
     assert space.n_lines == predicted_line_count(family, q)
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_FINGERPRINTS))
+def test_fingerprints_are_pinned(spaces, family, q):
+    assert spaces.get(family, q).fingerprint == EXPECTED_FINGERPRINTS[(family, q)]
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
@@ -293,6 +312,71 @@ def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
         load_space(path)
 
 
+def _line_points(perp, a, b):
+    """Points of the line through points a and b.
+
+    A point of the line's perp lies on the line exactly when it is
+    perpendicular to every point of that perp, because those points span it.
+    """
+    c = np.flatnonzero(perp[a] & perp[b])
+    return tuple(c[perp[c[:, None], c].all(axis=1)].tolist())
+
+
+def _plane_points(perp, a, b, x):
+    """Points of the plane spanned by points a, b and x.
+
+    In a rank-3 space a plane is maximal, so the only singular points of its
+    perp are its own.
+    """
+    return tuple(np.flatnonzero(perp[a] & perp[b] & perp[x]).tolist())
+
+
+def _reference_bases(form):
+    """The RREF line and plane bases in _basis_key order, by discovery on the perp matrix.
+
+    Each line is found once, from its least point i and the first point j
+    whose pair with i lies on no line found so far; each plane once, through
+    the first line in it.  Every object's basis is the rref of the points it
+    was found through.
+    """
+    candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
+    pts_arr = candidates[form.singular_rows(candidates)]
+    points = [tuple(p) for p in pts_arr.tolist()]
+    perp = form_values(form, pts_arr, pts_arr) == 0
+
+    on_a_line = np.zeros_like(perp)
+    lines = []
+    for i in range(len(points)):
+        rest = perp[i] & ~on_a_line[i]
+        rest[: i + 1] = False
+        while rest.any():
+            j = int(rest.argmax())
+            pts = _line_points(perp, i, j)
+            idx = np.array(pts)
+            on_a_line[idx[:, None], idx] = True
+            rest[idx] = False
+            lines.append((rref([points[i], points[j]], form.field)[0], pts))
+    lines.sort(key=lambda line: _basis_key(line[0]))
+
+    # covered[li] holds the points of the planes already found through line li
+    pair = _pair_lines(len(points), [pts for _, pts in lines])
+    covered = np.zeros((len(lines), len(points)), dtype=bool)
+    planes = []
+    for li, ((u, w), pts) in enumerate(lines):
+        a, b = pts[:2]
+        rest = perp[a] & perp[b] & ~covered[li]
+        rest[list(pts)] = False
+        while rest.any():
+            x = int(rest.argmax())
+            plane = _plane_points(perp, a, b, x)
+            (plane_lines,) = _lines_in(pair, [plane])
+            idx = np.array(plane)
+            covered[np.array(plane_lines)[:, None], idx] = True
+            rest[idx] = False
+            planes.append(rref([u, w, points[x]], form.field)[0])
+    return [b for b, _ in lines], sorted(planes, key=_basis_key)
+
+
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
 def test_span_points_match_the_perp_route(spaces, family, q):
     """Span-derived point sets, against the perp matrix read from their first points."""
@@ -315,30 +399,16 @@ def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
         _span_points(space.field, codes, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
 
 
-@pytest.mark.parametrize("family,q", [("O6plus", 2), ("O7", 3)])
-def test_build_finds_each_line_and_plane_once(monkeypatch, tmp_path, family, q):
-    import polarlines.spaces as spaces_mod
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_build_matches_the_perp_route_discovery(family, q):
+    """The echelon filter's bases, against an rref per object found through its point set.
 
-    calls = {"_line_points": 0, "_plane_points": 0}
-
-    def counted(name):
-        fn = getattr(spaces_mod, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(spaces_mod, name, counted(name))
+    Calls build_space itself, so a run on cached spaces still checks a build.
+    """
     space = build_space(family, q)
-    assert calls == {"_line_points": space.n_lines, "_plane_points": len(space.plane_basis)}
-    # a load reads every point set off the cached bases, not the perp matrix
-    save_space(space, tmp_path / "space.json")
-    calls.update(_line_points=0, _plane_points=0)
-    load_space(tmp_path / "space.json")
-    assert calls == {"_line_points": 0, "_plane_points": 0}
+    line_bases, plane_bases = _reference_bases(space.form)
+    assert space.line_basis == line_bases
+    assert space.plane_basis == plane_bases
 
 
 # -- the labels sidecar -----------------------------------------------------------
