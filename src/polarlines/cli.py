@@ -325,7 +325,7 @@ def _cmd_search_probe(args):
             "support": sorted(str(t).upper().lstrip("R") for t in support),
             "size": args.size,
             "status": res.status,
-            "witness": list(res.witness) if res.witness else None,
+            "witness": list(res.witness) if res.witness is not None else None,
             "nodes": res.nodes,
             "note": res.note,
         }

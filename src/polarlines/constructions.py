@@ -24,7 +24,15 @@ from .analysis import (
 )
 from .gf import field_make
 from .linalg import rref
-from .spaces import GeometryError, _basis_key, _normalize, _projective_points, form_values
+from .spaces import (
+    GeometryError,
+    _anisotropic_binary,
+    _basis_key,
+    _normalize,
+    _projective_points,
+    _quad_values,
+    form_values,
+)
 from .schemetables import tables_for_space
 
 
@@ -222,37 +230,23 @@ def quadric_section(space, kind):
 
     The quadratic form x0*x3 + x1*x4 + x2*x5 (+ anisotropic correction on the
     last pair for the elliptic kind) polarizes to the standard symplectic
-    form, so its singular lines are symplectic lines.
+    form, so its singular lines are symplectic lines.  The correction makes
+    x2^2 + x2*x5 + c0*x5^2 anisotropic: in characteristic 2 the first
+    anisotropic binary form x^2 + c1*x*y + c0*y^2 has c1 = 1.
     """
     if space.family != "Sp6" or space.q % 2 != 0:
         raise ValueError("quadric sections are for Sp6 with even q")
-    f = space.field
     quad = [(0, 3, 1), (1, 4, 1), (2, 5, 1)]
     if kind == "minus":
-        alpha = beta = None
-        for a in range(f.q):
-            for b in range(f.q):
-                # x^2*a + x + b irreducible over GF(q) <=> x2*x5+a*x2^2+b*x5^2 anisotropic
-                if all(
-                    f.add(f.mul(a, f.mul(z, z)), f.add(z, b)) != 0 for z in range(f.q)
-                ) and b != 0 and a != 0:
-                    alpha, beta = a, b
-                    break
-            if alpha is not None:
-                break
-        if alpha is None:
+        c1, c0 = _anisotropic_binary(space.field)
+        if c1 != 1:
             raise GeometryError("no anisotropic correction found")
-        quad += [(2, 2, alpha), (5, 5, beta)]
+        quad += [(2, 2, 1), (5, 5, c0)]
     elif kind != "plus":
         raise ValueError("kind must be 'plus' or 'minus'")
 
-    def qval(v):
-        acc = 0
-        for (i, j, c) in quad:
-            acc = f.add(acc, f.mul(c, f.mul(v[i], v[j])))
-        return acc
-
-    pts = tuple(i for i, p in enumerate(space.points) if qval(p) == 0)
+    values = _quad_values(space.field, quad, space.pts_arr, space.pts_arr)
+    pts = tuple(np.flatnonzero(values == 0).tolist())
     q, s = space.q, space.qe
     want = (q * q + 1) * space.theta if kind == "plus" else (s * q * q + 1) * (q + 1)
     if len(pts) != want:
@@ -499,9 +493,7 @@ def _to_tits_coords(space, vecs):
         return X
     # Sp6, q even: symplectic coords pair i with i+3, and X3 goes in between
     X = np.insert(vecs, 3, 0, axis=-1)
-    prod = np.zeros(vecs.shape[:-1], dtype=np.uint8)
-    for i in range(3):
-        prod = f.ADD[prod, f.MUL[vecs[..., i], vecs[..., i + 3]]]
+    prod = _quad_values(f, ((0, 3, 1), (1, 4, 1), (2, 5, 1)), vecs, vecs)
     # char 2: x -> x^(q/2) inverts squaring, which has order h on GF(2^h)
     sqrt = np.array([f.pow(x, f.q // 2) for x in range(f.q)], dtype=np.uint8)
     X[..., 3] = sqrt[prod]

@@ -199,6 +199,9 @@ def field_make(p, h=1):
 @lru_cache(maxsize=None)
 def field_for_order(q):
     """Return GF(q), factoring q as p^h."""
+    # checked first, so a huge q costs no trial division
+    if not 2 <= q <= MAX_Q:
+        raise ValueError(f"unsupported field: q={q} is outside 2..{MAX_Q}")
     for p in range(2, q + 1):
         if is_prime(p):
             h, t = 0, 1

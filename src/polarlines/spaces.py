@@ -59,27 +59,28 @@ def q_to_e_power(q, e2):
 
 
 def _anisotropic_binary(field):
-    """Lexicographically first (c1, c0) with x^2 + c1*x*y + c0*y^2 anisotropic."""
-    q = field.q
-    for c1 in range(q):
-        for c0 in range(1, q):
-            ok = True
-            for a in range(q):
-                for b in range(q):
-                    if a == 0 and b == 0:
-                        continue
-                    v = field.add(
-                        field.mul(a, a),
-                        field.add(field.mul(c1, field.mul(a, b)), field.mul(c0, field.mul(b, b))),
-                    )
-                    if v == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return c1, c0
+    """Lexicographically first (c1, c0) with x^2 + c1*x*y + c0*y^2 anisotropic.
+
+    Q(a v) = a^2 Q(v), so it is enough that Q vanishes at no projective point.
+    """
+    P = np.array(_projective_points(field, 2), dtype=np.uint8)
+    for c1, c0 in itertools.product(range(field.q), range(1, field.q)):
+        if _quad_values(field, ((0, 0, 1), (0, 1, c1), (1, 1, c0)), P, P).all():
+            return c1, c0
     raise GeometryError("no anisotropic binary quadratic form found")
+
+
+def _quad_values(field, terms, X, Y):
+    """The sum of c * x_i * y_j over the (i, j, c) terms, for vectors along the last axis.
+
+    X and Y are uint8 arrays of one shape; the result has that shape without
+    its last axis.  With Y = X and a quadratic form's terms it is Q(x); with
+    the nonzero Gram entries it is B(x, y).
+    """
+    acc = np.zeros(np.shape(X)[:-1], dtype=np.uint8)
+    for i, j, c in terms:
+        acc = field.ADD[acc, field.MUL[c, field.MUL[X[..., i], Y[..., j]]]]
+    return acc
 
 
 class FormSpec:
@@ -150,6 +151,14 @@ class FormSpec:
                         acc = f.add(acc, f.mul(ui, f.mul(row[j], vj)))
         return acc
 
+    def _bilinear_rows(self, X, Y):
+        """B(x_k, y_k) for the vectors x_k of X and y_k of Y along their last axis."""
+        f = self.field
+        if self.kind == "hermitian":
+            Y = f.CONJ[Y]
+        terms = [(i, j, c) for i, row in enumerate(self.gram) for j, c in enumerate(row) if c]
+        return _quad_values(f, terms, X, Y)
+
     def singular_rows(self, X):
         """Boolean mask of the singular rows of an n x d uint8 array.
 
@@ -157,19 +166,12 @@ class FormSpec:
         B(v, v) = 0 for a Hermitian one; every row is for a symplectic form.
         The zero row passes too: whether a row is a vector is the caller's check.
         """
-        f = self.field
         X = np.asarray(X, dtype=np.uint8).reshape(-1, self.d)
         if self.kind == "symplectic":
             return np.ones(len(X), dtype=bool)
         if self.kind == "orthogonal":
-            terms, Y = self.quad, X
-        else:
-            terms = [(i, j, c) for i, row in enumerate(self.gram) for j, c in enumerate(row) if c]
-            Y = f.CONJ[X]
-        acc = np.zeros(len(X), dtype=np.uint8)
-        for i, j, c in terms:
-            acc = f.ADD[acc, f.MUL[c, f.MUL[X[:, i], Y[:, j]]]]
-        return acc == 0
+            return _quad_values(self.field, self.quad, X, X) == 0
+        return self._bilinear_rows(X, X) == 0
 
 
 def _normalize(field, v):
@@ -210,8 +212,8 @@ def _table_matmul(field, A, M):
 def form_values(form, X, Y):
     """The matrix of B(x_i, y_j) over GF(q), for row vectors x_i of X and y_j of Y.
 
-    Table-driven: the only evaluation of the form on many vectors at once, and
-    with perp = form_values(form, pts, pts) == 0 the source of all incidence.
+    Table-driven: build_space reads the perp matrix of the points off
+    form_values(form, pts, pts) == 0.
     """
     f = form.field
     X = np.asarray(X, dtype=np.uint8).reshape(-1, form.d)
@@ -297,7 +299,8 @@ class PolarSpace:
         bases must be RREF, totally isotropic and strictly increasing in
         _basis_key order, as build_space writes them; otherwise this raises
         ValueError.  Every line's and every plane's point set comes from one
-        bulk span pass over its bases.
+        bulk span pass over its bases.  Two distinct points are perpendicular
+        exactly when a line joins them, so perp_points is read off the lines.
         """
         self.form = form
         self.family = form.family
@@ -312,7 +315,6 @@ class PolarSpace:
         plane_bases = np.ascontiguousarray(plane_bases, dtype=np.uint8)
         self.points = [tuple(p) for p in self.pts_arr.tolist()]
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self.perp_points = form_values(form, self.pts_arr, self.pts_arr) == 0
         got = (len(self.points), len(line_bases), len(plane_bases))
         want = _predicted_counts(self.family, self.q)
         if got != want:
@@ -329,8 +331,9 @@ class PolarSpace:
                 raise ValueError("line or plane bases are not in strictly increasing order")
             pts = _span_points(self.field, codes, bases)
             # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof
-            if not self.perp_points[pts[:, :, None], pts[:, None, :]].all():
-                raise ValueError("a line or plane basis spans no totally isotropic subspace")
+            for a, b in itertools.combinations(range(bases.shape[1]), 2):
+                if form._bilinear_rows(bases[:, a], bases[:, b]).any():
+                    raise ValueError("a line or plane basis spans no totally isotropic subspace")
             spans.append((keys, pts))
         (line_keys, self._line_points_arr), (plane_keys, plane_arr) = spans
 
@@ -340,10 +343,11 @@ class PolarSpace:
         self.line_points = [tuple(r) for r in self._line_points_arr.tolist()]
         self.plane_points = [tuple(r) for r in plane_arr.tolist()]
         q, s = self.q, self.qe
-        # unnamed, the pair array is freed before the label table is built
-        self.plane_lines = _lines_in(
-            _pair_lines(len(self.points), self._line_points_arr), plane_arr
-        )
+        pair = _pair_lines(len(self.points), self._line_points_arr)
+        self.perp_points = pair >= 0
+        np.fill_diagonal(self.perp_points, True)
+        self.plane_lines = _lines_in(pair, plane_arr)
+        del pair  # freed before the label table is built
         if any(len(v) != q * q + q + 1 for v in self.plane_lines):
             raise GeometryError("lines in a plane is not the predicted constant")
         self.point_lines = _transpose(
@@ -469,8 +473,7 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
         raise ValueError(
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
-    candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
-    pts = candidates[form.singular_rows(candidates)]
+    pts = _space_points(form)
     perp = form_values(form, pts, pts) == 0
     # follows[i, j]: j may come after i in an RREF basis of points, the two
     # perpendicular, j's leading position past i's and i zero at it
@@ -481,6 +484,12 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
     line_bases = np.stack((pts[a], pts[b]), axis=1)
     plane_bases = np.stack((pts[a[line]], pts[b[line]], pts[c]), axis=1)
     return PolarSpace(form, pts, line_bases, plane_bases)
+
+
+def _space_points(form):
+    """The points of the space: its singular normalized vectors, in lexicographic order."""
+    candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
+    return candidates[form.singular_rows(candidates)]
 
 
 def _basis_key(basis):
@@ -572,13 +581,7 @@ def load_space(path):
         or got != _predicted_counts(family, form.q)
     ):
         raise ValueError("space cache counts mismatch; file corrupt or stale")
-    # as many distinct normalized points as the space has, in lexicographic
-    # order: strictly increasing base-q codes, each first nonzero coordinate 1
-    codes = np.ravel_multi_index(points.T, (form.q,) * form.d)
-    leading = points[np.arange(len(points)), (points != 0).argmax(axis=1)]
-    if not (
-        (np.diff(codes) > 0).all() and (leading == 1).all() and form.singular_rows(points).all()
-    ):
+    if not np.array_equal(points, _space_points(form)):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
     try:

@@ -1,13 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from polarlines import cli
+from polarlines.analysis import LineSet
 from polarlines.cli import main
 from polarlines.files import build_report, parse_lineset_file, parse_pointset_file, write_lineset
 from polarlines.schemetables import tables_for_space
-from polarlines.spaces import GeometryError
+from polarlines.spaces import FormSpec, GeometryError, _fingerprint
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +213,20 @@ def test_search_movoid_finds_the_empty_0_ovoid(tmp_path, capsys, sp62):
     assert parse_pointset_file(out_file, sp62) == ()
 
 
+def test_search_probe_prints_the_empty_witness(capsys):
+    argv = ["search", "probe", "--space", "o6plus_q2", "--support", "10,20", "--size", "0"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "witness" and doc["witness"] == []
+    # a probe that finds no set still prints no witness
+    argv = ["search", "probe", "--space", "o6plus_q2", "--support", "10", "--size", "21"]
+    code, out = run_cli(capsys, *argv, "--no-prefilter")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "none" and doc["witness"] is None
+
+
 def test_cli_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "space", "info", "--space", "nonsense")
     assert code == 1
@@ -387,6 +403,55 @@ def test_malformed_pointset_file_is_a_json_error(tmp_path, capsys, doc):
     assert set(json.loads(out)) == {"error"}
 
 
+def test_fuzzed_set_files_parse_or_raise_value_error(tmp_path, o6plus2):
+    """Any JSON document gives a line or point set, or a ValueError, never another exception."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers(-2, 120)
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=4)
+    )
+    values = st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=12,
+    )
+    # near-valid fields reach the checks past the header
+    vector = st.lists(st.integers(-1, 2), min_size=5, max_size=7)
+    fields = {
+        "fingerprint": st.none() | st.just(o6plus2.fingerprint) | values,
+        "name": values,
+        "lines": st.lists(st.integers(-2, 110), max_size=5) | values,
+        "bases": st.lists(st.lists(vector, max_size=3), max_size=3) | values,
+        "points": st.lists(st.integers(-2, 40), max_size=5) | values,
+        "vectors": st.lists(vector, max_size=3) | values,
+    }
+    header = {"version": st.just(1), "space": st.just(_HEADER["space"])}
+    docs = (
+        st.fixed_dictionaries(header, optional=fields)
+        | st.fixed_dictionaries({}, optional=dict(fields, version=values, space=values))
+        | values
+    )
+    path = tmp_path / "fuzzed.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(docs)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        for parse, kind in ((parse_lineset_file, LineSet), (parse_pointset_file, tuple)):
+            try:
+                got = parse(path, o6plus2)
+            except ValueError:
+                continue
+            assert isinstance(got, kind)
+
+    check()
+
+
 def test_pencil_union_of_collinear_points_is_a_json_error(tmp_path, capsys):
     path = tmp_path / "collinear.json"
     # O+(6,2) points 0 and 2 lie on line 0, so their pencils share it
@@ -409,10 +474,21 @@ def _first_row_replaced(doc, key, row):
 # form but not reduced.
 _NON_ISOTROPIC_PLANE = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]]
 _UNREDUCED_PLANE = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 0]]
+# Sp(6,2) line 7 is 001000, 000010.  This basis still sorts between lines 6
+# and 8, and every vector of its span is a point, but B(001000, 000001) = 1.
+_NON_ISOTROPIC_LINE = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
 
 
 def _second_plane_replaced(doc, basis):
     return dict(doc, planes=[doc["planes"][0], basis] + doc["planes"][2:])
+
+
+def _eighth_line_replaced(doc, basis):
+    """The cache document with line 7 replaced by basis, under a fingerprint that matches."""
+    lines = doc["lines"][:7] + [basis] + doc["lines"][8:]
+    form = FormSpec(doc["family"], doc["p"] ** doc["h"])
+    fingerprint = _fingerprint(form, np.array(lines, dtype=np.uint8))
+    return dict(doc, lines=lines, fingerprint=fingerprint)
 
 
 def _point_slipped_in(doc, vector):
@@ -427,6 +503,7 @@ def _point_slipped_in(doc, vector):
 
 
 _NOT_THE_POINTS = "space cache points are not the points of the space"
+_NOT_ISOTROPIC = "a line or plane basis spans no totally isotropic subspace"
 
 
 @pytest.mark.parametrize(
@@ -446,7 +523,8 @@ _NOT_THE_POINTS = "space cache points are not the points of the space"
             lambda doc: dict(doc, planes=[doc["planes"][1], doc["planes"][0]] + doc["planes"][2:]),
             None,
         ),
-        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE), None),
+        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE), _NOT_ISOTROPIC),
+        ("sp6_q2", lambda doc: _eighth_line_replaced(doc, _NON_ISOTROPIC_LINE), _NOT_ISOTROPIC),
         ("sp6_q2", lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE), None),
         # 2 times the last point: singular, but its leading coefficient is 2
         (
@@ -473,6 +551,7 @@ _NOT_THE_POINTS = "space cache points are not the points of the space"
         "ragged_lines",
         "planes_swapped",
         "non_isotropic_plane",
+        "non_isotropic_line",
         "unreduced_plane",
         "point_leading_2",
         "non_singular_point",

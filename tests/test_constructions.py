@@ -132,6 +132,39 @@ def test_quadric_sections_in_sp62(sp62):
     assert len(minus) == 45
 
 
+def _reference_quadric_section(space, kind):
+    """(quad, point indices) of a quadric section, one scalar field operation at a time."""
+    f = space.field
+    quad = [(0, 3, 1), (1, 4, 1), (2, 5, 1)]
+    if kind == "minus":
+        alpha = beta = None
+        for a in range(f.q):
+            for b in range(f.q):
+                # x^2*a + x + b irreducible over GF(q) <=> x2*x5+a*x2^2+b*x5^2 anisotropic
+                if all(
+                    f.add(f.mul(a, f.mul(z, z)), f.add(z, b)) != 0 for z in range(f.q)
+                ) and b != 0 and a != 0:
+                    alpha, beta = a, b
+                    break
+            if alpha is not None:
+                break
+        quad += [(2, 2, alpha), (5, 5, beta)]
+
+    def qval(v):
+        acc = 0
+        for (i, j, c) in quad:
+            acc = f.add(acc, f.mul(c, f.mul(v[i], v[j])))
+        return acc
+
+    return tuple(quad), tuple(i for i, p in enumerate(space.points) if qval(p) == 0)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus"])
+def test_quadric_section_matches_the_scalar_search(sp62, kind):
+    sec = con.quadric_section(sp62, kind)
+    assert (sec.quad, sec.point_indices) == _reference_quadric_section(sp62, kind)
+
+
 def test_quadric_section_odd_q_rejected(sp63):
     with pytest.raises(ValueError, match="even"):
         con.quadric_section(sp63, "plus")

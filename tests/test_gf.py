@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from polarlines.gf import field_make, field_for_order, is_prime
+from polarlines import gf
+from polarlines.gf import MAX_Q, _CONWAY, field_make, field_for_order, is_prime
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
 
@@ -73,6 +74,23 @@ def test_unsupported_fields_rejected():
         field_make(2, 6)  # q = 64 over the cap
     with pytest.raises(ValueError):
         field_for_order(6)
+
+
+def test_field_order_out_of_range_fails_before_any_primality_test(monkeypatch):
+    is_small_prime = gf.is_prime
+
+    def guarded(n):
+        assert n <= MAX_Q, f"is_prime({n}) called"
+        return is_small_prime(n)
+
+    monkeypatch.setattr(gf, "is_prime", guarded)
+    for q in (-1, 0, 1, MAX_Q + 1, 64, 1000003, 10**9 + 7):
+        with pytest.raises(ValueError, match="unsupported field"):
+            field_for_order(q)
+    # every supported order still resolves
+    for p, h in _CONWAY:
+        f = field_for_order.__wrapped__(p**h)
+        assert (f.p, f.h) == (p, h)
 
 
 def test_trace_lands_in_prime_field():

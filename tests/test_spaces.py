@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from polarlines.gf import _CONWAY, field_make
 from polarlines.linalg import rref
 from polarlines.schemetables import empirical_valencies, tables_for_space
 from polarlines.spaces import (
@@ -13,6 +14,7 @@ from polarlines.spaces import (
     FormSpec,
     GeometryError,
     PolarSpace,
+    _anisotropic_binary,
     _basis_key,
     _lines_in,
     _normalize,
@@ -224,6 +226,48 @@ def test_singular_rows_match_the_per_vector_forms(family, q):
     ]
 
 
+@pytest.mark.parametrize(
+    "family,q", [("O6plus", 3), ("O8minus", 2), ("O7", 3), ("Sp6", 3), ("U6", 4)]
+)
+def test_rowwise_bilinear_matches_the_per_pair_form(family, q):
+    form = FormSpec(family, q)
+    rng = np.random.default_rng(q)
+    X, Y = rng.integers(0, q, size=(2, 300, form.d), dtype=np.uint8)
+    assert form._bilinear_rows(X, Y).tolist() == [
+        form.bilinear(x, y) for x, y in zip(X.tolist(), Y.tolist())
+    ]
+
+
+def _reference_anisotropic_binary(field):
+    """The first anisotropic (c1, c0), one scalar field operation at a time."""
+    q = field.q
+    for c1 in range(q):
+        for c0 in range(1, q):
+            ok = True
+            for a in range(q):
+                for b in range(q):
+                    if a == 0 and b == 0:
+                        continue
+                    v = field.add(
+                        field.mul(a, a),
+                        field.add(field.mul(c1, field.mul(a, b)), field.mul(c0, field.mul(b, b))),
+                    )
+                    if v == 0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                return c1, c0
+    raise AssertionError("no anisotropic binary quadratic form found")
+
+
+@pytest.mark.parametrize("p,h", sorted(_CONWAY))
+def test_anisotropic_binary_matches_the_scalar_search(p, h):
+    field = field_make(p, h)
+    assert _anisotropic_binary(field) == _reference_anisotropic_binary(field)
+
+
 def test_enumeration_budget():
     with pytest.raises(ValueError, match="budget"):
         build_space("U7", 4)
@@ -389,6 +433,14 @@ def test_span_points_match_the_perp_route(spaces, family, q):
         line = _line_points(perp, a, b)
         x = next(x for x in pts if x not in line)
         assert _plane_points(perp, a, b, x) == pts
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_perp_from_the_lines_matches_the_form(spaces, family, q):
+    """perp_points, read off the lines, against the form on every pair of points."""
+    space = spaces.get(family, q)
+    values = form_values(space.form, space.pts_arr, space.pts_arr)
+    assert np.array_equal(space.perp_points, values == 0)
 
 
 def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
