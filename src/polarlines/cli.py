@@ -98,7 +98,7 @@ def _cmd_space_build(args):
         "fingerprint": space.fingerprint,
         "points": len(space.points),
         "lines": space.n_lines,
-        "planes": len(space.plane_basis),
+        "planes": len(space.plane_points),
     }
     if cache:
         os.makedirs(cache, exist_ok=True)
@@ -120,7 +120,7 @@ def _cmd_space_info(args):
             "fingerprint": space.fingerprint,
             "points": len(space.points),
             "lines": space.n_lines,
-            "planes": len(space.plane_basis),
+            "planes": len(space.plane_points),
             "valencies": list(tables.valencies),
             "multiplicities": list(tables.multiplicities),
         }

@@ -523,7 +523,7 @@ def hexagon_lines(space):
     if not (space.family == "O7" or (space.family == "Sp6" and space.q % 2 == 0)):
         raise ValueError("the hexagon lives in O7 (odd q) or Sp6 (even q)")
     f = space.field
-    tits = _to_tits_coords(space, np.array(space.line_basis, dtype=np.uint8))
+    tits = _to_tits_coords(space, space.line_basis_arr)
     u, v = tits[:, 0], tits[:, 1]
 
     def plucker(i, j):

@@ -39,9 +39,7 @@ def write_lineset(space, y, path, with_bases=False):
         "lines": list(y.indices if isinstance(y, LineSet) else sorted(y)),
     }
     if with_bases:
-        doc["bases"] = [
-            [list(row) for row in space.line_basis[li]] for li in doc["lines"]
-        ]
+        doc["bases"] = space.line_basis_arr[doc["lines"]].tolist()
     with open(str(path), "w") as fh:
         json.dump(doc, fh)
 

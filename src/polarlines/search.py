@@ -110,8 +110,51 @@ class _Nodes:
 # -- the membership DFS core -------------------------------------------------------
 
 _OUT, _IN, _UNDECIDED = 0, 1, 2
-# degree-rule domains as bits: 1 = may be in, 2 = may be out
-_DOMAIN = np.array([2, 1, 3], dtype=np.uint8)  # indexed by status
+
+# The degree rule keeps one 16-bit field per relation R10..R21 in each uint64
+# word.  A field holds a count of at most _FIELD_MAX below its guard bit, so a
+# difference 0x8000 + a - b keeps its guard bit exactly when a >= b, and no
+# field borrows from its neighbour.
+_FIELD_MAX = 0x7FFF
+_GUARD = 0x8000
+_GUARDS = 0x8000_8000_8000_8000
+# the same as a uint64: NumPy 1.x promotes a uint64 mixed with a Python int to float64
+_GUARD_WORD = np.uint64(_GUARDS)
+_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
+# by relation: the field a neighbour in that relation counts in; R00 is the line itself
+_UNIT = np.array([0, 1, 1 << 16, 1 << 32, 1 << 48], dtype=np.uint64)
+
+
+def _pack(fields):
+    """Rows of four fields in [0, 0xFFFF] as uint64 words, relation R10 lowest."""
+    fields = np.asarray(fields, dtype=np.int64).astype(np.uint64)
+    return np.bitwise_or.reduce(fields << _SHIFTS, axis=-1)
+
+
+def _target_fields(targets):
+    """The fields that test cnt <= t and t <= cnt + und, for each of four targets.
+
+    A target outside [0, _FIELD_MAX] is reachable by no line, and its second
+    field, _GUARD, exceeds every count.
+    """
+    low = [min(max(t, 0), _FIELD_MAX) for t in targets]
+    high = [t if 0 <= t <= _FIELD_MAX else _GUARD for t in targets]
+    return np.array(low, dtype=np.int64), np.array(high, dtype=np.int64)
+
+
+def _reach_words(cnt, und, low, high):
+    """Two words per line whose guard bits are all set exactly where cnt <= low, high <= cnt + und.
+
+    cnt and und are (lines, 4) counts with cnt + und <= _FIELD_MAX, and low
+    and high are fields of _target_fields.
+    """
+    cnt = np.asarray(cnt, dtype=np.int64)
+    return _pack(_GUARD + low - cnt), _pack(_GUARD + cnt + und - high)
+
+
+def _guards_set(low, high):
+    """Where every guard bit of both uint64 words is set."""
+    return (low & high & _GUARD_WORD) == _GUARD_WORD
 
 
 class _MembershipSearch:
@@ -120,63 +163,93 @@ class _MembershipSearch:
     Constraints plug in at construction:
 
     - size: the exact number of members, or None for any;
-    - labels: the line relation table of a line search.  The per-relation
-      counts of members and undecided neighbours feed either degrees, the
-      (inside, outside) targets of relations R10..R21, which force items and,
+    - labels: the line relation table of a line search, which feeds either
+      degrees, the (inside, outside) targets of relations R10..R21 that every
+      line's count of member neighbours must reach, which force items and,
       once the cardinality is settled, the rest; or projectors, integer
       projector rows (c0, c) whose value on the final set must vanish, which
       only prune;
-    - blocks: (members, target) pairs; each block ends with exactly target
-      members and forces its undecided members once it is settled.
+    - blocks: (members, target) pairs of distinct items; each block ends with
+      exactly target members and forces its undecided members once it is
+      settled.
 
     Branching takes the lowest undecided item, first in and then out.
+
+    Setting an item, and undoing it, costs one whole-array op per rule:
+
+    - degrees: per line y and relation i, c_i(y) counts member neighbours and
+      r_i(y) = c_i(y) + (undecided neighbours).  The rule holds when
+      c_i <= t_i <= r_i for the target t of y's status, both targets while y
+      is undecided.  state[0, y] packs 0x8000 + t_i - c_i, state[1, y] packs
+      0x8000 + r_i - t_i, so the rule holds at y exactly when every guard bit
+      of both words is set, and at every line when the AND of all words
+      keeps them.  An in item subtracts its row of the packed relation
+      table from state[0], an out item from state[1].
+    - projectors: P stacks the bounds (lo, -hi) of every row at every line;
+      a row can still vanish everywhere while P <= 0, and an item adds one
+      gather of the bound steps by its labels row.
+    - blocks: the members are int bitsets IN and OUT, so a block's counts
+      are popcounts and an undo restores two words.
     """
 
     def __init__(
         self, n, budget, size=None, labels=None, degrees=None, projectors=None, blocks=()
     ):
         self.nodes = _Nodes(budget)
+        self.n = n
         self.size = size
         self.status = bytearray([_UNDECIDED]) * n
         self.view = np.frombuffer(self.status, dtype=np.uint8)
-        self.n_in = 0
-        self.n_und = n
+        self.IN = self.OUT = 0
         self.trail = []
         self.solutions = []
         self.stop_after = None
+        self.labels = labels
 
-        self.nbr = None
-        if labels is not None:
-            # flat indices into the (4, n) tables: relation i neighbour y of x
-            # sits at (i - 1) * n + y
-            self.nbr = []
-            for row in labels:
-                ys = np.flatnonzero(row)
-                self.nbr.append((row[ys].astype(np.intp) - 1) * n + ys)
-            self.cnt = np.zeros((4, n), dtype=np.int32)
-            self.und = np.ascontiguousarray(relation_census(labels)[:, 1:].T)
-            self.cnt_flat, self.und_flat = self.cnt.reshape(-1), self.und.reshape(-1)
-        self.degrees = None
+        self.state = None
         if degrees is not None:
-            self.degrees = tuple(np.array(t, dtype=np.int32)[:, None] for t in degrees)
-        self.projectors = None
-        if projectors:
-            c0 = np.array([[p[0]] for p in projectors], dtype=np.int64)
-            c = np.array([p[1] for p in projectors], dtype=np.int64)
-            self.projectors = (
-                c, np.minimum(c, 0), np.maximum(c, 0), c0, np.minimum(c0, 0), np.maximum(c0, 0)
+            valency = relation_census(labels)[:, 1:]
+            if valency.max(initial=0) > _FIELD_MAX:
+                raise ValueError(
+                    f"a relation valency of {valency.max()} exceeds {_FIELD_MAX:#x}, "
+                    "the largest count a 16-bit field of the degree rule holds"
+                )
+            (low_in, high_in), (low_out, high_out) = (_target_fields(t) for t in degrees)
+            # an undecided line must keep both targets reachable
+            low, high = np.minimum(low_in, low_out), np.maximum(high_in, high_out)
+            self.state = np.empty((2, n), dtype=np.uint64)
+            self.state[0], self.state[1] = _reach_words(0, valency, low, high)
+            self.flat = self.state.reshape(-1)
+            # single words as Python ints, which a uint64 cell rejects on overflow
+            self.cells = memoryview(self.flat).cast("B").cast("Q")
+            self.words = (self.state[1], self.state[0])  # the word an out or in item lowers
+            # what a decided line adds to its two words to test only its own target
+            self.retarget = (
+                (int(_pack(low_out - low)), int(_pack(high - high_out))),
+                (int(_pack(low_in - low)), int(_pack(high - high_in))),
             )
+            self.rows = _UNIT[labels]
+        self.P = None
+        if projectors:
+            c = np.array([[p[0], *p[1]] for p in projectors], dtype=np.int64)
+            pos, neg = np.maximum(c, 0), np.maximum(-c, 0)
+            # lo and -hi start from every item undecided and climb as items settle
+            valency = relation_census(labels).T
+            self.P = np.concatenate([-neg @ valency, -pos @ valency]).astype(np.int64)
+            self.steps = (np.concatenate([neg, pos]), np.concatenate([pos, neg]))  # out, in
+            self.step = np.empty_like(self.P)
 
-        self.members = [tuple(m) for m, _ in blocks]
+        self.masks = [0] * len(blocks)
         self.cap_in = [t for _, t in blocks]
         self.cap_out = [len(m) - t for m, t in blocks]
-        self.cin = [0] * len(blocks)
-        self.cout = [0] * len(blocks)
-        self.item_blocks = [[] for _ in range(n)]
-        for b, m in enumerate(self.members):
+        # a block b whose in count may have changed is listed as b, its out count as ~b
+        item_blocks = [[] for _ in range(n)]
+        for b, (m, _) in enumerate(blocks):
             for x in m:
-                self.item_blocks[x].append(b)
-        self.hot = list(range(len(blocks)))  # blocks that may be settled or broken
+                self.masks[b] |= 1 << int(x)
+                item_blocks[x].append(b)
+        self.item_blocks = ([[~b for b in bs] for bs in item_blocks], item_blocks)
+        self.hot = [~b for b in range(len(blocks))] + list(range(len(blocks)))
 
     def run(self, stop_after=None):
         """Search; an incomplete result's note says why the search stopped."""
@@ -189,46 +262,37 @@ class _MembershipSearch:
     def _set(self, x, val):
         self.status[x] = val
         self.trail.append(x)
-        self.n_und -= 1
-        if self.nbr is not None:
-            idx = self.nbr[x]
-            self.und_flat[idx] -= 1
-            if val:
-                self.cnt_flat[idx] += 1
         if val:
-            self.n_in += 1
-            cin, cap = self.cin, self.cap_in
-            for b in self.item_blocks[x]:
-                cin[b] += 1
-                if cin[b] >= cap[b]:
-                    self.hot.append(b)
+            self.IN |= 1 << x
         else:
-            cout, cap = self.cout, self.cap_out
-            for b in self.item_blocks[x]:
-                cout[b] += 1
-                if cout[b] >= cap[b]:
-                    self.hot.append(b)
+            self.OUT |= 1 << x
+        self.hot.extend(self.item_blocks[val][x])
+        if self.state is not None:
+            word = self.words[val]
+            np.subtract(word, self.rows[x], out=word)
+            a, b = self.retarget[val]
+            self.cells[x] += a
+            self.cells[self.n + x] += b
+        if self.P is not None:
+            np.take(self.steps[val], self.labels[x], axis=1, out=self.step)
+            np.add(self.P, self.step, out=self.P)
 
     def _undo_to(self, mark):
+        length, self.IN, self.OUT = mark
         trail, status = self.trail, self.status
-        cin, cout = self.cin, self.cout
-        while len(trail) > mark:
+        while len(trail) > length:
             x = trail.pop()
             val = status[x]
             status[x] = _UNDECIDED
-            self.n_und += 1
-            if self.nbr is not None:
-                idx = self.nbr[x]
-                self.und_flat[idx] += 1
-                if val:
-                    self.cnt_flat[idx] -= 1
-            if val:
-                self.n_in -= 1
-                for b in self.item_blocks[x]:
-                    cin[b] -= 1
-            else:
-                for b in self.item_blocks[x]:
-                    cout[b] -= 1
+            if self.state is not None:
+                word = self.words[val]
+                np.add(word, self.rows[x], out=word)
+                a, b = self.retarget[val]
+                self.cells[x] -= a
+                self.cells[self.n + x] -= b
+            if self.P is not None:
+                np.take(self.steps[val], self.labels[x], axis=1, out=self.step)
+                np.subtract(self.P, self.step, out=self.P)
         self.hot.clear()
 
     def _propagate(self):
@@ -237,28 +301,33 @@ class _MembershipSearch:
         The fixpoint does not depend on the order in which forced items are
         applied, so neither do the search tree and its node count.
         """
-        status, hot = self.status, self.hot
+        hot, masks, cap_in, cap_out = self.hot, self.masks, self.cap_in, self.cap_out
         while True:
             while hot:
                 b = hot.pop()
-                if self.cin[b] > self.cap_in[b] or self.cout[b] > self.cap_out[b]:
-                    return False
-                if self.cin[b] == self.cap_in[b]:
-                    val = _OUT
-                elif self.cout[b] == self.cap_out[b]:
-                    val = _IN
-                else:
+                if b >= 0:  # its members in may have reached the target
+                    mask = masks[b]
+                    count, cap, val = (self.IN & mask).bit_count(), cap_in[b], _OUT
+                else:  # its members out may have reached the rest
+                    mask = masks[~b]
+                    count, cap, val = (self.OUT & mask).bit_count(), cap_out[~b], _IN
+                if count < cap:
                     continue
-                for x in self.members[b]:
-                    if status[x] == _UNDECIDED:
-                        self._set(x, val)
-            if self.size is not None and not self.n_in <= self.size <= self.n_in + self.n_und:
+                if count > cap:
+                    return False
+                rest = mask & ~(self.IN | self.OUT)
+                while rest:
+                    low = rest & -rest
+                    self._set(low.bit_length() - 1, val)
+                    rest ^= low
+            n_in, n_und = self.IN.bit_count(), self.n - len(self.trail)
+            if self.size is not None and not n_in <= self.size <= n_in + n_und:
                 return False
-            if self.projectors is not None:
-                return self._projectors_ok()
-            if self.degrees is None:
+            if self.P is not None:
+                return self.P.max() <= 0
+            if self.state is None:
                 return True
-            forced = self._degree_forced()
+            forced = self._degree_forced(n_in, n_und)
             if forced is None:
                 return False
             if not forced[0]:
@@ -266,36 +335,42 @@ class _MembershipSearch:
             for x, val in zip(*forced):
                 self._set(x, val)
 
-    def _degree_forced(self):
+    def _degree_forced(self, n_in, n_und):
         """Degree-target rule: (items, values) it forces, or None on a contradiction."""
-        cnt, und = self.cnt, self.und.view(np.uint32)
-        t_in, t_out = self.degrees
-        # a target t stays reachable while 0 <= t - cnt <= und
-        may_in = ((t_in - cnt).view(np.uint32) <= und).all(axis=0)
-        may_out = ((t_out - cnt).view(np.uint32) <= und).all(axis=0)
-        dom = _DOMAIN[self.view] & (may_in.view(np.uint8) | (may_out.view(np.uint8) << 1))
-        if not dom.all():
-            return None
-        # only undecided items keep both bits; a settled cardinality decides them
-        if self.n_in == self.size:
-            dom[dom == 3] = 2
-        elif self.n_in + self.n_und == self.size:
-            dom[dom == 3] = 1
-        items = np.flatnonzero((self.view == _UNDECIDED) & (dom != 3))
-        return items.tolist(), (2 - dom[items]).tolist()
-
-    def _projectors_ok(self):
-        """Every projector row can still vanish at every line: 0 in [now + lo, now + hi]."""
-        c, c_neg, c_pos, c0, c0_neg, c0_pos = self.projectors
-        undec = self.view == _UNDECIDED
-        now = c @ self.cnt + c0 * (self.view == _IN)
-        lo = now + c_neg @ self.und + c0_neg * undec
-        hi = now + c_pos @ self.und + c0_pos * undec
-        return not ((lo > 0) | (hi < 0)).any()
+        if self.size == n_in:
+            settled = _OUT
+        elif self.size == n_in + n_und:
+            settled = _IN
+        else:
+            settled = None
+        items, values = [], []
+        if (np.bitwise_and.reduce(self.flat) & _GUARD_WORD) != _GUARD_WORD:
+            # a line fails the test of its status; an undecided one may pass one of its two
+            cells, n = self.cells, self.n
+            (a_out, b_out), (a_in, b_in) = self.retarget
+            for y in (~_guards_set(*self.state)).nonzero()[0].tolist():
+                if self.status[y] != _UNDECIDED:
+                    return None
+                lo, hi = cells[y], cells[n + y]
+                if (lo + a_in) & (hi + b_in) & _GUARDS == _GUARDS:
+                    values.append(_IN)
+                elif (lo + a_out) & (hi + b_out) & _GUARDS == _GUARDS:
+                    values.append(_OUT)
+                else:
+                    return None
+                items.append(y)
+        if settled is not None and n_und > len(items):
+            # a settled cardinality decides every other undecided line
+            forced = set(items)
+            for y in (self.view == _UNDECIDED).nonzero()[0].tolist():
+                if y not in forced:
+                    items.append(y)
+                    values.append(settled)
+        return items, values
 
     def _dfs(self):
         self.nodes.tick()
-        mark = len(self.trail)
+        mark = (len(self.trail), self.IN, self.OUT)
         if self._propagate():
             x = self.status.find(_UNDECIDED)
             if x < 0:
@@ -303,7 +378,7 @@ class _MembershipSearch:
                 if self.stop_after is not None and len(self.solutions) >= self.stop_after:
                     raise _Stop("solution_cap")
             else:
-                settled = len(self.trail)
+                settled = (len(self.trail), self.IN, self.OUT)
                 for val in (_IN, _OUT):
                     self._set(x, val)
                     self._dfs()
@@ -460,7 +535,8 @@ def _catalog_witness(space, tables, support, size):
 def feasibility_probe(space, tables, support, size, budget=None, prefilter=True, catalog=True):
     """Search for a set of the given size with eigenspace support within S.
 
-    With prefilter, safe divisibility conditions reject sizes without search;
+    A size outside [0, n] is rejected without search.  With prefilter, safe
+    divisibility conditions reject sizes without search;
     with catalog, structured candidates (disjoint unions of planes, pencils,
     quadrangle sections) are tried before the exhaustive search.  A
     conclusive "none" is only reported when the search space was exhausted.
@@ -468,6 +544,8 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
     support = frozenset(str(t).upper().lstrip("R") for t in support)
     if not support <= set(REL_TAGS[1:]):
         raise ValueError("support must be a subset of the nontrivial eigenspaces")
+    if not 0 <= size <= space.n_lines:
+        return ProbeResult("none", None, 0, f"size rejected: size outside [0, {space.n_lines}]")
     if size == 0:
         return ProbeResult("witness", (), 0, "empty set")
     if prefilter:

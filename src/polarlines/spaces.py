@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -337,9 +338,9 @@ class PolarSpace:
             spans.append((keys, pts))
         (line_keys, self._line_points_arr), (plane_keys, plane_arr) = spans
 
-        self.line_basis = [tuple(map(tuple, b)) for b in line_bases.tolist()]
-        self.plane_basis = [tuple(map(tuple, b)) for b in plane_bases.tolist()]
-        self.n_lines = len(self.line_basis)
+        # the validated uint8 bases; line_basis and plane_basis are their tuples
+        self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases
+        self.n_lines = len(line_bases)
         self.line_points = [tuple(r) for r in self._line_points_arr.tolist()]
         self.plane_points = [tuple(r) for r in plane_arr.tolist()]
         q, s = self.q, self.qe
@@ -406,6 +407,16 @@ class PolarSpace:
 
     # -- queries ---------------------------------------------------------------
 
+    @cached_property
+    def line_basis(self):
+        """Each line's RREF basis as a tuple of row tuples, built on first use."""
+        return [tuple(map(tuple, b)) for b in self.line_basis_arr.tolist()]
+
+    @cached_property
+    def plane_basis(self):
+        """Each plane's RREF basis as a tuple of row tuples, built on first use."""
+        return [tuple(map(tuple, b)) for b in self.plane_basis_arr.tolist()]
+
     @property
     def theta(self):
         return self.q * self.q + self.q + 1
@@ -422,7 +433,7 @@ class PolarSpace:
         with G[i][j] = B(l_i, m_j).  Two rank computations, and no point
         incidence.
         """
-        L, M = self.line_basis[li], self.line_basis[mi]
+        L, M = self.line_basis_arr[[li, mi]].tolist()
         s = 4 - len(rref(L + M, self.field)[0])
         t = 2 - len(rref([[self.form.bilinear(l, m) for m in M] for l in L], self.field)[0])
         table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
@@ -522,12 +533,12 @@ def save_space(space, path):
         "counts": {
             "points": len(space.points),
             "lines": space.n_lines,
-            "planes": len(space.plane_basis),
+            "planes": len(space.plane_points),
         },
         "fingerprint": space.fingerprint,
         "points": [list(p) for p in space.points],
-        "lines": [[list(r) for r in b] for b in space.line_basis],
-        "planes": [[list(r) for r in b] for b in space.plane_basis],
+        "lines": space.line_basis_arr.tolist(),
+        "planes": space.plane_basis_arr.tolist(),
     }
     path = str(path)
     # the JSON goes last: a reader never sees it before its labels

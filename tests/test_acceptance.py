@@ -423,6 +423,8 @@ def test_criterion_9_census_stretch(spaces):
             assert matches_catalog(found), f"unexpected V11 set of size {size}: {found}"
         if size in (15, 30, 75, 90):
             assert res.complete
+        if size == 30:
+            assert res.nodes == 148_339
         if res.complete:
             assert len(res.sets) == known_counts[size]
         status = "exhaustive" if res.complete else f"{res.note} ({res.nodes} nodes)"

@@ -227,6 +227,17 @@ def test_search_probe_prints_the_empty_witness(capsys):
     assert doc["status"] == "none" and doc["witness"] is None
 
 
+@pytest.mark.parametrize("size", ["-7", "106"])
+@pytest.mark.parametrize("prefilter", [[], ["--no-prefilter"]], ids=["prefilter", "no_prefilter"])
+def test_search_probe_rejects_a_size_outside_the_space(capsys, size, prefilter):
+    argv = ["search", "probe", "--space", "o6plus_q2", "--support", "10,20", "--size", size]
+    code, out = run_cli(capsys, *argv, *prefilter)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["status"], doc["witness"], doc["nodes"]) == ("none", None, 0)
+    assert doc["note"] == "size rejected: size outside [0, 105]"
+
+
 def test_cli_error_is_machine_readable(capsys):
     code, out = run_cli(capsys, "space", "info", "--space", "nonsense")
     assert code == 1

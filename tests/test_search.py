@@ -1,12 +1,27 @@
 import itertools
+import random
 
 import pytest
 
 from polarlines import constructions as con
-from polarlines.analysis import eigenspace_support, inner_distribution, regular_set_check
-from polarlines.schemetables import tables_for_space
+from polarlines.analysis import (
+    eigenspace_support,
+    expected_degrees,
+    inner_distribution,
+    regular_set_check,
+)
+from polarlines.schemetables import relation_census, tables_for_space
+from polarlines.spaces import REL_TAGS
 from polarlines.search import (
+    _STOP_NOTES,
+    SearchResult,
+    _MembershipSearch,
     _Nodes,
+    _guards_set,
+    _projector_rows,
+    _reach_words,
+    _Stop,
+    _target_fields,
     disjoint_section_packing,
     enumerate_regular_sets,
     feasibility_probe,
@@ -34,6 +49,13 @@ def test_no_regular_v20_set_of_size_35(o6plus2):
     res = enumerate_regular_sets(o6plus2, tables, "20", 35, budget=10**9)
     assert res.complete and not res.sets
     assert res.nodes == 167
+
+
+def test_no_regular_v10_set_of_size_42(o6plus2):
+    tables = tables_for_space(o6plus2)
+    res = enumerate_regular_sets(o6plus2, tables, "10", 42)
+    assert res.complete and not res.sets
+    assert res.nodes == 1745
 
 
 def test_inadmissible_sizes_rejected_without_search(o6plus2):
@@ -104,6 +126,13 @@ def test_probe_witnesses(o6plus2):
     assert pencils.status == "witness"
 
 
+def test_projector_probe_witness_and_node_count(sp62):
+    tables = tables_for_space(sp62)
+    res = feasibility_probe(sp62, tables, {"10", "20"}, 7, catalog=False, prefilter=False)
+    assert (res.status, res.witness, res.nodes) == ("witness", tuple(range(7)), 624)
+    assert eigenspace_support(sp62, tables, res.witness) <= {"10", "20"}
+
+
 def test_probe_divisibility_prefilter_on_plane_orthogonal_supports(o6plus2):
     tables = tables_for_space(o6plus2)
     res = feasibility_probe(o6plus2, tables, {"11", "21"}, 20)
@@ -154,6 +183,7 @@ def test_hemisystem_search_and_lift(o73):
     lines = list(con.hyperplane_section_lines(o73, sec).indices)
     res = m_ovoid_search(o73, pts, lines, 2, budget=500_000)
     assert res.points is not None and len(res.points) == 56
+    assert res.complete and res.nodes == 10_672
     assert con.validate_m_ovoid(o73, sec, res.points) == 2
     lift = con.m_ovoid_lift(o73, sec, res.points)
     assert len(lift) == 1680  # m q (q^2+1)(q^3+1) at m=2, q=3
@@ -290,6 +320,365 @@ def test_max_clique_property():
 def test_max_clique_rejects_a_bad_adjacency(adj):
     with pytest.raises(ValueError, match="square symmetric"):
         max_clique(adj)
+
+
+# -- the membership DFS core against its unpacked predecessor -----------------------
+
+_OUT, _IN, _UNDECIDED = 0, 1, 2
+# degree-rule domains as bits: 1 = may be in, 2 = may be out
+_DOMAIN = np.array([2, 1, 3], dtype=np.uint8)  # indexed by status
+
+
+class _ReferenceMembershipSearch:
+    """The membership DFS core as it was before its state was packed: the oracle
+    of test_membership_search_matches_the_reference_core.
+
+    DFS over the 0/1 memberships of n items with exact propagation.
+
+    Constraints plug in at construction:
+
+    - size: the exact number of members, or None for any;
+    - labels: the line relation table of a line search.  The per-relation
+      counts of members and undecided neighbours feed either degrees, the
+      (inside, outside) targets of relations R10..R21, which force items and,
+      once the cardinality is settled, the rest; or projectors, integer
+      projector rows (c0, c) whose value on the final set must vanish, which
+      only prune;
+    - blocks: (members, target) pairs; each block ends with exactly target
+      members and forces its undecided members once it is settled.
+
+    Branching takes the lowest undecided item, first in and then out.
+    """
+
+    def __init__(
+        self, n, budget, size=None, labels=None, degrees=None, projectors=None, blocks=()
+    ):
+        self.nodes = _Nodes(budget)
+        self.size = size
+        self.status = bytearray([_UNDECIDED]) * n
+        self.view = np.frombuffer(self.status, dtype=np.uint8)
+        self.n_in = 0
+        self.n_und = n
+        self.trail = []
+        self.solutions = []
+        self.stop_after = None
+
+        self.nbr = None
+        if labels is not None:
+            # flat indices into the (4, n) tables: relation i neighbour y of x
+            # sits at (i - 1) * n + y
+            self.nbr = []
+            for row in labels:
+                ys = np.flatnonzero(row)
+                self.nbr.append((row[ys].astype(np.intp) - 1) * n + ys)
+            self.cnt = np.zeros((4, n), dtype=np.int32)
+            self.und = np.ascontiguousarray(relation_census(labels)[:, 1:].T)
+            self.cnt_flat, self.und_flat = self.cnt.reshape(-1), self.und.reshape(-1)
+        self.degrees = None
+        if degrees is not None:
+            self.degrees = tuple(np.array(t, dtype=np.int32)[:, None] for t in degrees)
+        self.projectors = None
+        if projectors:
+            c0 = np.array([[p[0]] for p in projectors], dtype=np.int64)
+            c = np.array([p[1] for p in projectors], dtype=np.int64)
+            self.projectors = (
+                c, np.minimum(c, 0), np.maximum(c, 0), c0, np.minimum(c0, 0), np.maximum(c0, 0)
+            )
+
+        self.members = [tuple(m) for m, _ in blocks]
+        self.cap_in = [t for _, t in blocks]
+        self.cap_out = [len(m) - t for m, t in blocks]
+        self.cin = [0] * len(blocks)
+        self.cout = [0] * len(blocks)
+        self.item_blocks = [[] for _ in range(n)]
+        for b, m in enumerate(self.members):
+            for x in m:
+                self.item_blocks[x].append(b)
+        self.hot = list(range(len(blocks)))  # blocks that may be settled or broken
+
+    def run(self, stop_after=None):
+        """Search; an incomplete result's note says why the search stopped."""
+        self.stop_after = stop_after
+        stop = self.nodes.run(self._dfs)
+        return SearchResult(
+            tuple(self.solutions), stop == "exhausted", self.nodes.count, _STOP_NOTES[stop]
+        )
+
+    def _set(self, x, val):
+        self.status[x] = val
+        self.trail.append(x)
+        self.n_und -= 1
+        if self.nbr is not None:
+            idx = self.nbr[x]
+            self.und_flat[idx] -= 1
+            if val:
+                self.cnt_flat[idx] += 1
+        if val:
+            self.n_in += 1
+            cin, cap = self.cin, self.cap_in
+            for b in self.item_blocks[x]:
+                cin[b] += 1
+                if cin[b] >= cap[b]:
+                    self.hot.append(b)
+        else:
+            cout, cap = self.cout, self.cap_out
+            for b in self.item_blocks[x]:
+                cout[b] += 1
+                if cout[b] >= cap[b]:
+                    self.hot.append(b)
+
+    def _undo_to(self, mark):
+        trail, status = self.trail, self.status
+        cin, cout = self.cin, self.cout
+        while len(trail) > mark:
+            x = trail.pop()
+            val = status[x]
+            status[x] = _UNDECIDED
+            self.n_und += 1
+            if self.nbr is not None:
+                idx = self.nbr[x]
+                self.und_flat[idx] += 1
+                if val:
+                    self.cnt_flat[idx] -= 1
+            if val:
+                self.n_in -= 1
+                for b in self.item_blocks[x]:
+                    cin[b] -= 1
+            else:
+                for b in self.item_blocks[x]:
+                    cout[b] -= 1
+        self.hot.clear()
+
+    def _propagate(self):
+        """Apply forced memberships up to the fixpoint; False on a contradiction.
+
+        The fixpoint does not depend on the order in which forced items are
+        applied, so neither do the search tree and its node count.
+        """
+        status, hot = self.status, self.hot
+        while True:
+            while hot:
+                b = hot.pop()
+                if self.cin[b] > self.cap_in[b] or self.cout[b] > self.cap_out[b]:
+                    return False
+                if self.cin[b] == self.cap_in[b]:
+                    val = _OUT
+                elif self.cout[b] == self.cap_out[b]:
+                    val = _IN
+                else:
+                    continue
+                for x in self.members[b]:
+                    if status[x] == _UNDECIDED:
+                        self._set(x, val)
+            if self.size is not None and not self.n_in <= self.size <= self.n_in + self.n_und:
+                return False
+            if self.projectors is not None:
+                return self._projectors_ok()
+            if self.degrees is None:
+                return True
+            forced = self._degree_forced()
+            if forced is None:
+                return False
+            if not forced[0]:
+                return True
+            for x, val in zip(*forced):
+                self._set(x, val)
+
+    def _degree_forced(self):
+        """Degree-target rule: (items, values) it forces, or None on a contradiction."""
+        cnt, und = self.cnt, self.und.view(np.uint32)
+        t_in, t_out = self.degrees
+        # a target t stays reachable while 0 <= t - cnt <= und
+        may_in = ((t_in - cnt).view(np.uint32) <= und).all(axis=0)
+        may_out = ((t_out - cnt).view(np.uint32) <= und).all(axis=0)
+        dom = _DOMAIN[self.view] & (may_in.view(np.uint8) | (may_out.view(np.uint8) << 1))
+        if not dom.all():
+            return None
+        # only undecided items keep both bits; a settled cardinality decides them
+        if self.n_in == self.size:
+            dom[dom == 3] = 2
+        elif self.n_in + self.n_und == self.size:
+            dom[dom == 3] = 1
+        items = np.flatnonzero((self.view == _UNDECIDED) & (dom != 3))
+        return items.tolist(), (2 - dom[items]).tolist()
+
+    def _projectors_ok(self):
+        """Every projector row can still vanish at every line: 0 in [now + lo, now + hi]."""
+        c, c_neg, c_pos, c0, c0_neg, c0_pos = self.projectors
+        undec = self.view == _UNDECIDED
+        now = c @ self.cnt + c0 * (self.view == _IN)
+        lo = now + c_neg @ self.und + c0_neg * undec
+        hi = now + c_pos @ self.und + c0_pos * undec
+        return not ((lo > 0) | (hi < 0)).any()
+
+    def _dfs(self):
+        self.nodes.tick()
+        mark = len(self.trail)
+        if self._propagate():
+            x = self.status.find(_UNDECIDED)
+            if x < 0:
+                self.solutions.append(tuple(np.flatnonzero(self.view == _IN).tolist()))
+                if self.stop_after is not None and len(self.solutions) >= self.stop_after:
+                    raise _Stop("solution_cap")
+            else:
+                settled = len(self.trail)
+                for val in (_IN, _OUT):
+                    self._set(x, val)
+                    self._dfs()
+                    self._undo_to(settled)
+        self._undo_to(mark)
+
+
+def test_membership_search_matches_the_reference_core(o6plus2, sp62):
+    """Same sets, order, completeness, node count and note as the unpacked core.
+
+    Random instances on O+(6,2) and Sp(6,2): degree targets of regular sets,
+    exact or with one target nudged, up to far outside the 16-bit fields;
+    plane and pencil blocks with random targets; projector rows of random
+    supports; random size, budget and solution cap.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = []
+    for space in (o6plus2, sp62):
+        tables = tables_for_space(space)
+        # (eigenspace, size) pairs whose degree targets are all integers
+        whole = [
+            (j, s)
+            for j in range(1, 5)
+            for s in range(1, space.n_lines)
+            if all(v.denominator == 1 for side in expected_degrees(tables, j, s) for v in side)
+        ]
+        cases.append((space, tables, whole))
+
+    def instance(rnd):
+        space, tables, whole = rnd.choice(cases)
+        n = space.n_lines
+        rule = rnd.choice(("degrees", "projectors", "blocks"))
+        # a small size is settled early, where it decides the other items
+        kwargs = {"size": rnd.choice((None, rnd.randint(0, 4), rnd.randint(0, n)))}
+        if rule == "degrees":
+            j, size = rnd.choice(whole)
+            targets = [int(v) for side in expected_degrees(tables, j, size) for v in side[1:]]
+            if rnd.random() < 0.3:
+                targets[rnd.randrange(8)] += rnd.choice((1, -1, 2, -3, 0x7FFF, 0x8000, -0x8000))
+            kwargs["degrees"] = (targets[:4], targets[4:])
+            if rnd.random() < 0.6:
+                kwargs["size"] = size
+        elif rule == "projectors":
+            support = rnd.sample(REL_TAGS[1:], rnd.randint(1, 3))
+            kwargs["projectors"] = _projector_rows(tables, support)
+        if rule == "blocks" or rnd.random() < 0.3:
+            members = rnd.choice((space.plane_lines, space.point_lines))
+            picked = rnd.sample(range(len(members)), rnd.randint(1, 8))
+            # a target outside [0, |block|] is a contradiction at the root
+            lo, hi = (-1, len(members[0]) + 1) if rnd.random() < 0.1 else (0, len(members[0]))
+            kwargs["blocks"] = [(members[b], rnd.randint(lo, hi)) for b in picked]
+        if rule != "blocks":
+            kwargs["labels"] = space.labels
+        return n, kwargs
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**64 - 1))
+    def check(seed):
+        rnd = random.Random(seed)
+        n, kwargs = instance(rnd)
+        budget = rnd.choice((1, rnd.randint(2, 400), 400))
+        stop_after = rnd.choice((None, rnd.randint(1, 4)))
+        got = _MembershipSearch(n, budget, **kwargs).run(stop_after)
+        assert got == _ReferenceMembershipSearch(n, budget, **kwargs).run(stop_after)
+
+    check()
+
+
+def test_packed_reachability_matches_the_interval_test():
+    """Both words keep every guard bit exactly where 0 <= t - cnt <= und, in all four fields.
+
+    The counts run to the field bound 0x7FFF; the targets run past it, and
+    below zero.
+    """
+    edges = (0, 1, 0x7FFE, 0x7FFF)
+    pairs = [(c, r) for c in edges for r in edges if c <= r]
+    lines = np.array(list(itertools.product(pairs, repeat=4)), dtype=np.int64)
+    cnt, und = lines[..., 0], lines[..., 1] - lines[..., 0]
+    targets = (-0x8000, -1, 0, 1, 0x7FFE, 0x7FFF, 0x8000, 0xFFFF, 2**40)
+    for k in range(len(targets)):
+        t = [targets[(k + i) % len(targets)] for i in range(4)]
+        low, high = _reach_words(cnt, und, *_target_fields(t))
+        assert low.dtype == high.dtype == np.uint64
+        want = ((0 <= t - cnt) & (t - cnt <= und)).all(axis=1)
+        assert (_guards_set(low, high) == want).all()
+
+
+def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
+    """In-place uint64 and int64 updates, whatever the casting rules of the NumPy at hand."""
+    tables = tables_for_space(o6plus2)
+    inside, outside = expected_degrees(tables, 2, 15)
+    degrees = ([int(v) for v in inside[1:]], [int(v) for v in outside[1:]])
+    for kwargs, attr, dtype in (
+        ({"degrees": degrees}, "state", np.uint64),
+        ({"projectors": _projector_rows(tables, {"11"})}, "P", np.int64),
+    ):
+        search = _MembershipSearch(o6plus2.n_lines, None, labels=o6plus2.labels, **kwargs)
+        before = getattr(search, attr).copy()
+        mark = (len(search.trail), search.IN, search.OUT)
+        search._set(0, _IN)
+        search._set(1, _OUT)
+        after = getattr(search, attr)
+        assert after.dtype == dtype and not np.array_equal(after, before)
+        search._undo_to(mark)
+        assert getattr(search, attr).dtype == dtype
+        assert np.array_equal(getattr(search, attr), before)
+
+
+def test_a_valency_beyond_the_16_bit_fields_is_rejected(monkeypatch, o6plus2):
+    import polarlines.search as pl_search
+
+    census = relation_census(o6plus2.labels)
+    n = o6plus2.n_lines
+    for valency, ok in ((0x7FFF, True), (0x8000, False)):
+        big = census.copy()
+        big[7, 3] = valency
+        monkeypatch.setattr(pl_search, "relation_census", lambda labels: big)
+        if ok:
+            _MembershipSearch(n, None, labels=o6plus2.labels, degrees=([0] * 4, [0] * 4))
+        else:
+            with pytest.raises(ValueError, match="exceeds 0x7fff"):
+                _MembershipSearch(n, None, labels=o6plus2.labels, degrees=([0] * 4, [0] * 4))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["v11_30", "v20_35", "sp62_v20_63", "sp62_projector", "projector_budget", "hemisystem"],
+)
+def test_searches_match_the_reference_core(monkeypatch, o6plus2, sp62, o73, case):
+    """The public searches give the same results on the reference core, node counts included."""
+    from polarlines import search as pl_search
+
+    t62, tsp = tables_for_space(o6plus2), tables_for_space(sp62)
+    sec = con.find_section(o73, "gq")
+    runs = {
+        "v11_30": lambda: enumerate_regular_sets(o6plus2, t62, "11", 30, budget=3000),
+        "v20_35": lambda: enumerate_regular_sets(o6plus2, t62, "20", 35),
+        "sp62_v20_63": lambda: enumerate_regular_sets(
+            sp62, tsp, "20", 63, budget=3000, stop_after=2
+        ),
+        "sp62_projector": lambda: feasibility_probe(
+            sp62, tsp, {"10", "20"}, 7, catalog=False, prefilter=False
+        ),
+        "projector_budget": lambda: feasibility_probe(
+            o6plus2, t62, {"11", "20"}, 35, budget=2000, catalog=False
+        ),
+        "hemisystem": lambda: pl_search.m_ovoid_search(
+            o73,
+            con.section_point_indices(o73, sec),
+            list(con.hyperplane_section_lines(o73, sec).indices),
+            2,
+        ),
+    }
+    got = runs[case]()
+    monkeypatch.setattr(pl_search, "_MembershipSearch", _ReferenceMembershipSearch)
+    assert got == runs[case]()
 
 
 def test_packing_g2(o6plus2):

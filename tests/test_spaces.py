@@ -137,7 +137,7 @@ def test_geometric_classification_rejects_an_illegal_pair(o6plus2):
     space = PolarSpace.__new__(PolarSpace)
     space.form, space.field, space.d = o6plus2.form, o6plus2.field, o6plus2.d
     # e0 and e1 span a hyperbolic line, so L = M but L meets L^perp in 0
-    space.line_basis = [((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))]
+    space.line_basis_arr = np.array([((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))], dtype=np.uint8)
     with pytest.raises(GeometryError, match=r"illegal \(s,t\)=\(2,0\) for lines 0,0"):
         space.classify_pair_geometric(0, 0)
 
