@@ -62,8 +62,7 @@ def inner_distribution(space, y):
     idx = _as_indices(space, y)
     if not idx:
         raise ValueError("inner distribution undefined for the empty set")
-    sub = space.labels[np.ix_(idx, idx)]
-    counts = np.bincount(sub.ravel(), minlength=5)
+    counts = relation_census(space.labels[np.ix_(idx, idx)]).sum(axis=0)
     return tuple(Fraction(int(c), len(idx)) for c in counts)
 
 

@@ -130,45 +130,72 @@ def tables_for_space(space):
 # -- randomized-exact verification against an enumerated space ----------------
 
 
+# a block of label rows holds about this many entries, so its float mask, 1 MiB
+# in float32 or 2 MiB in float64, stays in cache and below numpy's 4 MiB
+# huge-page threshold
+_BLOCK_ENTRIES = 2**18
+
+
 def relation_products(labels, Y):
     """Exact A_i Y for all five relations, as an int64 array of shape (5, n, m).
 
-    Y is an n x m integer matrix.  The products run in float64 BLAS over row
-    blocks of about 2^20 label entries, so the masks stay at a few MiB.  Every
-    partial sum is an integer of magnitude at most max|Y| * n, so under the
-    guard max|Y| * n < 2^53 each one is exact in whatever order BLAS adds;
-    beyond it this raises OverflowError.
+    Y is an n x m integer matrix.  A_0..A_3 Y run in float BLAS over row blocks
+    of the label table; A_4 Y is the column sums of Y minus the other four, in
+    int64, which is exact because every label is checked to be at most 4.
+    Every partial sum of a float product is an integer of magnitude at most
+    max|Y| * n, so it is exact in whatever order BLAS adds: in float32 below
+    2^24, in float64 below 2^53.  Beyond that this raises OverflowError.
     """
     Y = np.asarray(Y, dtype=np.int64)
-    n = labels.shape[0]
-    if max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * n >= 2**53:
-        raise OverflowError("operand too large for exact float64 relation products")
-    Yf = Y.astype(np.float64)
-    out = np.empty((5, n, Y.shape[1]), dtype=np.int64)
+    dtype = _exact_float(max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * len(Y))
+    Yf = Y.astype(dtype)
+    col_sums = Y.sum(axis=0)
+    out = np.empty((5, labels.shape[0], Y.shape[1]), dtype=np.int64)
     for lo, block in _row_blocks(labels):
-        for i in range(5):
-            out[i, lo : lo + len(block)] = (block == i).astype(np.float64) @ Yf
+        part = out[:, lo : lo + len(block)]
+        for i in range(4):
+            part[i] = (block == i).astype(dtype) @ Yf
+        np.subtract(col_sums, part[:4].sum(axis=0), out=part[4])
     return out
+
+
+def _exact_float(bound):
+    """The narrowest float type that adds integers of magnitude below bound exactly."""
+    if bound < 2**24:
+        return np.float32
+    if bound < 2**53:
+        return np.float64
+    raise OverflowError("operand too large for exact float64 relation products")
 
 
 def relation_census(labels):
     """Per-row relation counts of a label table, as an int32 array of shape (rows, 5).
 
     labels may also be a column slice labels[:, idx]; row x then counts the
-    lines of idx in each relation to line x.
+    lines of idx in each relation to line x.  Relation 4 is the row width
+    minus the other four counts.
     """
     out = np.empty((labels.shape[0], 5), dtype=np.int32)
     for lo, block in _row_blocks(labels):
-        for i in range(5):
-            out[lo : lo + len(block), i] = (block == i).sum(axis=1, dtype=np.int32)
+        counts = out[lo : lo + len(block)]
+        for i in range(4):
+            counts[:, i] = (block == i).sum(axis=1, dtype=np.int32)
+        np.subtract(labels.shape[1], counts[:, :4].sum(axis=1, dtype=np.int32), out=counts[:, 4])
     return out
 
 
 def _row_blocks(labels):
-    """(first row, block) over row blocks of about 2^20 label entries."""
-    rows = max(1, 2**20 // max(labels.shape[1], 1))
+    """(first row, block) over row blocks of about _BLOCK_ENTRIES label entries.
+
+    Both readers count relation 4 as the complement of the others, so a label
+    above 4 raises ValueError.
+    """
+    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
     for lo in range(0, labels.shape[0], rows):
-        yield lo, labels[lo : lo + rows]
+        block = labels[lo : lo + rows]
+        if block.max(initial=0) > 4:
+            raise ValueError("relation table holds a label outside 0..4")
+        yield lo, block
 
 
 def _project(tables, j, AX):

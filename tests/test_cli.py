@@ -358,6 +358,30 @@ def test_scheme_verify_without_vectors_is_a_json_error(capsys, vectors):
     assert set(json.loads(out)) == {"error"}
 
 
+@pytest.mark.parametrize("command", ["set", "scheme"])
+def test_a_label_above_4_in_the_sidecar_is_a_json_error(tmp_path, capsys, command):
+    cache = str(tmp_path / "cache")
+    set_file = str(tmp_path / "plane.json")
+    argv = ["construct", "plane", "--space", "o6plus_q2", "--index", "0", "-o", set_file]
+    assert run_cli(capsys, "--cache", cache, *argv)[0] == 0
+    with open(set_file) as fh:
+        a, b = json.load(fh)["lines"][:2]
+    sidecar = cli._space_path(cache, "O6plus", 2) + ".labels.npy"
+    labels = np.load(sidecar)
+    labels[a, b] = labels[b, a] = 7
+    np.save(sidecar, labels)
+    # the pair lies off the load's spot checks, so the cache still loads
+    assert run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")[0] == 0
+    argv = {
+        "set": ["set", "eval", "--space", "o6plus_q2", "--file", set_file],
+        "scheme": ["scheme", "verify", "--space", "o6plus_q2"],
+    }[command]
+    code, out = run_cli(capsys, "--cache", cache, *argv)
+    assert code == 1
+    doc = json.loads(out)  # one document: nothing was printed before the error
+    assert set(doc) == {"error"} and "outside 0..4" in doc["error"]
+
+
 def test_report_rationals_are_exact_strings(o6plus2):
     tables = tables_for_space(o6plus2)
     from polarlines.analysis import make_lineset

@@ -3,7 +3,9 @@ import copy
 import numpy as np
 import pytest
 
+from polarlines import schemetables
 from polarlines.schemetables import (
+    _exact_float,
     _project,
     relation_census,
     relation_products,
@@ -75,16 +77,80 @@ def test_verify_scheme_needs_a_vector(o6plus2, k):
         verify_scheme(o6plus2, tables_for_space(o6plus2), k=k)
 
 
-def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
+def _reference_relation_products(labels, Y):
+    """The five-mask float64 relation products, kept as the oracle of the fast route."""
+    Y = np.asarray(Y, dtype=np.int64)
+    n = labels.shape[0]
+    if max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * n >= 2**53:
+        raise OverflowError("operand too large for exact float64 relation products")
+    Yf = Y.astype(np.float64)
+    out = np.empty((5, n, Y.shape[1]), dtype=np.int64)
+    rows = max(1, 2**20 // max(labels.shape[1], 1))
+    for lo in range(0, n, rows):
+        block = labels[lo : lo + rows]
+        for i in range(5):
+            out[i, lo : lo + len(block)] = (block == i).astype(np.float64) @ Yf
+    return out
+
+
+def _moved_pair_copy(space):
     # move one symmetric pair from R20 to R21: the copy is no longer a scheme
-    broken = copy.copy(o6plus2)
-    broken.labels = o6plus2.labels.copy()
+    broken = copy.copy(space)
+    broken.labels = space.labels.copy()
     a, b = np.argwhere(broken.labels == 3)[0]
     broken.labels[a, b] = broken.labels[b, a] = 4
+    return broken
+
+
+def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
+    broken = _moved_pair_copy(o6plus2)
     report = verify_scheme(broken, tables_for_space(o6plus2), k=2)
     assert report["ok"] is False
     assert not all(report["pairs"].values())
     assert verify_scheme(o6plus2, tables_for_space(o6plus2), k=2)["ok"] is True
+
+
+def test_moved_pair_report_matches_the_reference_route(o6plus2, monkeypatch):
+    broken = _moved_pair_copy(o6plus2)
+    tables = tables_for_space(o6plus2)
+    fast = verify_scheme(broken, tables, k=2)
+    monkeypatch.setattr(schemetables, "relation_products", _reference_relation_products)
+    assert verify_scheme(broken, tables, k=2) == fast
+
+
+@pytest.mark.parametrize("space", ["o6plus2", "sp62", "o73"])
+@pytest.mark.parametrize(
+    "bound,dtype",
+    # the random vectors of verify_scheme, and operands the size of its projections
+    [pytest.param(9, np.float32, id="x_sized"), pytest.param(2**30, np.float64, id="z_sized")],
+)
+def test_relation_products_match_the_reference_route(request, space, bound, dtype):
+    labels = request.getfixturevalue(space).labels
+    Y = np.random.default_rng(bound).integers(-bound, bound + 1, size=(len(labels), 3))
+    assert _exact_float(bound * len(labels)) is dtype
+    got = relation_products(labels, Y)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_relation_products(labels, Y))
+
+
+def test_float32_guard_boundary():
+    assert _exact_float(2**24 - 1) is np.float32
+    assert _exact_float(2**24) is np.float64
+    assert _exact_float(2**53 - 1) is np.float64
+    with pytest.raises(OverflowError):
+        _exact_float(2**53)
+    rng = np.random.default_rng(17)
+    # n * max|Y| = 2^24 - 1 (255 * 65793) takes float32 and 2^24 (256 * 65536)
+    # float64.  Float32 holds every integer up to 2^24, so only the third case,
+    # whose R00 rows add about 460 odd entries near 2^17 to odd sums far above
+    # 2^24, would come out wrong in float32.
+    for n, top in ((255, 65793), (256, 65536), (512, 2**17 + 1)):
+        labels = rng.choice(5, size=(n, n), p=[0.9, 0.04, 0.03, 0.02, 0.01]).astype(np.uint8)
+        Y = rng.integers((top + 1) // 4, (top + 1) // 2, size=(n, 4)) * 2 + 1
+        Y[0, 0] = top
+        got = relation_products(labels, Y)
+        for i in range(5):
+            assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
 
 
 def _random_labels(rng, n):
@@ -92,18 +158,23 @@ def _random_labels(rng, n):
     return (upper + upper.T).astype(np.uint8)
 
 
-# with 1025 lines a block is 1023 rows, so the last block holds two rows
-@pytest.mark.parametrize("n", [50, 1025])
+# with 513 lines a block is 511 rows, so the last block holds two rows; with
+# 1025 lines it is 255 rows, and the last block holds five
+@pytest.mark.parametrize("n", [50, 513, 1025])
 @pytest.mark.parametrize("m", [1, 3, 10])
 def test_relation_products_match_integer_matmul(n, m):
     rng = np.random.default_rng(n * 100 + m)
     labels = _random_labels(rng, n)
-    # entries near 2^53 / n, so float64 partial sums use the full mantissa
-    Y = rng.integers(-(2**42), 2**42, size=(n, m))
-    got = relation_products(labels, Y)
-    assert got.dtype == np.int64 and got.shape == (5, n, m)
-    for i in range(5):
-        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+    # entries near the float32 bound 2^24 / n and near the float64 bound
+    # 2^53 / n, so the partial sums use the full mantissa of either
+    for bits, dtype in ((24, np.float32), (53, np.float64)):
+        top = 2**bits // n
+        assert _exact_float(top * n) is dtype
+        Y = rng.integers(-top, top, size=(n, m))
+        got = relation_products(labels, Y)
+        assert got.dtype == np.int64 and got.shape == (5, n, m)
+        for i in range(5):
+            assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
 
 
 def test_relation_products_guard_is_max_entry_times_n():
@@ -122,12 +193,26 @@ def test_relation_products_guard_is_max_entry_times_n():
 
 def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):
     rng = np.random.default_rng(5)
-    # 1100 columns leave a two-block census
+    # 513 columns make blocks of 511 rows, so the last block holds two rows
     for labels in (
         o6plus2.labels,
         sp62.labels,
         sp62.labels[:, ::7],
-        rng.integers(0, 5, size=(1100, 1100), dtype=np.uint8),
+        rng.integers(0, 5, size=(513, 513), dtype=np.uint8),
     ):
         want = np.stack([np.bincount(row, minlength=5) for row in labels])
         assert np.array_equal(relation_census(labels), want)
+
+
+@pytest.mark.parametrize("row", [0, 512])
+def test_readers_reject_a_label_above_4(row):
+    # relation 4 is counted as the complement of the others, so a 7 would
+    # otherwise be read as relation 4
+    labels = _random_labels(np.random.default_rng(9), 513)
+    labels[row, 1] = labels[1, row] = 7
+    with pytest.raises(ValueError):
+        relation_products(labels, np.ones((513, 1), dtype=np.int64))
+    with pytest.raises(ValueError):
+        relation_census(labels)
+    with pytest.raises(ValueError):
+        relation_census(labels[:, [0, 1]])
