@@ -23,6 +23,7 @@ from .analysis import (
     regular_set_check,
     span_orthogonal_divisor,
 )
+from .groups import o6plus_generators, vector_permutation
 from .schemetables import relation_census
 from .spaces import REL_TAGS
 
@@ -369,21 +370,36 @@ class _MembershipSearch:
         return items, values
 
     def _dfs(self):
-        self.nodes.tick()
-        mark = (len(self.trail), self.IN, self.OUT)
-        if self._propagate():
-            x = self.status.find(_UNDECIDED)
-            if x < 0:
+        """The search tree, node by node, on an explicit stack: any depth fits.
+
+        The stack holds one (x, settled) per open branching: its item, as x
+        while the in branch runs and as ~x while the out branch runs, and the
+        state before either was set.
+        """
+        stack = []
+        root = (len(self.trail), self.IN, self.OUT)
+        while True:
+            self.nodes.tick()
+            if self._propagate():
+                x = self.status.find(_UNDECIDED)
+                if x >= 0:
+                    stack.append((x, (len(self.trail), self.IN, self.OUT)))
+                    self._set(x, _IN)
+                    continue
                 self.solutions.append(tuple(np.flatnonzero(self.view == _IN).tolist()))
                 if self.stop_after is not None and len(self.solutions) >= self.stop_after:
                     raise _Stop("solution_cap")
+            # back to the deepest branching whose out branch has not run
+            while stack:
+                x, settled = stack.pop()
+                self._undo_to(settled)
+                if x >= 0:
+                    stack.append((~x, settled))
+                    self._set(x, _OUT)
+                    break
             else:
-                settled = (len(self.trail), self.IN, self.OUT)
-                for val in (_IN, _OUT):
-                    self._set(x, val)
-                    self._dfs()
-                    self._undo_to(settled)
-        self._undo_to(mark)
+                self._undo_to(root)
+                return
 
 
 # -- regular sets and feasibility probes ------------------------------------------
@@ -671,7 +687,24 @@ def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
 # -- maximum clique and section packings ------------------------------------------
 
 
-def max_clique(adj, budget=None):
+def _orbit_representatives(n, automorphisms):
+    """The least vertex of each orbit of the group the permutations generate, ascending.
+
+    Each pass lowers a vertex's label to its image's, so labels fall to the
+    least vertex reachable, and a finite group's orbits are closed under
+    reaching.
+    """
+    label = np.arange(n)
+    while True:
+        lowered = label
+        for p in automorphisms:
+            lowered = np.minimum(lowered, lowered[p])
+        if (lowered == label).all():
+            return np.flatnonzero(label == np.arange(n)).tolist()
+        label = lowered
+
+
+def max_clique(adj, budget=None, automorphisms=()):
     """Exact maximum clique by branch and bound with greedy coloring bounds.
 
     adj is a square symmetric matrix whose nonzero entries are the edges; its
@@ -685,16 +718,33 @@ def max_clique(adj, budget=None):
     are never listed: best only grows, so the branch loop would return before
     it reached any of them.  The tree and its node count are those of listing
     every vertex.
+
+    automorphisms are vertex permutations p, as integer arrays, each checked
+    to be a bijection with adj[p][:, p] == adj off the diagonal; ValueError
+    otherwise.  With any given, every clique maps onto one through the least
+    vertex r of its orbit, so the clique number is the largest 1 + omega(N(r))
+    over those r, each found by the same colour-bounded search on r's
+    neighbourhood.  The search of the whole graph then runs until its best
+    clique reaches that size: the clique returned is the one the search
+    without automorphisms returns, and nodes counts both stages.  If the
+    budget runs out, the largest clique found so far is returned, incomplete.
     """
     edges = np.asarray(adj) != 0
     if edges.ndim != 2 or edges.shape[0] != edges.shape[1] or not (edges == edges.T).all():
         raise ValueError(f"adjacency must be a square symmetric matrix, got shape {edges.shape}")
     n = edges.shape[0]
+    np.fill_diagonal(edges, False)
+    automorphisms = [np.asarray(p) for p in automorphisms]
+    for p in automorphisms:
+        if p.shape != (n,) or p.dtype.kind not in "iu" or (np.sort(p) != np.arange(n)).any():
+            raise ValueError(f"an automorphism must permute the {n} vertices")
+        if (edges[np.ix_(p, p)] != edges).any():
+            raise ValueError("a permutation given as an automorphism does not keep the edges")
     full = (1 << n) - 1
     rows = np.packbits(edges, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") & ~(1 << v) for v, row in enumerate(rows)]
+    masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
     keep = [full ^ (m | 1 << v) for v, m in enumerate(masks)]  # non-neighbours, v excluded
-    best = []
+    best, goal = [], None
     nodes = _Nodes(budget)
 
     def expand(current, cand):
@@ -731,9 +781,26 @@ def max_clique(adj, budget=None):
                     expand(current, nxt)
                 elif len(current) > len(best):
                     best = list(current)
+                    if len(best) == goal:
+                        raise _Stop("solution_cap")
                 current.pop()
                 cand ^= 1 << v
 
+    def through_representatives():
+        nonlocal best
+        for r in _orbit_representatives(n, automorphisms):
+            if masks[r]:
+                expand([r], masks[r])
+            elif not best:
+                best = [r]
+
+    if automorphisms:
+        if nodes.run(through_representatives) == "budget":
+            return tuple(sorted(best)), False, nodes.count
+        largest, best, goal = best, [], len(best)
+        if nodes.run(expand, [], full) == "budget":
+            return tuple(sorted(largest)), False, nodes.count
+        return tuple(sorted(best)), True, nodes.count
     complete = nodes.run(expand, [], full) == "exhausted"
     return tuple(sorted(best)), complete, nodes.count
 
@@ -742,8 +809,12 @@ def disjoint_section_packing(space, budget=None):
     """Largest family of pairwise line-disjoint GQ hyperplane sections.
 
     Vertices are the nondegenerate hyperplane sections (all of GQ kind in
-    O6plus); two are adjacent when their line sets share no line.  Budget
-    exhaustion downgrades the result to a lower bound, flagged incomplete.
+    O6plus); two are adjacent when their line sets share no line.  The
+    similitudes of groups.o6plus_generators permute the sections through
+    their dual points, and max_clique checks each permutation against the
+    adjacency before it reduces the search by their orbits; the packing
+    found is the one the unreduced search finds.  Budget exhaustion
+    downgrades the result to a lower bound, flagged incomplete.
     """
     from .constructions import section_line_sets
 
@@ -752,7 +823,9 @@ def disjoint_section_packing(space, budget=None):
     sections, incidence = section_line_sets(space, "gq")
     packed = np.packbits(incidence, axis=1)
     adj = np.array([~(row & packed).any(axis=1) for row in packed])
-    clique, complete, nodes = max_clique(adj, budget=budget)
+    duals = [sec.dual_point for sec in sections]
+    moves = [vector_permutation(space.field, duals, g) for g in o6plus_generators(space.field)]
+    clique, complete, nodes = max_clique(adj, budget=budget, automorphisms=moves)
     return PackingResult(
         count=len(clique),
         sections=tuple(sections[i] for i in clique),

@@ -28,6 +28,7 @@ from polarlines.search import (
     enumerate_regular_sets,
     feasibility_probe,
     line_spread_search,
+    max_clique,
 )
 from polarlines.spaces import form_values, q_to_e_power
 
@@ -332,8 +333,17 @@ def test_criterion_8_packing_g3_stretch(spaces):
         print(f"[criterion 8] INCOMPLETE g(3) >= {res.count} (budget {budget} nodes hit)")
         assert res.count <= 7
         return
-    assert res.count == 7 and res.nodes == 156_992
-    print(f"[criterion 8] PASS g(3) = 7, exhaustive in {res.nodes} nodes")
+    assert res.count == 7 and res.nodes == 4_031
+    # second route: the search without the orbit reduction, on the same graph
+    sections, incidence = con.section_line_sets(o63, "gq")
+    shared = incidence.astype(np.int64) @ incidence.T.astype(np.int64)
+    clique, complete, nodes = max_clique(shared == 0)
+    assert complete and nodes == 156_992
+    assert tuple(sections[i] for i in clique) == res.sections
+    print(
+        f"[criterion 8] PASS g(3) = 7, exhaustive in {res.nodes} nodes orbit-reduced "
+        f"and {nodes} unreduced"
+    )
 
 
 def _gq_section_sets(space):

@@ -329,6 +329,17 @@ def test_budget_below_one_is_a_usage_error(capsys, argv, budget):
     assert "--budget: must be at least 1" in capsys.readouterr().err
 
 
+def test_a_search_deeper_than_the_recursion_limit_exits_0(monkeypatch, capsys, spaces):
+    """V10/378 on U(6,4) branches deeper than Python's default recursion limit of 1000."""
+    monkeypatch.setattr(cli, "build_space", spaces.get)
+    argv = ["search", "regular", "--space", "u6_q4", "--j", "10", "--size", "378"]
+    code, out = run_cli(capsys, *argv, "--budget", "3000", "--limit", "1")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["sets"], doc["complete"], doc["nodes"]) == ([], False, 3001)
+    assert doc["note"] == "node budget exhausted"
+
+
 def test_cli_determinism(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     _, out1 = run_cli(capsys, "--cache", cache, "scheme", "verify", "--space", "o6plus_q2")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -131,6 +132,21 @@ def test_projector_probe_witness_and_node_count(sp62):
     res = feasibility_probe(sp62, tables, {"10", "20"}, 7, catalog=False, prefilter=False)
     assert (res.status, res.witness, res.nodes) == ("witness", tuple(range(7)), 624)
     assert eigenspace_support(sp62, tables, res.witness) <= {"10", "20"}
+
+
+def test_a_search_deeper_than_the_recursion_limit_finishes(sp62):
+    """The probe above branches 316 levels deep; the core keeps no Python frame per level."""
+    tables = tables_for_space(sp62)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        res = feasibility_probe(sp62, tables, {"10", "20"}, 7, catalog=False, prefilter=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.status, res.witness, res.nodes) == ("witness", tuple(range(7)), 624)
 
 
 def test_probe_divisibility_prefilter_on_plane_orthogonal_supports(o6plus2):
@@ -310,6 +326,61 @@ def test_max_clique_property():
             )
 
     check()
+
+
+def _circulant(n, connections):
+    """The graph on Z_n joining a and b when a - b or b - a is a connection."""
+    diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return np.isin(diff, list(connections)) | np.isin(-diff % n, list(connections))
+
+
+def test_max_clique_orbit_reduction_on_circulant_graphs():
+    """Rotation is an automorphism of a circulant graph, which it makes vertex-transitive."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 40), st.sets(st.integers(1, 39)), st.booleans())
+    def check(n, connections, both):
+        adj = _circulant(n, {c % n for c in connections} - {0})
+        rotation = (np.arange(n) + 1) % n
+        moves = [rotation, (-np.arange(n)) % n] if both else [rotation]
+        assert max_clique(adj, automorphisms=moves)[:2] == max_clique(adj)[:2]
+
+    check()
+
+
+def test_max_clique_under_a_budget_with_automorphisms():
+    adj = _circulant(37, {1, 3, 4, 7, 11, 16})
+    rotation = (np.arange(37) + 1) % 37
+    full = max_clique(adj, automorphisms=[rotation])
+    assert full[1] and full[:2] == max_clique(adj)[:2]
+    for budget in (1, 2, full[2] // 2, full[2] - 1):
+        clique, complete, nodes = max_clique(adj, budget, automorphisms=[rotation])
+        assert not complete and nodes == budget + 1
+        assert all(adj[a, b] for a, b in itertools.combinations(clique, 2))
+    assert max_clique(adj, full[2], automorphisms=[rotation]) == full
+
+
+@pytest.mark.parametrize(
+    "move,match",
+    [
+        ([1, 2, 3, 4, 0], "does not keep the edges"),
+        ([0, 0, 1, 2, 3], "permute the 5 vertices"),
+        ([0, 1, 2, 3], "permute the 5 vertices"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0], "permute the 5 vertices"),
+        ([1, 2, 3, 4, 5], "permute the 5 vertices"),
+    ],
+    ids=["not_an_automorphism", "not_a_bijection", "too_short", "not_integer", "out_of_range"],
+)
+def test_max_clique_rejects_a_bad_automorphism(move, match):
+    # the path 0-1-2-3-4: reversal is its one automorphism besides the identity
+    adj = np.zeros((5, 5), dtype=bool)
+    for a in range(4):
+        adj[a, a + 1] = adj[a + 1, a] = True
+    assert max_clique(adj, automorphisms=[[4, 3, 2, 1, 0]])[:2] == max_clique(adj)[:2]
+    with pytest.raises(ValueError, match=match):
+        max_clique(adj, automorphisms=[[4, 3, 2, 1, 0], move])
 
 
 @pytest.mark.parametrize(
