@@ -298,20 +298,25 @@ def plane_profile(space, y):
     pencil_ok is True when in every plane meeting Y in exactly q+1 lines those
     lines share a common point.
     """
-    idx = set(_as_indices(space, y))
-    hist = {}
-    pencil_ok = True
-    for lines in space.plane_lines:
-        inside = [li for li in lines if li in idx]
-        c = len(inside)
-        hist[c] = hist.get(c, 0) + 1
-        if c == space.q + 1:
-            common = set(space.line_points[inside[0]])
-            for li in inside[1:]:
-                common &= set(space.line_points[li])
-            if len(common) != 1:
-                pencil_ok = False
-    return PlaneProfile(histogram=hist, pencil_ok=pencil_ok)
+    inside = _line_mask(space, _as_indices(space, y))[space.plane_lines_arr]
+    counts = inside.sum(axis=1)
+    # the histogram lists each count where it first occurs over the planes
+    sizes, first, freq = np.unique(counts, return_index=True, return_counts=True)
+    hist = {int(sizes[k]): int(freq[k]) for k in np.argsort(first)}
+    # q+1 distinct lines of a plane meet pairwise in single points, so they
+    # share one point exactly when some point of the first lies on all of them
+    q1 = space.q + 1
+    full = counts == q1
+    pts = space.line_points_arr[space.plane_lines_arr[full][inside[full]]].reshape(-1, q1, q1)
+    on_all = (pts[:, :, :, None] == pts[:, :1, None, :]).any(axis=2).all(axis=1)
+    return PlaneProfile(histogram=hist, pencil_ok=bool(on_all.any(axis=1).all()))
+
+
+def _line_mask(space, idx):
+    """Boolean mask over the lines of the space, True at the indices idx."""
+    mask = np.zeros(space.n_lines, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -333,12 +338,12 @@ def design_check(space, tables, y, level):
     """
     if level not in ("points", "planes"):
         raise ValueError("level must be 'points' or 'planes'")
-    idx = set(_as_indices(space, y))
-    incident = space.point_lines if level == "points" else space.plane_lines
-    counts = {sum(1 for li in lines if li in idx) for lines in incident}
-    if len(counts) != 1:
+    idx = _as_indices(space, y)
+    incident = space.point_lines_arr if level == "points" else space.plane_lines_arr
+    counts = _line_mask(space, idx)[incident].sum(axis=1)
+    if (counts != counts[0]).any():
         return DesignReport(False, level, None, None, None)
-    m = counts.pop()
+    m = int(counts[0])
     q, s = space.q, space.qe
     if level == "points":
         want = Fraction(m * (s * q * q + 1) * space.theta, q + 1)
@@ -348,7 +353,7 @@ def design_check(space, tables, y, level):
         allowed = {"11", "21"}
     size_ok = Fraction(len(idx)) == want
     if idx:
-        support_ok = eigenspace_support(space, tables, sorted(idx)) <= allowed
+        support_ok = eigenspace_support(space, tables, idx) <= allowed
     else:
         support_ok = True
     return DesignReport(True, level, m, size_ok, support_ok)

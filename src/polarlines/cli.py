@@ -96,9 +96,9 @@ def _cmd_space_build(args):
     out = {
         "space": args.space,
         "fingerprint": space.fingerprint,
-        "points": len(space.points),
+        "points": len(space.pts_arr),
         "lines": space.n_lines,
-        "planes": len(space.plane_points),
+        "planes": len(space.plane_basis_arr),
     }
     if cache:
         os.makedirs(cache, exist_ok=True)
@@ -118,9 +118,9 @@ def _cmd_space_info(args):
             "q": space.q,
             "e": str(Fraction(space.e2, 2)),
             "fingerprint": space.fingerprint,
-            "points": len(space.points),
+            "points": len(space.pts_arr),
             "lines": space.n_lines,
-            "planes": len(space.plane_points),
+            "planes": len(space.plane_basis_arr),
             "valencies": list(tables.valencies),
             "multiplicities": list(tables.multiplicities),
         }

@@ -33,7 +33,7 @@ from .spaces import (
     _quad_values,
     form_values,
 )
-from .schemetables import tables_for_space
+from .schemetables import relation_census, tables_for_space
 
 
 def _check_inner(space, y, expected, what):
@@ -201,13 +201,27 @@ def section_line_sets(space, kind):
     cols = [k for k, sec in enumerate(sections) if sec.kind == kind]
     sections = [sections[k] for k in cols]
     inside = np.ascontiguousarray(inside[:, cols].T)
-    lines = space._line_points_arr
+    lines = space.line_points_arr
     incidence = inside[:, lines[:, 0]]
     for c in range(1, lines.shape[1]):
         incidence &= inside[:, lines[:, c]]
     a, support, what = _section_closed_form(space, kind)
-    for row in incidence:
-        _check_inner(space, np.flatnonzero(row).tolist(), a, what)
+    # every section of one kind has sum(a) lines; the rows of that size
+    # gather their label blocks in bulk, about 2^22 labels at a time
+    size = sum(a)
+    ok = incidence.sum(axis=1) == size
+    rows = np.flatnonzero(ok)
+    members = np.nonzero(incidence[rows])[1].reshape(len(rows), size)
+    step = max(1, 2**22 // size**2)
+    for lo in range(0, len(rows), step):
+        m = members[lo : lo + step]
+        block = space.labels[m[:, :, None], m[:, None, :]].reshape(len(m), -1)
+        ok[rows[lo : lo + step]] = (relation_census(block) == np.multiply(a, size)).all(axis=1)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        # the first bad row's own distribution names it, as a one-row check would
+        _check_inner(space, np.flatnonzero(incidence[bad[0]]).tolist(), a, what)
+        raise GeometryError(f"{what}: bulk and one-row relation counts disagree")
     if sections:
         _check_support(space, np.flatnonzero(incidence[0]).tolist(), support, what)
     return sections, incidence

@@ -5,7 +5,9 @@ forbidden (a for the identity relation is fixed to 1), constraints
 (aQ)_j >= 0 for all five eigenspaces, objective maximize sum a_i.  The
 polytope has at most 4 dimensions, so the solver enumerates all basic
 solutions exactly over the rationals and certifies the optimum with exact
-dual multipliers.
+dual multipliers.  Each constraint row is scaled to integers once, and each
+basis is solved fraction-free, so feasibility is a test of integer
+inequalities and only the vertices become Fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import solve_rational
 from .schemetables import make_tables
@@ -50,10 +53,8 @@ class LPResult:
         return tuple(sum(self.a[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
 
 
-def _solve_square(rows, rhs):
-    """Solve an exact square linear system; None if singular."""
-    x = solve_rational(rows, [[v] for v in rhs])
-    return None if x is None else [row[0] for row in x]
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def delsarte_lp_bound(q, e2, forbidden):
@@ -68,24 +69,27 @@ def delsarte_lp_bound(q, e2, forbidden):
     free = [i for i in range(1, 5) if REL_TAGS[i] not in forbidden]
     k = len(free)
 
-    # constraints g.x >= h over the free variables x
+    # constraints g.x >= h over the free variables x, each scaled by a
+    # positive integer so that g and h are integers: (name, g, h, scale)
     constraints = []
     for j in range(5):
-        g = tuple(tables.Q[i][j] for i in free)
-        constraints.append((("aQ", REL_TAGS[j]), g, -tables.Q[0][j]))
+        g = [tables.Q[i][j] for i in free]
+        h = -tables.Q[0][j]
+        scale = lcm(*(v.denominator for v in (*g, h)))
+        g, h = [int(v * scale) for v in g], int(h * scale)
+        constraints.append((("aQ", REL_TAGS[j]), g, h, scale))
     for pos, i in enumerate(free):
-        g = tuple(Fraction(int(pos == t)) for t in range(k))
-        constraints.append((("nonneg", REL_TAGS[i]), g, Fraction(0)))
+        constraints.append((("nonneg", REL_TAGS[i]), [int(pos == t) for t in range(k)], 0, 1))
 
     vertices = []
-    for combo in itertools.combinations(range(len(constraints)), k):
-        rows = [constraints[c][1] for c in combo]
-        rhs = [constraints[c][2] for c in combo]
-        x = _solve_square(rows, rhs)
-        if x is None:
+    for combo in itertools.combinations(constraints, k):
+        solved = solve_rational([c[1] for c in combo], [[c[2]] for c in combo])
+        if solved is None:
             continue
-        if all(sum(g[t] * x[t] for t in range(k)) >= h for _, g, h in constraints):
-            vertices.append(tuple(x))
+        # the vertex is x = N / d with d > 0, so g.x >= h is g.N >= h d
+        N, d = [row[0] for row in solved[0]], solved[1]
+        if all(_dot(g, N) >= h * d for _, g, h, _ in constraints):
+            vertices.append(tuple(Fraction(v, d) for v in N))
     if not vertices:
         raise RuntimeError("LP infeasible; impossible since a = (1,0,0,0,0) is feasible")
 
@@ -126,24 +130,25 @@ def _dual_certificate(constraints, k, xstar, best):
     """Nonnegative multipliers y with sum y_c g_c = -objective gradient.
 
     Then for every feasible x, -(sum x) = sum y (g.x) - extra >= sum y h, so
-    1 + sum x <= 1 - sum y h, and equality at xstar proves optimality.
+    1 + sum x <= 1 - sum y h, and equality at xstar proves optimality.  The
+    rows are solved as scaled; a multiplier of a scaled row times its scale
+    is the multiplier of the row itself.
     """
-    active = [
-        c
-        for c, (_, g, h) in enumerate(constraints)
-        if sum(gt * xt for gt, xt in zip(g, xstar)) == h
-    ]
-    target = [Fraction(-1)] * k  # gradient of -(sum of free variables)
+    den = lcm(*(v.denominator for v in xstar))
+    num = [int(v * den) for v in xstar]
+    active = [c for c in constraints if _dot(c[1], num) == c[2] * den]
     for combo in itertools.combinations(active, k):
-        cols = [constraints[c][1] for c in combo]
-        rows = [[cols[c][t] for c in range(k)] for t in range(k)]  # transpose
-        y = _solve_square(rows, target)
-        if y is None or any(v < 0 for v in y):
+        rows = [[c[1][t] for c in combo] for t in range(k)]  # transpose
+        solved = solve_rational(rows, [[-1]] * k)  # gradient of -(sum of free variables)
+        if solved is None:
             continue
-        bound = 1 - sum(yv * constraints[c][2] for yv, c in zip(y, combo))
+        y, d = [row[0] for row in solved[0]], solved[1]
+        if any(v < 0 for v in y):
+            continue
+        bound = Fraction(d - sum(v * c[2] for v, c in zip(y, combo)), d)
         if bound == best:
             return {
-                "multipliers": {constraints[c][0]: y_i for c, y_i in zip(combo, y)},
+                "multipliers": {c[0]: Fraction(v * c[3], d) for v, c in zip(y, combo)},
                 "bound": bound,
             }
     raise RuntimeError("no exact dual certificate found at the optimum")

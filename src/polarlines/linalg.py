@@ -1,4 +1,4 @@
-"""Exact linear algebra: RREF canonical forms over GF(q), and Gauss-Jordan
+"""Exact linear algebra: RREF canonical forms over GF(q), and fraction-free
 solving over the rationals.
 
 Vectors are tuples of field element codes (ints).  A subspace is identified
@@ -7,8 +7,6 @@ canonical forms, which is what the geometry layer hashes on.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def rref(rows, field):
@@ -51,21 +49,28 @@ def rref(rows, field):
 
 
 def solve_rational(mat, rhs):
-    """Exact X with mat . X = rhs by Gauss-Jordan over the rationals; None if singular.
+    """Exact X with mat . X = rhs, as (N, d) with X = N / d and d > 0; None if singular.
 
-    mat is square and rhs has one row per row of mat; returns the rows of X.
+    mat is a square integer matrix and rhs an integer matrix with one row per
+    row of mat; N is the list of the rows of d X, all integers.  Fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): after each
+    step every entry is a minor of the augmented matrix, so each division by
+    the previous pivot is exact, and the last pivot is d = +-det(mat).
     """
     k = len(mat)
-    aug = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(mat, rhs)]
+    aug = [[*row, *extra] for row, extra in zip(mat, rhs)]
+    prev = 1
     for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, k) if aug[r][col]), None)
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(k):
-            if r != col and aug[r][col]:
+            if r != col:
                 c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+                aug[r] = [(p * x - c * y) // prev for x, y in zip(aug[r], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[k:]] for row in aug], sign * prev

@@ -103,8 +103,9 @@ def make_tables(q, e2):
     n = (s * q + 1) * (s * q * q + 1) * (q * q + q + 1)
     P = p_matrix(q, e2)
     Q = _q_matrix_closed_form(q, e2)
-    P_inv = solve_rational(P, [[int(i == j) for j in range(5)] for i in range(5)])
-    if P_inv is None or Q != tuple(tuple(n * x for x in row) for row in P_inv):
+    # n P^-1 = n N / d; a singular P gives no rows, which fails the comparison
+    N, d = solve_rational(P, [[int(i == j) for j in range(5)] for i in range(5)]) or ((), 1)
+    if Q != tuple(tuple(Fraction(n * x, d) for x in row) for row in N):
         raise RuntimeError(
             f"dual eigenvalue matrix mismatch at (q={q}, e2={e2}): closed form != n*P^-1"
         )

@@ -30,7 +30,6 @@ from .gf import MAX_Q, field_for_order
 from .linalg import rref
 
 REL_TAGS = ("00", "10", "11", "20", "21")
-REL_INDEX = {t: i for i, t in enumerate(REL_TAGS)}
 
 FAMILIES = {
     # family: (ambient dim, 2e, kind)
@@ -230,8 +229,9 @@ def _span_points(field, codes, bases):
 
     The normalized coefficient vectors of GF(q)^r times an RREF basis are the
     normalized vectors of its span, one per point.  Each is looked up by its
-    base-q code in codes, the sorted codes of the points.  Raises ValueError
-    if a basis is not in RREF or its span holds a vector that is not a point.
+    base-q code in a dense table over all q^d codes, filled from codes, the
+    sorted codes of the points.  Raises ValueError if a basis is not in RREF
+    or its span holds a vector that is not a point.
     """
     bases = np.asarray(bases, dtype=np.uint8)
     r = bases.shape[1]
@@ -243,11 +243,28 @@ def _span_points(field, codes, bases):
     vectors = np.zeros((len(bases), len(coeffs), bases.shape[2]), dtype=np.uint8)
     for k in range(r):
         vectors = field.ADD[vectors, field.MUL[coeffs[:, k, None], bases[:, None, k]]]
-    found = np.ravel_multi_index(np.moveaxis(vectors, -1, 0), (field.q,) * vectors.shape[-1])
-    pos = np.searchsorted(codes, found).clip(max=len(codes) - 1)
-    if (codes[pos] != found).any():
+    shape = (field.q,) * vectors.shape[-1]
+    # q^d is at most about q times the line count in every family, so the
+    # table is tiny next to the n x n label table
+    index = np.full(field.q ** vectors.shape[-1], -1, dtype=np.int32)
+    index[codes] = np.arange(len(codes), dtype=np.int32)
+    pos = index[np.ravel_multi_index(np.moveaxis(vectors, -1, 0), shape)]
+    if (pos < 0).any():
         raise ValueError("a line or plane basis spans a vector that is not a point of the space")
     return np.sort(pos, axis=1)
+
+
+def _check_increasing(bases):
+    """Raise ValueError unless the rows' bytes, their _basis_keys, strictly increase.
+
+    Each pair of neighbours is compared at its first differing byte; equal
+    neighbours have none, and fail too.
+    """
+    flat = bases.reshape(len(bases), -1)
+    a, b = flat[:-1], flat[1:]
+    first = (a != b).argmax(axis=1)[:, None]
+    if not (np.take_along_axis(a, first, 1) < np.take_along_axis(b, first, 1)).all():
+        raise ValueError("line or plane bases are not in strictly increasing order")
 
 
 def _pair_lines(n_points, line_points):
@@ -263,13 +280,19 @@ def _pair_lines(n_points, line_points):
     return pair
 
 
-def _lines_in(pair, point_sets):
-    """For each row of point indices, the ascending lines through two of its points."""
-    pts = np.array(point_sets)
+def _lines_in(pair, point_sets, per_set):
+    """For each row of point indices, the ascending lines through two of its points.
+
+    Returns a rows x per_set array; raises GeometryError unless every row
+    holds exactly per_set lines.
+    """
+    pts = np.asarray(point_sets)
     found = np.sort(pair[pts[:, :, None], pts[:, None, :]].reshape(len(pts), -1), axis=1)
     first = found >= 0
     first[:, 1:] &= found[:, 1:] != found[:, :-1]
-    return [tuple(row[keep].tolist()) for row, keep in zip(found, first)]
+    if (first.sum(axis=1) != per_set).any():
+        raise GeometryError("lines in a plane is not the predicted constant")
+    return found[first].reshape(len(pts), per_set)
 
 
 def _transpose(members, n, per_object, what):
@@ -277,21 +300,36 @@ def _transpose(members, n, per_object, what):
 
     members is a 2-d array of object indices, and each object must lie in
     exactly per_object rows; otherwise this raises GeometryError naming what.
+    Returns an n x per_object array.
     """
     flat = members.ravel()
     if (np.bincount(flat, minlength=n) != per_object).any():
         raise GeometryError(f"{what} is not the predicted constant")
     # a stable sort keeps each object's rows in ascending order
-    rows = np.argsort(flat, kind="stable") // members.shape[1]
-    # one int object per row, shared by every tuple that holds it
-    ids = np.arange(len(members)).astype(object)
-    return [tuple(r) for r in ids[rows].reshape(n, per_object).tolist()]
+    return (np.argsort(flat, kind="stable") // members.shape[1]).reshape(n, per_object)
+
+
+def _tuples(arr):
+    """The rows of a 2-d array as tuples of ints."""
+    return [tuple(r) for r in arr.tolist()]
+
+
+def _key_index(bases):
+    """Each basis's _basis_key, the bytes of its row, mapped to its index."""
+    width = bases.shape[1] * bases.shape[2]
+    keys = bases.reshape(len(bases), width).view(f"V{width}").ravel().tolist()
+    return {k: i for i, k in enumerate(keys)}
+
+
+# the relation index at [s][t], s = dim(L cap M) and t = dim(L cap M^perp);
+# 255 where no pair of lines has that (s, t)
+_RELATION_OF_ST = np.array([[4, 3, 255], [255, 2, 1], [255, 255, 0]], dtype=np.uint8)
 
 
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
-    def __init__(self, form, points, line_bases, plane_bases, labels=None):
+    def __init__(self, form, points, line_bases, plane_bases, read_labels=None):
         """A space from its points and the canonical bases of its lines and planes.
 
         Each argument is a uint8 array, or anything np.asarray turns into one:
@@ -302,6 +340,9 @@ class PolarSpace:
         ValueError.  Every line's and every plane's point set comes from one
         bulk span pass over its bases.  Two distinct points are perpendicular
         exactly when a line joins them, so perp_points is read off the lines.
+        read_labels, if given, returns the relation table; it is called once
+        the geometry is derived, so the table is never held together with
+        the derivation's scratch arrays.  Without it the table is built.
         """
         self.form = form
         self.family = form.family
@@ -314,9 +355,7 @@ class PolarSpace:
         self.pts_arr = np.ascontiguousarray(points, dtype=np.uint8)
         line_bases = np.ascontiguousarray(line_bases, dtype=np.uint8)
         plane_bases = np.ascontiguousarray(plane_bases, dtype=np.uint8)
-        self.points = [tuple(p) for p in self.pts_arr.tolist()]
-        self.point_index = {p: i for i, p in enumerate(self.points)}
-        got = (len(self.points), len(line_bases), len(plane_bases))
+        got = (len(self.pts_arr), len(line_bases), len(plane_bases))
         want = _predicted_counts(self.family, self.q)
         if got != want:
             raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
@@ -325,43 +364,31 @@ class PolarSpace:
         codes = np.ravel_multi_index(self.pts_arr.T, (self.q,) * self.d)
         spans = []
         for bases in (line_bases, plane_bases):
-            # each row's bytes are its _basis_key
-            width = bases.shape[1] * bases.shape[2]
-            keys = bases.reshape(len(bases), width).view(f"V{width}").ravel().tolist()
-            if any(a >= b for a, b in zip(keys, keys[1:])):
-                raise ValueError("line or plane bases are not in strictly increasing order")
-            pts = _span_points(self.field, codes, bases)
+            _check_increasing(bases)
+            spans.append(_span_points(self.field, codes, bases))
             # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof
             for a, b in itertools.combinations(range(bases.shape[1]), 2):
                 if form._bilinear_rows(bases[:, a], bases[:, b]).any():
                     raise ValueError("a line or plane basis spans no totally isotropic subspace")
-            spans.append((keys, pts))
-        (line_keys, self._line_points_arr), (plane_keys, plane_arr) = spans
+        self.line_points_arr, self.plane_points_arr = spans
 
         # the validated uint8 bases; line_basis and plane_basis are their tuples
         self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases
         self.n_lines = len(line_bases)
-        self.line_points = [tuple(r) for r in self._line_points_arr.tolist()]
-        self.plane_points = [tuple(r) for r in plane_arr.tolist()]
         q, s = self.q, self.qe
-        pair = _pair_lines(len(self.points), self._line_points_arr)
+        pair = _pair_lines(len(self.pts_arr), self.line_points_arr)
         self.perp_points = pair >= 0
         np.fill_diagonal(self.perp_points, True)
-        self.plane_lines = _lines_in(pair, plane_arr)
+        self.plane_lines_arr = _lines_in(pair, self.plane_points_arr, self.theta)
         del pair  # freed before the label table is built
-        if any(len(v) != q * q + q + 1 for v in self.plane_lines):
-            raise GeometryError("lines in a plane is not the predicted constant")
-        self.point_lines = _transpose(
-            self._line_points_arr, len(self.points), (q + 1) * (s * q + 1), "lines through a point"
+        self.point_lines_arr = _transpose(
+            self.line_points_arr, len(self.pts_arr), (q + 1) * (s * q + 1), "lines through a point"
         )
-        self.line_planes = _transpose(
-            np.array(self.plane_lines), self.n_lines, s + 1, "planes through a line"
+        self.line_planes_arr = _transpose(
+            self.plane_lines_arr, self.n_lines, s + 1, "planes through a line"
         )
 
-        self.line_key_index = {k: i for i, k in enumerate(line_keys)}
-        self.plane_key_index = {k: i for i, k in enumerate(plane_keys)}
-
-        self.labels = self._label_table() if labels is None else labels
+        self.labels = self._label_table() if read_labels is None else read_labels()
         self.fingerprint = _fingerprint(self.form, line_bases)
 
     def _label_table(self):
@@ -372,16 +399,16 @@ class PolarSpace:
         q+1 rows of W^T at L's points, so entry (L, M) is t + (q+2) s, where
         s = |L cap M| and t = |L cap M^perp| count points.  Both are at most
         q+1, so the entry fixes (s, t), and it is at most (q+1)(q+3) <= 254:
-        the sums are exact in uint8.  One lookup table decodes the five legal
-        values and maps every other one to 255.
+        the sums are exact in uint8.  The five legal codes rise as 0 < 1 <
+        q+3 < 2q+3 < (q+1)(q+3) for the relations 21, 20, 11, 10, 00, so a
+        code's label is 4 minus the number of the upper four that it reaches,
+        and a code is legal exactly when it equals one of the five.
         """
         q, n = self.q, self.n_lines
         if (q + 1) * (q + 3) > 254:
             raise GeometryError(f"q={q} is too large for the uint8 relation decode")
-        decode = np.full(256, 255, dtype=np.uint8)
-        for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
-            decode[t + (q + 2) * s] = rel
-        lines, perp = self._line_points_arr, self.perp_points
+        upper = [t + (q + 2) * s for s, t in ((0, 1), (1, 1), (1, q + 1), (q + 1, q + 1))]
+        lines, perp = self.line_points_arr, self.perp_points
         WT = np.ascontiguousarray((perp[lines[:, 0]] & perp[lines[:, 1]]).T, dtype=np.uint8)
         WT[lines, np.arange(n)[:, None]] += q + 2
         labels = np.empty((n, n), dtype=np.uint8)
@@ -392,11 +419,18 @@ class PolarSpace:
             codes = WT[at[:, 0]]
             for k in range(1, q + 1):
                 codes += WT[at[:, k]]
-            np.take(decode, codes, out=labels[lo : lo + block])
-        if labels.max(initial=0) == 255:
-            i, j = np.argwhere(labels == 255)[0]
-            s, t = divmod(int(WT[lines[i], j].sum()), q + 2)
-            raise GeometryError(f"illegal (s,t) pair for lines {i},{j}: s-count={s}, t-count={t}")
+            out = labels[lo : lo + block]
+            out.fill(4)
+            legal = codes == 0
+            for c in upper:
+                out -= codes >= c
+                legal |= codes == c
+            if not legal.all():
+                i, j = np.argwhere(~legal)[0]
+                s, t = divmod(int(WT[lines[lo + i], j].sum()), q + 2)
+                raise GeometryError(
+                    f"illegal (s,t) pair for lines {lo + i},{j}: s-count={s}, t-count={t}"
+                )
         # symmetry over square tiles, each pair compared once, with no n x n transpose
         tiles = [slice(a, a + 256) for a in range(0, n, 256)]
         for k, ta in enumerate(tiles):
@@ -405,17 +439,64 @@ class PolarSpace:
                     raise GeometryError("relation table is not symmetric")
         return labels
 
-    # -- queries ---------------------------------------------------------------
+    # -- views, each built from its array on first use ---------------------------
+
+    @cached_property
+    def points(self):
+        """Each point as a tuple of coordinates."""
+        return _tuples(self.pts_arr)
+
+    @cached_property
+    def point_index(self):
+        """Each point's tuple mapped to its index."""
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def line_points(self):
+        """Each line's ascending point indices."""
+        return _tuples(self.line_points_arr)
+
+    @cached_property
+    def plane_points(self):
+        """Each plane's ascending point indices."""
+        return _tuples(self.plane_points_arr)
+
+    @cached_property
+    def plane_lines(self):
+        """Each plane's ascending line indices."""
+        return _tuples(self.plane_lines_arr)
+
+    @cached_property
+    def point_lines(self):
+        """The ascending indices of the lines through each point."""
+        return _tuples(self.point_lines_arr)
+
+    @cached_property
+    def line_planes(self):
+        """The ascending indices of the planes through each line."""
+        return _tuples(self.line_planes_arr)
+
+    @cached_property
+    def line_key_index(self):
+        """Each line's _basis_key mapped to its index."""
+        return _key_index(self.line_basis_arr)
+
+    @cached_property
+    def plane_key_index(self):
+        """Each plane's _basis_key mapped to its index."""
+        return _key_index(self.plane_basis_arr)
 
     @cached_property
     def line_basis(self):
-        """Each line's RREF basis as a tuple of row tuples, built on first use."""
+        """Each line's RREF basis as a tuple of row tuples."""
         return [tuple(map(tuple, b)) for b in self.line_basis_arr.tolist()]
 
     @cached_property
     def plane_basis(self):
-        """Each plane's RREF basis as a tuple of row tuples, built on first use."""
+        """Each plane's RREF basis as a tuple of row tuples."""
         return [tuple(map(tuple, b)) for b in self.plane_basis_arr.tolist()]
+
+    # -- queries ---------------------------------------------------------------
 
     @property
     def theta(self):
@@ -426,29 +507,47 @@ class PolarSpace:
         return REL_TAGS[int(self.labels[li, mi])]
 
     def classify_pair_geometric(self, li, mi):
-        """Relation tag recomputed from the two bases and the form (independent of the table).
+        """Relation tag of one line pair, recomputed by classify_pairs_geometric."""
+        return REL_TAGS[self.classify_pairs_geometric([li], [mi])[0]]
 
-        s = dim(L cap M) = 4 - rank [L; M].  L cap M^perp is the kernel on L
-        of x -> (B(x, m1), B(x, m2)), so t = dim(L cap M^perp) = 2 - rank G,
-        with G[i][j] = B(l_i, m_j).  Two rank computations, and no point
-        incidence.
+    def classify_pairs_geometric(self, li, mi):
+        """Relation indices of the line pairs (li[k], mi[k]), from the bases and the form.
+
+        Independent of the table and of the incidence.  M reduced modulo the
+        RREF basis of L is a 2-row block M' that vanishes at L's pivots, so
+        s = dim(L cap M) = 2 - rank M'.  The rank of a 2-row block is 0 when
+        it is zero, and 2 when a 2 x 2 minor x_0a x_1b - x_0b x_1a is nonzero.
+        L cap M^perp is the kernel on L of x -> (B(x, m1), B(x, m2)), so
+        t = dim(L cap M^perp) = 2 - rank G, with G[i][j] = B(l_i, m_j).  An
+        illegal (s, t) raises GeometryError naming the first such pair.
         """
-        L, M = self.line_basis_arr[[li, mi]].tolist()
-        s = 4 - len(rref(L + M, self.field)[0])
-        t = 2 - len(rref([[self.form.bilinear(l, m) for m in M] for l in L], self.field)[0])
-        table = {(2, 2): "00", (1, 2): "10", (1, 1): "11", (0, 1): "20", (0, 0): "21"}
-        if (s, t) not in table:
-            raise GeometryError(f"illegal (s,t)=({s},{t}) for lines {li},{mi}")
-        return table[(s, t)]
+        f = self.field
+        li, mi = np.asarray(li), np.asarray(mi)
+        L, M = self.line_basis_arr[li], self.line_basis_arr[mi]
+        rows = np.arange(len(L))
+        reduced = M
+        for r, pivot in enumerate((L != 0).argmax(axis=2).T):
+            coeff = M[rows, :, pivot]
+            reduced = f.SUB[reduced, f.MUL[coeff[:, :, None], L[:, None, r]]]
+        minors = f.MUL[reduced[:, 0, :, None], reduced[:, 1, None, :]]
+        s = 2 - reduced.any(axis=(1, 2)) - (minors != minors.transpose(0, 2, 1)).any(axis=(1, 2))
+        G = self.form._bilinear_rows(*np.broadcast_arrays(L[:, :, None], M[:, None]))
+        det = f.MUL[G[:, 0, 0], G[:, 1, 1]] != f.MUL[G[:, 0, 1], G[:, 1, 0]]
+        t = 2 - G.any(axis=(1, 2)) - det
+        rel = _RELATION_OF_ST[s, t]
+        if (rel == 255).any():
+            k = int((rel == 255).argmax())
+            raise GeometryError(f"illegal (s,t)=({s[k]},{t[k]}) for lines {li[k]},{mi[k]}")
+        return rel
 
     def lines_inside(self, points):
         """Indices of the lines all of whose points lie in a point set.
 
         The set is given as point indices or as a boolean mask over the points.
         """
-        inside = np.zeros(len(self.points), dtype=bool)
+        inside = np.zeros(len(self.pts_arr), dtype=bool)
         inside[list(points)] = True
-        return np.flatnonzero(inside[self._line_points_arr].all(axis=1)).tolist()
+        return np.flatnonzero(inside[self.line_points_arr].all(axis=1)).tolist()
 
 
 def _predicted_counts(family, q):
@@ -531,12 +630,12 @@ def save_space(space, path):
         "h": f.h,
         "e2": space.e2,
         "counts": {
-            "points": len(space.points),
+            "points": len(space.pts_arr),
             "lines": space.n_lines,
-            "planes": len(space.plane_points),
+            "planes": len(space.plane_basis_arr),
         },
         "fingerprint": space.fingerprint,
-        "points": [list(p) for p in space.points],
+        "points": space.pts_arr.tolist(),
         "lines": space.line_basis_arr.tolist(),
         "planes": space.plane_basis_arr.tolist(),
     }
@@ -596,11 +695,12 @@ def load_space(path):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
     try:
-        labels = np.load(path + ".labels.npy")
+        fh = open(path + ".labels.npy", "rb")
     except OSError:
-        labels = None
-    space = PolarSpace(form, points, lines, planes, labels=labels)
-    if labels is not None and not _labels_look_right(space):
+        return PolarSpace(form, points, lines, planes)
+    with fh:
+        space = PolarSpace(form, points, lines, planes, read_labels=lambda: np.load(fh))
+    if not _labels_look_right(space):
         raise ValueError("labels sidecar corrupt or stale")
     return space
 
@@ -626,8 +726,5 @@ def _labels_look_right(space):
     if labels.shape != (n, n) or labels.dtype != np.uint8:
         return False
     rng = random.Random(n)
-    for _ in range(32):
-        li, mi = rng.randrange(n), rng.randrange(n)
-        if labels[li, mi] != REL_INDEX[space.classify_pair_geometric(li, mi)]:
-            return False
-    return True
+    li, mi = np.array([(rng.randrange(n), rng.randrange(n)) for _ in range(32)]).T
+    return bool((labels[li, mi] == space.classify_pairs_geometric(li, mi)).all())

@@ -290,6 +290,47 @@ def test_design_checks(o6plus2, sp62):
     assert not rep.is_design
 
 
+def _reference_plane_profile(space, idx):
+    """Histogram and pencil condition, one plane at a time over the tuple views."""
+    idx = set(idx)
+    hist, pencil_ok = {}, True
+    for lines in space.plane_lines:
+        inside = [li for li in lines if li in idx]
+        hist[len(inside)] = hist.get(len(inside), 0) + 1
+        if len(inside) == space.q + 1:
+            common = set.intersection(*(set(space.line_points[li]) for li in inside))
+            pencil_ok &= len(common) == 1
+    return list(hist.items()), pencil_ok
+
+
+def _reference_design_m(space, idx, level):
+    """The constant number of lines of idx per point or per plane, else None."""
+    incident = space.point_lines if level == "points" else space.plane_lines
+    counts = {sum(li in set(idx) for li in lines) for lines in incident}
+    return counts.pop() if len(counts) == 1 else None
+
+
+@pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2), ("O6plus", 3), ("O8minus", 2)])
+def test_plane_profile_and_design_check_match_the_per_object_loops(spaces, family, q):
+    space = spaces.get(family, q)
+    tables = tables_for_space(space)
+    rng = random.Random(31)
+    sets = [[], list(range(space.n_lines))]
+    sets += [rng.sample(range(space.n_lines), rng.randrange(1, 60)) for _ in range(20)]
+    # q+1 lines of one plane, concurrent or not
+    sets += [rng.sample(space.plane_lines[rng.randrange(len(space.plane_lines))], q + 1)
+             for _ in range(20)]
+    sets += [space.point_lines[p] for p in range(5)]
+    pencils = set()
+    for y in sets:
+        prof = plane_profile(space, y)
+        assert (list(prof.histogram.items()), prof.pencil_ok) == _reference_plane_profile(space, y)
+        pencils.add(prof.pencil_ok)
+        for level in ("points", "planes"):
+            assert design_check(space, tables, y, level).m == _reference_design_m(space, y, level)
+    assert pencils == {True, False}
+
+
 def test_lineset_space_mismatch(o6plus2, sp62):
     y = make_lineset(sp62, [0, 1])
     with pytest.raises(ValueError, match="different space"):

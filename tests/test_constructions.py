@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,23 @@ def test_section_line_sets_check_the_closed_form(o6plus2, monkeypatch):
     monkeypatch.setattr(con, "_section_closed_form", lambda space, kind: (a, {"10"}, what))
     with pytest.raises(GeometryError, match="eigenspace support"):
         con.section_line_sets(o6plus2, "gq")
+
+
+def test_section_line_sets_name_the_first_bad_row(o6plus2):
+    """A label changed inside later sections fails the first of them, with its own distribution."""
+    space = copy.copy(o6plus2)
+    _, incidence = con.section_line_sets(o6plus2, "gq")
+    a, b = np.flatnonzero(incidence[5])[:2]
+    space.labels = o6plus2.labels.copy()
+    space.labels[a, b] = space.labels[b, a] = (space.labels[a, b] + 1) % 5
+    first = int(np.flatnonzero(incidence[:, a] & incidence[:, b])[0])
+    row = np.flatnonzero(incidence[first]).tolist()
+    want, _, what = con._section_closed_form(space, "gq")
+    message = f"{what}: inner distribution {inner_distribution(space, row)} != expected "
+    message += str(tuple(Fraction(v) for v in want))
+    with pytest.raises(GeometryError) as info:
+        con.section_line_sets(space, "gq")
+    assert str(info.value) == message
 
 
 def test_quadric_sections_in_sp62(sp62):

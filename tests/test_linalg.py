@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from polarlines.gf import field_for_order
-from polarlines.linalg import rref
+from polarlines.linalg import rref, solve_rational
 
 GF2 = field_for_order(2)
 
@@ -134,3 +135,24 @@ def test_kernel_rank_nullity():
 def test_mismatched_ambient_rejected():
     with pytest.raises(ValueError):
         intersection(GF2, 3, [(1, 0, 0)], [(1, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_fraction_free_solve_matches_fraction_gauss_jordan(k):
+    from test_lp import fraction_solve
+
+    rng = random.Random(k)
+    for trial in range(200):
+        mat = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        if trial % 4 == 0:
+            # a singular system
+            mat[-1] = [2 * x for x in mat[0]] if k > 1 else [0]
+        rhs = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(k)]
+        want = fraction_solve(mat, rhs)
+        got = solve_rational(mat, rhs)
+        if want is None:
+            assert got is None
+        else:
+            N, d = got
+            assert d > 0 and all(isinstance(x, int) for row in N for x in row)
+            assert [[Fraction(x, d) for x in row] for row in N] == want

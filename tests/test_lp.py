@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from polarlines import constructions as con
-from polarlines.delsarte import delsarte_lp_bound
-from polarlines.spaces import q_to_e_power
+from polarlines.delsarte import LPResult, _normalize_tags, delsarte_lp_bound
+from polarlines.schemetables import make_tables
+from polarlines.spaces import REL_TAGS, q_to_e_power
 
 F = Fraction
 
@@ -140,3 +142,109 @@ def test_bad_inputs_rejected():
         delsarte_lp_bound(2, 0, ["10", "11", "20", "21"])
     with pytest.raises(ValueError, match="unknown relation"):
         delsarte_lp_bound(2, 0, ["12"])
+
+
+# -- the integer LP against the Fraction LP it replaced ------------------------------
+
+
+def fraction_solve(mat, rhs):
+    """Exact X with mat . X = rhs by Gauss-Jordan over Fractions; None if singular."""
+    k = len(mat)
+    aug = [[Fraction(x) for x in (*row, *extra)] for row, extra in zip(mat, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
+
+
+def _solve_square(rows, rhs):
+    x = fraction_solve(rows, [[v] for v in rhs])
+    return None if x is None else [row[0] for row in x]
+
+
+def reference_lp_bound(q, e2, forbidden):
+    """The vertex enumeration and dual certificate with a Fraction solve of every basis."""
+    forbidden = _normalize_tags(forbidden)
+    tables = make_tables(q, e2)
+    free = [i for i in range(1, 5) if REL_TAGS[i] not in forbidden]
+    k = len(free)
+    constraints = []
+    for j in range(5):
+        g = tuple(tables.Q[i][j] for i in free)
+        constraints.append((("aQ", REL_TAGS[j]), g, -tables.Q[0][j]))
+    for pos, i in enumerate(free):
+        g = tuple(Fraction(int(pos == t)) for t in range(k))
+        constraints.append((("nonneg", REL_TAGS[i]), g, Fraction(0)))
+    vertices = []
+    for combo in itertools.combinations(range(len(constraints)), k):
+        x = _solve_square([constraints[c][1] for c in combo], [constraints[c][2] for c in combo])
+        if x is not None and all(
+            sum(g[t] * x[t] for t in range(k)) >= h for _, g, h in constraints
+        ):
+            vertices.append(tuple(x))
+    best = max(1 + sum(x) for x in vertices)
+    optimal = [x for x in vertices if 1 + sum(x) == best]
+    tight = set(REL_TAGS)
+    for x in optimal:
+        tight &= {
+            REL_TAGS[j]
+            for j in range(5)
+            if sum(tables.Q[i][j] * xi for i, xi in zip(free, x)) + tables.Q[0][j] == 0
+        }
+    xstar = min(optimal)
+    active = [
+        c
+        for c, (_, g, h) in enumerate(constraints)
+        if sum(gt * xt for gt, xt in zip(g, xstar)) == h
+    ]
+    cert = None
+    for combo in itertools.combinations(active, k):
+        cols = [constraints[c][1] for c in combo]
+        y = _solve_square([[cols[c][t] for c in range(k)] for t in range(k)], [Fraction(-1)] * k)
+        if y is None or any(v < 0 for v in y):
+            continue
+        bound = 1 - sum(yv * constraints[c][2] for yv, c in zip(y, combo))
+        if bound == best:
+            cert = {
+                "multipliers": {constraints[c][0]: y_i for c, y_i in zip(combo, y)},
+                "bound": bound,
+            }
+            break
+    a_full = [Fraction(0)] * 5
+    a_full[0] = Fraction(1)
+    for i, xi in zip(free, xstar):
+        a_full[i] = xi
+    return LPResult(q, e2, forbidden, best, tuple(a_full), frozenset(tight), cert)
+
+
+def _outcome(solve, q, e2, forbidden):
+    try:
+        result = solve(q, e2, forbidden)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    # repr fixes the Fraction types and the order of the certificate's multipliers
+    return (repr(result.optimum), repr(result.a), result.tight,
+            repr(list(result.certificate["multipliers"].items())),
+            repr(result.certificate["bound"]))
+
+
+FORBIDDEN_SETS = [
+    forb for r in range(1, 4) for forb in itertools.combinations(("10", "11", "20", "21"), r)
+]
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_integer_lp_matches_the_fraction_lp(q):
+    """Every e2 in 0..4 (odd ones without square q fail alike) and every forbidden set."""
+    for e2 in range(5):
+        for forbidden in FORBIDDEN_SETS:
+            want = _outcome(reference_lp_bound, q, e2, forbidden)
+            assert _outcome(delsarte_lp_bound, q, e2, forbidden) == want, (q, e2, forbidden)

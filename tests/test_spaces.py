@@ -133,6 +133,22 @@ def test_two_rank_classification_matches_the_intersections(spaces, family, q):
             assert _reference_classify_pair(space, li, mi) == tag
 
 
+@pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2), ("O8minus", 2)])
+def test_batched_classification_matches_the_table_on_every_pair(spaces, family, q):
+    space = spaces.get(family, q)
+    n = space.n_lines
+    for lo in range(0, n, 64):
+        li, mi = np.divmod(np.arange(lo * n, min(lo + 64, n) * n), n)
+        assert np.array_equal(space.classify_pairs_geometric(li, mi), space.labels[li, mi])
+
+
+@pytest.mark.parametrize("family,q", [("O7", 3), ("U6", 4)])
+def test_batched_classification_matches_the_table_on_seeded_pairs(spaces, family, q):
+    space = spaces.get(family, q)
+    li, mi = np.random.default_rng(17).integers(0, space.n_lines, size=(2, 10**5))
+    assert np.array_equal(space.classify_pairs_geometric(li, mi), space.labels[li, mi])
+
+
 def test_geometric_classification_rejects_an_illegal_pair(o6plus2):
     space = PolarSpace.__new__(PolarSpace)
     space.form, space.field, space.d = o6plus2.form, o6plus2.field, o6plus2.d
@@ -286,6 +302,52 @@ def test_cache_roundtrip_is_bit_exact(tmp_path, o6plus2):
     assert np.array_equal(again.labels, o6plus2.labels)
 
 
+VIEWS = {
+    "points": "pts_arr",
+    "line_points": "line_points_arr",
+    "plane_points": "plane_points_arr",
+    "plane_lines": "plane_lines_arr",
+    "point_lines": "point_lines_arr",
+    "line_planes": "line_planes_arr",
+    "point_index": "pts_arr",
+    "line_key_index": "line_basis_arr",
+    "plane_key_index": "plane_basis_arr",
+}
+
+
+def test_views_are_built_on_first_use_and_equal_their_arrays(tmp_path):
+    built = build_space("O6plus", 2)
+    save_space(built, tmp_path / "o6plus_q2.json")
+    loaded = load_space(tmp_path / "o6plus_q2.json")
+    for space in (built, loaded):
+        assert not set(VIEWS) & set(vars(space))
+        for view, name in VIEWS.items():
+            arr = getattr(space, name)
+            if view == "point_index":
+                assert getattr(space, view) == {tuple(p): i for i, p in enumerate(arr.tolist())}
+            elif view.endswith("key_index"):
+                want = {_basis_key(b): i for i, b in enumerate(arr.tolist())}
+                assert getattr(space, view) == want
+            else:
+                assert getattr(space, view) == [tuple(r) for r in arr.tolist()]
+            assert view in vars(space)
+
+
+@pytest.mark.parametrize("which", ["lines", "planes"])
+@pytest.mark.parametrize("fault", ["equal", "swapped"])
+def test_bases_out_of_order_are_rejected(o6plus2, which, fault):
+    space = o6plus2
+    bases = {"lines": space.line_basis_arr.copy(), "planes": space.plane_basis_arr.copy()}
+    arr = bases[which]
+    k = len(arr) // 2
+    if fault == "equal":
+        arr[k + 1] = arr[k]
+    else:
+        arr[[k, k + 1]] = arr[[k + 1, k]]
+    with pytest.raises(ValueError, match="bases are not in strictly increasing order"):
+        PolarSpace(space.form, space.pts_arr, bases["lines"], bases["planes"])
+
+
 def test_deterministic_rebuild(o6plus2):
     again = build_space("O6plus", 2)
     assert again.fingerprint == o6plus2.fingerprint
@@ -413,7 +475,7 @@ def _reference_bases(form):
         while rest.any():
             x = int(rest.argmax())
             plane = _plane_points(perp, a, b, x)
-            (plane_lines,) = _lines_in(pair, [plane])
+            (plane_lines,) = _lines_in(pair, [plane], form.q * form.q + form.q + 1)
             idx = np.array(plane)
             covered[np.array(plane_lines)[:, None], idx] = True
             rest[idx] = False
@@ -473,6 +535,26 @@ def test_corrupt_labels_sidecar_is_rejected(tmp_path, o6plus2, corrupt):
     sidecar = str(path) + ".labels.npy"
     bad = np.zeros((3, 3), dtype=np.uint8) if corrupt == "wrong_shape" else o6plus2.labels[::-1]
     np.save(sidecar, np.ascontiguousarray(bad))
+    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
+        load_space(path)
+
+
+def test_a_missing_labels_sidecar_is_rebuilt(tmp_path, o6plus2):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    (tmp_path / "o6plus_q2.json.labels.npy").unlink()
+    assert np.array_equal(load_space(path).labels, o6plus2.labels)
+
+
+def test_a_wrong_label_inside_0_to_4_at_a_spot_checked_pair_is_rejected(tmp_path, o6plus2):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    n = o6plus2.n_lines
+    rng = random.Random(n)
+    li, mi = rng.randrange(n), rng.randrange(n)  # the first pair the load checks
+    labels = o6plus2.labels.copy()
+    labels[li, mi] = labels[mi, li] = (labels[li, mi] + 1) % 5
+    np.save(str(path) + ".labels.npy", labels)
     with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
         load_space(path)
 
@@ -568,7 +650,7 @@ def _reference_label_table(space):
     decode = np.full(256, 255, dtype=np.uint8)
     for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
         decode[t + (q + 2) * s] = rel
-    lines, perp = space._line_points_arr, space.perp_points
+    lines, perp = space.line_points_arr, space.perp_points
     N = np.zeros((n, len(space.points)), dtype=np.float32)
     N[np.arange(n)[:, None], lines] = 1
     W = (perp[lines[:, 0]] & perp[lines[:, 1]]) + (q + 2) * N
@@ -596,7 +678,7 @@ def _made_up_space(q, extra_perp, n_lines=2):
     """
     space = PolarSpace.__new__(PolarSpace)
     space.q, space.n_lines, space.points = q, n_lines, range(3 * n_lines)
-    space._line_points_arr = np.arange(3 * n_lines).reshape(n_lines, 3)
+    space.line_points_arr = np.arange(3 * n_lines).reshape(n_lines, 3)
     space.perp_points = np.kron(np.eye(n_lines, dtype=bool), np.ones((3, 3), dtype=bool))
     for a, b in extra_perp:
         space.perp_points[a, b] = True
