@@ -68,7 +68,11 @@ def inner_distribution(space, y):
 
 def dual_distribution(space, tables, y):
     """aQ, exactly; Delsarte nonnegativity is asserted as a sanity check."""
-    a = inner_distribution(space, y)
+    return _dual(tables, inner_distribution(space, y))
+
+
+def _dual(tables, a):
+    """aQ of an inner distribution a, checked nonnegative."""
     aq = tuple(sum(a[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
     if any(v < 0 for v in aq):
         raise GeometryError("negative dual distribution entry for a genuine subset")
@@ -77,7 +81,10 @@ def dual_distribution(space, tables, y):
 
 def eigenspace_support(space, tables, y):
     """The nontrivial eigenspaces j with (aQ)_j != 0, as a frozenset of tags."""
-    aq = dual_distribution(space, tables, y)
+    return _support(dual_distribution(space, tables, y))
+
+
+def _support(aq):
     return frozenset(EIGEN_TAGS[j] for j in range(1, 5) if aq[j] != 0)
 
 
@@ -115,10 +122,15 @@ def regular_set_check(space, tables, y):
     idx = _as_indices(space, y)
     if not idx:
         raise ValueError("regularity undefined for the empty set")
+    return _regular_set_check(space, tables, idx, dual_distribution(space, tables, idx))
+
+
+def _regular_set_check(space, tables, idx, aq):
+    """regular_set_check of the sorted nonempty indices idx, whose aQ is given."""
     if len(idx) == space.n_lines:
         raise ValueError("regularity undefined for the full line set")
 
-    support = eigenspace_support(space, tables, y)
+    support = _support(aq)
     j_tag = next(iter(support)) if len(support) == 1 else None
 
     counts = relation_census(space.labels[:, idx])

@@ -10,13 +10,14 @@ import json
 
 from .analysis import (
     LineSet,
+    _as_indices,
+    _dual,
+    _regular_set_check,
     design_check,
     divisibility_report,
-    dual_distribution,
     inner_distribution,
     make_lineset,
     plane_profile,
-    regular_set_check,
 )
 from .linalg import rref
 from .spaces import REL_TAGS, _basis_key, _normalize
@@ -138,10 +139,11 @@ def parse_pointset_file(path, space):
 
 def build_report(space, tables, y):
     """Full evaluation report of a line set, all values exact strings."""
-    idx = y.indices if isinstance(y, LineSet) else tuple(sorted(y))
+    idx = _as_indices(space, y)
+    # one census of Y x Y feeds a, aQ and the support route of the regularity check
     a = inner_distribution(space, idx)
-    aq = dual_distribution(space, tables, idx)
-    reg = regular_set_check(space, tables, idx)
+    aq = _dual(tables, a)
+    reg = _regular_set_check(space, tables, idx, aq)
     prof = plane_profile(space, idx)
     divis = {}
     for j in REL_TAGS[1:]:

@@ -275,7 +275,7 @@ class _MembershipSearch:
             self.cells[x] += a
             self.cells[self.n + x] += b
         if self.P is not None:
-            np.take(self.steps[val], self.labels[x], axis=1, out=self.step)
+            self.steps[val].take(self.labels[x], axis=1, out=self.step)
             np.add(self.P, self.step, out=self.P)
 
     def _undo_to(self, mark):
@@ -292,7 +292,7 @@ class _MembershipSearch:
                 self.cells[x] -= a
                 self.cells[self.n + x] -= b
             if self.P is not None:
-                np.take(self.steps[val], self.labels[x], axis=1, out=self.step)
+                self.steps[val].take(self.labels[x], axis=1, out=self.step)
                 np.subtract(self.P, self.step, out=self.P)
         self.hot.clear()
 

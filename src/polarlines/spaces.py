@@ -17,6 +17,7 @@ which are the classes of a 5-class association scheme on the lines.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import json
@@ -41,7 +42,7 @@ FAMILIES = {
     "O8minus": (8, 4, "orthogonal"),
 }
 
-SPACE_FORMAT_VERSION = 1
+SPACE_FORMAT_VERSION = 2
 DEFAULT_MAX_LINES = 20_000
 
 
@@ -610,9 +611,9 @@ def _fingerprint(form, line_bases):
     """Digest of the form and the n x 2 x d uint8 array of line bases, in index order."""
     h = hashlib.sha256()
     f = form.field
-    h.update(
-        f"polarlines-space-v{SPACE_FORMAT_VERSION}|{form.family}|p{f.p}|h{f.h}|e2{form.e2}".encode()
-    )
+    # the salt stays "v1" while SPACE_FORMAT_VERSION moves: the digest names the
+    # space, not the cache layout, and set files, tests and benchmark oracles pin it
+    h.update(f"polarlines-space-v1|{form.family}|p{f.p}|h{f.h}|e2{form.e2}".encode())
     h.update(line_bases.tobytes())
     return h.hexdigest()[:16]
 
@@ -621,7 +622,11 @@ def _fingerprint(form, line_bases):
 
 
 def save_space(space, path):
-    """Write the space cache file (JSON header + canonical bases in index order)."""
+    """Write the space cache file: a JSON header, the points and the canonical bases.
+
+    The points and the line and plane bases are in index order, each the
+    base64 text of its uint8 array's C-order bytes.
+    """
     f = space.field
     doc = {
         "format_version": SPACE_FORMAT_VERSION,
@@ -635,9 +640,9 @@ def save_space(space, path):
             "planes": len(space.plane_basis_arr),
         },
         "fingerprint": space.fingerprint,
-        "points": space.pts_arr.tolist(),
-        "lines": space.line_basis_arr.tolist(),
-        "planes": space.plane_basis_arr.tolist(),
+        "points": _encoded(space.pts_arr),
+        "lines": _encoded(space.line_basis_arr),
+        "planes": _encoded(space.plane_basis_arr),
     }
     path = str(path)
     # the JSON goes last: a reader never sees it before its labels
@@ -678,17 +683,15 @@ def load_space(path):
     if p**h > MAX_Q:
         raise ValueError(f"unsupported field: q={p}^{h}")
     form = FormSpec(family, p**h)
-    points = _cached_rows(doc, "points", form, ())
-    lines = _cached_rows(doc, "lines", form, (2,))
-    planes = _cached_rows(doc, "planes", form, (3,))
+    n_points, n_lines, n_planes = _predicted_counts(family, form.q)
+    points = _cached_rows(doc, "points", form, (n_points,))
+    lines = _cached_rows(doc, "lines", form, (n_lines, 2))
+    planes = _cached_rows(doc, "planes", form, (n_planes, 3))
     if _fingerprint(form, lines) != doc.get("fingerprint"):
         raise ValueError("space cache fingerprint mismatch; file corrupt or stale")
     counts = doc.get("counts")
-    got = (len(points), len(lines), len(planes))
-    if (
-        not isinstance(counts, dict)
-        or got != tuple(counts.get(k) for k in ("points", "lines", "planes"))
-        or got != _predicted_counts(family, form.q)
+    if not isinstance(counts, dict) or (n_points, n_lines, n_planes) != tuple(
+        counts.get(k) for k in ("points", "lines", "planes")
     ):
         raise ValueError("space cache counts mismatch; file corrupt or stale")
     if not np.array_equal(points, _space_points(form)):
@@ -705,19 +708,25 @@ def load_space(path):
     return space
 
 
+def _encoded(arr):
+    """The base64 text of a uint8 array's C-order bytes."""
+    return base64.b64encode(arr.tobytes()).decode("ascii")
+
+
 def _cached_rows(doc, key, form, shape):
-    """doc[key] as a uint8 array: n items of the given shape, each a vector over GF(q)."""
+    """doc[key], base64 text, as a uint8 array of the given shape + (d,) over GF(q).
+
+    The decoded bytes are copied into a writable buffer, so a loaded space's
+    arrays are writable like a built one's.
+    """
+    shape += (form.d,)
     try:
-        arr = np.array(doc.get(key))
-    except ValueError:  # ragged nesting
-        arr = np.array(None)
-    if (
-        arr.dtype.kind != "i"
-        or arr.shape[1:] != shape + (form.d,)
-        or ((arr < 0) | (arr >= form.q)).any()
-    ):
+        arr = np.frombuffer(bytearray(base64.b64decode(doc.get(key), validate=True)), np.uint8)
+    except (TypeError, ValueError):  # not text, not ASCII or not base64
+        arr = None
+    if arr is None or arr.size != np.prod(shape) or (arr >= form.q).any():
         raise ValueError(f"space cache has a missing or malformed {key!r} list")
-    return arr.astype(np.uint8)
+    return arr.reshape(shape)
 
 
 def _labels_look_right(space):

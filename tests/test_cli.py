@@ -11,6 +11,8 @@ from polarlines.files import build_report, parse_lineset_file, parse_pointset_fi
 from polarlines.schemetables import tables_for_space
 from polarlines.spaces import FormSpec, GeometryError, _fingerprint
 
+from test_spaces import decoded_cache, encoded_cache
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -408,6 +410,13 @@ def test_report_rationals_are_exact_strings(o6plus2):
     assert all("." not in s for s in rep["a"] + rep["aQ"])
 
 
+def test_report_rejects_a_line_set_of_another_space(o6plus2, sp62):
+    from polarlines.analysis import make_lineset
+
+    with pytest.raises(ValueError, match="line set belongs to a different space"):
+        build_report(o6plus2, tables_for_space(o6plus2), make_lineset(sp62, range(7)))
+
+
 _HEADER = {"version": 1, "space": {"family": "O6plus", "p": 2, "h": 1}}
 
 
@@ -548,8 +557,14 @@ def _point_slipped_in(doc, vector):
     return dict(doc, points=points[:k] + [vector] + points[k + 1 :])
 
 
+def _in_lists(corrupt):
+    """corrupt, which edits the cache's points and bases as lists, on the stored document."""
+    return lambda doc: encoded_cache(corrupt(decoded_cache(doc)))
+
+
 _NOT_THE_POINTS = "space cache points are not the points of the space"
 _NOT_ISOTROPIC = "a line or plane basis spans no totally isotropic subspace"
+_BAD_LINES = "space cache has a missing or malformed 'lines' list"
 
 
 @pytest.mark.parametrize(
@@ -557,33 +572,76 @@ _NOT_ISOTROPIC = "a line or plane basis spans no totally isotropic subspace"
     [
         ("o6plus_q2", lambda doc: [doc], None),
         ("o6plus_q2", lambda doc: {k: v for k, v in doc.items() if k != "counts"}, None),
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0]), None),
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0]), None),
-        # a point of the space, but one off the plane: the rows span no plane
-        ("o6plus_q2", lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1]), None),
-        ("o6plus_q2", lambda doc: dict(doc, p="x"), None),
-        ("o6plus_q2", lambda doc: dict(doc, points=doc["points"][::-1]), None),
-        ("o6plus_q2", lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:]), None),
         (
             "o6plus_q2",
-            lambda doc: dict(doc, planes=[doc["planes"][1], doc["planes"][0]] + doc["planes"][2:]),
+            _in_lists(lambda doc: _first_row_replaced(doc, "lines", [1, 1, 0, 0, 0, 0])),
             None,
         ),
-        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE), _NOT_ISOTROPIC),
-        ("sp6_q2", lambda doc: _eighth_line_replaced(doc, _NON_ISOTROPIC_LINE), _NOT_ISOTROPIC),
-        ("sp6_q2", lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE), None),
+        (
+            "o6plus_q2",
+            _in_lists(lambda doc: _first_row_replaced(doc, "planes", [1, 1, 0, 0, 0, 0])),
+            None,
+        ),
+        # a point of the space, but one off the plane: the rows span no plane
+        (
+            "o6plus_q2",
+            _in_lists(lambda doc: _first_row_replaced(doc, "planes", doc["points"][-1])),
+            None,
+        ),
+        ("o6plus_q2", lambda doc: dict(doc, p="x"), None),
+        ("o6plus_q2", _in_lists(lambda doc: dict(doc, points=doc["points"][::-1])), None),
+        (
+            "o6plus_q2",
+            _in_lists(lambda doc: dict(doc, lines=[doc["lines"][0][:1]] + doc["lines"][1:])),
+            None,
+        ),
+        (
+            "o6plus_q2",
+            # planes 1 and 0, then the rest
+            _in_lists(lambda doc: dict(doc, planes=doc["planes"][1::-1] + doc["planes"][2:])),
+            None,
+        ),
+        (
+            "sp6_q2",
+            _in_lists(lambda doc: _second_plane_replaced(doc, _NON_ISOTROPIC_PLANE)),
+            _NOT_ISOTROPIC,
+        ),
+        (
+            "sp6_q2",
+            _in_lists(lambda doc: _eighth_line_replaced(doc, _NON_ISOTROPIC_LINE)),
+            _NOT_ISOTROPIC,
+        ),
+        ("sp6_q2", _in_lists(lambda doc: _second_plane_replaced(doc, _UNREDUCED_PLANE)), None),
         # 2 times the last point: singular, but its leading coefficient is 2
         (
             "o6plus_q3",
-            lambda doc: _point_slipped_in(doc, [2 * x % 3 for x in doc["points"][-1]]),
+            _in_lists(lambda doc: _point_slipped_in(doc, [2 * x % 3 for x in doc["points"][-1]])),
             _NOT_THE_POINTS,
         ),
         # Q = x0 x1 + x2 x3 + x4 x5 = 1
-        ("o6plus_q2", lambda doc: _point_slipped_in(doc, [1, 1, 1, 1, 1, 1]), _NOT_THE_POINTS),
         (
             "o6plus_q2",
-            lambda doc: dict(doc, points=doc["points"][:1] + doc["points"][:-1]),
+            _in_lists(lambda doc: _point_slipped_in(doc, [1, 1, 1, 1, 1, 1])),
             _NOT_THE_POINTS,
+        ),
+        (
+            "o6plus_q2",
+            _in_lists(lambda doc: dict(doc, points=doc["points"][:1] + doc["points"][:-1])),
+            _NOT_THE_POINTS,
+        ),
+        ("o6plus_q2", lambda doc: dict(doc, lines="!" + doc["lines"][1:]), _BAD_LINES),
+        ("o6plus_q2", _in_lists(lambda doc: dict(doc, lines=doc["lines"][:-1])), _BAD_LINES),
+        # a coordinate byte equal to q = 2
+        (
+            "o6plus_q2",
+            _in_lists(lambda doc: _first_row_replaced(doc, "lines", [0, 0, 0, 0, 0, 2])),
+            _BAD_LINES,
+        ),
+        # the nested-list layout of version 1 has no second reader
+        (
+            "o6plus_q2",
+            lambda doc: dict(decoded_cache(doc), format_version=1),
+            "unsupported space cache version 1",
         ),
     ],
     ids=[
@@ -602,6 +660,10 @@ _NOT_ISOTROPIC = "a line or plane basis spans no totally isotropic subspace"
         "point_leading_2",
         "non_singular_point",
         "duplicated_point",
+        "non_base64",
+        "one_line_short",
+        "coordinate_q",
+        "version_1_lists",
     ],
 )
 def test_malformed_space_cache_is_a_json_error(tmp_path, capsys, space, corrupt, error):

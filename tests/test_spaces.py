@@ -1,3 +1,4 @@
+import base64
 import functools
 import itertools
 import json
@@ -300,6 +301,47 @@ def test_cache_roundtrip_is_bit_exact(tmp_path, o6plus2):
     assert again.plane_basis == o6plus2.plane_basis
     assert again.points == o6plus2.points
     assert np.array_equal(again.labels, o6plus2.labels)
+    # the decoded bytes are copies, writable as a built space's arrays are
+    assert all(a.flags.writeable for a in (again.pts_arr, again.line_basis_arr))
+
+
+@pytest.mark.parametrize("family,q", [("O6plus", 2), ("O7", 3), ("U6", 4)])
+def test_save_load_save_writes_the_same_bytes(tmp_path, spaces, family, q):
+    save_space(spaces.get(family, q), tmp_path / "first.json")
+    save_space(load_space(tmp_path / "first.json"), tmp_path / "second.json")
+    for name in ("{}.json", "{}.json.labels.npy"):
+        first, second = (tmp_path / name.format(k) for k in ("first", "second"))
+        assert first.read_bytes() == second.read_bytes()
+    doc = json.loads((tmp_path / "first.json").read_text())
+    assert doc["format_version"] == 2
+    assert all(isinstance(doc[key], str) for key in _CACHED_ROWS)
+
+
+# each cached array's shape per row, after the row count and before the dimension d
+_CACHED_ROWS = {"points": (), "lines": (2,), "planes": (3,)}
+
+
+def decoded_cache(doc):
+    """A space cache document with its points and bases as nested lists of ints."""
+    d = FormSpec(doc["family"], doc["p"] ** doc["h"]).d
+    return dict(
+        doc,
+        **{
+            key: np.frombuffer(base64.b64decode(doc[key]), np.uint8)
+            .reshape((-1, *shape, d))
+            .tolist()
+            for key, shape in _CACHED_ROWS.items()
+        },
+    )
+
+
+def encoded_cache(doc):
+    """decoded_cache undone: each nested list, ragged or not, as base64 of its ints in order."""
+
+    def flat(rows):
+        return [x for r in rows for x in flat(r)] if isinstance(rows, list) else [rows]
+
+    return dict(doc, **{k: base64.b64encode(bytes(flat(doc[k]))).decode() for k in _CACHED_ROWS})
 
 
 VIEWS = {
@@ -406,14 +448,14 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
 def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
     path = tmp_path / "u6_q4.json"
     save_space(u64, path)
-    doc = json.loads(path.read_text())
+    doc = decoded_cache(json.loads(path.read_text()))
     # five nonzero coordinates of norm 1: B(v, v) = 1 in characteristic 2
     vector = [1, 3, 3, 3, 3, 0]
     assert not u64.form.singular_rows(vector)[0]
     # in place of the next point, so the points still strictly increase
     k = next(i for i, p in enumerate(doc["points"]) if p > vector)
     doc["points"][k] = vector
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(encoded_cache(doc)))
     with pytest.raises(ValueError, match="space cache points are not the points of the space"):
         load_space(path)
 
