@@ -133,29 +133,26 @@ def _regular_set_check(space, tables, idx, aq):
     support = _support(aq)
     j_tag = next(iter(support)) if len(support) == 1 else None
 
-    counts = relation_census(space.labels[:, idx])
-    in_mask = np.zeros(space.n_lines, dtype=bool)
-    in_mask[idx] = True
-    # counts and targets are compared times n, so a fractional target misses everywhere
-    routes = {}
-    for j in range(1, 5):
-        want_in, want_out = expected_degrees(tables, j, len(idx))
-        scaled = [np.array([int(v * tables.n) for v in w]) for w in (want_in, want_out)]
-        off = counts.astype(np.int64) * tables.n != np.where(in_mask[:, None], *scaled)
-        routes[EIGEN_TAGS[j]] = (off, want_in, want_out)
-    degree_tag = next((t for t, (off, _, _) in routes.items() if not off.any()), None)
+    counts = relation_census(space.labels[:, idx]).astype(np.int64)
+    in_mask = _line_mask(space, idx)
+    # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular set;
+    # rows j = 10..21, and a fractional target would miss everywhere
+    P = np.array(tables.P, dtype=np.int64)
+    want = len(idx) * (P[0] - P[1:])[:, None, :] + tables.n * P[1:, None, :] * in_mask[:, None]
+    off = counts * tables.n != want
+    clean = ~off.any(axis=(1, 2))
+    degree_tag = EIGEN_TAGS[1 + int(clean.argmax())] if clean.any() else None
     if degree_tag != j_tag:
         raise GeometryError("support-based and degree-based regularity verdicts disagree")
 
     inside = outside = witness = None
     if degree_tag:
-        _, inside, outside = routes[degree_tag]
+        inside, outside = expected_degrees(tables, EIGEN_TAGS.index(degree_tag), len(idx))
     else:
         # the first (line, relation) off the V10 targets
-        off, want_in, want_out = routes["10"]
-        x, i = divmod(int(off.argmax()), 5)
-        want = want_in if in_mask[x] else want_out
-        witness = (x, REL_TAGS[i], int(counts[x, i]), str(want[i]))
+        x, i = divmod(int(off[0].argmax()), 5)
+        want_x = expected_degrees(tables, 1, len(idx))[0 if in_mask[x] else 1]
+        witness = (x, REL_TAGS[i], int(counts[x, i]), str(want_x[i]))
 
     return RegularSetReport(
         is_regular=j_tag is not None,

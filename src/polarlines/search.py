@@ -158,6 +158,18 @@ def _guards_set(low, high):
     return (low & high & _GUARD_WORD) == _GUARD_WORD
 
 
+def _int_rows(rows, bits, n_rows, width):
+    """One int per row r < n_rows of width bits, with bit k set for each pair (r, k) given."""
+    buf = np.zeros((n_rows, -(-width // 8)), dtype=np.uint8)
+    np.bitwise_or.at(buf, (rows, bits >> 3), np.left_shift(1, bits & 7).astype(np.uint8))
+    return [int.from_bytes(row.tobytes(), "little") for row in buf]
+
+
+def _fields(values, w):
+    """The values, each in [0, 2^w), as one int of w-bit fields, the first lowest."""
+    return int("".join(f"{v:0{w}b}" for v in reversed(values.tolist())) or "0", 2)
+
+
 class _MembershipSearch:
     """DFS over the 0/1 memberships of n items with exact propagation.
 
@@ -189,8 +201,14 @@ class _MembershipSearch:
     - projectors: P stacks the bounds (lo, -hi) of every row at every line;
       a row can still vanish everywhere while P <= 0, and an item adds one
       gather of the bound steps by its labels row.
-    - blocks: the members are int bitsets IN and OUT, so a block's counts
-      are popcounts and an undo restores two words.
+    - blocks: each side, out and in, is one int packed[val] with a w-bit
+      field per block holding 2^(w-1) - cap + count, for the target cap on
+      the in side and the rest on the out side.  w exceeds the bit length of
+      the largest block, so no field carries, and a field's top (guard) bit
+      is set exactly when its block is full.  An item adds inc[x], a unit in
+      the field of each of its blocks: a guard bit already set there is a
+      contradiction, and one it turns on marks a block that just filled,
+      which propagation settles depth first.
     """
 
     def __init__(
@@ -240,17 +258,24 @@ class _MembershipSearch:
             self.steps = (np.concatenate([neg, pos]), np.concatenate([pos, neg]))  # out, in
             self.step = np.empty_like(self.P)
 
-        self.masks = [0] * len(blocks)
-        self.cap_in = [t for _, t in blocks]
-        self.cap_out = [len(m) - t for m, t in blocks]
-        # a block b whose in count may have changed is listed as b, its out count as ~b
-        item_blocks = [[] for _ in range(n)]
-        for b, (m, _) in enumerate(blocks):
-            for x in m:
-                self.masks[b] |= 1 << int(x)
-                item_blocks[x].append(b)
-        self.item_blocks = ([[~b for b in bs] for bs in item_blocks], item_blocks)
-        self.hot = [~b for b in range(len(blocks))] + list(range(len(blocks)))
+        sizes = np.array([len(m) for m, _ in blocks], dtype=np.int64)
+        targets = np.array([t for _, t in blocks], dtype=np.int64)
+        members = np.concatenate(
+            [np.zeros(0, dtype=np.int64)] + [np.asarray(m, dtype=np.int64) for m, _ in blocks]
+        )
+        owner = np.repeat(np.arange(len(blocks)), sizes)
+        self.w = w = int(sizes.max(initial=0)).bit_length() + 1
+        self.masks = _int_rows(owner, members, len(blocks), n)
+        # one unit in the field of each block of x, and the guard bits of those fields
+        self.inc = _int_rows(members, w * owner, n, w * len(blocks))
+        self.guard_of = [i << (w - 1) for i in self.inc]
+        # a target outside [0, |block|] is a contradiction at the root
+        cap_in = np.clip(targets, 0, sizes)
+        self.conflict = bool((cap_in != targets).any())
+        self.packed = [_fields(2 ** (w - 1) - cap, w) for cap in (sizes - cap_in, cap_in)]
+        guards = _fields(np.full(len(blocks), 2 ** (w - 1)), w)
+        # (side, guard bits of the blocks that filled on it); blocks of cap 0 are full at the root
+        self.hot = [(val, full) for val in (_OUT, _IN) if (full := self.packed[val] & guards)]
 
     def run(self, stop_after=None):
         """Search; an incomplete result's note says why the search stopped."""
@@ -267,7 +292,14 @@ class _MembershipSearch:
             self.IN |= 1 << x
         else:
             self.OUT |= 1 << x
-        self.hot.extend(self.item_blocks[val][x])
+        guard, side = self.guard_of[x], self.packed[val]
+        if side & guard:
+            self.conflict = True  # x overfills a block that is already full
+        side += self.inc[x]
+        self.packed[val] = side
+        full = side & guard
+        if full:  # the blocks that just filled
+            self.hot.append((val, full))
         if self.state is not None:
             word = self.words[val]
             np.subtract(word, self.rows[x], out=word)
@@ -280,11 +312,12 @@ class _MembershipSearch:
 
     def _undo_to(self, mark):
         length, self.IN, self.OUT = mark
-        trail, status = self.trail, self.status
+        trail, status, packed, inc = self.trail, self.status, self.packed, self.inc
         while len(trail) > length:
             x = trail.pop()
             val = status[x]
             status[x] = _UNDECIDED
+            packed[val] -= inc[x]
             if self.state is not None:
                 word = self.words[val]
                 np.add(word, self.rows[x], out=word)
@@ -295,6 +328,7 @@ class _MembershipSearch:
                 self.steps[val].take(self.labels[x], axis=1, out=self.step)
                 np.subtract(self.P, self.step, out=self.P)
         self.hot.clear()
+        self.conflict = False
 
     def _propagate(self):
         """Apply forced memberships up to the fixpoint; False on a contradiction.
@@ -302,25 +336,23 @@ class _MembershipSearch:
         The fixpoint does not depend on the order in which forced items are
         applied, so neither do the search tree and its node count.
         """
-        hot, masks, cap_in, cap_out = self.hot, self.masks, self.cap_in, self.cap_out
+        hot, masks, w = self.hot, self.masks, self.w
         while True:
+            if self.conflict:
+                return False
             while hot:
-                b = hot.pop()
-                if b >= 0:  # its members in may have reached the target
-                    mask = masks[b]
-                    count, cap, val = (self.IN & mask).bit_count(), cap_in[b], _OUT
-                else:  # its members out may have reached the rest
-                    mask = masks[~b]
-                    count, cap, val = (self.OUT & mask).bit_count(), cap_out[~b], _IN
-                if count < cap:
-                    continue
-                if count > cap:
-                    return False
-                rest = mask & ~(self.IN | self.OUT)
+                val, full = hot.pop()
+                low = full & -full
+                if full != low:
+                    hot.append((val, full ^ low))
+                # the lowest full block is settled: its undecided members take the other side
+                rest = masks[low.bit_length() // w - 1] & ~(self.IN | self.OUT)
                 while rest:
-                    low = rest & -rest
-                    self._set(low.bit_length() - 1, val)
-                    rest ^= low
+                    bit = rest & -rest
+                    self._set(bit.bit_length() - 1, 1 - val)
+                    if self.conflict:
+                        return False
+                    rest ^= bit
             n_in, n_und = self.IN.bit_count(), self.n - len(self.trail)
             if self.size is not None and not n_in <= self.size <= n_in + n_und:
                 return False
@@ -415,12 +447,12 @@ def _orbit_constraints(space, tables, j, size):
     """
     orbits = []
     if j in ("11", "21"):
-        orbits.append(space.plane_lines)
+        orbits.append(space.plane_lines_arr)
     if j in ("20", "21"):
-        orbits.append(space.point_lines)
+        orbits.append(space.point_lines_arr)
     out = []
     for members in orbits:
-        target = Fraction(size * len(members[0]), tables.n)
+        target = Fraction(size * members.shape[1], tables.n)
         if target.denominator != 1:
             return None  # eigenspace forces an impossible intersection count
         out.append((members, int(target)))
@@ -525,13 +557,13 @@ def _catalog_witness(space, tables, support, size):
     candidates = []
     if size % theta == 0 and ("10" in support or "20" in support):
         # union of pairwise line-disjoint planes
-        pool = [frozenset(lines) for lines in space.plane_lines]
+        pool = [frozenset(lines) for lines in space.plane_lines_arr.tolist()]
         hit = _find_disjoint_members(pool, size // theta)
         if hit is not None:
             candidates.append(sorted(set().union(*hit)))
     pencil_size = (q + 1) * (s * q + 1)
     if size % pencil_size == 0 and ("10" in support or "11" in support):
-        pool = [frozenset(lines) for lines in space.point_lines]
+        pool = [frozenset(lines) for lines in space.point_lines_arr.tolist()]
         hit = _find_disjoint_members(pool, size // pencil_size)
         if hit is not None:
             candidates.append(sorted(set().union(*hit)))
@@ -601,6 +633,18 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
 # -- exact cover: line spreads ---------------------------------------------------
 
 
+def _section_lines(space, point_indices, line_indices):
+    """The sorted distinct points and lines, and each line's points by position among those points.
+
+    A point off the given points has position -1.
+    """
+    pts = sorted(set(point_indices))
+    pos = np.full(len(space.pts_arr), -1, dtype=np.int64)
+    pos[pts] = np.arange(len(pts))
+    lines = np.array(sorted(set(line_indices)), dtype=np.int64)
+    return pts, lines, pos[space.line_points_arr[lines]]
+
+
 def line_spread_search(space, point_indices=None, line_indices=None, budget=None):
     """Partition the (sub)geometry's points into lines, by exact cover.
 
@@ -608,20 +652,17 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
     search a spread of an embedded quadric or quadrangle.
     """
     if point_indices is None:
-        point_indices = range(len(space.points))
+        point_indices = range(len(space.pts_arr))
     if line_indices is None:
         line_indices = range(space.n_lines)
-    pts = sorted(set(point_indices))
-    pos = {p: k for k, p in enumerate(pts)}
+    pts, lines, local = _section_lines(space, point_indices, line_indices)
     if len(pts) % (space.q + 1):
         raise ValueError("point count is not divisible by the line size q+1")
-    cand = []
-    for li in sorted(set(line_indices)):
-        if all(p in pos for p in space.line_points[li]):
-            mask = 0
-            for p in space.line_points[li]:
-                mask |= 1 << pos[p]
-            cand.append((li, mask))
+    inside = (local >= 0).all(axis=1)
+    cand = [
+        (li, sum(1 << p for p in row))
+        for li, row in zip(lines[inside].tolist(), local[inside].tolist())
+    ]
     covers = [[] for _ in pts]
     for ci, (_, mask) in enumerate(cand):
         m = mask
@@ -668,13 +709,9 @@ def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
     returned.  Used to find m-ovoids (m = (q+1)/2 gives hemisystems) of an
     embedded quadrangle section.
     """
-    pts = sorted(set(point_indices))
-    pos = {p: k for k, p in enumerate(pts)}
-    lines = []
-    for li in sorted(set(line_indices)):
-        if not all(p in pos for p in space.line_points[li]):
-            raise ValueError("section lines must lie inside the section points")
-        lines.append([pos[p] for p in space.line_points[li]])
+    pts, _, lines = _section_lines(space, point_indices, line_indices)
+    if (lines < 0).any():
+        raise ValueError("section lines must lie inside the section points")
     per_line = space.q + 1
     if not 0 <= m <= per_line:
         raise ValueError(f"m must be between 0 and {per_line}")

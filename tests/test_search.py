@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import sys
 
@@ -200,6 +202,10 @@ def test_hemisystem_search_and_lift(o73):
     res = m_ovoid_search(o73, pts, lines, 2, budget=500_000)
     assert res.points is not None and len(res.points) == 56
     assert res.complete and res.nodes == 10_672
+    assert res.points[:6] == (4, 13, 23, 24, 25, 26)
+    assert hashlib.sha256(json.dumps(list(res.points)).encode()).hexdigest()[:16] == (
+        "ee0e6ad8019f52db"
+    )
     assert con.validate_m_ovoid(o73, sec, res.points) == 2
     lift = con.m_ovoid_lift(o73, sec, res.points)
     assert len(lift) == 1680  # m q (q^2+1)(q^3+1) at m=2, q=3
@@ -215,6 +221,9 @@ def test_m_ovoid_search_rejects_bad_m(o6plus2):
 
     with pytest.raises(ValueError, match="between"):
         m_ovoid_search(o6plus2, pts, lines, 9)
+    # and a line with a point off the given points
+    with pytest.raises(ValueError, match="inside the section points"):
+        m_ovoid_search(o6plus2, pts[1:], lines, 1)
 
 
 def test_max_clique_on_known_graph():
@@ -660,6 +669,35 @@ def test_membership_search_matches_the_reference_core(o6plus2, sp62):
         assert got == _ReferenceMembershipSearch(n, budget, **kwargs).run(stop_after)
 
     check()
+
+
+@pytest.mark.parametrize("size", (1, 3, 4, 7, 8, 15, 16))
+def test_block_fields_at_their_width_boundaries_match_the_reference_core(o6plus2, size):
+    """Blocks at and around the field-width powers of two, with every edge target.
+
+    Two overlapping blocks of this size take a target t in -1, 0, 1, |b|-1,
+    |b| and |b|+1 and a third, disjoint, block the target 1; t = 0 and t = |b|
+    leave a block full at the root, and -1 and |b|+1 end the search there.
+    Each case runs with V11/15 degree targets over the lines of O+(6,2), and
+    without them over just the items the blocks cover and two more.
+    """
+    tables = tables_for_space(o6plus2)
+    inside, outside = expected_degrees(tables, 2, 15)
+    degrees = ([int(v) for v in inside[1:]], [int(v) for v in outside[1:]])
+    shift = max(size // 2, 1)
+    first, second, third = (range(k, k + size) for k in (0, shift, shift + size))
+    for target in (-1, 0, 1, size - 1, size, size + 1):
+        blocks = [(first, target), (second, target), (third, 1)]
+        for kwargs in (
+            {"n": o6plus2.n_lines, "size": 15, "labels": o6plus2.labels, "degrees": degrees},
+            {"n": shift + 2 * size + 2},
+        ):
+            n = kwargs.pop("n")
+            budget = 400 if "degrees" in kwargs else 3000
+            got = _MembershipSearch(n, budget, blocks=blocks, **kwargs).run()
+            assert got == _ReferenceMembershipSearch(n, budget, blocks=blocks, **kwargs).run()
+            if target in (-1, size + 1):
+                assert got == SearchResult((), True, 1)
 
 
 def test_packed_reachability_matches_the_interval_test():
