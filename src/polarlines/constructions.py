@@ -61,19 +61,19 @@ def _check_index(index, count, what):
 
 def plane_lines(space, plane_index):
     """All q^2+q+1 lines inside one plane."""
-    _check_index(plane_index, len(space.plane_lines), "plane")
+    _check_index(plane_index, len(space.plane_lines_arr), "plane")
     q = space.q
-    y = make_lineset(space, space.plane_lines[plane_index], name=f"plane[{plane_index}]")
+    y = make_lineset(space, space.plane_lines_arr[plane_index], name=f"plane[{plane_index}]")
     _check_inner(space, y, (1, q * q + q, 0, 0, 0), "plane lines")
     return y
 
 
 def point_pencil(space, point_index, mode="through"):
     """Lines through a point, or the lines inside its perp that avoid it."""
-    _check_index(point_index, len(space.points), "point")
+    _check_index(point_index, len(space.pts_arr), "point")
     q, s = space.q, space.qe
     if mode == "through":
-        y = make_lineset(space, space.point_lines[point_index], name=f"pencil[{point_index}]")
+        y = make_lineset(space, space.point_lines_arr[point_index], name=f"pencil[{point_index}]")
         _check_inner(space, y, (1, s * q + q, s * q * q, 0, 0), "point pencil")
         return y
     if mode != "perp_avoiding":

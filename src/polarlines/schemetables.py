@@ -131,42 +131,67 @@ def tables_for_space(space):
 # -- randomized-exact verification against an enumerated space ----------------
 
 
-# a block of label rows holds about this many entries, so its float mask, 1 MiB
-# in float32 or 2 MiB in float64, stays in cache and below numpy's 4 MiB
-# huge-page threshold
+# a block of label rows holds about this many entries, so its float32 mask,
+# 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
 _BLOCK_ENTRIES = 2**18
 
 
 def relation_products(labels, Y):
     """Exact A_i Y for all five relations, as an int64 array of shape (5, n, m).
 
-    Y is an n x m integer matrix.  A_0..A_3 Y run in float BLAS over row blocks
-    of the label table; A_4 Y is the column sums of Y minus the other four, in
-    int64, which is exact because every label is checked to be at most 4.
-    Every partial sum of a float product is an integer of magnitude at most
-    max|Y| * n, so it is exact in whatever order BLAS adds: in float32 below
-    2^24, in float64 below 2^53.  Beyond that this raises OverflowError.
+    Y is an n x m integer matrix with n = labels.shape[1]; an operand with
+    max|Y| * n >= 2^63 raises OverflowError.  A_10, A_11 and A_20 multiply all
+    limbs of Y (see _limbs) at once in float32 BLAS over row blocks of the label
+    table; every partial sum is an integer below 2^24, so it is exact in any
+    summation order.  Each product is added back in int64 from the top limb
+    down, acc = (acc << b) + P_k, which is exact because int64 wraps modulo
+    2^64 and the result fits.  A_00 Y adds the rows of Y where the label 0
+    sits, and A_21 Y is the column sums of Y minus the other four, which is
+    exact because every label is checked to be at most 4.
     """
     Y = np.asarray(Y, dtype=np.int64)
-    dtype = _exact_float(max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * len(Y))
-    Yf = Y.astype(dtype)
+    n = labels.shape[1]
+    if len(Y) != n:
+        raise ValueError(f"operand of shape {Y.shape} does not fit labels of shape {labels.shape}")
+    Yf, b = _limbs(Y, n)
+    m = Y.shape[1]
     col_sums = Y.sum(axis=0)
-    out = np.empty((5, labels.shape[0], Y.shape[1]), dtype=np.int64)
+    out = np.empty((5, labels.shape[0], m), dtype=np.int64)
     for lo, block in _row_blocks(labels):
         part = out[:, lo : lo + len(block)]
-        for i in range(4):
-            part[i] = (block == i).astype(dtype) @ Yf
+        rows, cols = divmod(np.flatnonzero(block.reshape(-1) == 0), n)
+        part[0] = 0
+        np.add.at(part[0], rows, Y[cols])
+        for i in range(1, 4):
+            prod = (block == i).astype(np.float32) @ Yf
+            part[i] = prod[:, :m]
+            for k in range(m, Yf.shape[1], m):
+                part[i] <<= b
+                part[i] += prod[:, k : k + m].astype(np.int64)
         np.subtract(col_sums, part[:4].sum(axis=0), out=part[4])
     return out
 
 
-def _exact_float(bound):
-    """The narrowest float type that adds integers of magnitude below bound exactly."""
-    if bound < 2**24:
-        return np.float32
-    if bound < 2**53:
-        return np.float64
-    raise OverflowError("operand too large for exact float64 relation products")
+def _limbs(Y, n):
+    """(Y_L | ... | Y_0 in float32, b): the limbs of Y side by side, top limb first.
+
+    Y = sum 2^(b k) Y_k with 2^b * n <= 2^24, and every product of a 0/1 matrix
+    of width n with a limb adds integers of magnitude below 2^24.
+    """
+    top = _max_abs(Y)
+    b = (2**24 // max(n, 1)).bit_length() - 1
+    if top * n >= 2**63 or (b < 1 and top * n >= 2**24):
+        raise OverflowError("operand too large for exact int64 relation products")
+    limbs, rest = [], Y
+    while top * n >= 2**24:
+        limbs.append(rest & (2**b - 1))
+        rest = rest >> b
+        top = _max_abs(rest)
+    return np.concatenate([rest, *reversed(limbs)], axis=1).astype(np.float32), b
+
+
+def _max_abs(Y):
+    return max(int(Y.max(initial=0)), -int(Y.min(initial=0)))
 
 
 def relation_census(labels):

@@ -5,7 +5,7 @@ import pytest
 
 from polarlines import schemetables
 from polarlines.schemetables import (
-    _exact_float,
+    _limbs,
     _project,
     relation_census,
     relation_products,
@@ -93,12 +93,13 @@ def _reference_relation_products(labels, Y):
     return out
 
 
-def _moved_pair_copy(space):
-    # move one symmetric pair from R20 to R21: the copy is no longer a scheme
+def _moved_pair_copy(space, label=4):
+    # move one symmetric pair from R20 to another relation: the copy is no
+    # longer a scheme, and with label 0 two of its rows hold a second 0
     broken = copy.copy(space)
     broken.labels = space.labels.copy()
     a, b = np.argwhere(broken.labels == 3)[0]
-    broken.labels[a, b] = broken.labels[b, a] = 4
+    broken.labels[a, b] = broken.labels[b, a] = label
     return broken
 
 
@@ -111,46 +112,61 @@ def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
 
 
 def test_moved_pair_report_matches_the_reference_route(o6plus2, monkeypatch):
-    broken = _moved_pair_copy(o6plus2)
     tables = tables_for_space(o6plus2)
-    fast = verify_scheme(broken, tables, k=2)
+    broken = [_moved_pair_copy(o6plus2, label) for label in (4, 0)]
+    fast = [verify_scheme(space, tables, k=2) for space in broken]
+    assert all(report["ok"] is False for report in fast)
     monkeypatch.setattr(schemetables, "relation_products", _reference_relation_products)
-    assert verify_scheme(broken, tables, k=2) == fast
+    assert [verify_scheme(space, tables, k=2) for space in broken] == fast
+
+
+def _limb_count(Y):
+    Y = np.asarray(Y, dtype=np.int64)
+    return _limbs(Y, len(Y))[0].shape[1] // Y.shape[1]
+
+
+def _assert_matches_integer_matmul(labels, Y):
+    got = relation_products(labels, Y)
+    assert got.dtype == np.int64 and got.shape == (5, labels.shape[0], Y.shape[1])
+    for i in range(5):
+        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
 
 
 @pytest.mark.parametrize("space", ["o6plus2", "sp62", "o73"])
 @pytest.mark.parametrize(
-    "bound,dtype",
-    # the random vectors of verify_scheme, and operands the size of its projections
-    [pytest.param(9, np.float32, id="x_sized"), pytest.param(2**30, np.float64, id="z_sized")],
+    "bound,limbs",
+    # the random vectors of verify_scheme, one limb, and operands above its
+    # projections (max|Z| is about 1.96e6 on O(7,3)): two limbs, three on O(7,3)
+    [pytest.param(9, (1, 1, 1), id="x_sized"), pytest.param(2**30, (2, 2, 3), id="z_sized")],
 )
-def test_relation_products_match_the_reference_route(request, space, bound, dtype):
+def test_relation_products_match_the_reference_route(request, space, bound, limbs):
     labels = request.getfixturevalue(space).labels
     Y = np.random.default_rng(bound).integers(-bound, bound + 1, size=(len(labels), 3))
-    assert _exact_float(bound * len(labels)) is dtype
+    Y[0, 0] = bound
+    assert _limb_count(Y) == limbs[["o6plus2", "sp62", "o73"].index(space)]
     got = relation_products(labels, Y)
     assert got.dtype == np.int64
     assert np.array_equal(got, _reference_relation_products(labels, Y))
 
 
 def test_float32_guard_boundary():
-    assert _exact_float(2**24 - 1) is np.float32
-    assert _exact_float(2**24) is np.float64
-    assert _exact_float(2**53 - 1) is np.float64
-    with pytest.raises(OverflowError):
-        _exact_float(2**53)
     rng = np.random.default_rng(17)
-    # n * max|Y| = 2^24 - 1 (255 * 65793) takes float32 and 2^24 (256 * 65536)
-    # float64.  Float32 holds every integer up to 2^24, so only the third case,
-    # whose R00 rows add about 460 odd entries near 2^17 to odd sums far above
-    # 2^24, would come out wrong in float32.
-    for n, top in ((255, 65793), (256, 65536), (512, 2**17 + 1)):
-        labels = rng.choice(5, size=(n, n), p=[0.9, 0.04, 0.03, 0.02, 0.01]).astype(np.uint8)
-        Y = rng.integers((top + 1) // 4, (top + 1) // 2, size=(n, 4)) * 2 + 1
-        Y[0, 0] = top
-        got = relation_products(labels, Y)
-        for i in range(5):
-            assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+    # n * max|Y| = 2^24 - 1 (255 * 65793) takes one limb and 2^24 (256 *
+    # 65536) two.  Float32 holds every integer up to 2^24, so only the third
+    # case, whose R10 rows add about 300 odd entries near 2^17 to odd sums far
+    # above 2^24, would come out wrong in one float32 limb.
+    for n, top, limbs in ((255, 65793, 1), (256, 65536, 2), (512, 2**17 + 1, 2)):
+        labels = rng.choice(5, size=(n, n), p=[0.1, 0.6, 0.1, 0.1, 0.1]).astype(np.uint8)
+        for sign in (1, -1):
+            Y = sign * (rng.integers((top + 1) // 4, (top + 1) // 2, size=(n, 4)) * 2 + 1)
+            Y[0, 0] = sign * top
+            assert _limb_count(Y) == limbs
+            _assert_matches_integer_matmul(labels, Y)
+    # each low limb of 2^40 - 1 is 2^b - 1 = 2^16 - 1, so a row of 255 ones in
+    # R10 adds up to 255 * (2^16 - 1), just below 2^24, in every low limb
+    labels = np.ones((256, 256), dtype=np.uint8)
+    np.fill_diagonal(labels, 0)
+    _assert_matches_integer_matmul(labels, np.full((256, 3), 2**40 - 1))
 
 
 def _random_labels(rng, n):
@@ -165,30 +181,53 @@ def _random_labels(rng, n):
 def test_relation_products_match_integer_matmul(n, m):
     rng = np.random.default_rng(n * 100 + m)
     labels = _random_labels(rng, n)
-    # entries near the float32 bound 2^24 / n and near the float64 bound
-    # 2^53 / n, so the partial sums use the full mantissa of either
-    for bits, dtype in ((24, np.float32), (53, np.float64)):
-        top = 2**bits // n
-        assert _exact_float(top * n) is dtype
-        Y = rng.integers(-top, top, size=(n, m))
-        got = relation_products(labels, Y)
-        assert got.dtype == np.int64 and got.shape == (5, n, m)
-        for i in range(5):
-            assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+    # max|Y| * n just below 2^24, at 2^24, near 2^40 and near 2^62, with the
+    # negative extreme in one entry, so the partial sums fill every limb
+    for bits in (24, 40, 62):
+        for top in ((2**bits - 1) // n, -(-(2**bits) // n)):
+            Y = rng.integers(-top, top, size=(n, m), endpoint=True)
+            Y[rng.integers(n), rng.integers(m)] = -top
+            _assert_matches_integer_matmul(labels, Y)
+            _assert_matches_integer_matmul(labels, np.full((n, m), -top))
 
 
 def test_relation_products_guard_is_max_entry_times_n():
     labels = _random_labels(np.random.default_rng(3), 4)
-    for bad in (2**51, -(2**51)):
+    for bad in (2**61, -(2**61)):
         Y = np.zeros((4, 2), dtype=np.int64)
         Y[1, 1] = bad
         with pytest.raises(OverflowError):
             relation_products(labels, Y)
-    Y = np.full((4, 2), 2**51 - 1, dtype=np.int64)
-    Y[0, 0] = -(2**51 - 1)
-    got = relation_products(labels, Y)
-    for i in range(5):
-        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+    Y = np.full((4, 2), 2**61 - 1, dtype=np.int64)
+    Y[0, 0] = -(2**61 - 1)
+    _assert_matches_integer_matmul(labels, Y)
+    _assert_matches_integer_matmul(labels, -Y)
+    # at n = 3 the shifted accumulator of an all-R10 row passes -2^63 before
+    # the low limb brings it back: int64 wraps, and the result is exact
+    _assert_matches_integer_matmul(
+        np.ones((3, 3), dtype=np.uint8), np.full((3, 2), -((2**63 - 1) // 3))
+    )
+    # past 2^23 columns a limb has no bit to spare: entries of 2 must raise
+    # rather than split forever
+    with pytest.raises(OverflowError):
+        _limbs(np.full((1, 1), 2), 2**23 + 1)
+
+
+def test_r00_is_read_where_its_labels_sit(o6plus2):
+    # R00 is the diagonal of a valid table; a 0 off the diagonal and a row
+    # with no 0 are still read exactly, as the rows of Y where the zeros sit
+    labels = o6plus2.labels.copy()
+    labels[3, 40] = labels[40, 3] = 0
+    labels[7, 7] = 2
+    rng = np.random.default_rng(29)
+    for top in (9, 2**30):
+        _assert_matches_integer_matmul(labels, rng.integers(-top, top, size=(len(labels), 4)))
+
+
+def test_relation_products_reject_an_operand_of_another_height():
+    labels = _random_labels(np.random.default_rng(31), 50)
+    with pytest.raises(ValueError, match=r"\(49, 2\).*\(50, 50\)"):
+        relation_products(labels, np.ones((49, 2), dtype=np.int64))
 
 
 def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):
