@@ -12,7 +12,7 @@ from polarlines.schemetables import empirical_valencies
 
 space = build_space("O6plus", 2)
 print(f"built {space.family}/q={space.q}:")
-print(f"  {len(space.points)} points, {space.n_lines} lines, {len(space.plane_basis)} planes")
+print(f"  {len(space.pts_arr)} points, {space.n_lines} lines, {len(space.plane_basis_arr)} planes")
 print(f"  fingerprint {space.fingerprint}")
 
 tables = tables_for_space(space)

@@ -44,8 +44,7 @@ print("\nSp(6,2): a 1-system from a line spread of the elliptic quadric section"
 sp = build_space("Sp6", 2)
 ts = tables_for_space(sp)
 section = quadric_section(sp, "minus")
-inside = set(section.point_indices)
-section_lines = [li for li, pts in enumerate(sp.line_points) if all(p in inside for p in pts)]
+section_lines = sp.lines_inside(section.point_indices)
 spread = line_spread_search(sp, section.point_indices, section_lines)
 one_system = spread.lines
 print(f"  spread of 9 lines: {one_system}")

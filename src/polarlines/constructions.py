@@ -27,10 +27,9 @@ from .linalg import rref
 from .spaces import (
     GeometryError,
     _anisotropic_binary,
-    _basis_key,
-    _normalize,
     _projective_points,
     _quad_values,
+    _vector_indices,
     form_values,
 )
 from .schemetables import relation_census, tables_for_space
@@ -126,11 +125,11 @@ def _section_census(space):
     gq_count = (s * q * q + 1) * (q + 1)
     duals = ambient_projective_points(space)
     inside = form_values(space.form, space.pts_arr, duals) == 0
+    # u is normalized, so it is singular exactly when it is a point
+    radicals = space.point_indices(duals).tolist()
     out = []
-    for u, cnt in zip(duals, inside.sum(axis=0).tolist()):
-        # u is normalized, so it is singular exactly when it is a point
-        pt = space.point_index.get(u)
-        if pt is not None:
+    for u, cnt, pt in zip(duals, inside.sum(axis=0).tolist(), radicals):
+        if pt >= 0:
             out.append(HyperplaneSection(u, "degenerate", pt, cnt))
         elif rank3_count is not None and cnt == rank3_count:
             out.append(HyperplaneSection(u, "rank3", None, cnt))
@@ -300,13 +299,14 @@ def elliptic_ovoid(space, fixed_duals=()):
     q = space.q
     duals = ambient_projective_points(space)
     vals = form_values(space.form, space.pts_arr, duals)
-    dual_index = {u: k for k, u in enumerate(duals)}
-    fixed = [dual_index[_normalize(space.field, u)] for u in fixed_duals]
+    fixed = _vector_indices(space.field, duals, np.reshape(fixed_duals, (-1, space.d))).tolist()
+    if -1 in fixed:
+        raise ValueError("cannot normalize the zero vector")
     need = 2 - len(fixed)
     if need < 0:
         raise ValueError("at most two functionals cut out a 4-space in dimension 6")
     masks = vals == 0
-    fixed_mask = np.ones(len(space.points), dtype=bool)
+    fixed_mask = np.ones(len(space.pts_arr), dtype=bool)
     for k in fixed:
         fixed_mask &= masks[:, k]
     for combo in itertools.combinations(range(len(duals)), need):
@@ -321,12 +321,9 @@ def elliptic_ovoid(space, fixed_duals=()):
         sub = space.perp_points[np.ix_(pts, pts)]
         if (sub & ~np.eye(len(pts), dtype=bool)).any():
             continue
-        ovoid = tuple(int(i) for i in pts)
-        if not fixed_duals:
-            for plane_pts in space.plane_points:
-                if len(set(plane_pts) & set(ovoid)) != 1:
-                    raise GeometryError("elliptic section is not one point per plane")
-        return ovoid
+        if not fixed_duals and (mask[space.plane_points_arr].sum(axis=1) != 1).any():
+            raise GeometryError("elliptic section is not one point per plane")
+        return tuple(pts.tolist())
     raise GeometryError("no elliptic 4-space found")
 
 
@@ -335,10 +332,8 @@ def pencil_union(space, ovoid_points):
     q, s = space.q, space.qe
     if len(ovoid_points) != s * q * q + 1:
         raise ValueError(f"ovoid must have q^(e+2)+1 = {s * q * q + 1} points")
-    lines = []
-    for p in ovoid_points:
-        lines.extend(space.point_lines[p])
-    if len(set(lines)) != len(lines):
+    lines = space.point_lines_arr[list(ovoid_points)].ravel()
+    if len(np.unique(lines)) != len(lines):
         raise ValueError("point-pencils are not pairwise disjoint; not an ovoid")
     y = make_lineset(space, lines, name="pencil_union")
     want = (q + 1) * (s * q + 1) * (s * q * q + 1)
@@ -355,12 +350,12 @@ def validate_m_ovoid(space, section, point_indices):
     """Check that every line of the GQ section meets the set in m points; return m."""
     if section.kind != "gq":
         raise ValueError("m-ovoids live in a generalized quadrangle section")
-    in_h = set(section_point_indices(space, section))
-    pts = set(point_indices)
-    if not pts <= in_h:
+    if not set(point_indices) <= set(section_point_indices(space, section)):
         raise ValueError("m-ovoid points must lie in the section")
-    section_lines = hyperplane_section_lines(space, section)
-    ms = {len(pts & set(space.line_points[li])) for li in section_lines.indices}
+    chosen = np.zeros(len(space.pts_arr), dtype=bool)
+    chosen[list(point_indices)] = True
+    section_lines = space.line_points_arr[list(hyperplane_section_lines(space, section).indices)]
+    ms = set(chosen[section_lines].sum(axis=1).tolist())
     if len(ms) != 1:
         raise ValueError(f"not an m-ovoid: line intersection sizes {sorted(ms)}")
     return ms.pop()
@@ -375,17 +370,16 @@ def m_ovoid_lift(space, section, point_indices):
     if space.q % 2 == 0:
         raise ValueError("the m-ovoid lift requires odd q")
     m = validate_m_ovoid(space, section, point_indices)
-    pts = set(point_indices)
-    in_h = np.zeros(len(space.points), dtype=bool)
-    in_h[list(section_point_indices(space, section))] = True
-    keep = []
-    for li, line_pts in enumerate(space.line_points):
-        hits = [p for p in line_pts if in_h[p]]
-        if len(hits) == 1 and hits[0] in pts:
-            keep.append(li)
-        elif len(hits) not in (1, space.q + 1):
-            raise GeometryError("a line meets the hyperplane in an impossible point count")
     q, s = space.q, space.qe
+    in_h = np.zeros(len(space.pts_arr), dtype=bool)
+    in_h[list(section_point_indices(space, section))] = True
+    hits = in_h[space.line_points_arr].sum(axis=1)
+    if not np.isin(hits, (1, q + 1)).all():
+        raise GeometryError("a line meets the hyperplane in an impossible point count")
+    chosen = np.zeros(len(space.pts_arr), dtype=bool)
+    chosen[list(point_indices)] = True
+    # the m-ovoid lies in the hyperplane, so a line meeting it in one point meets the m-ovoid there
+    keep = np.flatnonzero((hits == 1) & chosen[space.line_points_arr].any(axis=1))
     y = make_lineset(space, keep, name=f"{m}_ovoid_lift")
     want = m * q * (s * q + 1) * (s * q * q + 1)
     if len(y) != want:
@@ -456,27 +450,21 @@ def symplectic_spread_planes(space):
         planes.append(rows)
     planes.append([(0, 0, 0) + coords(b, Bstarinv) for b in dual_basis])
 
-    indices = []
-    for rows in planes:
-        rr, _ = rref(rows, f)
-        key = _basis_key(rr)
-        if key not in space.plane_key_index:
-            raise GeometryError("spread plane is not totally isotropic")
-        indices.append(space.plane_key_index[key])
-    if len(set(indices)) != cubic.q + 1:
+    indices = space.basis_indices(np.array([rref(rows, f)[0] for rows in planes], dtype=np.uint8))
+    if (indices < 0).any():
+        raise GeometryError("spread plane is not totally isotropic")
+    if len(set(indices.tolist())) != cubic.q + 1:
         raise GeometryError("spread planes are not distinct")
-    for a, b in itertools.combinations(indices, 2):
-        if set(space.plane_points[a]) & set(space.plane_points[b]):
-            raise GeometryError("spread planes intersect")
-    return tuple(indices)
+    # each plane's points are distinct, so the planes meet exactly when a point repeats
+    points = space.plane_points_arr[indices]
+    if len(np.unique(points)) != points.size:
+        raise GeometryError("spread planes intersect")
+    return tuple(indices.tolist())
 
 
 def symplectic_spread_lines(space):
     """All lines inside the planes of the standard spread; regular in V20."""
-    planes = symplectic_spread_planes(space)
-    lines = []
-    for pi in planes:
-        lines.extend(space.plane_lines[pi])
+    lines = space.plane_lines_arr[list(symplectic_spread_planes(space))].ravel()
     q, s = space.q, space.qe
     y = make_lineset(space, lines, name="spread_lines")
     want = (s * q * q + 1) * space.theta
@@ -570,10 +558,7 @@ class TwoWeightProfile:
 
 
 def covered_points(space, y):
-    pts = set()
-    for li in _as_indices(space, y):
-        pts.update(space.line_points[li])
-    return tuple(sorted(pts))
+    return tuple(np.unique(space.line_points_arr[_as_indices(space, y)]).tolist())
 
 
 def two_weight_profile(space, y):
@@ -599,18 +584,17 @@ def two_weight_profile(space, y):
     small = big - s * q
 
     cov = covered_points(space, y)
-    cov_set = set(cov)
     duals = ambient_projective_points(space)
     counts = (form_values(space.form, space.pts_arr[list(cov)], duals) == 0).sum(axis=0)
+    # only a degenerate hyperplane, u a point, can have a covered radical
+    radical_covered = np.isin(space.point_indices(duals), cov).tolist()
 
     values = {}
     dichotomy_ok = True
-    for k, u in enumerate(duals):
-        c = Fraction(int(counts[k]))
+    for count, covered in zip(counts.tolist(), radical_covered):
+        c = Fraction(count)
         values[c] = values.get(c, 0) + 1
-        # only a degenerate hyperplane, u a point, can have a covered radical
-        want = small if space.point_index.get(u) in cov_set else big
-        if c != want:
+        if c != (small if covered else big):
             dichotomy_ok = False
     if not set(values) <= {big, small}:
         raise GeometryError(f"hyperplane profile {sorted(values)} is not two-valued as expected")
@@ -645,17 +629,15 @@ def two_weight_graph(space, y):
     d = space.d
     if f.q**d > 4096:
         raise ValueError("ambient vector space too large for an explicit graph")
-    cov = set(covered_points(space, y))
-    vectors = list(itertools.product(range(f.q), repeat=d))
-    index = {v: i for i, v in enumerate(vectors)}
-    n = len(vectors)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i, u in enumerate(vectors):
-        for j in range(i + 1, n):
-            w = vectors[j]
-            diff = tuple(f.sub(a, b) for a, b in zip(u, w))
-            if space.point_index.get(_normalize(f, diff)) in cov:
-                adj[i, j] = adj[j, i] = 1
+    # covered[-1] is False, for the differences that are no point
+    covered = np.zeros(len(space.pts_arr) + 1, dtype=np.int64)
+    covered[list(covered_points(space, y))] = 1
+    vectors = np.array(list(itertools.product(range(f.q), repeat=d)), dtype=np.uint8)
+    adj = np.empty((len(vectors), len(vectors)), dtype=np.int64)
+    # row blocks bound the n x block x d differences
+    for lo in range(0, len(vectors), 256):
+        diffs = f.SUB[vectors[lo : lo + 256, None], vectors[None]]
+        adj[lo : lo + 256] = covered[space.point_indices(diffs)]
     return adj
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .analysis import (
     LineSet,
     _as_indices,
@@ -20,7 +22,7 @@ from .analysis import (
     plane_profile,
 )
 from .linalg import rref
-from .spaces import REL_TAGS, _basis_key, _normalize
+from .spaces import REL_TAGS
 
 LINESET_VERSION = 1
 POINTSET_VERSION = 1
@@ -88,13 +90,14 @@ def parse_lineset_file(path, space):
     if doc.get("fingerprint") not in (None, space.fingerprint):
         raise ValueError("line-set file fingerprint does not match this space")
     if "bases" in doc:
-        indices = []
-        for rows in _list_of(doc, "bases", lambda b: _is_basis(b, space), "line-set"):
-            basis, _ = rref([tuple(r) for r in rows], space.field)
-            key = _basis_key(basis)
-            if key not in space.line_key_index:
+        given = _list_of(doc, "bases", lambda b: _is_basis(b, space), "line-set")
+        reduced = [rref(rows, space.field)[0] for rows in given]
+        # zero rows, which name no line, stand in for a basis of another rank
+        reduced = [b if len(b) == 2 else [[0] * space.d] * 2 for b in reduced]
+        indices = space.basis_indices(np.reshape(reduced, (-1, 2, space.d))).tolist()
+        for rows, i in zip(given, indices):
+            if i < 0:
                 raise ValueError(f"basis {rows} is not a line of this space")
-            indices.append(space.line_key_index[key])
         if "lines" in doc and set(indices) != set(_list_of(doc, "lines", _is_index, "line-set")):
             raise ValueError("line indices and bases disagree")
     else:
@@ -123,15 +126,17 @@ def parse_pointset_file(path, space):
     if doc.get("fingerprint") not in (None, space.fingerprint):
         raise ValueError("point-set file fingerprint does not match this space")
     if "vectors" in doc:
-        points = []
-        for v in _list_of(doc, "vectors", lambda v: _is_vector(v, space), "point-set"):
-            key = _normalize(space.field, tuple(v))
-            if key not in space.point_index:
-                raise ValueError(f"vector {v} is not a point of this space")
-            points.append(space.point_index[key])
+        vectors = _list_of(doc, "vectors", lambda v: _is_vector(v, space), "point-set")
+        points = space.point_indices(np.reshape(vectors, (-1, space.d))).tolist()
+        for v, p in zip(vectors, points):
+            if p < 0:
+                no_point = f"vector {v} is not a point of this space"
+                raise ValueError(no_point if any(v) else "cannot normalize the zero vector")
+        if "points" in doc and set(points) != set(_list_of(doc, "points", _is_index, "point-set")):
+            raise ValueError("point indices and vectors disagree")
     else:
         points = _list_of(doc, "points", _is_index, "point-set")
-    bad = [p for p in points if p < 0 or p >= len(space.points)]
+    bad = [p for p in points if p < 0 or p >= len(space.pts_arr)]
     if bad:
         raise ValueError(f"point indices out of range: {bad[:4]}")
     return tuple(sorted(set(points)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import _table_matmul
+from .spaces import _table_matmul, _vector_indices
 
 
 def _primitive_element(field):
@@ -61,22 +61,15 @@ def o6plus_generators(field):
 def vector_permutation(field, vectors, g):
     """Where g sends each of the vectors, as indices into the vectors.
 
-    vectors are normalized (first nonzero entry 1) and in lexicographic order,
-    as the points of a space and the dual points of its sections are.  Each
-    product v g is normalized and looked up by its base-q code, as
-    spaces._span_points looks up the points of a span.  Raises ValueError if
+    vectors are normalized (first nonzero entry 1) and distinct, as the points
+    of a space and the dual points of its sections are.  Each product v g is
+    looked up up to a scalar by spaces._vector_indices.  Raises ValueError if
     an image is zero or not one of the vectors, or two vectors share an image.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
     images = _table_matmul(field, vectors, np.asarray(g, dtype=np.uint8))
-    # a zero image stays zero, and no normalized vector has its code 0
-    lead = images[np.arange(len(images)), (images != 0).argmax(axis=1)]
-    images = field.MUL[field.INV[lead][:, None], images]
-    shape = (field.q,) * vectors.shape[1]
-    codes = np.ravel_multi_index(vectors.T, shape)
-    found = np.ravel_multi_index(images.T, shape)
-    pos = np.searchsorted(codes, found).clip(max=len(codes) - 1)
-    if (codes[pos] != found).any():
+    pos = _vector_indices(field, vectors, images)
+    if (pos < 0).any():
         raise ValueError("the matrix sends a vector outside the given ones")
     if (np.bincount(pos, minlength=len(pos)) > 1).any():
         raise ValueError("the matrix sends two vectors to one")

@@ -175,16 +175,6 @@ class FormSpec:
         return self._bilinear_rows(X, X) == 0
 
 
-def _normalize(field, v):
-    for k, x in enumerate(v):
-        if x:
-            if x == 1:
-                return tuple(v)
-            c = field.inv(x)
-            return tuple(field.mul(c, y) for y in v)
-    raise ValueError("cannot normalize the zero vector")
-
-
 def _projective_points(field, d):
     """All projective points of GF(q)^d, leading coordinate 1, in lex order."""
     q = field.q
@@ -225,13 +215,33 @@ def form_values(form, X, Y):
     return _table_matmul(f, X, _table_matmul(f, gram, Y.T))
 
 
-def _span_points(field, codes, bases):
+def _vector_indices(field, vectors, rows):
+    """The index in vectors of each row of rows up to a nonzero scalar, else -1.
+
+    vectors holds one vector of each of some distinct points, one per row;
+    rows lie along the last axis of a uint8 array of any shape.  A dense
+    table over all q^d base-q codes maps every nonzero multiple of each of
+    the vectors to its index, so each row is looked up by its own code with
+    no normalization.  The zero row, code 0, and a row whose point is not
+    among the vectors give -1.
+    """
+    vectors, rows = np.asarray(vectors, dtype=np.uint8), np.asarray(rows, dtype=np.uint8)
+    shape = (field.q,) * rows.shape[-1]
+    # q^d is at most about q times the line count in every family, so the
+    # table is tiny next to the n x n label table
+    table = np.full(field.q ** rows.shape[-1], -1, dtype=np.int32)
+    index = np.arange(len(vectors), dtype=np.int32)
+    for c in range(1, field.q):
+        table[np.ravel_multi_index(field.MUL[c, vectors].T, shape)] = index
+    return table[np.ravel_multi_index(np.moveaxis(rows, -1, 0), shape)]
+
+
+def _span_points(field, points, bases):
     """Ascending point indices of the spans of many RREF bases of one dimension r.
 
     The normalized coefficient vectors of GF(q)^r times an RREF basis are the
-    normalized vectors of its span, one per point.  Each is looked up by its
-    base-q code in a dense table over all q^d codes, filled from codes, the
-    sorted codes of the points.  Raises ValueError if a basis is not in RREF
+    normalized vectors of its span, one per point, each looked up among the
+    points by _vector_indices.  Raises ValueError if a basis is not in RREF
     or its span holds a vector that is not a point.
     """
     bases = np.asarray(bases, dtype=np.uint8)
@@ -244,19 +254,14 @@ def _span_points(field, codes, bases):
     vectors = np.zeros((len(bases), len(coeffs), bases.shape[2]), dtype=np.uint8)
     for k in range(r):
         vectors = field.ADD[vectors, field.MUL[coeffs[:, k, None], bases[:, None, k]]]
-    shape = (field.q,) * vectors.shape[-1]
-    # q^d is at most about q times the line count in every family, so the
-    # table is tiny next to the n x n label table
-    index = np.full(field.q ** vectors.shape[-1], -1, dtype=np.int32)
-    index[codes] = np.arange(len(codes), dtype=np.int32)
-    pos = index[np.ravel_multi_index(np.moveaxis(vectors, -1, 0), shape)]
+    pos = _vector_indices(field, points, vectors)
     if (pos < 0).any():
         raise ValueError("a line or plane basis spans a vector that is not a point of the space")
     return np.sort(pos, axis=1)
 
 
 def _check_increasing(bases):
-    """Raise ValueError unless the rows' bytes, their _basis_keys, strictly increase.
+    """Raise ValueError unless the rows' bytes strictly increase.
 
     Each pair of neighbours is compared at its first differing byte; equal
     neighbours have none, and fail too.
@@ -315,13 +320,6 @@ def _tuples(arr):
     return [tuple(r) for r in arr.tolist()]
 
 
-def _key_index(bases):
-    """Each basis's _basis_key, the bytes of its row, mapped to its index."""
-    width = bases.shape[1] * bases.shape[2]
-    keys = bases.reshape(len(bases), width).view(f"V{width}").ravel().tolist()
-    return {k: i for i, k in enumerate(keys)}
-
-
 # the relation index at [s][t], s = dim(L cap M) and t = dim(L cap M^perp);
 # 255 where no pair of lines has that (s, t)
 _RELATION_OF_ST = np.array([[4, 3, 255], [255, 2, 1], [255, 255, 0]], dtype=np.uint8)
@@ -336,8 +334,8 @@ class PolarSpace:
         Each argument is a uint8 array, or anything np.asarray turns into one:
         points is n x d, and the bases are n x 2 x d and n x 3 x d.  The points
         must be normalized and in lexicographic order.  The line and plane
-        bases must be RREF, totally isotropic and strictly increasing in
-        _basis_key order, as build_space writes them; otherwise this raises
+        bases must be RREF, totally isotropic and strictly increasing in the
+        order of their bytes, as build_space writes them; otherwise this raises
         ValueError.  Every line's and every plane's point set comes from one
         bulk span pass over its bases.  Two distinct points are perpendicular
         exactly when a line joins them, so perp_points is read off the lines.
@@ -361,19 +359,17 @@ class PolarSpace:
         if got != want:
             raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
 
-        # base-q codes, whose order is the lexicographic order of the points
-        codes = np.ravel_multi_index(self.pts_arr.T, (self.q,) * self.d)
         spans = []
         for bases in (line_bases, plane_bases):
             _check_increasing(bases)
-            spans.append(_span_points(self.field, codes, bases))
+            spans.append(_span_points(self.field, self.pts_arr, bases))
             # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof
             for a, b in itertools.combinations(range(bases.shape[1]), 2):
                 if form._bilinear_rows(bases[:, a], bases[:, b]).any():
                     raise ValueError("a line or plane basis spans no totally isotropic subspace")
         self.line_points_arr, self.plane_points_arr = spans
 
-        # the validated uint8 bases; line_basis and plane_basis are their tuples
+        # the validated uint8 bases
         self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases
         self.n_lines = len(line_bases)
         q, s = self.q, self.qe
@@ -445,57 +441,62 @@ class PolarSpace:
     @cached_property
     def points(self):
         """Each point as a tuple of coordinates."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return _tuples(self.pts_arr)
-
-    @cached_property
-    def point_index(self):
-        """Each point's tuple mapped to its index."""
-        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def line_points(self):
         """Each line's ascending point indices."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return _tuples(self.line_points_arr)
-
-    @cached_property
-    def plane_points(self):
-        """Each plane's ascending point indices."""
-        return _tuples(self.plane_points_arr)
 
     @cached_property
     def plane_lines(self):
         """Each plane's ascending line indices."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return _tuples(self.plane_lines_arr)
 
     @cached_property
     def point_lines(self):
         """The ascending indices of the lines through each point."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return _tuples(self.point_lines_arr)
-
-    @cached_property
-    def line_planes(self):
-        """The ascending indices of the planes through each line."""
-        return _tuples(self.line_planes_arr)
-
-    @cached_property
-    def line_key_index(self):
-        """Each line's _basis_key mapped to its index."""
-        return _key_index(self.line_basis_arr)
-
-    @cached_property
-    def plane_key_index(self):
-        """Each plane's _basis_key mapped to its index."""
-        return _key_index(self.plane_basis_arr)
 
     @cached_property
     def line_basis(self):
         """Each line's RREF basis as a tuple of row tuples."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return [tuple(map(tuple, b)) for b in self.line_basis_arr.tolist()]
 
     @cached_property
     def plane_basis(self):
         """Each plane's RREF basis as a tuple of row tuples."""
+        # besides tests, only perfbench/ reads this view; ROADMAP item 1b removes it
         return [tuple(map(tuple, b)) for b in self.plane_basis_arr.tolist()]
+
+    # -- lookups -----------------------------------------------------------------
+
+    def point_indices(self, vectors):
+        """The point of each vector along the last axis, by _vector_indices; -1 if none."""
+        return _vector_indices(self.field, self.pts_arr, vectors)
+
+    def basis_indices(self, bases):
+        """For each basis, the line (2 rows) or plane (3 rows) it is the RREF basis of, or -1.
+
+        Rows are compared up to a nonzero scalar, as points.  So an RREF
+        basis is found exactly when it spans a line or a plane.
+        Each row of a totally isotropic basis is a point, and the point indices
+        of a basis's rows combine into one int64 code, base the point count.
+        The points are in lexicographic order, so the codes of the canonical
+        bases ascend, and each given code is searched among them.
+        """
+        rows = self.point_indices(bases)
+        known = {2: self.line_basis_arr, 3: self.plane_basis_arr}[rows.shape[1]]
+        weights = len(self.pts_arr) ** np.arange(known.shape[1] - 1, -1, -1, dtype=np.int64)
+        codes = rows @ weights
+        known_codes = self.point_indices(known) @ weights
+        pos = np.searchsorted(known_codes, codes).clip(max=len(known) - 1)
+        return np.where((rows >= 0).all(axis=1) & (known_codes[pos] == codes), pos, -1)
 
     # -- queries ---------------------------------------------------------------
 
@@ -575,8 +576,8 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
     points in echelon position are the RREF basis of the totally isotropic
     space they span.  So each line is one pair and each plane one triple of
     such points, read off the perp matrix with no rref call.  The points are
-    in lexicographic order and a basis's _basis_key is its rows' bytes, so the
-    row-major order of np.nonzero is already _basis_key order.
+    in lexicographic order, so the row-major order of np.nonzero is already
+    the order of the bases' bytes.
     """
     form = FormSpec(family, q)
     n_pred = predicted_line_count(family, q)
@@ -601,10 +602,6 @@ def _space_points(form):
     """The points of the space: its singular normalized vectors, in lexicographic order."""
     candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
     return candidates[form.singular_rows(candidates)]
-
-
-def _basis_key(basis):
-    return b"".join(bytes(r) for r in basis)
 
 
 def _fingerprint(form, line_bases):

@@ -458,6 +458,63 @@ def test_malformed_pointset_file_is_a_json_error(tmp_path, capsys, doc):
     assert set(json.loads(out)) == {"error"}
 
 
+# O+(6,2), Q = x0 x1 + x2 x3 + x4 x5: e0 and e1 are points with B(e0, e1) = 1,
+# e0 + e1 is no point, and _PLANE spans a plane
+_E0, _E1 = [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]
+_PLANE = [[0, 0, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "key,given,error",
+    [
+        ("vectors", [_E0, [1, 1, 0, 0, 0, 0]], "vector [1, 1, 0, 0, 0, 0] is not a point of this space"),
+        ("vectors", [_E0, [0] * 6], "cannot normalize the zero vector"),
+        ("bases", [[_E0, _E0]], f"basis {[_E0, _E0]} is not a line of this space"),
+        ("bases", [_PLANE], f"basis {_PLANE} is not a line of this space"),
+        ("bases", [[_E0, _E1]], f"basis {[_E0, _E1]} is not a line of this space"),
+    ],
+    ids=["no_point", "zero_vector", "rank_1", "three_rows", "not_isotropic"],
+)
+def test_set_file_lookup_errors_keep_their_messages(tmp_path, o6plus2, key, given, error):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(dict(_HEADER, **{key: given})))
+    parse = parse_pointset_file if key == "vectors" else parse_lineset_file
+    with pytest.raises(ValueError) as raised:
+        parse(path, o6plus2)
+    assert str(raised.value) == error
+
+
+def test_pointset_file_given_by_scaled_vectors(tmp_path, o6plus3):
+    pick = [0, 5, 64, 129]
+    vectors = o6plus3.field.MUL[2, o6plus3.pts_arr[pick]].tolist()
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(dict(_HEADER, space=cli_header(o6plus3), vectors=vectors)))
+    assert parse_pointset_file(path, o6plus3) == tuple(pick)
+
+
+def test_pointset_file_whose_vectors_and_points_disagree_is_rejected(tmp_path, o6plus2):
+    path = tmp_path / "points.json"
+    vectors = [o6plus2.pts_arr[5].tolist()]
+    path.write_text(json.dumps(dict(_HEADER, vectors=vectors, points=[5])))
+    assert parse_pointset_file(path, o6plus2) == (5,)
+    path.write_text(json.dumps(dict(_HEADER, vectors=vectors, points=[0, 1, 2])))
+    with pytest.raises(ValueError, match="point indices and vectors disagree"):
+        parse_pointset_file(path, o6plus2)
+
+
+def test_lineset_file_of_scaled_and_row_swapped_bases(tmp_path, o6plus3):
+    f = o6plus3.field
+    pick = [0, 7, 300, 519]
+    bases = f.MUL[2, o6plus3.line_basis_arr[pick][:, ::-1]]
+    path = tmp_path / "lines.json"
+    path.write_text(json.dumps(dict(_HEADER, space=cli_header(o6plus3), bases=bases.tolist())))
+    assert parse_lineset_file(path, o6plus3).indices == tuple(pick)
+
+
+def cli_header(space):
+    return {"family": space.family, "p": space.field.p, "h": space.field.h}
+
+
 def test_fuzzed_set_files_parse_or_raise_value_error(tmp_path, o6plus2):
     """Any JSON document gives a line or point set, or a ValueError, never another exception."""
     hypothesis = pytest.importorskip("hypothesis")

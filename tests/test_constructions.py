@@ -31,7 +31,7 @@ def one_system_of(space):
 def test_plane_lines_pairwise_intersections(o6plus2):
     y0 = con.plane_lines(o6plus2, 0)
     assert len(y0) == 7
-    shared_line_planes = o6plus2.line_planes[y0.indices[0]]
+    shared_line_planes = o6plus2.line_planes_arr[y0.indices[0]].tolist()
     assert len(shared_line_planes) == 2
     other = [p for p in shared_line_planes if p != 0]
     y1 = con.plane_lines(o6plus2, other[0])
@@ -191,7 +191,7 @@ def test_quadric_section_odd_q_rejected(sp63):
 def test_elliptic_ovoid(o6plus2, o6plus3):
     ov2 = con.elliptic_ovoid(o6plus2)
     assert len(ov2) == 5
-    for plane_pts in o6plus2.plane_points:
+    for plane_pts in o6plus2.plane_points_arr.tolist():
         assert len(set(plane_pts) & set(ov2)) == 1
     assert len(con.elliptic_ovoid(o6plus3)) == 10
 

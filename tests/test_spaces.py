@@ -16,9 +16,7 @@ from polarlines.spaces import (
     GeometryError,
     PolarSpace,
     _anisotropic_binary,
-    _basis_key,
     _lines_in,
-    _normalize,
     _pair_lines,
     _projective_points,
     _span_points,
@@ -30,6 +28,20 @@ from polarlines.spaces import (
 )
 
 from test_linalg import intersection, nullspace, span_vectors
+
+
+def _normalize(field, v):
+    """The vector scaled to lead with 1, one field operation at a time."""
+    for x in v:
+        if x:
+            c = field.inv(x)
+            return tuple(field.mul(c, y) for y in v)
+    raise ValueError("cannot normalize the zero vector")
+
+
+def _basis_key(basis):
+    """A basis's bytes, whose order is the order of the cached bases."""
+    return b"".join(bytes(r) for r in basis)
 
 EXPECTED_COUNTS = {
     # family, q: (points, lines, planes)
@@ -72,11 +84,11 @@ def test_incidence_constants(spaces, family, q):
     space = spaces.get(family, q)
     s = space.qe
     assert all(len(v) == (q + 1) * (s * q + 1) for v in space.point_lines)
-    assert all(len(v) == s + 1 for v in space.line_planes)
+    assert all(len(v) == s + 1 for v in space.line_planes_arr)
     assert all(len(v) == space.theta for v in space.plane_lines)
     assert all(len(pts) == q + 1 for pts in space.line_points)
     # the lines of a plane are the lines inside its point set
-    assert [tuple(space.lines_inside(pts)) for pts in space.plane_points] == space.plane_lines
+    assert [tuple(space.lines_inside(pts)) for pts in space.plane_points_arr] == space.plane_lines
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
@@ -347,14 +359,12 @@ def encoded_cache(doc):
 VIEWS = {
     "points": "pts_arr",
     "line_points": "line_points_arr",
-    "plane_points": "plane_points_arr",
     "plane_lines": "plane_lines_arr",
     "point_lines": "point_lines_arr",
-    "line_planes": "line_planes_arr",
-    "point_index": "pts_arr",
-    "line_key_index": "line_basis_arr",
-    "plane_key_index": "plane_basis_arr",
+    "line_basis": "line_basis_arr",
+    "plane_basis": "plane_basis_arr",
 }
+DELETED_VIEWS = ("point_index", "line_key_index", "plane_key_index", "plane_points", "line_planes")
 
 
 def test_views_are_built_on_first_use_and_equal_their_arrays(tmp_path):
@@ -365,14 +375,10 @@ def test_views_are_built_on_first_use_and_equal_their_arrays(tmp_path):
         assert not set(VIEWS) & set(vars(space))
         for view, name in VIEWS.items():
             arr = getattr(space, name)
-            if view == "point_index":
-                assert getattr(space, view) == {tuple(p): i for i, p in enumerate(arr.tolist())}
-            elif view.endswith("key_index"):
-                want = {_basis_key(b): i for i, b in enumerate(arr.tolist())}
-                assert getattr(space, view) == want
-            else:
-                assert getattr(space, view) == [tuple(r) for r in arr.tolist()]
+            rows = arr.tolist() if arr.ndim < 3 else [map(tuple, b) for b in arr.tolist()]
+            assert getattr(space, view) == [tuple(r) for r in rows]
             assert view in vars(space)
+        assert not any(hasattr(space, view) for view in DELETED_VIEWS)
 
 
 @pytest.mark.parametrize("which", ["lines", "planes"])
@@ -402,7 +408,8 @@ def test_deterministic_rebuild(o6plus2):
 def _span_point_set(space, basis):
     """Point indices of a subspace, from its q^dim vectors by field arithmetic."""
     vecs = span_vectors(space.field, space.d, basis)
-    return tuple(sorted({space.point_index[_normalize(space.field, v)] for v in vecs if any(v)}))
+    index = {p: i for i, p in enumerate(space.points)}
+    return tuple(sorted({index[_normalize(space.field, v)] for v in vecs if any(v)}))
 
 
 @pytest.mark.parametrize(
@@ -413,12 +420,47 @@ def test_incidence_matches_span_enumeration(spaces, family, q, sample):
     space = spaces.get(family, q)
     rng = random.Random(2024)
     for bases, point_sets in (
-        (space.line_basis, space.line_points),
-        (space.plane_basis, space.plane_points),
+        (space.line_basis, space.line_points_arr),
+        (space.plane_basis, space.plane_points_arr),
     ):
         idx = range(len(bases)) if sample is None else rng.sample(range(len(bases)), sample)
         for i in idx:
-            assert tuple(point_sets[i]) == _span_point_set(space, bases[i])
+            assert tuple(point_sets[i].tolist()) == _span_point_set(space, bases[i])
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_lookup_maps_each_point_line_and_plane_back_to_its_index(spaces, family, q):
+    space = spaces.get(family, q)
+    f = space.field
+    # a nonzero scalar per object, every one of them in turn
+    scale = np.arange(space.n_lines) % (q - 1) + 1
+    n = len(space.pts_arr)
+    assert space.point_indices(space.pts_arr).tolist() == list(range(n))
+    scaled = f.MUL[scale[:n, None], space.pts_arr]
+    assert space.point_indices(scaled).tolist() == list(range(n))
+    lookup = space.basis_indices
+    for bases in (space.line_basis_arr, space.plane_basis_arr):
+        own = list(range(len(bases)))
+        assert lookup(bases).tolist() == own
+        assert lookup(f.MUL[scale[: len(bases), None, None], bases]).tolist() == own
+        # rows swapped and the new second row added to the first: no RREF, so
+        # the lookup finds nothing until rref reduces it
+        mixed = bases[:, ::-1].copy()
+        mixed[:, 0] = f.ADD[mixed[:, 0], mixed[:, 1]]
+        assert (lookup(mixed) == -1).all()
+        reduced = np.array([rref(b, f)[0] for b in mixed.tolist()], dtype=np.uint8)
+        assert lookup(reduced).tolist() == own
+
+
+def test_lookup_gives_minus_one_for_what_is_no_point_line_or_plane(o6plus2):
+    space = o6plus2
+    e = np.eye(6, dtype=np.uint8)
+    # Q = x0 x1 + x2 x3 + x4 x5: e0 and e1 are points, e0 + e1 is none, B(e0, e1) = 1
+    assert space.point_indices([e[0] + e[1], 0 * e[0]]).tolist() == [-1, -1]
+    no_lines = [[e[0], e[1]], [e[0], e[0]], [e[0] + e[1], e[2]]]
+    assert space.basis_indices(no_lines).tolist() == [-1] * 3
+    plane = space.plane_basis_arr[0]
+    assert space.basis_indices([plane, [plane[0], plane[1], plane[1]]]).tolist() == [0, -1]
 
 
 @pytest.mark.parametrize(
@@ -430,19 +472,15 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
     save_space(space, path)
     again = load_space(path)
     assert again.line_points == space.line_points
-    assert again.plane_points == space.plane_points
+    assert np.array_equal(again.plane_points_arr, space.plane_points_arr)
     assert np.array_equal(again.perp_points, space.perp_points)
     # build and load share one constructor, so equal incidence shows that the
     # cache keeps every basis in its order
     assert again.point_lines == space.point_lines
     assert again.plane_lines == space.plane_lines
-    assert again.line_planes == space.line_planes
-    for bases, index in (
-        (again.line_basis, again.line_key_index),
-        (again.plane_basis, again.plane_key_index),
-    ):
-        assert len(index) == len(bases)
-        assert all(index[_basis_key(b)] == i for i, b in enumerate(bases))
+    assert np.array_equal(again.line_planes_arr, space.line_planes_arr)
+    for bases in (again.line_basis_arr, again.plane_basis_arr):
+        assert again.basis_indices(bases).tolist() == list(range(len(bases)))
 
 
 def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
@@ -532,7 +570,7 @@ def test_span_points_match_the_perp_route(spaces, family, q):
     perp = space.perp_points
     for pts in space.line_points:
         assert _line_points(perp, *pts[:2]) == pts
-    for pts in space.plane_points:
+    for pts in map(tuple, space.plane_points_arr.tolist()):
         a, b = pts[:2]
         line = _line_points(perp, a, b)
         x = next(x for x in pts if x not in line)
@@ -549,10 +587,9 @@ def test_perp_from_the_lines_matches_the_form(spaces, family, q):
 
 def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
     space = o6plus2
-    codes = np.ravel_multi_index(space.pts_arr.T, (space.q,) * space.d)
     # an RREF basis whose first row has Q = x0 x1 + x2 x3 + x4 x5 = 1
     with pytest.raises(ValueError, match="not a point of the space"):
-        _span_points(space.field, codes, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
+        _span_points(space.field, space.pts_arr, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
@@ -669,7 +706,7 @@ def test_label_table_against_point_and_plane_incidence(spaces, family, q, sample
     space = spaces.get(family, q)
     n = space.n_lines
     N = _incidence(space.line_points, len(space.points))
-    K = _incidence(space.line_planes, len(space.plane_basis))
+    K = _incidence(space.line_planes_arr, len(space.plane_basis))
     rows = np.arange(n)
     if sample is not None:
         rows = np.sort(np.random.default_rng(99).choice(n, sample, replace=False))
