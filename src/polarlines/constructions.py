@@ -629,15 +629,17 @@ def two_weight_graph(space, y):
     d = space.d
     if f.q**d > 4096:
         raise ValueError("ambient vector space too large for an explicit graph")
-    # covered[-1] is False, for the differences that are no point
+    # covered[-1] is False, for the zero vector, which spans no point
     covered = np.zeros(len(space.pts_arr) + 1, dtype=np.int64)
     covered[list(covered_points(space, y))] = 1
+    # the vectors in base-q code order, so a difference is read by its code
     vectors = np.array(list(itertools.product(range(f.q), repeat=d)), dtype=np.uint8)
+    covered = covered[space.point_indices(vectors)]
     adj = np.empty((len(vectors), len(vectors)), dtype=np.int64)
     # row blocks bound the n x block x d differences
     for lo in range(0, len(vectors), 256):
         diffs = f.SUB[vectors[lo : lo + 256, None], vectors[None]]
-        adj[lo : lo + 256] = covered[space.point_indices(diffs)]
+        adj[lo : lo + 256] = covered[np.ravel_multi_index(np.moveaxis(diffs, -1, 0), (f.q,) * d)]
     return adj
 
 

@@ -63,7 +63,7 @@ def vector_permutation(field, vectors, g):
 
     vectors are normalized (first nonzero entry 1) and distinct, as the points
     of a space and the dual points of its sections are.  Each product v g is
-    looked up up to a scalar by spaces._vector_indices.  Raises ValueError if
+    looked up, up to a nonzero scalar, by spaces._vector_indices.  Raises ValueError if
     an image is zero or not one of the vectors, or two vectors share an image.
     """
     vectors = np.asarray(vectors, dtype=np.uint8)

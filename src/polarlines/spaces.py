@@ -490,13 +490,15 @@ class PolarSpace:
         The points are in lexicographic order, so the codes of the canonical
         bases ascend, and each given code is searched among them.
         """
-        rows = self.point_indices(bases)
-        known = {2: self.line_basis_arr, 3: self.plane_basis_arr}[rows.shape[1]]
+        bases = np.asarray(bases, dtype=np.uint8)
+        known = {2: self.line_basis_arr, 3: self.plane_basis_arr}[bases.shape[1]]
         weights = len(self.pts_arr) ** np.arange(known.shape[1] - 1, -1, -1, dtype=np.int64)
-        codes = rows @ weights
-        known_codes = self.point_indices(known) @ weights
+        # the given and the canonical bases share one lookup table
+        rows = self.point_indices(np.concatenate([bases, known]))
+        codes, known_codes = np.split(rows @ weights, [len(bases)])
         pos = np.searchsorted(known_codes, codes).clip(max=len(known) - 1)
-        return np.where((rows >= 0).all(axis=1) & (known_codes[pos] == codes), pos, -1)
+        found = (rows[: len(bases)] >= 0).all(axis=1) & (known_codes[pos] == codes)
+        return np.where(found, pos, -1)
 
     # -- queries ---------------------------------------------------------------
 
