@@ -110,7 +110,7 @@ class _Nodes:
 
 # -- the membership DFS core -------------------------------------------------------
 
-_OUT, _IN, _UNDECIDED = 0, 1, 2
+_OUT, _IN = 0, 1
 
 # The degree rule keeps one 16-bit field per relation R10..R21 in each uint64
 # word.  A field holds a count of at most _FIELD_MAX below its guard bit, so a
@@ -170,6 +170,12 @@ def _fields(values, w):
     return int("".join(f"{v:0{w}b}" for v in reversed(values.tolist())) or "0", 2)
 
 
+def _bits(v, n):
+    """Bit k of the int v, for k < n, as a bool array; v is below 2^n."""
+    raw = np.frombuffer(v.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 class _MembershipSearch:
     """DFS over the 0/1 memberships of n items with exact propagation.
 
@@ -188,11 +194,13 @@ class _MembershipSearch:
 
     Branching takes the lowest undecided item, first in and then out.
 
-    Setting an item, and undoing it, costs one whole-array op per rule:
+    A node's memberships are the two ints IN and OUT, with bit x set for each
+    member and each non-member x.  Setting an item costs one whole-array op
+    per rule:
 
     - degrees: per line y and relation i, c_i(y) counts member neighbours and
       r_i(y) = c_i(y) + (undecided neighbours).  The rule holds when
-      c_i <= t_i <= r_i for the target t of y's status, both targets while y
+      c_i <= t_i <= r_i for the target t of y's side, both targets while y
       is undecided.  state[0, y] packs 0x8000 + t_i - c_i, state[1, y] packs
       0x8000 + r_i - t_i, so the rule holds at y exactly when every guard bit
       of both words is set, and at every line when the AND of all words
@@ -209,6 +217,14 @@ class _MembershipSearch:
       the field of each of its blocks: a guard bit already set there is a
       contradiction, and one it turns on marks a block that just filled,
       which propagation settles depth first.
+
+    Backtracking restores saved state instead of undoing each set.  A
+    branching saves IN, OUT and packed by reference, since ints are
+    immutable, and copies state and P into buffers from a free list; turning
+    to its out branch copies them back and frees the buffers at once.  So
+    copies are held only by the root and by each branching whose in branch
+    is running: per such branching, 16n bytes for the degree words and
+    16Rn bytes for R projector rows.
     """
 
     def __init__(
@@ -217,10 +233,7 @@ class _MembershipSearch:
         self.nodes = _Nodes(budget)
         self.n = n
         self.size = size
-        self.status = bytearray([_UNDECIDED]) * n
-        self.view = np.frombuffer(self.status, dtype=np.uint8)
         self.IN = self.OUT = 0
-        self.trail = []
         self.solutions = []
         self.stop_after = None
         self.labels = labels
@@ -276,6 +289,8 @@ class _MembershipSearch:
         guards = _fields(np.full(len(blocks), 2 ** (w - 1)), w)
         # (side, guard bits of the blocks that filled on it); blocks of cap 0 are full at the root
         self.hot = [(val, full) for val in (_OUT, _IN) if (full := self.packed[val] & guards)]
+        self.arrays = [a for a in (self.state, self.P) if a is not None]
+        self.free = []  # buffers of saved arrays that no branching holds
 
     def run(self, stop_after=None):
         """Search; an incomplete result's note says why the search stopped."""
@@ -286,8 +301,6 @@ class _MembershipSearch:
         )
 
     def _set(self, x, val):
-        self.status[x] = val
-        self.trail.append(x)
         if val:
             self.IN |= 1 << x
         else:
@@ -310,23 +323,22 @@ class _MembershipSearch:
             self.steps[val].take(self.labels[x], axis=1, out=self.step)
             np.add(self.P, self.step, out=self.P)
 
-    def _undo_to(self, mark):
-        length, self.IN, self.OUT = mark
-        trail, status, packed, inc = self.trail, self.status, self.packed, self.inc
-        while len(trail) > length:
-            x = trail.pop()
-            val = status[x]
-            status[x] = _UNDECIDED
-            packed[val] -= inc[x]
-            if self.state is not None:
-                word = self.words[val]
-                np.add(word, self.rows[x], out=word)
-                a, b = self.retarget[val]
-                self.cells[x] -= a
-                self.cells[self.n + x] -= b
-            if self.P is not None:
-                self.steps[val].take(self.labels[x], axis=1, out=self.step)
-                np.subtract(self.P, self.step, out=self.P)
+    def _save(self):
+        """The node's state for _restore: its ints, and copies of its arrays in free buffers."""
+        if self.free:
+            copies = self.free.pop()
+            for copy, a in zip(copies, self.arrays):
+                np.copyto(copy, a)
+        else:
+            copies = [a.copy() for a in self.arrays]
+        return self.IN, self.OUT, self.packed[0], self.packed[1], copies
+
+    def _restore(self, saved):
+        """Return to a saved state; its buffers go back to the free list."""
+        self.IN, self.OUT, self.packed[0], self.packed[1], copies = saved
+        for a, copy in zip(self.arrays, copies):
+            np.copyto(a, copy)
+        self.free.append(copies)
         self.hot.clear()
         self.conflict = False
 
@@ -353,7 +365,8 @@ class _MembershipSearch:
                     if self.conflict:
                         return False
                     rest ^= bit
-            n_in, n_und = self.IN.bit_count(), self.n - len(self.trail)
+            n_in = self.IN.bit_count()
+            n_und = self.n - n_in - self.OUT.bit_count()
             if self.size is not None and not n_in <= self.size <= n_in + n_und:
                 return False
             if self.P is not None:
@@ -377,12 +390,13 @@ class _MembershipSearch:
         else:
             settled = None
         items, values = [], []
+        decided = self.IN | self.OUT
         if (np.bitwise_and.reduce(self.flat) & _GUARD_WORD) != _GUARD_WORD:
-            # a line fails the test of its status; an undecided one may pass one of its two
+            # a line fails the test of its side; an undecided one may pass one of its two
             cells, n = self.cells, self.n
             (a_out, b_out), (a_in, b_in) = self.retarget
             for y in (~_guards_set(*self.state)).nonzero()[0].tolist():
-                if self.status[y] != _UNDECIDED:
+                if decided >> y & 1:
                     return None
                 lo, hi = cells[y], cells[n + y]
                 if (lo + a_in) & (hi + b_in) & _GUARDS == _GUARDS:
@@ -395,7 +409,7 @@ class _MembershipSearch:
         if settled is not None and n_und > len(items):
             # a settled cardinality decides every other undecided line
             forced = set(items)
-            for y in (self.view == _UNDECIDED).nonzero()[0].tolist():
+            for y in np.flatnonzero(~_bits(decided, self.n)).tolist():
                 if y not in forced:
                     items.append(y)
                     values.append(settled)
@@ -404,33 +418,35 @@ class _MembershipSearch:
     def _dfs(self):
         """The search tree, node by node, on an explicit stack: any depth fits.
 
-        The stack holds one (x, settled) per open branching: its item, as x
-        while the in branch runs and as ~x while the out branch runs, and the
-        state before either was set.
+        The stack holds one (x, saved) per open branching: its item, and the
+        state before x was set while the in branch runs, or None while the
+        out branch runs.  An out branch needs no state: once it ends, the
+        next restore is that of a branching further up, or of the root.
         """
         stack = []
-        root = (len(self.trail), self.IN, self.OUT)
+        root = self._save()
         while True:
             self.nodes.tick()
             if self._propagate():
-                x = self.status.find(_UNDECIDED)
-                if x >= 0:
-                    stack.append((x, (len(self.trail), self.IN, self.OUT)))
+                decided = self.IN | self.OUT
+                x = (~decided & (decided + 1)).bit_length() - 1  # the lowest undecided item
+                if x < self.n:
+                    stack.append((x, self._save()))
                     self._set(x, _IN)
                     continue
-                self.solutions.append(tuple(np.flatnonzero(self.view == _IN).tolist()))
+                self.solutions.append(tuple(np.flatnonzero(_bits(self.IN, self.n)).tolist()))
                 if self.stop_after is not None and len(self.solutions) >= self.stop_after:
                     raise _Stop("solution_cap")
             # back to the deepest branching whose out branch has not run
             while stack:
-                x, settled = stack.pop()
-                self._undo_to(settled)
-                if x >= 0:
-                    stack.append((~x, settled))
+                x, saved = stack.pop()
+                if saved is not None:
+                    self._restore(saved)
+                    stack.append((x, None))
                     self._set(x, _OUT)
                     break
             else:
-                self._undo_to(root)
+                self._restore(root)
                 return
 
 

@@ -20,7 +20,9 @@ from polarlines.search import (
     SearchResult,
     _MembershipSearch,
     _Nodes,
+    _bits,
     _guards_set,
+    _orbit_constraints,
     _projector_rows,
     _reach_words,
     _Stop,
@@ -720,7 +722,11 @@ def test_packed_reachability_matches_the_interval_test():
 
 
 def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
-    """In-place uint64 and int64 updates, whatever the casting rules of the NumPy at hand."""
+    """In-place uint64 and int64 updates, whatever the casting rules of the NumPy at hand.
+
+    A restore brings back the arrays, in place and byte for byte, and the ints;
+    the next save takes the freed buffers again instead of allocating new ones.
+    """
     tables = tables_for_space(o6plus2)
     inside, outside = expected_degrees(tables, 2, 15)
     degrees = ([int(v) for v in inside[1:]], [int(v) for v in outside[1:]])
@@ -728,16 +734,83 @@ def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
         ({"degrees": degrees}, "state", np.uint64),
         ({"projectors": _projector_rows(tables, {"11"})}, "P", np.int64),
     ):
-        search = _MembershipSearch(o6plus2.n_lines, None, labels=o6plus2.labels, **kwargs)
-        before = getattr(search, attr).copy()
-        mark = (len(search.trail), search.IN, search.OUT)
+        search = _MembershipSearch(
+            o6plus2.n_lines, None, labels=o6plus2.labels, blocks=[((0, 1, 2), 1)], **kwargs
+        )
+        live = getattr(search, attr)
+        before = live.copy()
+        ints = (search.IN, search.OUT, list(search.packed))
+        saved = search._save()
         search._set(0, _IN)
         search._set(1, _OUT)
-        after = getattr(search, attr)
-        assert after.dtype == dtype and not np.array_equal(after, before)
-        search._undo_to(mark)
-        assert getattr(search, attr).dtype == dtype
-        assert np.array_equal(getattr(search, attr), before)
+        assert live.dtype == dtype and not np.array_equal(live, before)
+        assert (search.IN, search.OUT, search.packed) != ints
+        search._restore(saved)
+        assert getattr(search, attr) is live and live.dtype == dtype
+        assert live.tobytes() == before.tobytes()
+        assert (search.IN, search.OUT, search.packed) == ints
+        buffers = search.free[-1]
+        again = search._save()
+        assert again[-1] is buffers and not search.free
+        search._set(2, _IN)
+        search._restore(again)
+        assert live.tobytes() == before.tobytes() and search.free == [buffers]
+
+
+def test_saved_copies_never_outnumber_the_open_in_branchings(monkeypatch, o6plus2, sp62):
+    """At every node at most |IN| + 1 saved copies are held, by the root and by
+    each branching whose in branch runs, and the results are the reference core's.
+
+    On the 316-level projector probe of Sp(6,2) and on V11/30 of O+(6,2) under
+    a budget of 3000 nodes.
+    """
+    save, propagate = _MembershipSearch._save, _MembershipSearch._propagate
+    handed = {}  # every buffer list a save returned, by id
+    peak = [0]
+
+    def counting_save(self):
+        saved = save(self)
+        handed[id(saved[-1])] = saved[-1]
+        return saved
+
+    def checking_propagate(self):
+        free = {id(copies) for copies in self.free}
+        alive = sum(key not in free for key in handed)
+        assert alive <= self.IN.bit_count() + 1
+        peak[0] = max(peak[0], alive)
+        return propagate(self)
+
+    monkeypatch.setattr(_MembershipSearch, "_save", counting_save)
+    monkeypatch.setattr(_MembershipSearch, "_propagate", checking_propagate)
+    sp_tables, o_tables = tables_for_space(sp62), tables_for_space(o6plus2)
+    inside, outside = expected_degrees(o_tables, 2, 30)
+    constraints = _orbit_constraints(o6plus2, o_tables, "11", 30)
+    probe = {"projectors": _projector_rows(sp_tables, {"10", "20"})}
+    regular = {
+        "degrees": ([int(v) for v in inside[1:]], [int(v) for v in outside[1:]]),
+        "blocks": [(lines, target) for members, target in constraints for lines in members],
+    }
+    cases = (
+        (sp62.n_lines, None, 1, dict(size=7, labels=sp62.labels, **probe)),
+        (o6plus2.n_lines, 3000, None, dict(size=30, labels=o6plus2.labels, **regular)),
+    )
+    for n, budget, stop_after, kwargs in cases:
+        handed.clear()
+        peak[0] = 0
+        got = _MembershipSearch(n, budget, **kwargs).run(stop_after)
+        assert got == _ReferenceMembershipSearch(n, budget, **kwargs).run(stop_after)
+        assert got.nodes > 1 and peak[0] > 1
+
+
+def test_bits_reads_every_set_bit():
+    rnd = random.Random(105)
+    for n in (105, 3640):
+        singles = [1 << k for k in (0, 7, 8, 63, 64, n - 1)]
+        ints = [0, *singles, *(rnd.getrandbits(n) for _ in range(3))]
+        for v in ints:
+            bits = _bits(v, n)
+            assert bits.dtype == bool
+            assert bits.tolist() == [bool(v >> k & 1) for k in range(n)]
 
 
 def test_a_valency_beyond_the_16_bit_fields_is_rejected(monkeypatch, o6plus2):
