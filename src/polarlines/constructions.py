@@ -499,7 +499,7 @@ def _to_tits_coords(space, vecs):
     # char 2: x -> x^(q/2) inverts squaring, which has order h on GF(2^h)
     sqrt = np.array([f.pow(x, f.q // 2) for x in range(f.q)], dtype=np.uint8)
     X[..., 3] = sqrt[prod]
-    if (f.MUL[X[..., 3], X[..., 3]] != prod).any():
+    if (f.times(X[..., 3], X[..., 3]) != prod).any():
         raise GeometryError("square root failed in characteristic 2")
     return X
 
@@ -529,7 +529,7 @@ def hexagon_lines(space):
     u, v = tits[:, 0], tits[:, 1]
 
     def plucker(i, j):
-        return f.SUB[f.MUL[u[:, i], v[:, j]], f.MUL[u[:, j], v[:, i]]]
+        return f.axpy(f.times(u[:, i], v[:, j]), f.NEG[u[:, j]], v[:, i])
 
     on = np.ones(space.n_lines, dtype=bool)
     for a, b in _HEXAGON_EQS:
@@ -638,7 +638,7 @@ def two_weight_graph(space, y):
     adj = np.empty((len(vectors), len(vectors)), dtype=np.int64)
     # row blocks bound the n x block x d differences
     for lo in range(0, len(vectors), 256):
-        diffs = f.SUB[vectors[lo : lo + 256, None], vectors[None]]
+        diffs = f.axpy(vectors[lo : lo + 256, None], f.neg(1), vectors[None])
         adj[lo : lo + 256] = covered[np.ravel_multi_index(np.moveaxis(diffs, -1, 0), (f.q,) * d)]
     return adj
 

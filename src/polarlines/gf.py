@@ -2,8 +2,9 @@
 
 Elements of GF(p^h) are encoded as integers 0..q-1: the integer whose base-p
 digits are (c_0, c_1, ..., c_{h-1}) stands for c_0 + c_1*x + ... + c_{h-1}*x^{h-1}
-modulo the reduction polynomial.  Arithmetic goes through precomputed q-by-q
-numpy tables so that vectorized geometry code can use fancy indexing.
+modulo the reduction polynomial.  Scalar arithmetic reads precomputed q-by-q
+numpy tables; array arithmetic goes through two kernels, Field.times and
+Field.axpy, each one read of a flat table at a uint16 index.
 
 The reduction polynomials are hardcoded (Conway polynomials), so element
 encodings, canonical forms and all derived indices are reproducible across
@@ -119,7 +120,6 @@ class Field:
         for a in range(q):
             neg[a] = _undigits([(-c) % p for c in _digits(a, p, h)], p)
         self.NEG = neg
-        self.SUB = add[:, neg]
         inv = np.zeros(q, dtype=np.uint8)
         for a in range(1, q):
             row = mul[a]
@@ -139,13 +139,32 @@ class Field:
             self.CONJ = conj
         else:
             self.CONJ = None
+        # the kernels' flat tables: a*b at a q + b, and a + c b at (a q + c) q + b,
+        # an index below q^3 <= 32,768, so uint16 holds it
+        self._q16 = np.uint16(q)
+        self._times = mul.ravel()
+        self._axpy = add[:, mul].ravel()
+
+    # array kernels: uint8 arrays or ints in, broadcast together; uint8 out.  Each
+    # operand is cast to uint16 first, so no NumPy casting rule can compute the
+    # index in uint8, where it would wrap.
+
+    def times(self, a, b):
+        """a * b elementwise."""
+        return self._times[np.asarray(a, np.uint16) * self._q16 + np.asarray(b, np.uint16)]
+
+    def axpy(self, a, c, b):
+        """a + c * b elementwise."""
+        # one expression, so NumPy can reuse a temporary in place where shapes agree
+        q, u16 = self._q16, np.uint16
+        return self._axpy[(np.asarray(a, u16) * q + np.asarray(c, u16)) * q + np.asarray(b, u16)]
 
     # scalar helpers (ints in, ints out)
     def add(self, a, b):
         return int(self.ADD[a, b])
 
     def sub(self, a, b):
-        return int(self.SUB[a, b])
+        return int(self.ADD[a, self.NEG[b]])
 
     def mul(self, a, b):
         return int(self.MUL[a, b])

@@ -134,6 +134,9 @@ def tables_for_space(space):
 # a block of label rows holds about this many entries, so its float32 mask,
 # 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
 _BLOCK_ENTRIES = 2**18
+# but at least this many rows: each block's product re-packs the whole operand,
+# which on Sp(6,4)'s 23,205 lines at 11 rows a block took most of the time
+_MIN_BLOCK_ROWS = 64
 
 
 def relation_products(labels, Y):
@@ -211,12 +214,13 @@ def relation_census(labels):
 
 
 def _row_blocks(labels):
-    """(first row, block) over row blocks of about _BLOCK_ENTRIES label entries.
+    """(first row, block) over row blocks of the label table.
 
+    A block holds about _BLOCK_ENTRIES entries, and at least _MIN_BLOCK_ROWS rows.
     Both readers count relation 4 as the complement of the others, so a label
     above 4 raises ValueError.
     """
-    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(labels.shape[1], 1))
     for lo in range(0, labels.shape[0], rows):
         block = labels[lo : lo + rows]
         if block.max(initial=0) > 4:

@@ -80,7 +80,7 @@ def _quad_values(field, terms, X, Y):
     """
     acc = np.zeros(np.shape(X)[:-1], dtype=np.uint8)
     for i, j, c in terms:
-        acc = field.ADD[acc, field.MUL[c, field.MUL[X[..., i], Y[..., j]]]]
+        acc = field.axpy(acc, c, field.times(X[..., i], Y[..., j]))
     return acc
 
 
@@ -187,16 +187,12 @@ def _projective_points(field, d):
 
 
 def _table_matmul(field, A, M):
-    """(A . M) over GF(q) for uint8 arrays A (n,d) and M (d,m) via tables."""
-    add, mul = field.ADD, field.MUL
-    n = A.shape[0]
-    m = M.shape[1]
-    out = np.zeros((n, m), dtype=np.uint8)
+    """(A . M) over GF(q) for uint8 arrays A (n,d) and M (d,m), one kernel call per column of A."""
+    out = np.zeros((A.shape[0], M.shape[1]), dtype=np.uint8)
     for l in range(A.shape[1]):
         col = A[:, l]
-        if not col.any():
-            continue
-        out = add[out, mul[col[:, None], M[l][None, :]]]
+        if col.any():
+            out = field.axpy(out, col[:, None], M[l][None, :])
     return out
 
 
@@ -232,17 +228,18 @@ def _vector_indices(field, vectors, rows):
     table = np.full(field.q ** rows.shape[-1], -1, dtype=np.int32)
     index = np.arange(len(vectors), dtype=np.int32)
     for c in range(1, field.q):
-        table[np.ravel_multi_index(field.MUL[c, vectors].T, shape)] = index
+        table[np.ravel_multi_index(field.times(c, vectors).T, shape)] = index
     return table[np.ravel_multi_index(np.moveaxis(rows, -1, 0), shape)]
 
 
 def _span_points(field, points, bases):
-    """Ascending point indices of the spans of many RREF bases of one dimension r.
+    """Point indices of the spans of many RREF bases of one dimension r, in coefficient order.
 
-    The normalized coefficient vectors of GF(q)^r times an RREF basis are the
-    normalized vectors of its span, one per point, each looked up among the
-    points by _vector_indices.  Raises ValueError if a basis is not in RREF
-    or its span holds a vector that is not a point.
+    The normalized coefficient vectors of GF(q)^r, in _projective_points
+    order, times an RREF basis are the normalized vectors of its span, one
+    per point, each looked up among the points by _vector_indices.  Raises
+    ValueError if a basis is not in RREF or its span holds a vector that is
+    not a point.
     """
     bases = np.asarray(bases, dtype=np.uint8)
     r = bases.shape[1]
@@ -253,11 +250,11 @@ def _span_points(field, points, bases):
     coeffs = np.array(_projective_points(field, r), dtype=np.uint8)
     vectors = np.zeros((len(bases), len(coeffs), bases.shape[2]), dtype=np.uint8)
     for k in range(r):
-        vectors = field.ADD[vectors, field.MUL[coeffs[:, k, None], bases[:, None, k]]]
+        vectors = field.axpy(vectors, coeffs[:, k, None], bases[:, None, k])
     pos = _vector_indices(field, points, vectors)
     if (pos < 0).any():
         raise ValueError("a line or plane basis spans a vector that is not a point of the space")
-    return np.sort(pos, axis=1)
+    return pos
 
 
 def _check_increasing(bases):
@@ -286,19 +283,21 @@ def _pair_lines(n_points, line_points):
     return pair
 
 
-def _lines_in(pair, point_sets, per_set):
-    """For each row of point indices, the ascending lines through two of its points.
+def _plane_lines(field, pair, plane_pos):
+    """Each plane's ascending line indices, from its span points in coefficient order.
 
-    Returns a rows x per_set array; raises GeometryError unless every row
-    holds exactly per_set lines.
+    The lines of PG(2,q) are fixed in coefficient space: each is {c : u.c = 0}
+    for a dual point u, and its first two coefficient points name it.  So a
+    plane's theta lines are the lines through those pairs of its points.
+    Raises GeometryError if a pair is on no line or two pairs are on one.
     """
-    pts = np.asarray(point_sets)
-    found = np.sort(pair[pts[:, :, None], pts[:, None, :]].reshape(len(pts), -1), axis=1)
-    first = found >= 0
-    first[:, 1:] &= found[:, 1:] != found[:, :-1]
-    if (first.sum(axis=1) != per_set).any():
+    coeffs = np.array(_projective_points(field, 3), dtype=np.uint8)
+    on = _table_matmul(field, coeffs, coeffs.T) == 0
+    two = np.nonzero(on)[1].reshape(len(coeffs), field.q + 1)[:, :2]
+    lines = np.sort(pair[plane_pos[:, two[:, 0]], plane_pos[:, two[:, 1]]], axis=1)
+    if (lines[:, 0] < 0).any() or (lines[:, 1:] == lines[:, :-1]).any():
         raise GeometryError("lines in a plane is not the predicted constant")
-    return found[first].reshape(len(pts), per_set)
+    return lines
 
 
 def _transpose(members, n, per_object, what):
@@ -367,7 +366,7 @@ class PolarSpace:
             for a, b in itertools.combinations(range(bases.shape[1]), 2):
                 if form._bilinear_rows(bases[:, a], bases[:, b]).any():
                     raise ValueError("a line or plane basis spans no totally isotropic subspace")
-        self.line_points_arr, self.plane_points_arr = spans
+        self.line_points_arr, self.plane_points_arr = (np.sort(pos, axis=1) for pos in spans)
 
         # the validated uint8 bases
         self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases
@@ -376,8 +375,8 @@ class PolarSpace:
         pair = _pair_lines(len(self.pts_arr), self.line_points_arr)
         self.perp_points = pair >= 0
         np.fill_diagonal(self.perp_points, True)
-        self.plane_lines_arr = _lines_in(pair, self.plane_points_arr, self.theta)
-        del pair  # freed before the label table is built
+        self.plane_lines_arr = _plane_lines(self.field, pair, spans[1])
+        del pair, spans  # freed before the label table is built
         self.point_lines_arr = _transpose(
             self.line_points_arr, len(self.pts_arr), (q + 1) * (s * q + 1), "lines through a point"
         )
@@ -532,11 +531,11 @@ class PolarSpace:
         reduced = M
         for r, pivot in enumerate((L != 0).argmax(axis=2).T):
             coeff = M[rows, :, pivot]
-            reduced = f.SUB[reduced, f.MUL[coeff[:, :, None], L[:, None, r]]]
-        minors = f.MUL[reduced[:, 0, :, None], reduced[:, 1, None, :]]
+            reduced = f.axpy(reduced, f.NEG[coeff[:, :, None]], L[:, None, r])
+        minors = f.times(reduced[:, 0, :, None], reduced[:, 1, None, :])
         s = 2 - reduced.any(axis=(1, 2)) - (minors != minors.transpose(0, 2, 1)).any(axis=(1, 2))
         G = self.form._bilinear_rows(*np.broadcast_arrays(L[:, :, None], M[:, None]))
-        det = f.MUL[G[:, 0, 0], G[:, 1, 1]] != f.MUL[G[:, 0, 1], G[:, 1, 0]]
+        det = f.times(G[:, 0, 0], G[:, 1, 1]) != f.times(G[:, 0, 1], G[:, 1, 0])
         t = 2 - G.any(axis=(1, 2)) - det
         rel = _RELATION_OF_ST[s, t]
         if (rel == 255).any():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from polarlines import gf
@@ -102,3 +103,55 @@ def test_trace_lands_in_prime_field():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _scalar_kinds(x):
+    """x as a Python int, a NumPy uint8 scalar and a 0-d uint8 array."""
+    return (int(x), np.uint8(x), np.array(x, dtype=np.uint8))
+
+
+def _as_uint8(out):
+    assert np.asarray(out).dtype == np.uint8
+    return np.asarray(out).tolist()
+
+
+@pytest.mark.parametrize("p,h", sorted(_CONWAY))
+def test_kernels_match_the_scalar_tables(p, h):
+    """times and axpy against the q x q tables, read one entry at a time.
+
+    Every triple is checked, up to (q-1, q-1, q-1) at the kernel index
+    q^3 - 1: 32,767 at q = 32, which a uint8 index would wrap.
+    """
+    f = field_make(p, h)
+    q = f.q
+    add, mul = f.ADD.tolist(), f.MUL.tolist()
+    a, c, b = (x.ravel() for x in np.indices((q, q, q), dtype=np.uint8))
+    want = [add[x][mul[y][z]] for x, y, z in zip(a.tolist(), c.tolist(), b.tolist())]
+    assert _as_uint8(f.axpy(a, c, b)) == want
+    x, y = (v.ravel() for v in np.indices((q, q), dtype=np.uint8))
+    assert _as_uint8(f.times(x, y)) == [mul[i][j] for i, j in zip(x.tolist(), y.tolist())]
+
+    # each operand in turn as a scalar of each kind, the others arrays
+    els = np.arange(q, dtype=np.uint8)
+    col, row = els[:, None], els[None, :]
+    for k in range(q):
+        grids = (
+            [[add[k][mul[i][j]] for j in range(q)] for i in range(q)],
+            [[add[i][mul[k][j]] for j in range(q)] for i in range(q)],
+            [[add[i][mul[j][k]] for j in range(q)] for i in range(q)],
+        )
+        for s in _scalar_kinds(k):
+            assert _as_uint8(f.axpy(s, col, row)) == grids[0]
+            assert _as_uint8(f.axpy(col, s, row)) == grids[1]
+            assert _as_uint8(f.axpy(col, row, s)) == grids[2]
+            assert _as_uint8(f.times(s, els)) == mul[k]
+            assert _as_uint8(f.times(els, s)) == mul[k]
+    # all operands scalars, of mixed kinds, at the top index
+    for kinds in itertools.product(range(3), repeat=3):
+        top = [_scalar_kinds(q - 1)[i] for i in kinds]
+        assert _as_uint8(f.axpy(*top)) == add[q - 1][mul[q - 1][q - 1]]
+        assert _as_uint8(f.times(*top[:2])) == mul[q - 1][q - 1]
+    # (n,1) x (1,m) broadcasting
+    assert _as_uint8(f.times(col, row)) == mul
+    assert _as_uint8(f.axpy(0, col, row)) == mul
+    assert _as_uint8(f.axpy(col, 1, row)) == add

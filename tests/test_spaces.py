@@ -1,5 +1,6 @@
 import base64
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -16,8 +17,8 @@ from polarlines.spaces import (
     GeometryError,
     PolarSpace,
     _anisotropic_binary,
-    _lines_in,
     _pair_lines,
+    _plane_lines,
     _projective_points,
     _span_points,
     build_space,
@@ -498,6 +499,23 @@ def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
         load_space(path)
 
 
+def _lines_in(pair, point_sets, per_set):
+    """For each row of point indices, the ascending lines through two of its points.
+
+    The theta^2 route to the lines of a plane: every pair of its points is
+    read, and the pairs' lines are sorted and deduplicated.  Returns a rows x
+    per_set array; raises GeometryError unless every row holds exactly
+    per_set lines.
+    """
+    pts = np.asarray(point_sets)
+    found = np.sort(pair[pts[:, :, None], pts[:, None, :]].reshape(len(pts), -1), axis=1)
+    first = found >= 0
+    first[:, 1:] &= found[:, 1:] != found[:, :-1]
+    if (first.sum(axis=1) != per_set).any():
+        raise GeometryError("lines in a plane is not the predicted constant")
+    return found[first].reshape(len(pts), per_set)
+
+
 def _line_points(perp, a, b):
     """Points of the line through points a and b.
 
@@ -782,3 +800,162 @@ def test_label_table_decode_rejects_what_no_space_gives():
     # (q+1)(q+3) = 323 does not fit the uint8 decode
     with pytest.raises(GeometryError, match="too large"):
         _made_up_space(16, [])._label_table()
+
+
+# -- the GF(q) kernels against two-index reads of the q x q tables ----------------
+
+KERNEL_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)]  # GF(4) .. GF(32)
+
+
+def _two_index_quad_values(field, terms, X, Y):
+    """spaces._quad_values by two-index reads of the ADD and MUL tables."""
+    acc = np.zeros(np.shape(X)[:-1], dtype=np.uint8)
+    for i, j, c in terms:
+        acc = field.ADD[acc, field.MUL[c, field.MUL[X[..., i], Y[..., j]]]]
+    return acc
+
+
+def _two_index_table_matmul(field, A, M):
+    """spaces._table_matmul by two-index reads of the ADD and MUL tables."""
+    out = np.zeros((A.shape[0], M.shape[1]), dtype=np.uint8)
+    for l in range(A.shape[1]):
+        out = field.ADD[out, field.MUL[A[:, l, None], M[l][None, :]]]
+    return out
+
+
+def _forms_over(p, h):
+    field = field_make(p, h)
+    families = ["O6plus", "Sp6", "O8minus"] + ["O7"] * (p > 2) + ["U6"] * (h % 2 == 0)
+    return [FormSpec(family, field.q) for family in families]
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_form_kernels_match_the_two_index_route(p, h):
+    """form_values, singular_rows and Hermitian _bilinear_rows on seeded random vectors."""
+    for form in _forms_over(p, h):
+        f = form.field
+        rng = np.random.default_rng(f.q * form.d)
+        X = rng.integers(0, f.q, size=(40, form.d), dtype=np.uint8)
+        Y = rng.integers(0, f.q, size=(30, form.d), dtype=np.uint8)
+        conj = f.CONJ if form.kind == "hermitian" else np.arange(f.q, dtype=np.uint8)
+        gram = np.array(form.gram, dtype=np.uint8)
+        want = _two_index_table_matmul(f, X, _two_index_table_matmul(f, gram, conj[Y].T))
+        assert np.array_equal(form_values(form, X, Y), want)
+        terms = [(i, j, c) for i, row in enumerate(form.gram) for j, c in enumerate(row) if c]
+        if form.kind == "orthogonal":
+            singular = _two_index_quad_values(f, form.quad, X, X) == 0
+        elif form.kind == "hermitian":
+            singular = _two_index_quad_values(f, terms, X, conj[X]) == 0
+            want = _two_index_quad_values(f, terms, X[:30], conj[Y])
+            assert np.array_equal(form._bilinear_rows(X[:30], Y), want)
+        else:
+            singular = np.ones(len(X), dtype=bool)
+        assert np.array_equal(form.singular_rows(X), singular)
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_span_points_match_the_two_index_route(p, h):
+    """Span positions in coefficient order, for seeded random lines of PG(2,q) and the plane."""
+    f = field_make(p, h)
+    points = np.array(_projective_points(f, 3), dtype=np.uint8)
+    index = {pt: i for i, pt in enumerate(map(tuple, points.tolist()))}
+    rng = random.Random(f.q)
+    lines = set()
+    while len(lines) < 20:
+        basis = rref([[rng.randrange(f.q) for _ in range(3)] for _ in range(2)], f)[0]
+        if len(basis) == 2:
+            lines.add(basis)
+    for bases in (np.array(sorted(lines), dtype=np.uint8), np.eye(3, dtype=np.uint8)[None]):
+        r = bases.shape[1]
+        coeffs = np.array(_projective_points(f, r), dtype=np.uint8)
+        vectors = np.zeros((len(bases), len(coeffs), 3), dtype=np.uint8)
+        for k in range(r):
+            vectors = f.ADD[vectors, f.MUL[coeffs[:, k, None], bases[:, None, k]]]
+        want = [[index[_normalize(f, v)] for v in row] for row in vectors.tolist()]
+        assert _span_points(f, points, bases).tolist() == want
+
+
+def _random_in(field, rng, basis):
+    """A seeded random vector of the span of the rows, one field operation at a time."""
+    v = [0] * len(basis[0])
+    for row in basis:
+        c = rng.randrange(field.q)
+        v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+@pytest.mark.parametrize("p,h", KERNEL_FIELDS)
+def test_geometric_classification_matches_the_intersections_over_extension_fields(p, h):
+    """classify_pairs_geometric on seeded totally isotropic line pairs of Sp(6,q).
+
+    Each pair (L, M) is drawn to fall in a chosen relation: M = L; M through a
+    point l of L and a vector of l^perp, or of L^perp; M through a vector of
+    L^perp and one of its perp; or any line.  The tags come from the
+    Zassenhaus intersections, one field operation at a time.
+    """
+    f = field_make(p, h)
+    space = PolarSpace.__new__(PolarSpace)
+    space.form, space.field, space.d = FormSpec("Sp6", f.q), f, 6
+    rng = random.Random(f.q)
+
+    def line(u, room):
+        while True:
+            basis = rref([u, _random_in(f, rng, room)], f)[0]
+            if len(basis) == 2:
+                return basis
+
+    def any_line():
+        u = [rng.randrange(f.q) for _ in range(6)]
+        return line(u, _perp(space, [u])) if any(u) else any_line()
+
+    bases = []
+    for k in range(40):
+        L = any_line()
+        l0 = L[0]
+        if k % 5 == 0:
+            M = L
+        elif k % 5 == 1:
+            M = line(l0, _perp(space, [l0]))
+        elif k % 5 == 2:
+            M = line(l0, _perp(space, L))
+        elif k % 5 == 3:
+            x = _random_in(f, rng, _perp(space, L))
+            M = line(x, _perp(space, [x])) if any(x) else any_line()
+        else:
+            M = any_line()
+        bases += [L, M]
+    space.line_basis_arr = np.array(bases, dtype=np.uint8)
+    li, mi = np.arange(0, 80, 2), np.arange(1, 80, 2)
+    got = [REL_TAGS[r] for r in space.classify_pairs_geometric(li, mi)]
+    assert got == [_reference_classify_pair(space, a, b) for a, b in zip(li, mi)]
+    assert set(got) == set(REL_TAGS)
+
+
+# -- the lines of a plane from theta pair lookups ---------------------------------
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS) + [("O6plus", 4)])
+def test_plane_lines_match_the_theta_squared_route(spaces, family, q):
+    space = spaces.get(family, q)
+    pair = _pair_lines(len(space.pts_arr), space.line_points_arr)
+    assert np.array_equal(
+        space.plane_lines_arr, _lines_in(pair, space.plane_points_arr, space.theta)
+    )
+
+
+def test_plane_lines_reject_a_pair_on_no_line_or_two_pairs_on_one(o6plus2):
+    space = o6plus2
+    pair = _pair_lines(len(space.pts_arr), space.line_points_arr)
+    plane_pos = _span_points(space.field, space.pts_arr, space.plane_basis_arr)
+    assert np.array_equal(_plane_lines(space.field, pair, plane_pos), space.plane_lines_arr)
+    for bad in (np.full_like(pair, -1), np.zeros_like(pair)):
+        with pytest.raises(GeometryError, match="lines in a plane"):
+            _plane_lines(space.field, bad, plane_pos)
+
+
+def test_o6plus_q4_is_pinned(spaces):
+    """The one orthogonal space over an extension field that builds in milliseconds."""
+    space = spaces.get("O6plus", 4)
+    assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == (357, 1785, 170)
+    assert space.fingerprint == "1e713514815842f4"
+    assert hashlib.sha256(space.labels.tobytes()).hexdigest()[:16] == "35460c1f5f43fcf8"
