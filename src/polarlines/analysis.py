@@ -122,18 +122,24 @@ def regular_set_check(space, tables, y):
     idx = _as_indices(space, y)
     if not idx:
         raise ValueError("regularity undefined for the empty set")
-    return _regular_set_check(space, tables, idx, dual_distribution(space, tables, idx))
+    return _regular_set_check(space, tables, idx)[2]
 
 
-def _regular_set_check(space, tables, idx, aq):
-    """regular_set_check of the sorted nonempty indices idx, whose aQ is given."""
+def _regular_set_check(space, tables, idx):
+    """(a, aQ, regular_set_check) of the sorted nonempty indices idx, from one n x Y census.
+
+    Row y of the census counts the lines of Y in each relation to y, so its
+    rows at Y sum to |Y| a.
+    """
     if len(idx) == space.n_lines:
         raise ValueError("regularity undefined for the full line set")
 
+    counts = relation_census(space.labels[:, idx]).astype(np.int64)
+    a = tuple(Fraction(int(c), len(idx)) for c in counts[idx].sum(axis=0))
+    aq = _dual(tables, a)
     support = _support(aq)
     j_tag = next(iter(support)) if len(support) == 1 else None
 
-    counts = relation_census(space.labels[:, idx]).astype(np.int64)
     in_mask = _line_mask(space, idx)
     # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular set;
     # rows j = 10..21, and a fractional target would miss everywhere
@@ -154,7 +160,7 @@ def _regular_set_check(space, tables, idx, aq):
         want_x = expected_degrees(tables, 1, len(idx))[0 if in_mask[x] else 1]
         witness = (x, REL_TAGS[i], int(counts[x, i]), str(want_x[i]))
 
-    return RegularSetReport(
+    return a, aq, RegularSetReport(
         is_regular=j_tag is not None,
         eigenspace=j_tag,
         size=len(idx),
@@ -347,7 +353,11 @@ def design_check(space, tables, y, level):
     """
     if level not in ("points", "planes"):
         raise ValueError("level must be 'points' or 'planes'")
-    idx = _as_indices(space, y)
+    return _design_check(space, tables, _as_indices(space, y), level)
+
+
+def _design_check(space, tables, idx, level, support=None):
+    """design_check of the sorted indices idx, whose eigenspace support may be given."""
     incident = space.point_lines_arr if level == "points" else space.plane_lines_arr
     counts = _line_mask(space, idx)[incident].sum(axis=1)
     if (counts != counts[0]).any():
@@ -361,8 +371,7 @@ def design_check(space, tables, y, level):
         want = Fraction(m * (s * q + 1) * (s * q * q + 1))
         allowed = {"11", "21"}
     size_ok = Fraction(len(idx)) == want
-    if idx:
-        support_ok = eigenspace_support(space, tables, idx) <= allowed
-    else:
-        support_ok = True
+    if idx and support is None:
+        support = eigenspace_support(space, tables, idx)
+    support_ok = not idx or support <= allowed
     return DesignReport(True, level, m, size_ok, support_ok)

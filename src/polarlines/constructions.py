@@ -15,15 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import (
-    _as_indices,
-    dual_distribution,
-    eigenspace_support,
-    inner_distribution,
-    make_lineset,
-)
+from .analysis import _as_indices, _dual, _support, inner_distribution, make_lineset
 from .gf import field_make
-from .linalg import rref
 from .spaces import (
     GeometryError,
     _anisotropic_binary,
@@ -35,18 +28,26 @@ from .spaces import (
 from .schemetables import relation_census, tables_for_space
 
 
-def _check_inner(space, y, expected, what):
+def _checked(space, lines, name, what, a=None, support=None, size=None):
+    """The LineSet of the lines, checked against its closed forms from one census.
+
+    size is the expected line count with the noun its error names; a and
+    support are the expected inner distribution and eigenspace support.  The
+    support is read off aQ of the inner distribution, so it needs no census
+    of its own.
+    """
+    y = make_lineset(space, lines, name=name)
+    if size is not None and len(y) != size[0]:
+        raise GeometryError(f"{size[1]} has {len(y)} lines, expected {size[0]}")
     got = inner_distribution(space, y)
-    want = tuple(Fraction(v) for v in expected)
+    want = got if a is None else tuple(Fraction(v) for v in a)
     if got != want:
         raise GeometryError(f"{what}: inner distribution {got} != expected {want}")
-
-
-def _check_support(space, y, expected, what):
-    tables = tables_for_space(space)
-    got = eigenspace_support(space, tables, y)
-    if got != frozenset(expected):
-        raise GeometryError(f"{what}: eigenspace support {set(got)} != expected {set(expected)}")
+    if support is not None:
+        sup = _support(_dual(tables_for_space(space), got))
+        if sup != frozenset(support):
+            raise GeometryError(f"{what}: eigenspace support {set(sup)} != expected {set(support)}")
+    return y
 
 
 # -- planes and pencils --------------------------------------------------------
@@ -62,9 +63,8 @@ def plane_lines(space, plane_index):
     """All q^2+q+1 lines inside one plane."""
     _check_index(plane_index, len(space.plane_lines_arr), "plane")
     q = space.q
-    y = make_lineset(space, space.plane_lines_arr[plane_index], name=f"plane[{plane_index}]")
-    _check_inner(space, y, (1, q * q + q, 0, 0, 0), "plane lines")
-    return y
+    lines = space.plane_lines_arr[plane_index]
+    return _checked(space, lines, f"plane[{plane_index}]", "plane lines", a=(1, q * q + q, 0, 0, 0))
 
 
 def point_pencil(space, point_index, mode="through"):
@@ -72,19 +72,17 @@ def point_pencil(space, point_index, mode="through"):
     _check_index(point_index, len(space.pts_arr), "point")
     q, s = space.q, space.qe
     if mode == "through":
-        y = make_lineset(space, space.point_lines_arr[point_index], name=f"pencil[{point_index}]")
-        _check_inner(space, y, (1, s * q + q, s * q * q, 0, 0), "point pencil")
-        return y
+        lines = space.point_lines_arr[point_index]
+        a = (1, s * q + q, s * q * q, 0, 0)
+        return _checked(space, lines, f"pencil[{point_index}]", "point pencil", a=a)
     if mode != "perp_avoiding":
         raise ValueError("mode must be 'through' or 'perp_avoiding'")
     avoiding = space.perp_points[point_index].copy()
     avoiding[point_index] = False
     keep = space.lines_inside(avoiding)
-    y = make_lineset(space, keep, name=f"pencil_perp_avoiding[{point_index}]")
-    a1 = (1, q * q - 1, s * q * (q + 1), (q * q - 1) * s * q, s * s * q**3)
-    _check_inner(space, y, a1, "perp-avoiding pencil")
-    _check_support(space, y, {"10", "11"}, "perp-avoiding pencil")
-    return y
+    a = (1, q * q - 1, s * q * (q + 1), (q * q - 1) * s * q, s * s * q**3)
+    name, what = f"pencil_perp_avoiding[{point_index}]", "perp-avoiding pencil"
+    return _checked(space, keep, name, what, a=a, support={"10", "11"})
 
 
 # -- hyperplane sections ---------------------------------------------------------
@@ -177,11 +175,8 @@ def hyperplane_section_lines(space, section):
     if section.kind == "degenerate":
         raise ValueError("section is degenerate; expected a nondegenerate hyperplane")
     keep = space.lines_inside(section_point_indices(space, section))
-    y = make_lineset(space, keep, name=f"{section.kind}_section")
     a, support, what = _section_closed_form(space, section.kind)
-    _check_inner(space, y, a, what)
-    _check_support(space, y, support, what)
-    return y
+    return _checked(space, keep, f"{section.kind}_section", what, a=a, support=support)
 
 
 def section_line_sets(space, kind):
@@ -219,10 +214,10 @@ def section_line_sets(space, kind):
     bad = np.flatnonzero(~ok)
     if bad.size:
         # the first bad row's own distribution names it, as a one-row check would
-        _check_inner(space, np.flatnonzero(incidence[bad[0]]).tolist(), a, what)
+        _checked(space, np.flatnonzero(incidence[bad[0]]), "", what, a=a)
         raise GeometryError(f"{what}: bulk and one-row relation counts disagree")
     if sections:
-        _check_support(space, np.flatnonzero(incidence[0]).tolist(), support, what)
+        _checked(space, np.flatnonzero(incidence[0]), "", what, support=support)
     return sections, incidence
 
 
@@ -268,19 +263,16 @@ def quadric_section(space, kind):
 
 
 def quadric_section_lines(space, section):
-    """Sp(6,q) lines all of whose points are singular for the section's quadric."""
-    q, s = space.q, space.qe
+    """Sp(6,q) lines all of whose points are singular for the section's quadric.
+
+    The closed forms are those of the rank-3 and the quadrangle hyperplane
+    sections, since s = q in Sp(6,q).
+    """
     keep = space.lines_inside(section.point_indices)
-    y = make_lineset(space, keep, name=f"quadric_{section.kind}_section")
-    if section.kind == "plus":
-        a = (1, q * (q + 1) * 2, s * q * (q + 1), s * q * q * (q + 1) * 2, s * s * q**3)
-        _check_inner(space, y, a, "hyperbolic quadric section lines")
-        _check_support(space, y, {"10"}, "hyperbolic quadric section lines")
-    else:
-        a = (1, 0, s * q * (q + 1), 0, s * s * q**3)
-        _check_inner(space, y, a, "elliptic quadric section lines")
-        _check_support(space, y, {"11"}, "elliptic quadric section lines")
-    return y
+    plus = section.kind == "plus"
+    a, support, _ = _section_closed_form(space, "rank3" if plus else "gq")
+    what = ("hyperbolic" if plus else "elliptic") + " quadric section lines"
+    return _checked(space, keep, f"quadric_{section.kind}_section", what, a=a, support=support)
 
 
 # -- ovoids and pencil unions ----------------------------------------------------
@@ -335,12 +327,8 @@ def pencil_union(space, ovoid_points):
     lines = space.point_lines_arr[list(ovoid_points)].ravel()
     if len(np.unique(lines)) != len(lines):
         raise ValueError("point-pencils are not pairwise disjoint; not an ovoid")
-    y = make_lineset(space, lines, name="pencil_union")
-    want = (q + 1) * (s * q + 1) * (s * q * q + 1)
-    if len(y) != want:
-        raise GeometryError(f"pencil union has {len(y)} lines, expected {want}")
-    _check_support(space, y, {"11"}, "pencil union")
-    return y
+    size = ((q + 1) * (s * q + 1) * (s * q * q + 1), "pencil union")
+    return _checked(space, lines, "pencil_union", "pencil union", support={"11"}, size=size)
 
 
 # -- m-ovoid lifts ----------------------------------------------------------------
@@ -380,12 +368,8 @@ def m_ovoid_lift(space, section, point_indices):
     chosen[list(point_indices)] = True
     # the m-ovoid lies in the hyperplane, so a line meeting it in one point meets the m-ovoid there
     keep = np.flatnonzero((hits == 1) & chosen[space.line_points_arr].any(axis=1))
-    y = make_lineset(space, keep, name=f"{m}_ovoid_lift")
-    want = m * q * (s * q + 1) * (s * q * q + 1)
-    if len(y) != want:
-        raise GeometryError(f"m-ovoid lift has {len(y)} lines, expected {want}")
-    _check_support(space, y, {"11"}, "m-ovoid lift")
-    return y
+    size = (m * q * (s * q + 1) * (s * q * q + 1), "m-ovoid lift")
+    return _checked(space, keep, f"{m}_ovoid_lift", "m-ovoid lift", support={"11"}, size=size)
 
 
 # -- symplectic spreads ------------------------------------------------------------
@@ -394,9 +378,11 @@ def m_ovoid_lift(space, section, point_indices):
 def symplectic_spread_planes(space):
     """The regular plane spread of Sp(6,q) from the GF(q^3) trace form.
 
-    Works for prime q (the cubic extension tables must exist); the planes are
-    {(x, mx)} for m in GF(q^3) plus {(0, y)}, written in a trace-dual pair of
-    bases so the form becomes the standard one.
+    Works for prime q (the cubic extension tables must exist).  The planes
+    are {(x, mx)} for m in GF(q^3) plus {(0, y)}, with x in the basis
+    b = (1, g, g^2) and mx in its trace-dual basis, so the form becomes the
+    standard one.  With M = (T(b_i b_j)) and A_m the matrix of multiplication
+    by m, they are the row spaces of [I | A_m M] and [0 | I], both in RREF.
     """
     if space.family != "Sp6":
         raise ValueError("plane spreads are built in Sp6 only")
@@ -405,52 +391,17 @@ def symplectic_spread_planes(space):
         raise ValueError("spread construction needs GF(q^3) arithmetic tables (prime q only)")
     cubic = field_make(f.p, 3)
     p = f.p
-
-    def digitvec(z):
-        return [(z // p**i) % p for i in range(3)]
-
-    basis = [1, p, cubic.mul(p, p)]  # 1, g, g^2 where g is the class of x
-
-    def tr(z):
-        out = cubic.trace(z)
-        if out >= p:
-            raise GeometryError("trace left the prime subfield")
-        return out
-
-    def inverse(rows):
-        """Inverse over GF(p), read off the RREF [I | M^-1] of [M | I]."""
-        eye = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-        rr, pivots = rref([tuple(r) + e for r, e in zip(rows, eye)], f)
-        if pivots[:3] != (0, 1, 2):
-            raise GeometryError("basis change over GF(p) is singular")
-        return [row[3:] for row in rr]
-
-    # dual basis: rows of M^-1 (over GF(p)) combine basis into trace-dual elements
-    M = [[tr(cubic.mul(bi, bj)) for bj in basis] for bi in basis]
-    Minv = inverse(M)
-    dual_basis = []
-    for j in range(3):
-        acc = 0
-        for k in range(3):
-            acc = cubic.add(acc, cubic.mul(Minv[j][k], basis[k]))
-        dual_basis.append(acc)
-
-    Bmat = [digitvec(b) for b in basis]
-    Bstar = [digitvec(b) for b in dual_basis]
-    Binv = inverse(Bmat)
-    Bstarinv = inverse(Bstar)
-
-    def coords(z, inv):
-        dv = digitvec(z)
-        return tuple(sum(dv[k] * inv[k][j] for k in range(3)) % p for j in range(3))
-
-    planes = []
-    for mslope in range(cubic.q):
-        rows = [coords(b, Binv) + coords(cubic.mul(mslope, b), Bstarinv) for b in basis]
-        planes.append(rows)
-    planes.append([(0, 0, 0) + coords(b, Bstarinv) for b in dual_basis])
-
-    indices = space.basis_indices(np.array([rref(rows, f)[0] for rows in planes], dtype=np.uint8))
+    # an element's code has its coordinates in b as base-p digits, g being the class of x
+    basis = p ** np.arange(3)
+    M = np.array([[cubic.trace(int(z)) for z in row] for row in cubic.MUL[np.ix_(basis, basis)]])
+    if (M >= p).any():
+        raise GeometryError("trace left the prime subfield")
+    # A[m, k] holds the coordinates of m b_k
+    A = cubic.MUL[:, basis][..., None] // basis % p
+    eye = np.broadcast_to(np.eye(3, dtype=np.int64), A.shape)
+    planes = np.concatenate([eye, A @ M % p], axis=2)
+    planes = np.concatenate([planes, np.eye(3, 6, 3, dtype=np.int64)[None]])
+    indices = space.basis_indices(planes)
     if (indices < 0).any():
         raise GeometryError("spread plane is not totally isotropic")
     if len(set(indices.tolist())) != cubic.q + 1:
@@ -466,14 +417,9 @@ def symplectic_spread_lines(space):
     """All lines inside the planes of the standard spread; regular in V20."""
     lines = space.plane_lines_arr[list(symplectic_spread_planes(space))].ravel()
     q, s = space.q, space.qe
-    y = make_lineset(space, lines, name="spread_lines")
-    want = (s * q * q + 1) * space.theta
-    if len(y) != want:
-        raise GeometryError(f"spread line set has {len(y)} lines, expected {want}")
+    size = ((s * q * q + 1) * space.theta, "spread line set")
     a = (1, q * q + q, 0, s * q * q * (q + 1), s * q**4)
-    _check_inner(space, y, a, "spread lines")
-    _check_support(space, y, {"20"}, "spread lines")
-    return y
+    return _checked(space, lines, "spread_lines", "spread lines", a=a, support={"20"}, size=size)
 
 
 # -- the split Cayley hexagon -------------------------------------------------------
@@ -535,14 +481,10 @@ def hexagon_lines(space):
     for a, b in _HEXAGON_EQS:
         on &= plucker(*a) == plucker(*b)
     q = space.q
-    y = make_lineset(space, np.flatnonzero(on).tolist(), name="hexagon_lines")
-    want = (q**3 + 1) * space.theta
-    if len(y) != want:
-        raise GeometryError(f"hexagon has {len(y)} lines, expected {want}")
+    size = ((q**3 + 1) * space.theta, "hexagon")
     a = (1, q * q + q, 0, q**4 + q**3, q**5)
-    _check_inner(space, y, a, "hexagon lines")
-    _check_support(space, y, {"20"}, "hexagon lines")
-    return y
+    lines = np.flatnonzero(on)
+    return _checked(space, lines, "hexagon_lines", "hexagon lines", a=a, support={"20"}, size=size)
 
 
 # -- two-weight point sets and strongly regular graphs -------------------------------
@@ -572,10 +514,10 @@ def two_weight_profile(space, y):
     if space.family not in ("Sp6", "U7", "O8minus"):
         raise ValueError("two-weight profiles need Sp6, U7 or O8minus")
     idx = _as_indices(space, y)
-    if any(inner_distribution(space, idx)[1:3]):
+    a = inner_distribution(space, idx)
+    if any(a[1:3]):
         raise ValueError("lines must be pairwise non-intersecting")
-    tables = tables_for_space(space)
-    aq = dual_distribution(space, tables, idx)
+    aq = _dual(tables_for_space(space), a)
     if aq[1] != 0:
         raise ValueError("the line set must be orthogonal to V10")
     q, s = space.q, space.qe

@@ -13,11 +13,9 @@ import numpy as np
 from .analysis import (
     LineSet,
     _as_indices,
-    _dual,
+    _design_check,
     _regular_set_check,
-    design_check,
     divisibility_report,
-    inner_distribution,
     make_lineset,
     plane_profile,
 )
@@ -145,10 +143,10 @@ def parse_pointset_file(path, space):
 def build_report(space, tables, y):
     """Full evaluation report of a line set, all values exact strings."""
     idx = _as_indices(space, y)
-    # one census of Y x Y feeds a, aQ and the support route of the regularity check
-    a = inner_distribution(space, idx)
-    aq = _dual(tables, a)
-    reg = _regular_set_check(space, tables, idx, aq)
+    if not idx:
+        raise ValueError("inner distribution undefined for the empty set")
+    # one census of n x Y feeds a, aQ, both regularity routes and the design supports
+    a, aq, reg = _regular_set_check(space, tables, idx)
     prof = plane_profile(space, idx)
     divis = {}
     for j in REL_TAGS[1:]:
@@ -161,7 +159,7 @@ def build_report(space, tables, y):
         }
     designs = {}
     for level in ("points", "planes"):
-        d = design_check(space, tables, idx, level)
+        d = _design_check(space, tables, idx, level, reg.support)
         designs[level] = {
             "is_design": d.is_design,
             "m": d.m,
@@ -176,7 +174,7 @@ def build_report(space, tables, y):
         "size": len(idx),
         "a": [str(v) for v in a],
         "aQ": [str(v) for v in aq],
-        "support": sorted(str(t) for t in (reg.support)),
+        "support": sorted(str(t) for t in reg.support),
         "regular": {
             "verdict": "regular" if reg.is_regular else "not regular",
             "eigenspace": reg.eigenspace,

@@ -543,56 +543,51 @@ def _projector_rows(tables, support):
     return rows
 
 
-def _find_disjoint_members(pool, k):
-    """First k pairwise-disjoint frozensets from the pool, or None."""
+def _find_disjoint_members(pool, k, budget):
+    """The first k pairwise-disjoint sets of the pool, or None if none are found in budget."""
     chosen = []
 
     def dfs(start, used):
+        nodes.tick()
         if len(chosen) == k:
-            return True
+            raise _Stop("solution_cap")
         for idx in range(start, len(pool)):
             s = pool[idx]
             if not (s & used):
                 chosen.append(idx)
-                if dfs(idx + 1, used | s):
-                    return True
+                dfs(idx + 1, used | s)
                 chosen.pop()
-        return False
 
-    if dfs(0, frozenset()):
+    nodes = _Nodes(budget)
+    if nodes.run(dfs, 0, frozenset()) == "solution_cap":
         return [pool[i] for i in chosen]
     return None
 
 
-def _catalog_witness(space, tables, support, size):
-    """Try to assemble a witness from known structured families."""
+def _catalog_witness(space, tables, support, size, budget):
+    """Try to assemble a witness from known structured families, each search within the budget."""
     from .constructions import section_line_sets
 
     q, s = space.q, space.qe
-    theta = space.theta
-    candidates = []
-    if size % theta == 0 and ("10" in support or "20" in support):
-        # union of pairwise line-disjoint planes
-        pool = [frozenset(lines) for lines in space.plane_lines_arr.tolist()]
-        hit = _find_disjoint_members(pool, size // theta)
+    gq = space.family in ("O6plus", "U6", "O7")
+    # unions of pairwise line-disjoint planes, point-pencils and quadrangle sections
+    families = (
+        (space.theta, "10" in support or "20" in support, space.plane_lines_arr),
+        ((q + 1) * (s * q + 1), "10" in support or "11" in support, space.point_lines_arr),
+        ((s * q + 1) * (s * q * q + 1), "11" in support and gq, None),
+    )
+    for unit, fits, rows in families:
+        if not fits or size % unit:
+            continue
+        if rows is None:
+            # the sections are classified only when their size divides the set's
+            rows = [np.flatnonzero(row) for row in section_line_sets(space, "gq")[1]]
+        pool = [frozenset(row.tolist()) for row in rows]
+        hit = _find_disjoint_members(pool, size // unit, budget)
         if hit is not None:
-            candidates.append(sorted(set().union(*hit)))
-    pencil_size = (q + 1) * (s * q + 1)
-    if size % pencil_size == 0 and ("10" in support or "11" in support):
-        pool = [frozenset(lines) for lines in space.point_lines_arr.tolist()]
-        hit = _find_disjoint_members(pool, size // pencil_size)
-        if hit is not None:
-            candidates.append(sorted(set().union(*hit)))
-    gq_size = (s * q + 1) * (s * q * q + 1)
-    if size % gq_size == 0 and "11" in support and space.family in ("O6plus", "U6", "O7"):
-        _, incidence = section_line_sets(space, "gq")
-        pool = [frozenset(np.flatnonzero(row).tolist()) for row in incidence]
-        hit = _find_disjoint_members(pool, size // gq_size)
-        if hit is not None:
-            candidates.append(sorted(set().union(*hit)))
-    for cand in candidates:
-        if len(cand) == size and eigenspace_support(space, tables, cand) <= support:
-            return tuple(cand)
+            cand = sorted(set().union(*hit))
+            if len(cand) == size and eigenspace_support(space, tables, cand) <= support:
+                return tuple(cand)
     return None
 
 
@@ -602,8 +597,10 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
     A size outside [0, n] is rejected without search.  With prefilter, safe
     divisibility conditions reject sizes without search;
     with catalog, structured candidates (disjoint unions of planes, pencils,
-    quadrangle sections) are tried before the exhaustive search.  A
-    conclusive "none" is only reported when the search space was exhausted.
+    quadrangle sections) are tried before the exhaustive search, each family's
+    search within the node budget.  The reported nodes are those of the
+    exhaustive search.  A conclusive "none" is only reported when the search
+    space was exhausted.
     """
     support = frozenset(str(t).upper().lstrip("R") for t in support)
     if not support <= set(REL_TAGS[1:]):
@@ -625,7 +622,7 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
                     "none", None, 0, f"divisibility prefilter: size not a multiple of {modulus}"
                 )
     if catalog and len(support) > 1:
-        witness = _catalog_witness(space, tables, support, size)
+        witness = _catalog_witness(space, tables, support, size, budget)
         if witness is not None:
             return ProbeResult("witness", witness, 0, "catalog construction")
     if len(support) == 1:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polarlines import analysis, files, schemetables, search
 from polarlines import constructions as con
 from polarlines.analysis import (
     eigenspace_support,
@@ -11,6 +12,8 @@ from polarlines.analysis import (
     plane_profile,
     regular_set_check,
 )
+from polarlines.gf import field_make
+from polarlines.linalg import rref
 from polarlines.schemetables import tables_for_space
 from polarlines.search import line_spread_search
 from polarlines.spaces import GeometryError
@@ -273,6 +276,85 @@ def test_symplectic_spread(sp62, sp63):
     tables = tables_for_space(sp63)
     rep = regular_set_check(sp63, tables, y3)
     assert rep.is_regular and rep.eigenspace == "20"
+
+
+def _reference_spread_planes(space):
+    """The spread's plane indices, from a trace-dual basis pair and RREF inverses."""
+    f = space.field
+    cubic = field_make(f.p, 3)
+    p = f.p
+
+    def digitvec(z):
+        return [(z // p**i) % p for i in range(3)]
+
+    basis = [1, p, cubic.mul(p, p)]  # 1, g, g^2 where g is the class of x
+
+    def inverse(rows):
+        """Inverse over GF(p), read off the RREF [I | M^-1] of [M | I]."""
+        eye = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        rr, pivots = rref([tuple(r) + e for r, e in zip(rows, eye)], f)
+        assert pivots[:3] == (0, 1, 2)
+        return [row[3:] for row in rr]
+
+    # dual basis: rows of M^-1 (over GF(p)) combine basis into trace-dual elements
+    M = [[cubic.trace(cubic.mul(bi, bj)) for bj in basis] for bi in basis]
+    Minv = inverse(M)
+    dual_basis = []
+    for j in range(3):
+        acc = 0
+        for k in range(3):
+            acc = cubic.add(acc, cubic.mul(Minv[j][k], basis[k]))
+        dual_basis.append(acc)
+
+    Binv = inverse([digitvec(b) for b in basis])
+    Bstarinv = inverse([digitvec(b) for b in dual_basis])
+
+    def coords(z, inv):
+        dv = digitvec(z)
+        return tuple(sum(dv[k] * inv[k][j] for k in range(3)) % p for j in range(3))
+
+    planes = []
+    for mslope in range(cubic.q):
+        planes.append([coords(b, Binv) + coords(cubic.mul(mslope, b), Bstarinv) for b in basis])
+    planes.append([(0, 0, 0) + coords(b, Bstarinv) for b in dual_basis])
+    return tuple(space.basis_indices([rref(rows, f)[0] for rows in planes]).tolist())
+
+
+def test_spread_planes_match_the_trace_dual_construction(sp62, sp63):
+    for space in (sp62, sp63):
+        assert con.symplectic_spread_planes(space) == _reference_spread_planes(space)
+
+
+def test_each_checked_line_set_is_counted_once(monkeypatch, o6plus2, o8minus2, sp62):
+    """One relation census per construction, regularity check and evaluation report."""
+    census = schemetables.relation_census
+    calls = []
+
+    def counted(labels):
+        calls.append(labels.shape)
+        return census(labels)
+
+    for module in (analysis, con, schemetables, search):
+        monkeypatch.setattr(module, "relation_census", counted)
+    tables = tables_for_space(sp62)
+    hexagon = con.hexagon_lines(sp62)
+    rank3, gq = con.find_section(o8minus2, "rank3"), con.find_section(o6plus2, "gq")
+    plus, minus = con.quadric_section(sp62, "plus"), con.quadric_section(sp62, "minus")
+    runs = {
+        "hexagon": lambda: con.hexagon_lines(sp62),
+        "spread lines": lambda: con.symplectic_spread_lines(sp62),
+        "rank-3 section": lambda: con.hyperplane_section_lines(o8minus2, rank3),
+        "gq section": lambda: con.hyperplane_section_lines(o6plus2, gq),
+        "plus quadric section": lambda: con.quadric_section_lines(sp62, plus),
+        "minus quadric section": lambda: con.quadric_section_lines(sp62, minus),
+        "perp-avoiding pencil": lambda: con.point_pencil(o6plus2, 0, "perp_avoiding"),
+        "regular_set_check": lambda: regular_set_check(sp62, tables, hexagon),
+        "build_report": lambda: files.build_report(sp62, tables, hexagon),
+    }
+    for what, run in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == 1, what
 
 
 def test_spread_rejected_outside_sp6(o6plus2):

@@ -166,6 +166,18 @@ def test_probe_unknown_under_tiny_budget(o6plus2):
     assert res.note == "node budget exhausted"
 
 
+def test_the_catalog_stops_at_the_node_budget(o6plus2, sp62):
+    """The budget bounds each catalog search; the nodes reported are the exhaustive search's."""
+    res = feasibility_probe(sp62, tables_for_space(sp62), {"10", "20"}, 280, budget=10)
+    assert (res.status, res.nodes, res.note) == ("unknown", 11, "node budget exhausted")
+    # five disjoint planes of O+(6,2) are found in six nodes, one a plane and the root
+    tables = tables_for_space(o6plus2)
+    found = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=6)
+    assert (found.status, found.nodes, found.note) == ("witness", 0, "catalog construction")
+    short = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=5)
+    assert (short.status, short.nodes, short.note) == ("unknown", 6, "node budget exhausted")
+
+
 def test_line_spread_of_minus_quadric_section(sp62):
     sec = con.quadric_section(sp62, "minus")
     inside = set(sec.point_indices)
