@@ -18,8 +18,12 @@ import numpy as np
 from .schemetables import relation_census
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
-EIGEN_TAGS = REL_TAGS  # eigenspaces carry the same labels, in the same order
-NONTRIVIAL = ("10", "11", "20", "21")
+# eigenspaces carry the relations' tags, in the same order
+NONTRIVIAL = REL_TAGS[1:]
+# the nontrivial eigenspaces spanned by the lines of a plane and by the lines
+# through a point; a set whose support misses a span meets all its members alike
+PLANE_SPAN = frozenset({"10", "20"})
+PENCIL_SPAN = frozenset({"10", "11"})
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ def eigenspace_support(space, tables, y):
 
 
 def _support(aq):
-    return frozenset(EIGEN_TAGS[j] for j in range(1, 5) if aq[j] != 0)
+    return frozenset(REL_TAGS[j] for j in range(1, 5) if aq[j] != 0)
 
 
 @dataclass(frozen=True)
@@ -147,13 +151,13 @@ def _regular_set_check(space, tables, idx):
     want = len(idx) * (P[0] - P[1:])[:, None, :] + tables.n * P[1:, None, :] * in_mask[:, None]
     off = counts * tables.n != want
     clean = ~off.any(axis=(1, 2))
-    degree_tag = EIGEN_TAGS[1 + int(clean.argmax())] if clean.any() else None
+    degree_tag = REL_TAGS[1 + int(clean.argmax())] if clean.any() else None
     if degree_tag != j_tag:
         raise GeometryError("support-based and degree-based regularity verdicts disagree")
 
     inside = outside = witness = None
     if degree_tag:
-        inside, outside = expected_degrees(tables, EIGEN_TAGS.index(degree_tag), len(idx))
+        inside, outside = expected_degrees(tables, REL_TAGS.index(degree_tag), len(idx))
     else:
         # the first (line, relation) off the V10 targets
         x, i = divmod(int(off[0].argmax()), 5)
@@ -206,56 +210,38 @@ def divisibility_report(size, j, q, e2):
     if j == "10":
         modulus = Fraction((s * q + 1) * theta)
         excluded = (1, s * q * q)
-    elif j == "11":
-        modulus = Fraction((s * q + 1) * (s * q * q + 1))
-    elif j == "20":
-        if e2 != 2 and q % 2 == 0:
-            modulus = Fraction(theta * (s * q * q + 1))
-        elif e2 != 2:
-            modulus = Fraction(theta * (s * q * q + 1), 2)
-            excluded = (1, 2 * s * q * q + 1)
-        else:
-            modulus = Fraction(q**4 + q * q + 1)
-            interval = (q + 1, q * q * (q + 1), (q * q + 1) * (q + 1))
+    elif j == "21":
+        modulus = Fraction(n)
     else:
-        ok = size in (0, n)
-        return DivisibilityReport(
-            consistent=ok,
-            eigenspace=j,
-            size=size,
-            modulus=Fraction(n),
-            m=Fraction(size, n) if ok else None,
-            excluded=(),
-            reason="only the empty and full sets lie in this eigenspace"
-            if ok
-            else f"size must be 0 or {n}",
-        )
+        # V11 misses the plane span and V20 the pencil span
+        modulus = span_orthogonal_divisor(PENCIL_SPAN if j in PLANE_SPAN else PLANE_SPAN, q, e2)
+        if j == "20" and e2 == 2:
+            interval = (q + 1, q * q * (q + 1), (q * q + 1) * (q + 1))
+        elif j == "20" and q % 2:
+            excluded = (1, 2 * s * q * q + 1)
 
-    if size < 0 or size > n:
-        return DivisibilityReport(False, j, size, modulus, None, excluded, f"size outside [0, {n}]")
     m = Fraction(size) / modulus
-    if m.denominator != 1:
-        return DivisibilityReport(
-            False, j, size, modulus, None, excluded, f"size not a multiple of {modulus}"
+    consistent = False
+    if j == "21":
+        consistent = m in (0, 1)
+        reason = (
+            "only the empty and full sets lie in this eigenspace"
+            if consistent
+            else f"size must be 0 or {n}"
         )
-    m = int(m)
-    if m in excluded:
-        return DivisibilityReport(
-            False, j, size, modulus, Fraction(m), excluded, f"multiplier m={m} is excluded"
-        )
-    if interval is not None:
+        m = m if consistent else None
+    elif size < 0 or size > n:
+        m, reason = None, f"size outside [0, {n}]"
+    elif m.denominator != 1:
+        m, reason = None, f"size not a multiple of {modulus}"
+    elif m in excluded:
+        reason = f"multiplier m={m} is excluded"
+    elif interval and not (m == 0 or interval[0] <= m <= interval[1] or m == interval[2]):
         lo, hi, full = interval
-        if not (m == 0 or lo <= m <= hi or m == full):
-            return DivisibilityReport(
-                False,
-                j,
-                size,
-                modulus,
-                Fraction(m),
-                excluded,
-                f"multiplier m={m} outside {{0}} u [{lo}, {hi}] u {{{full}}}",
-            )
-    return DivisibilityReport(True, j, size, modulus, Fraction(m), excluded, "admissible")
+        reason = f"multiplier m={m} outside {{0}} u [{lo}, {hi}] u {{{full}}}"
+    else:
+        consistent, reason = True, "admissible"
+    return DivisibilityReport(consistent, j, size, modulus, m, excluded, reason)
 
 
 def span_orthogonal_divisor(S, q, e2, uncovered_point=False, has_spread=False):
@@ -267,9 +253,9 @@ def span_orthogonal_divisor(S, q, e2, uncovered_point=False, has_spread=False):
     S = frozenset(S)
     s = q_to_e_power(q, e2)
     theta = q * q + q + 1
-    if S == frozenset({"10", "20"}):
+    if S == PLANE_SPAN:
         return Fraction((s * q + 1) * (s * q * q + 1))
-    if S == frozenset({"10", "11"}):
+    if S == PENCIL_SPAN:
         if e2 != 2 and q % 2 == 0:
             return Fraction(theta * (s * q * q + 1))
         if e2 != 2:
@@ -366,12 +352,12 @@ def _design_check(space, tables, idx, level, support=None):
     q, s = space.q, space.qe
     if level == "points":
         want = Fraction(m * (s * q * q + 1) * space.theta, q + 1)
-        allowed = {"20", "21"}
+        span = PENCIL_SPAN
     else:
         want = Fraction(m * (s * q + 1) * (s * q * q + 1))
-        allowed = {"11", "21"}
+        span = PLANE_SPAN
     size_ok = Fraction(len(idx)) == want
     if idx and support is None:
         support = eigenspace_support(space, tables, idx)
-    support_ok = not idx or support <= allowed
+    support_ok = not idx or support.isdisjoint(span)
     return DesignReport(True, level, m, size_ok, support_ok)

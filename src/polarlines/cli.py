@@ -322,7 +322,7 @@ def _cmd_search_probe(args):
     _emit(
         {
             "space": args.space,
-            "support": sorted(str(t).upper().lstrip("R") for t in support),
+            "support": sorted({str(t).upper().lstrip("R") for t in support}),
             "size": args.size,
             "status": res.status,
             "witness": list(res.witness) if res.witness is not None else None,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import _as_indices, _dual, _support, inner_distribution, make_lineset
+from .analysis import PENCIL_SPAN, _as_indices, _dual, _support, inner_distribution, make_lineset
 from .gf import field_make
 from .spaces import (
     GeometryError,
@@ -82,7 +82,7 @@ def point_pencil(space, point_index, mode="through"):
     keep = space.lines_inside(avoiding)
     a = (1, q * q - 1, s * q * (q + 1), (q * q - 1) * s * q, s * s * q**3)
     name, what = f"pencil_perp_avoiding[{point_index}]", "perp-avoiding pencil"
-    return _checked(space, keep, name, what, a=a, support={"10", "11"})
+    return _checked(space, keep, name, what, a=a, support=PENCIL_SPAN)
 
 
 # -- hyperplane sections ---------------------------------------------------------

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .analysis import _dual
 from .linalg import solve_rational
-from .schemetables import make_tables
+from .schemetables import integer_column, make_tables
 from .spaces import REL_TAGS
 
 
@@ -49,8 +50,7 @@ class LPResult:
 
     @property
     def aq(self):
-        tables = make_tables(self.q, self.e2)
-        return tuple(sum(self.a[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
+        return _dual(make_tables(self.q, self.e2), self.a)
 
 
 def _dot(u, v):
@@ -69,15 +69,12 @@ def delsarte_lp_bound(q, e2, forbidden):
     free = [i for i in range(1, 5) if REL_TAGS[i] not in forbidden]
     k = len(free)
 
-    # constraints g.x >= h over the free variables x, each scaled by a
-    # positive integer so that g and h are integers: (name, g, h, scale)
+    # constraints g.x >= h over the free variables x, (aQ)_j >= 0 scaled by
+    # the integer L of Q's column j: (name, g, h, scale)
     constraints = []
     for j in range(5):
-        g = [tables.Q[i][j] for i in free]
-        h = -tables.Q[0][j]
-        scale = lcm(*(v.denominator for v in (*g, h)))
-        g, h = [int(v * scale) for v in g], int(h * scale)
-        constraints.append((("aQ", REL_TAGS[j]), g, h, scale))
+        col, scale = integer_column(tables, j)
+        constraints.append((("aQ", REL_TAGS[j]), [col[i] for i in free], -col[0], scale))
     for pos, i in enumerate(free):
         constraints.append((("nonneg", REL_TAGS[i]), [int(pos == t) for t in range(k)], 0, 1))
 
@@ -99,30 +96,25 @@ def delsarte_lp_bound(q, e2, forbidden):
     best = max(objective(x) for x in vertices)
     optimal = [x for x in vertices if objective(x) == best]
 
+    def inner(x):
+        """The inner distribution (1, a_10, ..., a_21) with the free values x."""
+        at = dict(zip(free, x))
+        return (Fraction(1), *(at.get(i, Fraction(0)) for i in range(1, 5)))
+
     # tight eigenspaces: (aQ)_j = 0 in every optimal basic solution
-    tight = set(REL_TAGS)
+    tight = frozenset(REL_TAGS)
     for x in optimal:
-        zero = set()
-        for j in range(5):
-            val = sum(tables.Q[i][j] * xi for i, xi in zip(free, x)) + tables.Q[0][j]
-            if val == 0:
-                zero.add(REL_TAGS[j])
-        tight &= zero
+        tight &= {t for t, v in zip(REL_TAGS, _dual(tables, inner(x))) if v == 0}
     xstar = min(optimal)
 
-    cert = _dual_certificate(constraints, k, xstar, best)
-    a_full = [Fraction(0)] * 5
-    a_full[0] = Fraction(1)
-    for i, xi in zip(free, xstar):
-        a_full[i] = xi
     return LPResult(
         q=q,
         e2=e2,
         forbidden=forbidden,
         optimum=best,
-        a=tuple(a_full),
-        tight=frozenset(tight),
-        certificate=cert,
+        a=inner(xstar),
+        tight=tight,
+        certificate=_dual_certificate(constraints, k, xstar, best),
     )
 
 

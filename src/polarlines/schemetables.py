@@ -228,15 +228,20 @@ def _row_blocks(labels):
         yield lo, block
 
 
+def integer_column(tables, j):
+    """(L Q[:, j] as a list of ints, L), with L the least common denominator of the column.
+
+    n E_j = sum_i Q[i][j] A_i, so the column scaled by L gives the integer
+    projector nL E_j = sum_i (L Q[i][j]) A_i.
+    """
+    L = lcm(*(tables.Q[i][j].denominator for i in range(5)))
+    return [int(tables.Q[i][j] * L) for i in range(5)], L
+
+
 def _project(tables, j, AX):
     """(D * E_j X, D) from the relation products AX of an integer matrix X."""
-    L = lcm(*(tables.Q[i][j].denominator for i in range(5)))
-    Z = np.zeros(AX.shape[1:], dtype=np.int64)
-    for i in range(5):
-        c = int(tables.Q[i][j] * L)
-        if c:
-            Z += c * AX[i]
-    return Z, tables.n * L
+    col, L = integer_column(tables, j)
+    return sum(c * AiX for c, AiX in zip(col, AX)), tables.n * L
 
 
 def verify_scheme(space, tables, k=5, seed=0x5EED):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
 import numpy as np
 
 from .analysis import (
+    PENCIL_SPAN,
+    PLANE_SPAN,
     divisibility_report,
     eigenspace_support,
     expected_degrees,
@@ -24,7 +24,7 @@ from .analysis import (
     span_orthogonal_divisor,
 )
 from .groups import o6plus_generators, vector_permutation
-from .schemetables import relation_census
+from .schemetables import integer_column, relation_census
 from .spaces import REL_TAGS
 
 
@@ -456,15 +456,14 @@ class _MembershipSearch:
 def _orbit_constraints(space, tables, j, size):
     """Exact block-intersection targets implied by the eigenspace.
 
-    Plane line sets span <j> + V10 + V20 and point-pencils span
-    <j> + V10 + V11, so a regular set in an eigenspace outside the span meets
-    every member of the orbit in exactly size * |member| / n lines.  A
-    non-integral target is an immediate infeasibility certificate.
+    A regular set in an eigenspace outside the plane span (or the pencil span)
+    meets every plane (or point-pencil) in exactly size * |member| / n lines.
+    A non-integral target is an immediate infeasibility certificate.
     """
     orbits = []
-    if j in ("11", "21"):
+    if j not in PLANE_SPAN:
         orbits.append(space.plane_lines_arr)
-    if j in ("20", "21"):
+    if j not in PENCIL_SPAN:
         orbits.append(space.point_lines_arr)
     out = []
     for members in orbits:
@@ -501,11 +500,9 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
     through regular_set_check.  A search stopped by the node budget or by
     stop_after is incomplete, and its note says which of the two stopped it.
     """
-    if j not in REL_TAGS[1:]:
-        raise ValueError(f"eigenspace must be one of {REL_TAGS[1:]}")
+    report = divisibility_report(size, j, space.q, space.e2)  # raises on a j outside 10..21
     if stop_after is not None and stop_after < 1:
         raise ValueError(f"stop_after must be at least 1, got {stop_after}")
-    report = divisibility_report(size, j, space.q, space.e2)
     if not report.consistent:
         return SearchResult((), True, 0, f"size rejected: {report.reason}")
     if size in (0, space.n_lines):
@@ -532,15 +529,8 @@ def _projector_rows(tables, support):
     For a forbidden eigenspace j, (M_j chi)_x = c0 [x in Y] + sum_i c_i cnt_i(x)
     must vanish at every line x.
     """
-    rows = []
-    for jtag in REL_TAGS[1:]:
-        if jtag in support:
-            continue
-        j = REL_TAGS.index(jtag)
-        den = lcm(*(tables.Q[i][j].denominator for i in range(5)))
-        coefs = [int(tables.Q[i][j] * den) for i in range(5)]
-        rows.append((coefs[0], coefs[1:]))
-    return rows
+    cols = [integer_column(tables, j)[0] for j in range(1, 5) if REL_TAGS[j] not in support]
+    return [(c[0], c[1:]) for c in cols]
 
 
 def _find_disjoint_members(pool, k, budget):
@@ -572,8 +562,8 @@ def _catalog_witness(space, tables, support, size, budget):
     gq = space.family in ("O6plus", "U6", "O7")
     # unions of pairwise line-disjoint planes, point-pencils and quadrangle sections
     families = (
-        (space.theta, "10" in support or "20" in support, space.plane_lines_arr),
-        ((q + 1) * (s * q + 1), "10" in support or "11" in support, space.point_lines_arr),
+        (space.theta, not support.isdisjoint(PLANE_SPAN), space.plane_lines_arr),
+        ((q + 1) * (s * q + 1), not support.isdisjoint(PENCIL_SPAN), space.point_lines_arr),
         ((s * q + 1) * (s * q * q + 1), "11" in support and gq, None),
     )
     for unit, fits, rows in families:
@@ -614,10 +604,10 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
             rep = divisibility_report(size, next(iter(support)), space.q, space.e2)
             if not rep.consistent:
                 return ProbeResult("none", None, 0, f"divisibility prefilter: {rep.reason}")
-        # a set within these eigenspaces is orthogonal to the other two
-        for within, orthogonal in (({"11", "21"}, {"10", "20"}), ({"20", "21"}, {"10", "11"})):
-            modulus = span_orthogonal_divisor(orthogonal, space.q, space.e2)
-            if support <= within and Fraction(size) % modulus:
+        # a set whose support misses a span is orthogonal to that span
+        for span in (PLANE_SPAN, PENCIL_SPAN):
+            modulus = span_orthogonal_divisor(span, space.q, space.e2)
+            if support.isdisjoint(span) and Fraction(size) % modulus:
                 return ProbeResult(
                     "none", None, 0, f"divisibility prefilter: size not a multiple of {modulus}"
                 )

@@ -5,6 +5,10 @@ import pytest
 
 from polarlines import constructions as con
 from polarlines.analysis import (
+    NONTRIVIAL,
+    PENCIL_SPAN,
+    PLANE_SPAN,
+    DivisibilityReport,
     complement,
     design_check,
     divisibility_report,
@@ -16,10 +20,22 @@ from polarlines.analysis import (
     regular_set_check,
     span_orthogonal_divisor,
 )
-from polarlines.schemetables import _project, relation_products, tables_for_space
-from polarlines.spaces import REL_TAGS
+from polarlines.schemetables import _project, make_tables, relation_products, tables_for_space
+from polarlines.spaces import REL_TAGS, q_to_e_power
 
 F = Fraction
+
+# the seven test spaces, and their scheme parameters (q, e2)
+TEST_SPACES = [
+    ("O6plus", 2),
+    ("Sp6", 2),
+    ("O6plus", 3),
+    ("O8minus", 2),
+    ("O7", 3),
+    ("Sp6", 3),
+    ("U6", 4),
+]
+TEST_SPACE_PARAMS = [(2, 0), (2, 2), (3, 0), (2, 4), (3, 2), (4, 1)]
 
 
 def aq_plane(q, s):
@@ -247,6 +263,88 @@ def test_divisibility_odd_q():
     assert not divisibility_report(65, "20", 3, 0).consistent
     assert divisibility_report(130, "20", 3, 0).consistent
     assert not divisibility_report(64, "20", 3, 0).consistent
+
+
+def _reference_divisibility_report(size, j, q, e2):
+    """divisibility_report with every modulus written out, eigenspace by eigenspace."""
+    if j not in NONTRIVIAL:
+        raise ValueError(f"eigenspace must be one of {NONTRIVIAL}")
+    s = q_to_e_power(q, e2)
+    theta = q * q + q + 1
+    n = (s * q + 1) * (s * q * q + 1) * theta
+    excluded = ()
+    interval = None
+    if j == "10":
+        modulus = Fraction((s * q + 1) * theta)
+        excluded = (1, s * q * q)
+    elif j == "11":
+        modulus = Fraction((s * q + 1) * (s * q * q + 1))
+    elif j == "20":
+        if e2 != 2 and q % 2 == 0:
+            modulus = Fraction(theta * (s * q * q + 1))
+        elif e2 != 2:
+            modulus = Fraction(theta * (s * q * q + 1), 2)
+            excluded = (1, 2 * s * q * q + 1)
+        else:
+            modulus = Fraction(q**4 + q * q + 1)
+            interval = (q + 1, q * q * (q + 1), (q * q + 1) * (q + 1))
+    else:
+        ok = size in (0, n)
+        return DivisibilityReport(
+            consistent=ok,
+            eigenspace=j,
+            size=size,
+            modulus=Fraction(n),
+            m=Fraction(size, n) if ok else None,
+            excluded=(),
+            reason="only the empty and full sets lie in this eigenspace"
+            if ok
+            else f"size must be 0 or {n}",
+        )
+
+    if size < 0 or size > n:
+        return DivisibilityReport(False, j, size, modulus, None, excluded, f"size outside [0, {n}]")
+    m = Fraction(size) / modulus
+    if m.denominator != 1:
+        return DivisibilityReport(
+            False, j, size, modulus, None, excluded, f"size not a multiple of {modulus}"
+        )
+    m = int(m)
+    if m in excluded:
+        return DivisibilityReport(
+            False, j, size, modulus, Fraction(m), excluded, f"multiplier m={m} is excluded"
+        )
+    if interval is not None:
+        lo, hi, full = interval
+        if not (m == 0 or lo <= m <= hi or m == full):
+            return DivisibilityReport(
+                False,
+                j,
+                size,
+                modulus,
+                Fraction(m),
+                excluded,
+                f"multiplier m={m} outside {{0}} u [{lo}, {hi}] u {{{full}}}",
+            )
+    return DivisibilityReport(True, j, size, modulus, Fraction(m), excluded, "admissible")
+
+
+@pytest.mark.parametrize("q,e2", TEST_SPACE_PARAMS)
+def test_divisibility_report_matches_the_reference(q, e2):
+    """Every field of every report, reprs included, on all sizes -3..n+1 of the four eigenspaces."""
+    for j in NONTRIVIAL:
+        for size in range(-3, make_tables(q, e2).n + 2):
+            want = _reference_divisibility_report(size, j, q, e2)
+            assert repr(divisibility_report(size, j, q, e2)) == repr(want), (j, size)
+
+
+@pytest.mark.parametrize("family,q", TEST_SPACES)
+def test_plane_and_pencil_spans_match_the_tables(spaces, family, q):
+    """A plane's lines span PLANE_SPAN and a point's pencil PENCIL_SPAN, read off aQ."""
+    space = spaces.get(family, q)
+    tables = tables_for_space(space)
+    assert eigenspace_support(space, tables, space.plane_lines_arr[0]) == PLANE_SPAN
+    assert eigenspace_support(space, tables, space.point_lines_arr[0]) == PENCIL_SPAN
 
 
 def test_span_orthogonal_divisor_cases():

@@ -229,6 +229,17 @@ def test_search_probe_prints_the_empty_witness(capsys):
     assert doc["status"] == "none" and doc["witness"] is None
 
 
+@pytest.mark.parametrize("support", ["10,R10,r10", "10,R10"])
+def test_search_probe_prints_each_tag_once(capsys, support):
+    """R10, r10 and 10 name one eigenspace, so the probe prints it once, as it searched it."""
+    argv = ["search", "probe", "--space", "o6plus_q2", "--support", support, "--size", "21"]
+    code, out = run_cli(capsys, *argv, "--no-prefilter")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["support"] == ["10"]
+    assert (doc["status"], doc["nodes"]) == ("none", 31)
+
+
 @pytest.mark.parametrize("size", ["-7", "106"])
 @pytest.mark.parametrize("prefilter", [[], ["--no-prefilter"]], ids=["prefilter", "no_prefilter"])
 def test_search_probe_rejects_a_size_outside_the_space(capsys, size, prefilter):

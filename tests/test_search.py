@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,7 @@ from polarlines.analysis import (
     inner_distribution,
     regular_set_check,
 )
-from polarlines.schemetables import relation_census, tables_for_space
+from polarlines.schemetables import make_tables, relation_census, tables_for_space
 from polarlines.spaces import REL_TAGS
 from polarlines.search import (
     _STOP_NOTES,
@@ -36,6 +37,8 @@ from polarlines.search import (
 )
 
 import numpy as np
+
+from test_analysis import TEST_SPACE_PARAMS
 
 
 def test_search_rediscovers_the_quadrangle_sections(o6plus2):
@@ -136,6 +139,28 @@ def test_projector_probe_witness_and_node_count(sp62):
     res = feasibility_probe(sp62, tables, {"10", "20"}, 7, catalog=False, prefilter=False)
     assert (res.status, res.witness, res.nodes) == ("witness", tuple(range(7)), 624)
     assert eigenspace_support(sp62, tables, res.witness) <= {"10", "20"}
+
+
+def _reference_projector_rows(tables, support):
+    """The projector rows, each with the lcm of its own Q column taken in place."""
+    rows = []
+    for jtag in REL_TAGS[1:]:
+        if jtag in support:
+            continue
+        j = REL_TAGS.index(jtag)
+        den = lcm(*(tables.Q[i][j].denominator for i in range(5)))
+        coefs = [int(tables.Q[i][j] * den) for i in range(5)]
+        rows.append((coefs[0], coefs[1:]))
+    return rows
+
+
+@pytest.mark.parametrize("q,e2", TEST_SPACE_PARAMS)
+def test_projector_rows_match_the_reference(q, e2):
+    tables = make_tables(q, e2)
+    for r in range(5):
+        for support in itertools.combinations(REL_TAGS[1:], r):
+            want = _reference_projector_rows(tables, set(support))
+            assert repr(_projector_rows(tables, set(support))) == repr(want), support
 
 
 def test_a_search_deeper_than_the_recursion_limit_finishes(sp62):
