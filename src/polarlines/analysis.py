@@ -244,11 +244,11 @@ def divisibility_report(size, j, q, e2):
     return DivisibilityReport(consistent, j, size, modulus, m, excluded, reason)
 
 
-def span_orthogonal_divisor(S, q, e2, uncovered_point=False, has_spread=False):
+def span_orthogonal_divisor(S, q, e2):
     """Divisibility modulus for |Z| when chi_Z is orthogonal to sum of V_s, s in S.
 
-    Each covered case is one intersection-based divisibility condition; an
-    uncovered combination raises ValueError("no divisor known").
+    S is PLANE_SPAN or PENCIL_SPAN, each one intersection-based divisibility
+    condition; any other S raises ValueError("no divisor known").
     """
     S = frozenset(S)
     s = q_to_e_power(q, e2)
@@ -261,22 +261,6 @@ def span_orthogonal_divisor(S, q, e2, uncovered_point=False, has_spread=False):
         if e2 != 2:
             return Fraction(theta * (s * q * q + 1), 2)
         return Fraction(q**4 + q * q + 1)
-    if S == frozenset({"10"}) and uncovered_point:
-        if e2 in (0, 4) and q % 2 == 0:
-            return Fraction(s * q * q + 1)
-        if e2 in (0, 4):
-            return Fraction(s * q * q + 1, 2)
-        if e2 in (1, 3):
-            return Fraction(s * q * q + 1, s + 1)
-        return Fraction(q * q - q + 1)
-    if S == frozenset({"11"}):
-        if e2 in (0, 2, 4) or (e2 == 3 and q % 3 in (0, 1)):
-            return Fraction((s * q + 1) * (s * q * q + 1))
-        if e2 == 1:
-            return Fraction((s + 1) * (s * q * q + 1))
-        return Fraction((s * q + 1) * (s * q * q + 1), 3)
-    if S == frozenset({"20"}) and has_spread:
-        return Fraction(s * q + 1)
     raise ValueError("no divisor known for this eigenspace combination")
 
 

@@ -25,7 +25,15 @@ from .search import (
     line_spread_search,
     m_ovoid_search,
 )
-from .spaces import DEFAULT_MAX_LINES, FAMILIES, REL_TAGS, build_space, load_space, save_space
+from .spaces import (
+    DEFAULT_MAX_LINES,
+    FAMILIES,
+    REL_TAGS,
+    bare_tag,
+    build_space,
+    load_space,
+    save_space,
+)
 
 _FAMILY_BY_LOWER = {name.lower(): name for name in FAMILIES}
 
@@ -322,7 +330,7 @@ def _cmd_search_probe(args):
     _emit(
         {
             "space": args.space,
-            "support": sorted({str(t).upper().lstrip("R") for t in support}),
+            "support": sorted({bare_tag(t) for t in support}),
             "size": args.size,
             "status": res.status,
             "witness": list(res.witness) if res.witness is not None else None,

@@ -20,17 +20,14 @@ from math import lcm
 from .analysis import _dual
 from .linalg import solve_rational
 from .schemetables import integer_column, make_tables
-from .spaces import REL_TAGS
+from .spaces import REL_TAGS, bare_tag
 
 
 def _normalize_tags(forbidden):
-    out = []
     for t in forbidden:
-        t = str(t).upper().lstrip("R")
-        if t not in REL_TAGS[1:]:
+        if bare_tag(t) not in REL_TAGS[1:]:
             raise ValueError(f"unknown relation {t!r}; use R10, R11, R20, R21")
-        out.append(t)
-    out = sorted(set(out), key=REL_TAGS.index)
+    out = sorted({bare_tag(t) for t in forbidden}, key=REL_TAGS.index)
     if not out:
         raise ValueError("forbidden set must be nonempty")
     if len(out) == 4:

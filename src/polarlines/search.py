@@ -1,15 +1,16 @@
 """Exhaustive and budgeted searches over line sets.
 
-All searches run depth-first with exact integer propagation and report
-honestly why they stopped: the search space was exhausted, the node budget
-ran out, or the requested number of solutions was reached.  Every returned
-set is re-verified through the analysis layer, independently of the search's
-own bookkeeping.
+All searches run depth-first with exact integer propagation, and every
+result says in stopped_by why its search stopped: the search space was
+exhausted, the solution asked for was found, the requested number of
+solutions was reached, the node budget ran out, or the answer needed no
+search.  Every returned set is re-verified through the analysis layer,
+independently of the search's own bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 import numpy as np
 
@@ -19,70 +20,85 @@ from .analysis import (
     divisibility_report,
     eigenspace_support,
     expected_degrees,
-    make_lineset,
     regular_set_check,
     span_orthogonal_divisor,
 )
 from .groups import o6plus_generators, vector_permutation
 from .schemetables import integer_column, relation_census
-from .spaces import REL_TAGS
+from .spaces import REL_TAGS, bare_tag
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    sets: tuple
-    complete: bool
-    nodes: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    status: str  # "witness" | "none" | "unknown"
-    witness: tuple | None
-    nodes: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class SpreadResult:
-    lines: tuple | None
-    complete: bool
-    nodes: int
-
-
-@dataclass(frozen=True)
-class PointSetResult:
-    points: tuple | None
-    complete: bool
-    nodes: int
-
-
-@dataclass(frozen=True)
-class PackingResult:
-    count: int
-    sections: tuple
-    line_sets: tuple
-    complete: bool
-    nodes: int
-
-
-# -- the node counter and stop signal every search shares --------------------------
+# -- the stop record every search result shares, and the node counter ---------------
 
 # why a search stopped -> the note its result carries
 _STOP_NOTES = {
-    "exhausted": "",
+    "exhausted": "",  # the whole tree was searched
+    "found": "",  # an existence search reached the solution it asked for
+    "solution_cap": "solution cap reached",  # stop_after cut an enumeration short
     "budget": "node budget exhausted",
-    "solution_cap": "solution cap reached",
+    "rejected": "",  # answered with no search; detail says why
 }
 
 
-class _Stop(Exception):
-    """Unwinds a search early; reason is "budget" or "solution_cap"."""
+def _joined(*parts):
+    return "; ".join(p for p in parts if p)
 
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+
+@dataclass(frozen=True)
+class _Outcome:
+    """Why a search stopped (a key of _STOP_NOTES), its node count and a detail note."""
+
+    stopped_by: str
+    nodes: int
+    detail: str = ""
+
+    @property
+    def complete(self):
+        """The answer is settled: no budget or solution cap cut the search short."""
+        return self.stopped_by not in ("budget", "solution_cap")
+
+    @property
+    def note(self):
+        return _joined(_STOP_NOTES[self.stopped_by], self.detail)
+
+
+@dataclass(frozen=True)
+class SearchResult(_Outcome):
+    sets: tuple = ()
+
+
+@dataclass(frozen=True)
+class ProbeResult(_Outcome):
+    witness: tuple | None = None
+
+    @property
+    def status(self):
+        """The verdict: witness, none or, for a search cut short, unknown."""
+        return "witness" if self.stopped_by == "found" else "none" if self.complete else "unknown"
+
+
+@dataclass(frozen=True)
+class SpreadResult(_Outcome):
+    lines: tuple | None = None
+
+
+@dataclass(frozen=True)
+class PointSetResult(_Outcome):
+    points: tuple | None = None
+
+
+@dataclass(frozen=True)
+class PackingResult(_Outcome):
+    sections: tuple = ()
+    line_sets: tuple = ()
+
+    @property
+    def count(self):
+        return len(self.sections)
+
+
+class _Stop(Exception):
+    """Unwinds a search early; its argument, the reason, is budget, solution_cap or found."""
 
 
 class _Nodes:
@@ -100,11 +116,11 @@ class _Nodes:
             raise _Stop("budget")
 
     def run(self, dfs, *args):
-        """Run a search; returns why it stopped: exhausted, budget or solution_cap."""
+        """Run a search; returns why it stopped: exhausted, or the reason it was unwound."""
         try:
             dfs(*args)
         except _Stop as stop:
-            return stop.reason
+            return stop.args[0]
         return "exhausted"
 
 
@@ -293,12 +309,10 @@ class _MembershipSearch:
         self.free = []  # buffers of saved arrays that no branching holds
 
     def run(self, stop_after=None):
-        """Search; an incomplete result's note says why the search stopped."""
+        """Search: every solution, or the first stop_after, with why the search stopped."""
         self.stop_after = stop_after
         stop = self.nodes.run(self._dfs)
-        return SearchResult(
-            tuple(self.solutions), stop == "exhausted", self.nodes.count, _STOP_NOTES[stop]
-        )
+        return SearchResult(stop, self.nodes.count, sets=tuple(self.solutions))
 
     def _set(self, x, val):
         if val:
@@ -479,7 +493,7 @@ def _regular_search(space, tables, j, size, budget, stop_after):
     inside, outside = expected_degrees(tables, REL_TAGS.index(j), size)
     constraints = _orbit_constraints(space, tables, j, size)
     if constraints is None or any(v.denominator != 1 or v < 0 for v in inside + outside):
-        return SearchResult((), True, 0, "degree or block targets are not nonnegative integers")
+        return SearchResult("rejected", 0, "degree or block targets are not nonnegative integers")
     search = _MembershipSearch(
         space.n_lines,
         budget,
@@ -498,24 +512,23 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
     sizes above n/2 are searched through their complements (a set is regular
     for V_j exactly when its complement is).  Every found set is re-checked
     through regular_set_check.  A search stopped by the node budget or by
-    stop_after is incomplete, and its note says which of the two stopped it.
+    stop_after is incomplete, and its stopped_by says which of the two stopped it.
     """
     report = divisibility_report(size, j, space.q, space.e2)  # raises on a j outside 10..21
     if stop_after is not None and stop_after < 1:
         raise ValueError(f"stop_after must be at least 1, got {stop_after}")
     if not report.consistent:
-        return SearchResult((), True, 0, f"size rejected: {report.reason}")
+        return SearchResult("rejected", 0, f"size rejected: {report.reason}")
     if size in (0, space.n_lines):
-        return SearchResult((), True, 0, "only proper nonempty sets are searched")
+        return SearchResult("rejected", 0, "only proper nonempty sets are searched")
     complemented = size > space.n_lines // 2
     target_size = space.n_lines - size if complemented else size
     result = _regular_search(space, tables, j, target_size, budget, stop_after)
-    sets = result.sets
     if complemented:
         full = set(range(space.n_lines))
-        sets = tuple(tuple(sorted(full - set(s))) for s in sets)
-        note = (result.note + "; " if result.note else "") + "searched via complements"
-        result = SearchResult(sets, result.complete, result.nodes, note)
+        sets = tuple(tuple(sorted(full - set(s))) for s in result.sets)
+        detail = _joined(result.detail, "searched via complements")
+        result = replace(result, sets=sets, detail=detail)
     for sol in result.sets:
         rep = regular_set_check(space, tables, sol)
         if not rep.is_regular or rep.eigenspace != j:
@@ -540,7 +553,7 @@ def _find_disjoint_members(pool, k, budget):
     def dfs(start, used):
         nodes.tick()
         if len(chosen) == k:
-            raise _Stop("solution_cap")
+            raise _Stop("found")
         for idx in range(start, len(pool)):
             s = pool[idx]
             if not (s & used):
@@ -549,7 +562,7 @@ def _find_disjoint_members(pool, k, budget):
                 chosen.pop()
 
     nodes = _Nodes(budget)
-    if nodes.run(dfs, 0, frozenset()) == "solution_cap":
+    if nodes.run(dfs, 0, frozenset()) == "found":
         return [pool[i] for i in chosen]
     return None
 
@@ -592,29 +605,30 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
     exhaustive search.  A conclusive "none" is only reported when the search
     space was exhausted.
     """
-    support = frozenset(str(t).upper().lstrip("R") for t in support)
-    if not support <= set(REL_TAGS[1:]):
-        raise ValueError("support must be a subset of the nontrivial eigenspaces")
+    for t in support:
+        if bare_tag(t) not in REL_TAGS[1:]:
+            raise ValueError(f"support must be a subset of the nontrivial eigenspaces, got {t!r}")
+    support = frozenset(map(bare_tag, support))
     if not 0 <= size <= space.n_lines:
-        return ProbeResult("none", None, 0, f"size rejected: size outside [0, {space.n_lines}]")
+        return ProbeResult("rejected", 0, f"size rejected: size outside [0, {space.n_lines}]")
     if size == 0:
-        return ProbeResult("witness", (), 0, "empty set")
+        return ProbeResult("found", 0, "empty set", witness=())
     if prefilter:
         if len(support) == 1:
             rep = divisibility_report(size, next(iter(support)), space.q, space.e2)
             if not rep.consistent:
-                return ProbeResult("none", None, 0, f"divisibility prefilter: {rep.reason}")
+                return ProbeResult("rejected", 0, f"divisibility prefilter: {rep.reason}")
         # a set whose support misses a span is orthogonal to that span
         for span in (PLANE_SPAN, PENCIL_SPAN):
             modulus = span_orthogonal_divisor(span, space.q, space.e2)
             if support.isdisjoint(span) and Fraction(size) % modulus:
                 return ProbeResult(
-                    "none", None, 0, f"divisibility prefilter: size not a multiple of {modulus}"
+                    "rejected", 0, f"divisibility prefilter: size not a multiple of {modulus}"
                 )
     if catalog and len(support) > 1:
         witness = _catalog_witness(space, tables, support, size, budget)
         if witness is not None:
-            return ProbeResult("witness", witness, 0, "catalog construction")
+            return ProbeResult("found", 0, "catalog construction", witness=witness)
     if len(support) == 1:
         # support {j} on a proper nonempty set is exactly V_j-regularity, where
         # per-vertex degree targets prune far harder than projector intervals
@@ -625,12 +639,11 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
             space.n_lines, budget, size=size, labels=space.labels, projectors=projectors
         )
         result = search.run(stop_after=1)
-    if result.sets:
+    if result.sets:  # the one solution asked for
         if not eigenspace_support(space, tables, result.sets[0]) <= support:
             raise RuntimeError("probe witness fails independent support verification")
-        return ProbeResult("witness", result.sets[0], result.nodes)
-    # without a witness, only the node budget can have stopped the search early
-    return ProbeResult("none" if result.complete else "unknown", None, result.nodes, result.note)
+        return ProbeResult("found", result.nodes, witness=result.sets[0])
+    return ProbeResult(result.stopped_by, result.nodes, result.detail)
 
 
 # -- exact cover: line spreads ---------------------------------------------------
@@ -662,17 +675,12 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
     if len(pts) % (space.q + 1):
         raise ValueError("point count is not divisible by the line size q+1")
     inside = (local >= 0).all(axis=1)
-    cand = [
-        (li, sum(1 << p for p in row))
-        for li, row in zip(lines[inside].tolist(), local[inside].tolist())
-    ]
-    covers = [[] for _ in pts]
-    for ci, (_, mask) in enumerate(cand):
-        m = mask
-        while m:
-            b = m & -m
-            covers[b.bit_length() - 1].append(ci)
-            m ^= b
+    rows = local[inside].tolist()
+    cand = [(li, sum(1 << p for p in row)) for li, row in zip(lines[inside].tolist(), rows)]
+    covers = [[] for _ in pts]  # the candidates through each point, in order
+    for ci, row in enumerate(rows):
+        for p in row:
+            covers[p].append(ci)
     full = (1 << len(pts)) - 1
     nodes = _Nodes(budget)
     chosen = []
@@ -680,7 +688,7 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
     def dfs(covered):
         nodes.tick()
         if covered == full:
-            raise _Stop("solution_cap")  # the first spread is the answer
+            raise _Stop("found")  # the first spread is the answer
         # most-constrained uncovered point
         best_p, best_opts = None, None
         m = full & ~covered
@@ -699,9 +707,7 @@ def line_spread_search(space, point_indices=None, line_indices=None, budget=None
             chosen.pop()
 
     stop = nodes.run(dfs, 0)
-    if stop == "solution_cap":
-        return SpreadResult(tuple(sorted(chosen)), True, nodes.count)
-    return SpreadResult(None, stop == "exhausted", nodes.count)
+    return SpreadResult(stop, nodes.count, lines=tuple(sorted(chosen)) if stop == "found" else None)
 
 
 def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
@@ -720,8 +726,9 @@ def m_ovoid_search(space, point_indices, line_indices, m, budget=None):
         raise ValueError(f"m must be between 0 and {per_line}")
     search = _MembershipSearch(len(pts), budget, blocks=[(ln, m) for ln in lines])
     result = search.run(stop_after=1)
-    found = tuple(pts[p] for p in result.sets[0]) if result.sets else None
-    return PointSetResult(found, result.complete or found is not None, result.nodes)
+    if result.sets:  # the one solution asked for
+        return PointSetResult("found", result.nodes, points=tuple(pts[p] for p in result.sets[0]))
+    return PointSetResult(result.stopped_by, result.nodes)
 
 
 # -- maximum clique and section packings ------------------------------------------
@@ -748,7 +755,7 @@ def max_clique(adj, budget=None, automorphisms=()):
     """Exact maximum clique by branch and bound with greedy coloring bounds.
 
     adj is a square symmetric matrix whose nonzero entries are the edges; its
-    diagonal is ignored.  Returns (clique tuple, complete, nodes).
+    diagonal is ignored.  Returns a SearchResult whose one set is the clique.
 
     Each node colours its candidates greedily, lowest vertex first, and
     branches on them from the last vertex of the last colour class down,
@@ -765,9 +772,10 @@ def max_clique(adj, budget=None, automorphisms=()):
     vertex r of its orbit, so the clique number is the largest 1 + omega(N(r))
     over those r, each found by the same colour-bounded search on r's
     neighbourhood.  The search of the whole graph then runs until its best
-    clique reaches that size: the clique returned is the one the search
-    without automorphisms returns, and nodes counts both stages.  If the
-    budget runs out, the largest clique found so far is returned, incomplete.
+    clique reaches that size, and stops "found": the clique returned is the
+    one the search without automorphisms returns, and nodes counts both
+    stages.  If the budget runs out, the largest clique found so far is
+    returned, incomplete.
     """
     edges = np.asarray(adj) != 0
     if edges.ndim != 2 or edges.shape[0] != edges.shape[1] or not (edges == edges.T).all():
@@ -822,7 +830,7 @@ def max_clique(adj, budget=None, automorphisms=()):
                 elif len(current) > len(best):
                     best = list(current)
                     if len(best) == goal:
-                        raise _Stop("solution_cap")
+                        raise _Stop("found")
                 current.pop()
                 cand ^= 1 << v
 
@@ -834,15 +842,15 @@ def max_clique(adj, budget=None, automorphisms=()):
             elif not best:
                 best = [r]
 
+    stop, largest = "exhausted", []
     if automorphisms:
-        if nodes.run(through_representatives) == "budget":
-            return tuple(sorted(best)), False, nodes.count
+        stop = nodes.run(through_representatives)
         largest, best, goal = best, [], len(best)
-        if nodes.run(expand, [], full) == "budget":
-            return tuple(sorted(largest)), False, nodes.count
-        return tuple(sorted(best)), True, nodes.count
-    complete = nodes.run(expand, [], full) == "exhausted"
-    return tuple(sorted(best)), complete, nodes.count
+    if stop != "budget":
+        stop = nodes.run(expand, [], full)
+    # a recovery search cut short by the budget keeps the larger clique of the first stage
+    clique = max(best, largest, key=len)
+    return SearchResult(stop, nodes.count, sets=(tuple(sorted(clique)),))
 
 
 def disjoint_section_packing(space, budget=None):
@@ -865,18 +873,11 @@ def disjoint_section_packing(space, budget=None):
     adj = np.array([~(row & packed).any(axis=1) for row in packed])
     duals = [sec.dual_point for sec in sections]
     moves = [vector_permutation(space.field, duals, g) for g in o6plus_generators(space.field)]
-    clique, complete, nodes = max_clique(adj, budget=budget, automorphisms=moves)
+    res = max_clique(adj, budget=budget, automorphisms=moves)
+    (clique,) = res.sets
     return PackingResult(
-        count=len(clique),
+        res.stopped_by,
+        res.nodes,
         sections=tuple(sections[i] for i in clique),
         line_sets=tuple(np.flatnonzero(incidence[i]).tolist() for i in clique),
-        complete=complete,
-        nodes=nodes,
     )
-
-
-def packing_union(space, packing):
-    lines = []
-    for ls in packing.line_sets:
-        lines.extend(ls)
-    return make_lineset(space, lines, name=f"packing_union[{packing.count}]")

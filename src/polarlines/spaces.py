@@ -32,6 +32,15 @@ from .linalg import rref
 
 REL_TAGS = ("00", "10", "11", "20", "21")
 
+
+def bare_tag(tag):
+    """A relation or eigenspace tag given as "R10", "r10" or "10", as "10".
+
+    One leading R at most is dropped, so "RR10" stays an unknown tag.
+    """
+    return str(tag).upper().removeprefix("R")
+
+
 FAMILIES = {
     # family: (ambient dim, 2e, kind)
     "O6plus": (6, 0, "orthogonal"),

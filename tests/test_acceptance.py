@@ -337,12 +337,12 @@ def test_criterion_8_packing_g3_stretch(spaces):
     # second route: the search without the orbit reduction, on the same graph
     sections, incidence = con.section_line_sets(o63, "gq")
     shared = incidence.astype(np.int64) @ incidence.T.astype(np.int64)
-    clique, complete, nodes = max_clique(shared == 0)
-    assert complete and nodes == 156_992
-    assert tuple(sections[i] for i in clique) == res.sections
+    plain = max_clique(shared == 0)
+    assert plain.complete and plain.nodes == 156_992
+    assert tuple(sections[i] for i in plain.sets[0]) == res.sections
     print(
         f"[criterion 8] PASS g(3) = 7, exhaustive in {res.nodes} nodes orbit-reduced "
-        f"and {nodes} unreduced"
+        f"and {plain.nodes} unreduced"
     )
 
 

@@ -350,18 +350,10 @@ def test_plane_and_pencil_spans_match_the_tables(spaces, family, q):
 def test_span_orthogonal_divisor_cases():
     assert span_orthogonal_divisor({"10", "20"}, 2, 0) == 15
     assert span_orthogonal_divisor({"10", "11"}, 2, 2) == 21  # q^4+q^2+1
-    # e=3/2 forces square q, and squares are never 2 mod 3, so the /3 branch
-    # is unreachable; q=9 takes the plain product
-    assert span_orthogonal_divisor({"11"}, 9, 3) == F((3**5 + 1) * (3**7 + 1))
-    assert span_orthogonal_divisor({"11"}, 4, 1) == F(3 * 33)
-    assert span_orthogonal_divisor({"20"}, 2, 2, has_spread=True) == 5
-    assert span_orthogonal_divisor({"10"}, 2, 0, uncovered_point=True) == 5
-    assert span_orthogonal_divisor({"10"}, 3, 0, uncovered_point=True) == F(10, 2)
-    assert span_orthogonal_divisor({"10"}, 4, 1, uncovered_point=True) == F(33, 3)
     with pytest.raises(ValueError, match="no divisor known"):
         span_orthogonal_divisor({"21"}, 2, 0)
     with pytest.raises(ValueError, match="no divisor known"):
-        span_orthogonal_divisor({"10"}, 2, 0)  # needs the uncovered-point flag
+        span_orthogonal_divisor({"10"}, 2, 0)  # neither span
 
 
 def test_plane_profile_of_contained_plane(o6plus2):

@@ -240,6 +240,31 @@ def test_search_probe_prints_each_tag_once(capsys, support):
     assert (doc["status"], doc["nodes"]) == ("none", 31)
 
 
+@pytest.mark.parametrize("tag", ["R10", "r10", "10"])
+def test_lp_bound_takes_a_tag_with_one_optional_r(capsys, tag):
+    code, out = run_cli(capsys, "lp", "bound", "--q", "2", "--e", "1", "--forbid", tag)
+    assert code == 0
+    assert json.loads(out)["forbid"] == ["10"]
+
+
+@pytest.mark.parametrize(
+    "argv,given",
+    [
+        (["lp", "bound", "--q", "2", "--e", "1", "--forbid", "RR11"], "RR11"),
+        (
+            ["search", "probe", "--space", "o6plus_q2", "--support", "RR10,rrr20", "--size", "7"],
+            "RR10",
+        ),
+    ],
+    ids=["lp", "probe"],
+)
+def test_a_tag_with_more_than_one_r_is_a_json_error(capsys, argv, given):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error"} and repr(given) in doc["error"]
+
+
 @pytest.mark.parametrize("size", ["-7", "106"])
 @pytest.mark.parametrize("prefilter", [[], ["--no-prefilter"]], ids=["prefilter", "no_prefilter"])
 def test_search_probe_rejects_a_size_outside_the_space(capsys, size, prefilter):

@@ -144,6 +144,18 @@ def test_bad_inputs_rejected():
         delsarte_lp_bound(2, 0, ["12"])
 
 
+@pytest.mark.parametrize("tag", ["R11", "r11", "11"])
+def test_a_tag_takes_one_optional_r(tag):
+    assert delsarte_lp_bound(2, 0, [tag]).forbidden == ("11",)
+
+
+@pytest.mark.parametrize("tag", ["RR11", "rR11", "R", "RR"])
+def test_a_tag_with_more_than_one_r_is_unknown(tag):
+    """The error names the tag as it was given."""
+    with pytest.raises(ValueError, match=f"unknown relation '{tag}'"):
+        delsarte_lp_bound(2, 0, [tag])
+
+
 # -- the integer LP against the Fraction LP it replaced ------------------------------
 
 

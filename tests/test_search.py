@@ -17,7 +17,6 @@ from polarlines.analysis import (
 from polarlines.schemetables import make_tables, relation_census, tables_for_space
 from polarlines.spaces import REL_TAGS
 from polarlines.search import (
-    _STOP_NOTES,
     SearchResult,
     _MembershipSearch,
     _Nodes,
@@ -32,8 +31,8 @@ from polarlines.search import (
     enumerate_regular_sets,
     feasibility_probe,
     line_spread_search,
+    m_ovoid_search,
     max_clique,
-    packing_union,
 )
 
 import numpy as np
@@ -269,14 +268,14 @@ def test_max_clique_on_known_graph():
     adj = np.zeros((6, 6), dtype=bool)
     for a, b in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]:
         adj[a, b] = adj[b, a] = True
-    clique, complete, _ = max_clique(adj)
-    assert complete and len(clique) == 3
+    res = max_clique(adj)
+    assert res.complete and len(res.sets[0]) == 3
 
 
 def _reference_max_clique(adj, budget=None):
     """Exact maximum clique by branch and bound with greedy coloring bounds.
 
-    adj is a boolean numpy matrix.  Returns (clique tuple, complete, nodes).
+    adj is a boolean numpy matrix.  Returns a SearchResult whose one set is the clique.
     """
     n = adj.shape[0]
     masks = []
@@ -323,8 +322,8 @@ def _reference_max_clique(adj, budget=None):
             current.pop()
             cand &= ~(1 << v)
 
-    complete = nodes.run(expand, [], (1 << n) - 1) == "exhausted"
-    return tuple(sorted(best)), complete, nodes.count
+    stop = nodes.run(expand, [], (1 << n) - 1)
+    return SearchResult(stop, nodes.count, sets=(tuple(sorted(best)),))
 
 
 def _random_graph(rng, n, density):
@@ -340,7 +339,7 @@ def test_max_clique_matches_the_reference_search(seed):
         for density in (0.1, 0.3, 0.5, 0.7, 0.9):
             adj = _random_graph(rng, n, density)
             full = _reference_max_clique(adj)
-            for budget in (None, 1, max(1, full[2] // 2)):
+            for budget in (None, 1, max(1, full.nodes // 2)):
                 assert max_clique(adj, budget) == _reference_max_clique(adj, budget)
 
 
@@ -363,10 +362,11 @@ def test_max_clique_property():
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hypothesis.given(graphs(), st.one_of(st.none(), st.integers(1, 40)))
     def check(adj, budget):
-        clique, complete, nodes = max_clique(adj, budget)
-        assert (clique, complete, nodes) == _reference_max_clique(adj, budget)
+        res = max_clique(adj, budget)
+        assert res == _reference_max_clique(adj, budget)
+        (clique,) = res.sets
         assert all(adj[a, b] for a, b in itertools.combinations(clique, 2))
-        if complete:
+        if res.complete:
             n = adj.shape[0]
             assert not any(
                 all(adj[a, b] for a, b in itertools.combinations(bigger, 2))
@@ -393,7 +393,8 @@ def test_max_clique_orbit_reduction_on_circulant_graphs():
         adj = _circulant(n, {c % n for c in connections} - {0})
         rotation = (np.arange(n) + 1) % n
         moves = [rotation, (-np.arange(n)) % n] if both else [rotation]
-        assert max_clique(adj, automorphisms=moves)[:2] == max_clique(adj)[:2]
+        reduced, plain = max_clique(adj, automorphisms=moves), max_clique(adj)
+        assert (reduced.sets, reduced.complete) == (plain.sets, plain.complete)
 
     check()
 
@@ -402,12 +403,12 @@ def test_max_clique_under_a_budget_with_automorphisms():
     adj = _circulant(37, {1, 3, 4, 7, 11, 16})
     rotation = (np.arange(37) + 1) % 37
     full = max_clique(adj, automorphisms=[rotation])
-    assert full[1] and full[:2] == max_clique(adj)[:2]
-    for budget in (1, 2, full[2] // 2, full[2] - 1):
-        clique, complete, nodes = max_clique(adj, budget, automorphisms=[rotation])
-        assert not complete and nodes == budget + 1
-        assert all(adj[a, b] for a, b in itertools.combinations(clique, 2))
-    assert max_clique(adj, full[2], automorphisms=[rotation]) == full
+    assert full.stopped_by == "found" and full.sets == max_clique(adj).sets
+    for budget in (1, 2, full.nodes // 2, full.nodes - 1):
+        res = max_clique(adj, budget, automorphisms=[rotation])
+        assert (res.stopped_by, res.complete, res.nodes) == ("budget", False, budget + 1)
+        assert all(adj[a, b] for a, b in itertools.combinations(res.sets[0], 2))
+    assert max_clique(adj, full.nodes, automorphisms=[rotation]) == full
 
 
 @pytest.mark.parametrize(
@@ -426,7 +427,8 @@ def test_max_clique_rejects_a_bad_automorphism(move, match):
     adj = np.zeros((5, 5), dtype=bool)
     for a in range(4):
         adj[a, a + 1] = adj[a + 1, a] = True
-    assert max_clique(adj, automorphisms=[[4, 3, 2, 1, 0]])[:2] == max_clique(adj)[:2]
+    reduced, plain = max_clique(adj, automorphisms=[[4, 3, 2, 1, 0]]), max_clique(adj)
+    assert (reduced.sets, reduced.complete) == (plain.sets, plain.complete)
     with pytest.raises(ValueError, match=match):
         max_clique(adj, automorphisms=[[4, 3, 2, 1, 0], move])
 
@@ -516,12 +518,10 @@ class _ReferenceMembershipSearch:
         self.hot = list(range(len(blocks)))  # blocks that may be settled or broken
 
     def run(self, stop_after=None):
-        """Search; an incomplete result's note says why the search stopped."""
+        """Search: every solution, or the first stop_after, with why the search stopped."""
         self.stop_after = stop_after
         stop = self.nodes.run(self._dfs)
-        return SearchResult(
-            tuple(self.solutions), stop == "exhausted", self.nodes.count, _STOP_NOTES[stop]
-        )
+        return SearchResult(stop, self.nodes.count, sets=tuple(self.solutions))
 
     def _set(self, x, val):
         self.status[x] = val
@@ -649,7 +649,7 @@ class _ReferenceMembershipSearch:
 
 
 def test_membership_search_matches_the_reference_core(o6plus2, sp62):
-    """Same sets, order, completeness, node count and note as the unpacked core.
+    """Same sets, order, stop reason and node count as the unpacked core.
 
     Random instances on O+(6,2) and Sp(6,2): degree targets of regular sets,
     exact or with one target nudged, up to far outside the 16-bit fields;
@@ -736,7 +736,7 @@ def test_block_fields_at_their_width_boundaries_match_the_reference_core(o6plus2
             got = _MembershipSearch(n, budget, blocks=blocks, **kwargs).run()
             assert got == _ReferenceMembershipSearch(n, budget, blocks=blocks, **kwargs).run()
             if target in (-1, size + 1):
-                assert got == SearchResult((), True, 1)
+                assert got == SearchResult("exhausted", 1)
 
 
 def test_packed_reachability_matches_the_interval_test():
@@ -904,8 +904,8 @@ def test_packing_g2(o6plus2):
     tables = tables_for_space(o6plus2)
     res = disjoint_section_packing(o6plus2)
     assert res.complete and res.count == 7
-    union = packing_union(o6plus2, res)
-    assert len(union) == 105  # a full partition into 7 quadrangle sections
+    # a full partition into 7 quadrangle sections
+    assert sorted(li for ls in res.line_sets for li in ls) == list(range(105))
     partial = [li for ls in res.line_sets[:3] for li in ls]
     rep = regular_set_check(o6plus2, tables, partial)
     assert rep.is_regular and rep.eigenspace == "11"
@@ -914,3 +914,123 @@ def test_packing_g2(o6plus2):
 def test_packing_rejected_outside_o6plus(sp62):
     with pytest.raises(ValueError, match="O6plus"):
         disjoint_section_packing(sp62)
+
+
+def _small_graph():
+    adj = np.zeros((6, 6), dtype=bool)
+    for a, b in [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]:
+        adj[a, b] = adj[b, a] = True
+    return adj
+
+
+def _gq_section(space):
+    sec = con.find_section(space, "gq")
+    lines = con.hyperplane_section_lines(space, sec).indices
+    return con.section_point_indices(space, sec), list(lines)
+
+
+def _minus_section_spread(sp62, budget=None):
+    pts = con.quadric_section(sp62, "minus").point_indices
+    inside = set(pts)
+    lines = [li for li, lp in enumerate(sp62.line_points) if all(p in inside for p in lp)]
+    return line_spread_search(sp62, pts, lines, budget=budget)
+
+
+# each search, and (stopped_by, nodes, complete, note, status) of its result
+_STOPS = {
+    "enumeration_exhausted": (
+        lambda o, sp: enumerate_regular_sets(o, tables_for_space(o), "20", 35),
+        ("exhausted", 167, True, "", None),
+    ),
+    "enumeration_budget": (
+        lambda o, sp: enumerate_regular_sets(sp, tables_for_space(sp), "20", 63, budget=10),
+        ("budget", 11, False, "node budget exhausted", None),
+    ),
+    "enumeration_solution_cap": (
+        lambda o, sp: enumerate_regular_sets(o, tables_for_space(o), "11", 15, stop_after=2),
+        ("solution_cap", 5, False, "solution cap reached", None),
+    ),
+    "enumeration_rejected": (
+        lambda o, sp: enumerate_regular_sets(o, tables_for_space(o), "11", 16),
+        ("rejected", 0, True, "size rejected: size not a multiple of 15", None),
+    ),
+    "enumeration_via_complements": (
+        lambda o, sp: enumerate_regular_sets(o, tables_for_space(o), "11", 90),
+        ("exhausted", 67, True, "searched via complements", None),
+    ),
+    "enumeration_via_complements_budget": (
+        lambda o, sp: enumerate_regular_sets(o, tables_for_space(o), "11", 90, budget=5),
+        ("budget", 6, False, "node budget exhausted; searched via complements", None),
+    ),
+    "probe_found": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"11"}, 15),
+        ("found", 4, True, "", "witness"),
+    ),
+    "probe_none": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"10"}, 21, prefilter=False),
+        ("exhausted", 31, True, "", "none"),
+    ),
+    "probe_unknown": (
+        lambda o, sp: feasibility_probe(
+            o, tables_for_space(o), {"11", "20"}, 35, budget=50, catalog=False
+        ),
+        ("budget", 51, False, "node budget exhausted", "unknown"),
+    ),
+    "probe_prefilter": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"10"}, 21),
+        ("rejected", 0, True, "divisibility prefilter: multiplier m=1 is excluded", "none"),
+    ),
+    "probe_size_outside": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"10", "20"}, -7),
+        ("rejected", 0, True, "size rejected: size outside [0, 105]", "none"),
+    ),
+    "probe_catalog": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"10", "20"}, 35),
+        ("found", 0, True, "catalog construction", "witness"),
+    ),
+    "probe_empty_set": (
+        lambda o, sp: feasibility_probe(o, tables_for_space(o), {"10", "20"}, 0),
+        ("found", 0, True, "empty set", "witness"),
+    ),
+    "spread_found": (
+        lambda o, sp: _minus_section_spread(sp),
+        ("found", 10, True, "", None),
+    ),
+    "spread_budget": (
+        lambda o, sp: _minus_section_spread(sp, budget=3),
+        ("budget", 4, False, "node budget exhausted", None),
+    ),
+    "m_ovoid_found": (
+        lambda o, sp: m_ovoid_search(o, *_gq_section(o), 1),
+        ("found", 3, True, "", None),
+    ),
+    "m_ovoid_budget": (
+        lambda o, sp: m_ovoid_search(o, *_gq_section(o), 1, budget=2),
+        ("budget", 3, False, "node budget exhausted", None),
+    ),
+    "packing_found": (
+        lambda o, sp: disjoint_section_packing(o),
+        ("found", 13, True, "", None),
+    ),
+    "max_clique_exhausted": (
+        lambda o, sp: max_clique(_small_graph()),
+        ("exhausted", 3, True, "", None),
+    ),
+    "max_clique_budget": (
+        lambda o, sp: max_clique(_small_graph(), budget=2),
+        ("budget", 3, False, "node budget exhausted", None),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_every_search_says_why_it_stopped(o6plus2, sp62, case):
+    """stopped_by and the node count, and the complete, note and status derived from them."""
+    run, want = _STOPS[case]
+    res = run(o6plus2, sp62)
+    status = res.status if hasattr(res, "status") else None
+    assert (res.stopped_by, res.nodes, res.complete, res.note, status) == want
+    # a found answer carries its solution, and only a found one
+    for name in ("witness", "lines", "points"):
+        if hasattr(res, name):
+            assert (getattr(res, name) is not None) == (res.stopped_by == "found")
