@@ -18,7 +18,7 @@ from math import lcm
 import numpy as np
 
 from .linalg import solve_rational
-from .spaces import REL_TAGS, q_to_e_power
+from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 
 def p_matrix(q, e2):
@@ -131,70 +131,51 @@ def tables_for_space(space):
 # -- randomized-exact verification against an enumerated space ----------------
 
 
-# a block of label rows holds about this many entries, so its float32 mask,
-# 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
-_BLOCK_ENTRIES = 2**18
-# but at least this many rows: each block's product re-packs the whole operand,
-# which on Sp(6,4)'s 23,205 lines at 11 rows a block took most of the time
-_MIN_BLOCK_ROWS = 64
-
-
-def relation_products(labels, Y):
+def relation_products(space, Y):
     """Exact A_i Y for all five relations, as an int64 array of shape (5, n, m).
 
-    Y is an n x m integer matrix with n = labels.shape[1]; an operand with
-    max|Y| * n >= 2^63 raises OverflowError.  A_10, A_11 and A_20 multiply all
-    limbs of Y (see _limbs) at once in float32 BLAS over row blocks of the label
-    table; every partial sum is an integer below 2^24, so it is exact in any
-    summation order.  Each product is added back in int64 from the top limb
-    down, acc = (acc << b) + P_k, which is exact because int64 wraps modulo
-    2^64 and the result fits.  A_00 Y adds the rows of Y where the label 0
-    sits, and A_21 Y is the column sums of Y minus the other four, which is
-    exact because every label is checked to be at most 4.
+    Y is an n x m integer matrix, n = space.n_lines; the products come from
+    the incidence arrays alone.  With N and K the line-point and line-plane
+    incidences (q+1 points and s+1 planes on a line, lpp lines on a point)
+    and T[M, p] = [M lies in p^perp], counting shared planes, shared points
+    and the points of L in M^perp gives
+
+        K K^T = (s+1) I + A_10,  N N^T = (q+1) I + A_10 + A_11,
+        N T^T = (q+1) (I + A_10) + A_11 + A_20,  A_21 Y = sum(Y) - the other four.
+
+    A line outside the hyperplane p^perp meets it in one point, so
+    q T^T Y = N^T N N^T Y - (lpp-1) N^T Y - sum(Y); a remainder means the
+    incidence is no polar space and raises GeometryError.  Each step is a
+    fixed-width int64 gather-sum.  With B = max|Y|, that numerator's terms
+    are at most (q+1) lpp^2 B, (lpp-1) lpp B and n B, and on a polar space
+    every other partial sum is smaller, so B ((q+2) lpp^2 - lpp + n) >= 2^63
+    raises OverflowError.
     """
     Y = np.asarray(Y, dtype=np.int64)
-    n = labels.shape[1]
-    if len(Y) != n:
-        raise ValueError(f"operand of shape {Y.shape} does not fit labels of shape {labels.shape}")
-    Yf, b = _limbs(Y, n)
-    m = Y.shape[1]
-    col_sums = Y.sum(axis=0)
-    out = np.empty((5, labels.shape[0], m), dtype=np.int64)
-    for lo, block in _row_blocks(labels):
-        part = out[:, lo : lo + len(block)]
-        rows, cols = divmod(np.flatnonzero(block.reshape(-1) == 0), n)
-        part[0] = 0
-        np.add.at(part[0], rows, Y[cols])
-        for i in range(1, 4):
-            prod = (block == i).astype(np.float32) @ Yf
-            part[i] = prod[:, :m]
-            for k in range(m, Yf.shape[1], m):
-                part[i] <<= b
-                part[i] += prod[:, k : k + m].astype(np.int64)
-        np.subtract(col_sums, part[:4].sum(axis=0), out=part[4])
-    return out
-
-
-def _limbs(Y, n):
-    """(Y_L | ... | Y_0 in float32, b): the limbs of Y side by side, top limb first.
-
-    Y = sum 2^(b k) Y_k with 2^b * n <= 2^24, and every product of a 0/1 matrix
-    of width n with a limb adds integers of magnitude below 2^24.
-    """
-    top = _max_abs(Y)
-    b = (2**24 // max(n, 1)).bit_length() - 1
-    if top * n >= 2**63 or (b < 1 and top * n >= 2**24):
+    n, q = space.n_lines, space.q
+    if Y.ndim != 2 or len(Y) != n:
+        raise ValueError(f"operand of shape {Y.shape} does not fit {n} lines")
+    on_line, on_point = space.line_points_arr, space.point_lines_arr
+    lpp = on_point.shape[1]
+    top = max(int(Y.max(initial=0)), -int(Y.min(initial=0)))
+    if top * ((q + 2) * lpp**2 - lpp + n) >= 2**63:
         raise OverflowError("operand too large for exact int64 relation products")
-    limbs, rest = [], Y
-    while top * n >= 2**24:
-        limbs.append(rest & (2**b - 1))
-        rest = rest >> b
-        top = _max_abs(rest)
-    return np.concatenate([rest, *reversed(limbs)], axis=1).astype(np.float32), b
+    col_sums = Y.sum(axis=0)
+    A10 = Y[space.plane_lines_arr].sum(axis=1)[space.line_planes_arr].sum(axis=1)
+    A10 -= space.line_planes_arr.shape[1] * Y
+    NtY = Y[on_point].sum(axis=1)
+    NNtY = NtY[on_line].sum(axis=1)
+    A11 = NNtY - (q + 1) * Y - A10
+    TtY, rest = np.divmod(NNtY[on_point].sum(axis=1) - (lpp - 1) * NtY - col_sums, q)
+    if rest.any():
+        raise GeometryError("incidence of no polar space: a perp count is not a multiple of q")
+    A20 = TtY[on_line].sum(axis=1) - (q + 1) * (Y + A10) - A11
+    return np.stack([Y, A10, A11, A20, col_sums - Y - A10 - A11 - A20])
 
 
-def _max_abs(Y):
-    return max(int(Y.max(initial=0)), -int(Y.min(initial=0)))
+# entries of a row block of the label table: the table check's float32 copy of
+# a block, 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
+_BLOCK_ENTRIES = 2**18
 
 
 def relation_census(labels):
@@ -216,11 +197,10 @@ def relation_census(labels):
 def _row_blocks(labels):
     """(first row, block) over row blocks of the label table.
 
-    A block holds about _BLOCK_ENTRIES entries, and at least _MIN_BLOCK_ROWS rows.
-    Both readers count relation 4 as the complement of the others, so a label
-    above 4 raises ValueError.
+    A block holds about _BLOCK_ENTRIES entries, and at least one row.  Both
+    readers would misread a label above 4, so one raises ValueError.
     """
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_ENTRIES // max(labels.shape[1], 1))
+    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
     for lo in range(0, labels.shape[0], rows):
         block = labels[lo : lo + rows]
         if block.max(initial=0) > 4:
@@ -249,8 +229,9 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
 
     Also checks that the projections sum back to x.  Returns a report dict;
     report["ok"] is True iff all 25 (relation, eigenspace) pairs pass on all
-    vectors.  The k vectors and their five projections are stacked, so the
-    label table is read twice whatever k is.
+    vectors.  The k vectors and their five projections are stacked, so
+    relation_products runs twice whatever k is.  The relation table is read
+    once, by _check_table against the first products.
     """
     if tables.n != space.n_lines:
         raise ValueError("tables do not match the space")
@@ -258,11 +239,11 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
         raise ValueError(f"verify_scheme needs at least one vector, got {k}")
     rng = np.random.default_rng(seed)
     n = space.n_lines
-    labels = space.labels
     X = np.stack([rng.integers(-9, 10, size=n) for _ in range(k)], axis=1).astype(np.int64)
-    AX = relation_products(labels, X)
+    AX = relation_products(space, X)
+    _check_table(space.labels, X, AX)
     parts = [_project(tables, j, AX) for j in range(5)]
-    AZ = relation_products(labels, np.concatenate([Z for Z, _ in parts], axis=1))
+    AZ = relation_products(space, np.concatenate([Z for Z, _ in parts], axis=1))
     pair_ok = {
         (i, j): np.array_equal(AZ[i][:, j * k : (j + 1) * k], tables.P[j][i] * Z)
         for j, (Z, _) in enumerate(parts)
@@ -283,9 +264,27 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
     }
 
 
+def _check_table(labels, X, AX):
+    """Raise ValueError naming the first line whose table row disagrees with AX.
+
+    AX = relation_products(space, X).  The table's label-weighted product
+    sum_i i [labels = i] X is one float32 pass over row blocks, and must equal
+    sum_i i A_i X.  With |X| <= 9 and labels at most 4 (a larger one raises
+    too), every partial sum is an integer of magnitude at most 36 n < 2^24
+    (n < 466,033, past any table that fits in memory), so the pass is exact.
+    """
+    Xf = X.astype(np.float32)
+    want = AX[1] + 2 * AX[2] + 3 * AX[3] + 4 * AX[4]
+    for lo, block in _row_blocks(labels):
+        wrong = (block.astype(np.float32) @ Xf != want[lo : lo + len(block)]).any(axis=1)
+        if wrong.any():
+            line = lo + int(np.argmax(wrong))
+            raise ValueError(f"relation table disagrees with the incidence at line {line}")
+
+
 def empirical_valencies(space):
-    """Per-line relation census; raises if it is not constant over lines."""
-    counts = relation_census(space.labels)
+    """Per-line relation counts A_i 1; raises if they are not constant over lines."""
+    counts = relation_products(space, np.ones((space.n_lines, 1), dtype=np.int64))[..., 0].T
     first = counts[0]
     if not (counts == first).all():
         bad = int(np.nonzero((counts != first).any(axis=1))[0][0])

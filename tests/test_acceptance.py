@@ -52,6 +52,7 @@ CRITERION_SPACES = [
     ("O7", 3),
     ("O8minus", 2),
     ("U6", 4),
+    ("Sp6", 3),
 ]
 
 

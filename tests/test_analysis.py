@@ -118,7 +118,7 @@ def test_weighted_pencil_combination_lands_in_v10(o6plus2):
         w[li] += o6plus2.qe + 1
     for li in con.point_pencil(o6plus2, 0, "perp_avoiding").indices:
         w[li] += 1
-    Aw = relation_products(o6plus2.labels, [[x] for x in w])
+    Aw = relation_products(o6plus2, [[x] for x in w])
     support = {REL_TAGS[j] for j in range(1, 5) if _project(tables, j, Aw)[0].any()}
     assert support == {"10"}
 

@@ -431,6 +431,25 @@ def test_a_label_above_4_in_the_sidecar_is_a_json_error(tmp_path, capsys, comman
     assert set(doc) == {"error"} and "outside 0..4" in doc["error"]
 
 
+def test_a_legal_but_wrong_label_in_the_sidecar_fails_scheme_verify(tmp_path, capsys, o6plus2):
+    # two lines of a plane are in R10 (label 1); a 4 there is a legal label, so
+    # only the table check of scheme verify, which compares every row of the
+    # table with the incidence's products, can see it
+    cache = str(tmp_path / "cache")
+    assert run_cli(capsys, "--cache", cache, "space", "build", "--space", "o6plus_q2")[0] == 0
+    sidecar = cli._space_path(cache, "O6plus", 2) + ".labels.npy"
+    labels = np.load(sidecar)
+    a, b = o6plus2.plane_lines_arr[0, :2]
+    assert labels[a, b] == labels[b, a] == 1
+    labels[a, b] = labels[b, a] = 4
+    np.save(sidecar, labels)
+    assert run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")[0] == 0
+    code, out = run_cli(capsys, "--cache", cache, "scheme", "verify", "--space", "o6plus_q2")
+    assert code == 1
+    doc = json.loads(out)  # one document: nothing was printed before the error
+    assert set(doc) == {"error"} and "disagrees with the incidence" in doc["error"]
+
+
 def test_report_rationals_are_exact_strings(o6plus2):
     tables = tables_for_space(o6plus2)
     from polarlines.analysis import make_lineset

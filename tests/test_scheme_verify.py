@@ -5,13 +5,17 @@ import pytest
 
 from polarlines import schemetables
 from polarlines.schemetables import (
-    _limbs,
+    _check_table,
     _project,
     relation_census,
     relation_products,
     tables_for_space,
     verify_scheme,
 )
+from polarlines.spaces import GeometryError
+
+# the seven test spaces: hyperbolic, symplectic, parabolic, elliptic and Hermitian
+SPACES = ["o6plus2", "sp62", "o6plus3", "o73", "o8minus2", "u64", "sp63"]
 
 
 @pytest.mark.parametrize("family,q", [("O6plus", 2), ("Sp6", 2), ("O6plus", 3)])
@@ -28,7 +32,7 @@ def test_projection_onto_v00_is_the_mean(o6plus2):
     tables = tables_for_space(o6plus2)
     rng = np.random.default_rng(7)
     x = rng.integers(-5, 6, size=o6plus2.n_lines).astype(np.int64)
-    z, D = _project(tables, 0, relation_products(o6plus2.labels, x[:, None]))
+    z, D = _project(tables, 0, relation_products(o6plus2, x[:, None]))
     total = int(x.sum())
     # E_00 x = (sum x / n) * all-ones
     assert np.array_equal(z * tables.n, np.full_like(z, total * D))
@@ -39,7 +43,7 @@ def test_r21_eigenvalue_on_v21_image(o73):
     tables = tables_for_space(o73)
     rng = np.random.default_rng(11)
     x = rng.integers(-5, 6, size=o73.n_lines).astype(np.int64)
-    z, _ = _project(tables, 4, relation_products(o73.labels, x[:, None]))
+    z, _ = _project(tables, 4, relation_products(o73, x[:, None]))
     a21 = np.zeros_like(z)
     block = 512
     for lo in range(0, o73.n_lines, block):
@@ -55,9 +59,9 @@ def test_projectors_are_orthogonal_idempotents(o6plus2):
     rng = np.random.default_rng(23)
     x = rng.integers(-4, 5, size=o6plus2.n_lines).astype(np.int64)
     for j in range(5):
-        zj, _ = _project(tables, j, relation_products(o6plus2.labels, x[:, None]))
+        zj, _ = _project(tables, j, relation_products(o6plus2, x[:, None]))
         for kk in range(5):
-            zz, Dz = _project(tables, kk, relation_products(o6plus2.labels, zj))
+            zz, Dz = _project(tables, kk, relation_products(o6plus2, zj))
             if kk == j:
                 assert np.array_equal(zz, Dz * zj)
             else:
@@ -78,7 +82,7 @@ def test_verify_scheme_needs_a_vector(o6plus2, k):
 
 
 def _reference_relation_products(labels, Y):
-    """The five-mask float64 relation products, kept as the oracle of the fast route."""
+    """The five-mask float64 relation products, kept as the oracle of the incidence route."""
     Y = np.asarray(Y, dtype=np.int64)
     n = labels.shape[0]
     if max(int(Y.max(initial=0)), -int(Y.min(initial=0))) * n >= 2**53:
@@ -93,6 +97,16 @@ def _reference_relation_products(labels, Y):
     return out
 
 
+def _integer_relation_products(labels, Y):
+    """The five integer-matmul masks, by row blocks: exact wherever every A_i Y fits in int64."""
+    out = np.empty((5, len(labels), Y.shape[1]), dtype=np.int64)
+    for lo in range(0, len(labels), 512):
+        block = labels[lo : lo + 512]
+        for i in range(5):
+            out[i, lo : lo + len(block)] = (block == i).astype(np.int64) @ Y
+    return out
+
+
 def _moved_pair_copy(space, label=4):
     # move one symmetric pair from R20 to another relation: the copy is no
     # longer a scheme, and with label 0 two of its rows hold a second 0
@@ -100,73 +114,130 @@ def _moved_pair_copy(space, label=4):
     broken.labels = space.labels.copy()
     a, b = np.argwhere(broken.labels == 3)[0]
     broken.labels[a, b] = broken.labels[b, a] = label
-    return broken
+    return broken, a
 
 
 def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
-    broken = _moved_pair_copy(o6plus2)
-    report = verify_scheme(broken, tables_for_space(o6plus2), k=2)
-    assert report["ok"] is False
-    assert not all(report["pairs"].values())
-    assert verify_scheme(o6plus2, tables_for_space(o6plus2), k=2)["ok"] is True
-
-
-def test_moved_pair_report_matches_the_reference_route(o6plus2, monkeypatch):
+    # the products come from the incidence, so only the table check sees the
+    # move: it names the first line whose row disagrees
     tables = tables_for_space(o6plus2)
-    broken = [_moved_pair_copy(o6plus2, label) for label in (4, 0)]
-    fast = [verify_scheme(space, tables, k=2) for space in broken]
-    assert all(report["ok"] is False for report in fast)
-    monkeypatch.setattr(schemetables, "relation_products", _reference_relation_products)
-    assert [verify_scheme(space, tables, k=2) for space in broken] == fast
+    for label in (4, 0):
+        broken, a = _moved_pair_copy(o6plus2, label)
+        with pytest.raises(ValueError, match=f"disagrees with the incidence at line {a}$"):
+            verify_scheme(broken, tables, k=2)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        verify_scheme(_moved_pair_copy(o6plus2, 7)[0], tables, k=2)
+    assert verify_scheme(o6plus2, tables, k=2)["ok"] is True
 
 
-def _limb_count(Y):
-    Y = np.asarray(Y, dtype=np.int64)
-    return _limbs(Y, len(Y))[0].shape[1] // Y.shape[1]
+def test_moved_pair_report_matches_the_reference_route(o6plus2):
+    # the table check names the first line whose products, by the reference
+    # route over the table, differ from the incidence's
+    X = np.random.default_rng(3).integers(-9, 10, size=(o6plus2.n_lines, 2))
+    AX = relation_products(o6plus2, X)
+    for label in (4, 0):
+        broken, _ = _moved_pair_copy(o6plus2, label)
+        differs = (_reference_relation_products(broken.labels, X) != AX).any(axis=(0, 2))
+        with pytest.raises(ValueError, match=f"at line {int(np.argmax(differs))}$"):
+            _check_table(broken.labels, X, AX)
+    _check_table(o6plus2.labels, X, AX)
 
 
-def _assert_matches_integer_matmul(labels, Y):
-    got = relation_products(labels, Y)
-    assert got.dtype == np.int64 and got.shape == (5, labels.shape[0], Y.shape[1])
-    for i in range(5):
-        assert np.array_equal(got[i], (labels == i).astype(np.int64) @ Y)
+def test_r00_is_read_where_its_labels_sit(o6plus2):
+    # R00 is the diagonal of a valid table; the table check weighs a 0 off
+    # the diagonal, and a diagonal entry other than 0, in their own rows
+    X = np.random.default_rng(29).integers(1, 10, size=(o6plus2.n_lines, 2))
+    AX = relation_products(o6plus2, X)
+    for row, col, label in ((3, 40, 0), (7, 7, 2)):
+        labels = o6plus2.labels.copy()
+        labels[row, col] = labels[col, row] = label
+        with pytest.raises(ValueError, match=f"at line {row}$"):
+            _check_table(labels, X, AX)
 
 
-@pytest.mark.parametrize("space", ["o6plus2", "sp62", "o73"])
+@pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize(
-    "bound,limbs",
-    # the random vectors of verify_scheme, one limb, and operands above its
-    # projections (max|Z| is about 1.96e6 on O(7,3)): two limbs, three on O(7,3)
-    [pytest.param(9, (1, 1, 1), id="x_sized"), pytest.param(2**30, (2, 2, 3), id="z_sized")],
+    "bound",
+    # the random vectors of verify_scheme, and operands above its projections
+    # (max|Z| is about 1.96e6 on O(7,3))
+    [pytest.param(9, id="x_sized"), pytest.param(2**30, id="z_sized")],
 )
-def test_relation_products_match_the_reference_route(request, space, bound, limbs):
-    labels = request.getfixturevalue(space).labels
-    Y = np.random.default_rng(bound).integers(-bound, bound + 1, size=(len(labels), 3))
-    Y[0, 0] = bound
-    assert _limb_count(Y) == limbs[["o6plus2", "sp62", "o73"].index(space)]
-    got = relation_products(labels, Y)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, _reference_relation_products(labels, Y))
+def test_relation_products_match_the_reference_route(request, space, bound):
+    space = request.getfixturevalue(space)
+    Y = np.random.default_rng(bound).integers(-bound, bound + 1, size=(space.n_lines, 14))
+    Y[0, 0], Y[1, 1] = bound, -bound
+    want = _reference_relation_products(space.labels, Y)
+    # widths 1, 3 and 10, against one reference product of all 14 columns
+    for lo, hi in ((0, 1), (1, 4), (4, 14)):
+        got = relation_products(space, Y[:, lo:hi])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[:, :, lo:hi])
 
 
-def test_float32_guard_boundary():
-    rng = np.random.default_rng(17)
-    # n * max|Y| = 2^24 - 1 (255 * 65793) takes one limb and 2^24 (256 *
-    # 65536) two.  Float32 holds every integer up to 2^24, so only the third
-    # case, whose R10 rows add about 300 odd entries near 2^17 to odd sums far
-    # above 2^24, would come out wrong in one float32 limb.
-    for n, top, limbs in ((255, 65793, 1), (256, 65536, 2), (512, 2**17 + 1, 2)):
-        labels = rng.choice(5, size=(n, n), p=[0.1, 0.6, 0.1, 0.1, 0.1]).astype(np.uint8)
-        for sign in (1, -1):
-            Y = sign * (rng.integers((top + 1) // 4, (top + 1) // 2, size=(n, 4)) * 2 + 1)
-            Y[0, 0] = sign * top
-            assert _limb_count(Y) == limbs
-            _assert_matches_integer_matmul(labels, Y)
-    # each low limb of 2^40 - 1 is 2^b - 1 = 2^16 - 1, so a row of 255 ones in
-    # R10 adds up to 255 * (2^16 - 1), just below 2^24, in every low limb
-    labels = np.ones((256, 256), dtype=np.uint8)
-    np.fill_diagonal(labels, 0)
-    _assert_matches_integer_matmul(labels, np.full((256, 3), 2**40 - 1))
+def _overflow_bound(space):
+    """The largest max|Y| that relation_products accepts on this space."""
+    lpp = space.point_lines_arr.shape[1]
+    return (2**63 - 1) // ((space.q + 2) * lpp**2 - lpp + space.n_lines)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_relation_products_guard_is_max_entry_times_the_route_factor(request, space):
+    space = request.getfixturevalue(space)
+    top = _overflow_bound(space)
+    # a random column with both extremes, and the all-top and all-minus-top
+    # columns, whose every partial sum has one sign
+    Y = np.empty((space.n_lines, 3), dtype=np.int64)
+    rng = np.random.default_rng(top % 1000)
+    Y[:, 0] = rng.integers(-top, top, size=space.n_lines, endpoint=True)
+    Y[:2, 0] = top, -top
+    Y[:, 1], Y[:, 2] = top, -top
+    assert np.array_equal(relation_products(space, Y), _integer_relation_products(space.labels, Y))
+    for bad in (top + 1, -(top + 1)):
+        Y[5, 2] = bad
+        with pytest.raises(OverflowError):
+            relation_products(space, Y)
+
+
+def _changed_incidence_copy(space, name, line):
+    # one entry of the line's row in `name` moves to a point or plane off the line
+    broken = copy.copy(space)
+    arr = getattr(space, name).copy()
+    size = len(space.pts_arr) if name == "line_points_arr" else len(space.plane_lines_arr)
+    arr[line, 0] = next(x for x in range(size) if x not in arr[line])
+    setattr(broken, name, arr)
+    return broken
+
+
+@pytest.mark.parametrize("space", ["o6plus2", "sp62", "o73", "u64"])
+@pytest.mark.parametrize("name", ["line_planes_arr", "line_points_arr"])
+def test_a_changed_incidence_entry_is_never_ok(request, monkeypatch, space, name):
+    space = request.getfixturevalue(space)
+    tables = tables_for_space(space)
+    for line in (0, space.n_lines // 2, space.n_lines - 1):
+        broken = _changed_incidence_copy(space, name, line)
+        # the table check sees that the table is no longer the incidence's
+        with pytest.raises((ValueError, GeometryError)):
+            verify_scheme(broken, tables, k=2)
+        # and without the table, the scheme identities fail on the products
+        with monkeypatch.context() as m:
+            m.setattr(schemetables, "_check_table", lambda labels, X, AX: None)
+            try:
+                report = verify_scheme(broken, tables, k=2)
+            except GeometryError:  # a perp count that q does not divide
+                continue
+            assert report["ok"] is False
+
+
+def test_a_point_off_the_line_leaves_a_remainder(o6plus2):
+    # with one point of line 0 moved, a unit vector on a line through the new
+    # point and not through the old one adds 1 to one numerator of T^T Y
+    broken = _changed_incidence_copy(o6plus2, "line_points_arr", 0)
+    old, new = o6plus2.line_points_arr[0, 0], broken.line_points_arr[0, 0]
+    M = next(m for m in o6plus2.point_lines_arr[new] if old not in o6plus2.line_points_arr[m])
+    Y = np.zeros((o6plus2.n_lines, 1), dtype=np.int64)
+    Y[M] = 1
+    with pytest.raises(GeometryError, match="not a multiple of q"):
+        relation_products(broken, Y)
 
 
 def _random_labels(rng, n):
@@ -178,56 +249,26 @@ def _random_labels(rng, n):
 # 1025 lines it is 255 rows, and the last block holds five
 @pytest.mark.parametrize("n", [50, 513, 1025])
 @pytest.mark.parametrize("m", [1, 3, 10])
-def test_relation_products_match_integer_matmul(n, m):
+def test_table_check_matches_integer_matmul(n, m):
     rng = np.random.default_rng(n * 100 + m)
     labels = _random_labels(rng, n)
-    # max|Y| * n just below 2^24, at 2^24, near 2^40 and near 2^62, with the
-    # negative extreme in one entry, so the partial sums fill every limb
-    for bits in (24, 40, 62):
-        for top in ((2**bits - 1) // n, -(-(2**bits) // n)):
-            Y = rng.integers(-top, top, size=(n, m), endpoint=True)
-            Y[rng.integers(n), rng.integers(m)] = -top
-            _assert_matches_integer_matmul(labels, Y)
-            _assert_matches_integer_matmul(labels, np.full((n, m), -top))
+    X = rng.integers(-9, 10, size=(n, m))
+    X[0, 0], X[-1, -1] = 9, -9
+    AX = _integer_relation_products(labels, X)
+    _check_table(labels, X, AX)
+    # one changed label is seen in its row, in the first and the last block
+    for row in (0, n // 2, n - 1):
+        col = int(np.flatnonzero(X[:, 0])[0])
+        wrong = labels.copy()
+        wrong[row, col] = (wrong[row, col] + 1) % 5
+        with pytest.raises(ValueError, match=f"at line {row}$"):
+            _check_table(wrong, X, AX)
 
 
-def test_relation_products_guard_is_max_entry_times_n():
-    labels = _random_labels(np.random.default_rng(3), 4)
-    for bad in (2**61, -(2**61)):
-        Y = np.zeros((4, 2), dtype=np.int64)
-        Y[1, 1] = bad
-        with pytest.raises(OverflowError):
-            relation_products(labels, Y)
-    Y = np.full((4, 2), 2**61 - 1, dtype=np.int64)
-    Y[0, 0] = -(2**61 - 1)
-    _assert_matches_integer_matmul(labels, Y)
-    _assert_matches_integer_matmul(labels, -Y)
-    # at n = 3 the shifted accumulator of an all-R10 row passes -2^63 before
-    # the low limb brings it back: int64 wraps, and the result is exact
-    _assert_matches_integer_matmul(
-        np.ones((3, 3), dtype=np.uint8), np.full((3, 2), -((2**63 - 1) // 3))
-    )
-    # past 2^23 columns a limb has no bit to spare: entries of 2 must raise
-    # rather than split forever
-    with pytest.raises(OverflowError):
-        _limbs(np.full((1, 1), 2), 2**23 + 1)
-
-
-def test_r00_is_read_where_its_labels_sit(o6plus2):
-    # R00 is the diagonal of a valid table; a 0 off the diagonal and a row
-    # with no 0 are still read exactly, as the rows of Y where the zeros sit
-    labels = o6plus2.labels.copy()
-    labels[3, 40] = labels[40, 3] = 0
-    labels[7, 7] = 2
-    rng = np.random.default_rng(29)
-    for top in (9, 2**30):
-        _assert_matches_integer_matmul(labels, rng.integers(-top, top, size=(len(labels), 4)))
-
-
-def test_relation_products_reject_an_operand_of_another_height():
-    labels = _random_labels(np.random.default_rng(31), 50)
-    with pytest.raises(ValueError, match=r"\(49, 2\).*\(50, 50\)"):
-        relation_products(labels, np.ones((49, 2), dtype=np.int64))
+def test_relation_products_reject_an_operand_of_another_height(o6plus2):
+    for Y in (np.ones((104, 2), dtype=np.int64), np.ones(105, dtype=np.int64)):
+        with pytest.raises(ValueError, match=rf"\({len(Y)},.*\).*105 lines"):
+            relation_products(o6plus2, Y)
 
 
 def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):
@@ -249,9 +290,10 @@ def test_readers_reject_a_label_above_4(row):
     # otherwise be read as relation 4
     labels = _random_labels(np.random.default_rng(9), 513)
     labels[row, 1] = labels[1, row] = 7
-    with pytest.raises(ValueError):
-        relation_products(labels, np.ones((513, 1), dtype=np.int64))
-    with pytest.raises(ValueError):
+    X = np.ones((513, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        _check_table(labels, X, _integer_relation_products(labels, X))
+    with pytest.raises(ValueError, match="outside 0..4"):
         relation_census(labels)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside 0..4"):
         relation_census(labels[:, [0, 1]])
