@@ -8,6 +8,7 @@ bit-exactly.  All numbers in the output are exact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -95,6 +96,8 @@ def _parse_e(text):
 def _emit(doc):
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    # a reader that closed stdout early fails the command here, not at exit
+    sys.stdout.flush()
 
 
 def _cmd_space_build(args):
@@ -470,6 +473,12 @@ def main(argv=None):
     try:
         globals()[name](args)
         return 0
+    except BrokenPipeError:
+        # the reader is gone, so no error document either; what stdout still
+        # buffers goes to devnull at exit (a StringIO has no descriptor to redirect)
+        with contextlib.suppress(OSError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except (CommandError, ValueError, OSError) as exc:
         code, error = 1, exc
     except RuntimeError as exc:  # GeometryError among them: the program contradicts itself

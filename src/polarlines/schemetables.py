@@ -161,16 +161,25 @@ def relation_products(space, Y):
     if top * ((q + 2) * lpp**2 - lpp + n) >= 2**63:
         raise OverflowError("operand too large for exact int64 relation products")
     col_sums = Y.sum(axis=0)
-    A10 = Y[space.plane_lines_arr].sum(axis=1)[space.line_planes_arr].sum(axis=1)
+    A10 = _gather_sum(_gather_sum(Y, space.plane_lines_arr), space.line_planes_arr)
     A10 -= space.line_planes_arr.shape[1] * Y
-    NtY = Y[on_point].sum(axis=1)
-    NNtY = NtY[on_line].sum(axis=1)
+    NtY = _gather_sum(Y, on_point)
+    NNtY = _gather_sum(NtY, on_line)
     A11 = NNtY - (q + 1) * Y - A10
-    TtY, rest = np.divmod(NNtY[on_point].sum(axis=1) - (lpp - 1) * NtY - col_sums, q)
+    TtY, rest = np.divmod(_gather_sum(NNtY, on_point) - (lpp - 1) * NtY - col_sums, q)
     if rest.any():
         raise GeometryError("incidence of no polar space: a perp count is not a multiple of q")
-    A20 = TtY[on_line].sum(axis=1) - (q + 1) * (Y + A10) - A11
+    A20 = _gather_sum(TtY, on_line) - (q + 1) * (Y + A10) - A11
     return np.stack([Y, A10, A11, A20, col_sums - Y - A10 - A11 - A20])
+
+
+def _gather_sum(Y, rows):
+    """For each row r of the index array rows, the sum of the rows of Y at r.
+
+    The width of rows goes outermost, so each summand is one contiguous block:
+    a sum over a middle axis of a few columns costs several times more.
+    """
+    return np.take(Y, rows.T, axis=0).sum(axis=0)
 
 
 # entries of a row block of the label table: the table check's float32 copy of

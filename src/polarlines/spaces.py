@@ -336,7 +336,7 @@ _RELATION_OF_ST = np.array([[4, 3, 255], [255, 2, 1], [255, 255, 0]], dtype=np.u
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
-    def __init__(self, form, points, line_bases, plane_bases, read_labels=None):
+    def __init__(self, form, points, line_bases, plane_bases, labels=None):
         """A space from its points and the canonical bases of its lines and planes.
 
         Each argument is a uint8 array, or anything np.asarray turns into one:
@@ -347,9 +347,8 @@ class PolarSpace:
         ValueError.  Every line's and every plane's point set comes from one
         bulk span pass over its bases.  Two distinct points are perpendicular
         exactly when a line joins them, so perp_points is read off the lines.
-        read_labels, if given, returns the relation table; it is called once
-        the geometry is derived, so the table is never held together with
-        the derivation's scratch arrays.  Without it the table is built.
+        labels, if given, is the relation table, as load_space maps it from
+        a sidecar; without it the table is built on first use.
         """
         self.form = form
         self.family = form.family
@@ -385,7 +384,6 @@ class PolarSpace:
         self.perp_points = pair >= 0
         np.fill_diagonal(self.perp_points, True)
         self.plane_lines_arr = _plane_lines(self.field, pair, spans[1])
-        del pair, spans  # freed before the label table is built
         self.point_lines_arr = _transpose(
             self.line_points_arr, len(self.pts_arr), (q + 1) * (s * q + 1), "lines through a point"
         )
@@ -393,8 +391,14 @@ class PolarSpace:
             self.plane_lines_arr, self.n_lines, s + 1, "planes through a line"
         )
 
-        self.labels = self._label_table() if read_labels is None else read_labels()
+        if labels is not None:
+            self.labels = labels
         self.fingerprint = _fingerprint(self.form, line_bases)
+
+    @cached_property
+    def labels(self):
+        """The n x n uint8 relation table, built on first use."""
+        return self._label_table()
 
     def _label_table(self):
         """n x n uint8 relation table, one exact gather-sum per row block.
@@ -705,11 +709,14 @@ def load_space(path):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
     try:
-        fh = open(path + ".labels.npy", "rb")
-    except OSError:
+        # copy-on-write: only the pages read are loaded, and writes stay private;
+        # sidecars are replaced only by rename, so a mapped file never shrinks
+        table = np.lib.format.open_memmap(path + ".labels.npy", mode="c")
+    except OSError:  # no sidecar: the table is built on first use
         return PolarSpace(form, points, lines, planes)
-    with fh:
-        space = PolarSpace(form, points, lines, planes, read_labels=lambda: np.load(fh))
+    except ValueError as exc:  # empty, not .npy, cut short or not mappable
+        raise ValueError("labels sidecar corrupt or stale") from exc
+    space = PolarSpace(form, points, lines, planes, labels=table.view(np.ndarray))
     if not _labels_look_right(space):
         raise ValueError("labels sidecar corrupt or stale")
     return space

@@ -1,5 +1,8 @@
+import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,6 +298,37 @@ def test_internal_failure_is_a_json_error_with_exit_code_3(monkeypatch, capsys, 
     code, out = run_cli(capsys, "space", "info", "--space", "o6plus_q2")
     assert code == 3
     assert json.loads(out) == {"error": str(exc)}
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_1_and_writes_nothing_more(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["scheme", "tables", "--q", "2", "--e", "1"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes anything
+    # stdout buffered, as it is on a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "polarlines.cli", "scheme", "tables", "--q", "2", "--e", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_usage_error_keeps_exit_code_2(capsys):

@@ -693,6 +693,53 @@ def test_failed_cache_write_keeps_the_previous_cache(tmp_path, monkeypatch, o6pl
     assert np.array_equal(again.labels, o6plus2.labels)
 
 
+@pytest.mark.parametrize("fault", ["empty", "garbage", "truncated"])
+def test_an_unreadable_labels_sidecar_is_rejected(tmp_path, o6plus2, fault):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    sidecar = tmp_path / "o6plus_q2.json.labels.npy"
+    whole = sidecar.read_bytes()
+    sidecar.write_bytes({"empty": b"", "garbage": b"no npy", "truncated": whole[:-100]}[fault])
+    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_a_reloaded_table_is_the_built_one_byte_for_byte(tmp_path, spaces, family, q):
+    space = spaces.get(family, q)
+    save_space(space, tmp_path / "space.json")
+    assert load_space(tmp_path / "space.json").labels.tobytes() == space._label_table().tobytes()
+
+
+def test_a_built_space_builds_its_table_on_first_use():
+    space = build_space("O6plus", 2)
+    assert "labels" not in vars(space)
+    assert np.array_equal(space.labels, space._label_table())
+    assert "labels" in vars(space)
+
+
+def test_a_loaded_table_is_a_private_copy_on_write_mapping(tmp_path, o6plus2):
+    path = tmp_path / "o6plus_q2.json"
+    save_space(o6plus2, path)
+    sidecar = tmp_path / "o6plus_q2.json.labels.npy"
+    before = sidecar.read_bytes()
+    loaded = load_space(path)
+    assert type(loaded.labels) is np.ndarray and loaded.labels.flags.writeable
+    loaded.labels[0, 1] = 9
+    assert loaded.labels[0, 1] == 9
+    assert sidecar.read_bytes() == before
+
+
+def test_saving_over_a_loaded_space_leaves_its_table_intact(tmp_path, o6plus2, sp62):
+    # sidecars are only ever replaced by a rename, so the mapped file is never cut short
+    path = tmp_path / "space.json"
+    save_space(o6plus2, path)
+    loaded = load_space(path)
+    save_space(sp62, path)
+    assert np.array_equal(loaded.labels, o6plus2.labels)
+    assert load_space(path).fingerprint == sp62.fingerprint
+
+
 # -- the relation table against incidence counts ----------------------------------
 
 
