@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schemetables import relation_census
+from .schemetables import relation_products
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 # eigenspaces carry the relations' tags, in the same order
@@ -66,7 +66,8 @@ def inner_distribution(space, y):
     idx = _as_indices(space, y)
     if not idx:
         raise ValueError("inner distribution undefined for the empty set")
-    counts = relation_census(space.labels[np.ix_(idx, idx)]).sum(axis=0)
+    mask = _line_mask(space, idx)
+    counts = relation_products(space, mask[:, None])[:, mask, 0].sum(axis=1)
     return tuple(Fraction(int(c), len(idx)) for c in counts)
 
 
@@ -130,7 +131,7 @@ def regular_set_check(space, tables, y):
 
 
 def _regular_set_check(space, tables, idx):
-    """(a, aQ, regular_set_check) of the sorted nonempty indices idx, from one n x Y census.
+    """(a, aQ, regular_set_check) of the sorted nonempty indices idx, from one n x 5 census.
 
     Row y of the census counts the lines of Y in each relation to y, so its
     rows at Y sum to |Y| a.
@@ -138,13 +139,13 @@ def _regular_set_check(space, tables, idx):
     if len(idx) == space.n_lines:
         raise ValueError("regularity undefined for the full line set")
 
-    counts = relation_census(space.labels[:, idx]).astype(np.int64)
-    a = tuple(Fraction(int(c), len(idx)) for c in counts[idx].sum(axis=0))
+    in_mask = _line_mask(space, idx)
+    counts = relation_products(space, in_mask[:, None])[..., 0].T
+    a = tuple(Fraction(int(c), len(idx)) for c in counts[in_mask].sum(axis=0))
     aq = _dual(tables, a)
     support = _support(aq)
     j_tag = next(iter(support)) if len(support) == 1 else None
 
-    in_mask = _line_mask(space, idx)
     # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular set;
     # rows j = 10..21, and a fractional target would miss everywhere
     P = np.array(tables.P, dtype=np.int64)

@@ -182,41 +182,6 @@ def _gather_sum(Y, rows):
     return np.take(Y, rows.T, axis=0).sum(axis=0)
 
 
-# entries of a row block of the label table: the table check's float32 copy of
-# a block, 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
-_BLOCK_ENTRIES = 2**18
-
-
-def relation_census(labels):
-    """Per-row relation counts of a label table, as an int32 array of shape (rows, 5).
-
-    labels may also be a column slice labels[:, idx]; row x then counts the
-    lines of idx in each relation to line x.  Relation 4 is the row width
-    minus the other four counts.
-    """
-    out = np.empty((labels.shape[0], 5), dtype=np.int32)
-    for lo, block in _row_blocks(labels):
-        counts = out[lo : lo + len(block)]
-        for i in range(4):
-            counts[:, i] = (block == i).sum(axis=1, dtype=np.int32)
-        np.subtract(labels.shape[1], counts[:, :4].sum(axis=1, dtype=np.int32), out=counts[:, 4])
-    return out
-
-
-def _row_blocks(labels):
-    """(first row, block) over row blocks of the label table.
-
-    A block holds about _BLOCK_ENTRIES entries, and at least one row.  Both
-    readers would misread a label above 4, so one raises ValueError.
-    """
-    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
-    for lo in range(0, labels.shape[0], rows):
-        block = labels[lo : lo + rows]
-        if block.max(initial=0) > 4:
-            raise ValueError("relation table holds a label outside 0..4")
-        yield lo, block
-
-
 def integer_column(tables, j):
     """(L Q[:, j] as a list of ints, L), with L the least common denominator of the column.
 
@@ -273,18 +238,40 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
     }
 
 
+def checked_labels(space):
+    """The relation table of the space, once _check_table has held it against the incidence.
+
+    The search core reads the table's rows and has no check of its own.  A
+    wrong label inside 0..4 passes only where both seeded vectors are 0 at its
+    column.
+    """
+    X = np.random.default_rng(0x5EED).integers(-9, 10, size=(space.n_lines, 2))
+    _check_table(space.labels, X, relation_products(space, X))
+    return space.labels
+
+
+# entries of a row block of the label table: the table check's float32 copy of
+# a block, 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
+_BLOCK_ENTRIES = 2**18
+
+
 def _check_table(labels, X, AX):
     """Raise ValueError naming the first line whose table row disagrees with AX.
 
     AX = relation_products(space, X).  The table's label-weighted product
-    sum_i i [labels = i] X is one float32 pass over row blocks, and must equal
-    sum_i i A_i X.  With |X| <= 9 and labels at most 4 (a larger one raises
-    too), every partial sum is an integer of magnitude at most 36 n < 2^24
+    sum_i i [labels = i] X is one float32 pass over row blocks of about
+    _BLOCK_ENTRIES entries, and must equal sum_i i A_i X.  Each block is
+    first checked to hold no label above 4, which raises too.  With |X| <= 9,
+    every partial sum is then an integer of magnitude at most 36 n < 2^24
     (n < 466,033, past any table that fits in memory), so the pass is exact.
     """
     Xf = X.astype(np.float32)
     want = AX[1] + 2 * AX[2] + 3 * AX[3] + 4 * AX[4]
-    for lo, block in _row_blocks(labels):
+    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
+    for lo in range(0, labels.shape[0], rows):
+        block = labels[lo : lo + rows]
+        if block.max(initial=0) > 4:
+            raise ValueError("relation table holds a label outside 0..4")
         wrong = (block.astype(np.float32) @ Xf != want[lo : lo + len(block)]).any(axis=1)
         if wrong.any():
             line = lo + int(np.argmax(wrong))

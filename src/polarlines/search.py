@@ -24,7 +24,7 @@ from .analysis import (
     span_orthogonal_divisor,
 )
 from .groups import o6plus_generators, vector_permutation
-from .schemetables import integer_column, relation_census
+from .schemetables import checked_labels, integer_column
 from .spaces import REL_TAGS, bare_tag
 
 
@@ -162,8 +162,9 @@ def _target_fields(targets):
 def _reach_words(cnt, und, low, high):
     """Two words per line whose guard bits are all set exactly where cnt <= low, high <= cnt + und.
 
-    cnt and und are (lines, 4) counts with cnt + und <= _FIELD_MAX, and low
-    and high are fields of _target_fields.
+    cnt and und are counts of four relations, per line or the same at every
+    line, with cnt + und <= _FIELD_MAX, and low and high are fields of
+    _target_fields.
     """
     cnt = np.asarray(cnt, dtype=np.int64)
     return _pack(_GUARD + low - cnt), _pack(_GUARD + cnt + und - high)
@@ -198,12 +199,13 @@ class _MembershipSearch:
     Constraints plug in at construction:
 
     - size: the exact number of members, or None for any;
-    - labels: the line relation table of a line search, which feeds either
-      degrees, the (inside, outside) targets of relations R10..R21 that every
-      line's count of member neighbours must reach, which force items and,
-      once the cardinality is settled, the rest; or projectors, integer
-      projector rows (c0, c) whose value on the final set must vanish, which
-      only prune;
+    - labels and valencies: the line relation table of a line search and the
+      scheme's five valencies, the size of each relation at every line.  They
+      feed either degrees, the (inside, outside) targets of relations
+      R10..R21 that every line's count of member neighbours must reach, which
+      force items and, once the cardinality is settled, the rest; or
+      projectors, integer projector rows (c0, c) whose value on the final set
+      must vanish, which only prune;
     - blocks: (members, target) pairs of distinct items; each block ends with
       exactly target members and forces its undecided members once it is
       settled.
@@ -244,7 +246,15 @@ class _MembershipSearch:
     """
 
     def __init__(
-        self, n, budget, size=None, labels=None, degrees=None, projectors=None, blocks=()
+        self,
+        n,
+        budget,
+        size=None,
+        labels=None,
+        valencies=None,
+        degrees=None,
+        projectors=None,
+        blocks=(),
     ):
         self.nodes = _Nodes(budget)
         self.n = n
@@ -256,17 +266,16 @@ class _MembershipSearch:
 
         self.state = None
         if degrees is not None:
-            valency = relation_census(labels)[:, 1:]
-            if valency.max(initial=0) > _FIELD_MAX:
+            if max(valencies[1:]) > _FIELD_MAX:
                 raise ValueError(
-                    f"a relation valency of {valency.max()} exceeds {_FIELD_MAX:#x}, "
+                    f"a relation valency of {max(valencies[1:])} exceeds {_FIELD_MAX:#x}, "
                     "the largest count a 16-bit field of the degree rule holds"
                 )
             (low_in, high_in), (low_out, high_out) = (_target_fields(t) for t in degrees)
             # an undecided line must keep both targets reachable
             low, high = np.minimum(low_in, low_out), np.maximum(high_in, high_out)
             self.state = np.empty((2, n), dtype=np.uint64)
-            self.state[0], self.state[1] = _reach_words(0, valency, low, high)
+            self.state[0], self.state[1] = _reach_words(0, valencies[1:], low, high)
             self.flat = self.state.reshape(-1)
             # single words as Python ints, which a uint64 cell rejects on overflow
             self.cells = memoryview(self.flat).cast("B").cast("Q")
@@ -282,8 +291,8 @@ class _MembershipSearch:
             c = np.array([[p[0], *p[1]] for p in projectors], dtype=np.int64)
             pos, neg = np.maximum(c, 0), np.maximum(-c, 0)
             # lo and -hi start from every item undecided and climb as items settle
-            valency = relation_census(labels).T
-            self.P = np.concatenate([-neg @ valency, -pos @ valency]).astype(np.int64)
+            bounds = np.concatenate([-neg, -pos]) @ np.array(valencies, dtype=np.int64)
+            self.P = np.repeat(bounds[:, None], n, axis=1)
             self.steps = (np.concatenate([neg, pos]), np.concatenate([pos, neg]))  # out, in
             self.step = np.empty_like(self.P)
 
@@ -498,7 +507,8 @@ def _regular_search(space, tables, j, size, budget, stop_after):
         space.n_lines,
         budget,
         size=size,
-        labels=space.labels,
+        labels=checked_labels(space),
+        valencies=tables.valencies,
         degrees=([int(v) for v in inside[1:]], [int(v) for v in outside[1:]]),
         blocks=[(lines, target) for members, target in constraints for lines in members],
     )
@@ -635,8 +645,9 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
         result = _regular_search(space, tables, next(iter(support)), size, budget, 1)
     else:
         projectors = _projector_rows(tables, support)
+        labels = checked_labels(space)
         search = _MembershipSearch(
-            space.n_lines, budget, size=size, labels=space.labels, projectors=projectors
+            space.n_lines, budget, size, labels, tables.valencies, projectors=projectors
         )
         result = search.run(stop_after=1)
     if result.sets:  # the one solution asked for

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from polarlines import analysis
 from polarlines import constructions as con
 from polarlines.analysis import (
     NONTRIVIAL,
@@ -176,6 +178,34 @@ def test_distribution_invariants_on_random_subsets(o6plus2):
         assert aq[0] == len(set(y))
         assert sum(aq) == tables.n
         assert all(v >= 0 for v in aq)
+
+
+@pytest.mark.parametrize("family,q", TEST_SPACES)
+def test_the_census_of_a_set_is_a_bincount_of_its_table_columns(monkeypatch, spaces, family, q):
+    """Row y of the regularity census counts the set's lines in each relation to y."""
+    space = spaces.get(family, q)
+    tables = tables_for_space(space)
+    exact = analysis.relation_products
+    seen = []
+
+    def recorded(*args):
+        AY = exact(*args)
+        seen.append(AY[..., 0].T)
+        return AY
+
+    monkeypatch.setattr(analysis, "relation_products", recorded)
+    n = space.n_lines
+    rng = np.random.default_rng(n)
+    sets = [space.plane_lines_arr[0]]
+    sets += [rng.choice(n, size, replace=False) for size in (1, 40, n // 3)]
+    for y in sets:
+        idx = np.sort(y)
+        seen.clear()
+        a, _, _ = analysis._regular_set_check(space, tables, idx.tolist())
+        want = np.stack([np.bincount(row, minlength=5) for row in space.labels[:, idx]])
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert a == tuple(F(int(c), len(idx)) for c in want[idx].sum(axis=0))
+        assert inner_distribution(space, idx) == a
 
 
 def test_empty_set_rejected(o6plus2):

@@ -441,7 +441,7 @@ def test_scheme_verify_without_vectors_is_a_json_error(capsys, vectors):
     assert set(json.loads(out)) == {"error"}
 
 
-@pytest.mark.parametrize("command", ["set", "scheme"])
+@pytest.mark.parametrize("command", ["set", "scheme", "search"])
 def test_a_label_above_4_in_the_sidecar_is_a_json_error(tmp_path, capsys, command):
     cache = str(tmp_path / "cache")
     set_file = str(tmp_path / "plane.json")
@@ -449,39 +449,85 @@ def test_a_label_above_4_in_the_sidecar_is_a_json_error(tmp_path, capsys, comman
     assert run_cli(capsys, "--cache", cache, *argv)[0] == 0
     with open(set_file) as fh:
         a, b = json.load(fh)["lines"][:2]
+    argv = {
+        "set": ["set", "eval", "--space", "o6plus_q2", "--file", set_file],
+        "scheme": ["scheme", "verify", "--space", "o6plus_q2"],
+        "search": ["search", "regular", "--space", "o6plus_q2", "--j", "11", "--size", "15"],
+    }[command]
+    clean = run_cli(capsys, "--cache", cache, *argv)
     sidecar = cli._space_path(cache, "O6plus", 2) + ".labels.npy"
     labels = np.load(sidecar)
     labels[a, b] = labels[b, a] = 7
     np.save(sidecar, labels)
     # the pair lies off the load's spot checks, so the cache still loads
     assert run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")[0] == 0
-    argv = {
-        "set": ["set", "eval", "--space", "o6plus_q2", "--file", set_file],
-        "scheme": ["scheme", "verify", "--space", "o6plus_q2"],
-    }[command]
     code, out = run_cli(capsys, "--cache", cache, *argv)
+    if command == "set":
+        # set eval counts from the incidence and reads no label
+        assert (code, out) == clean
+        return
     assert code == 1
     doc = json.loads(out)  # one document: nothing was printed before the error
     assert set(doc) == {"error"} and "outside 0..4" in doc["error"]
 
 
-def test_a_legal_but_wrong_label_in_the_sidecar_fails_scheme_verify(tmp_path, capsys, o6plus2):
-    # two lines of a plane are in R10 (label 1); a 4 there is a legal label, so
-    # only the table check of scheme verify, which compares every row of the
-    # table with the incidence's products, can see it
+def _wrong_label_cache(tmp_path, capsys, space):
+    """A cache of O+(6,2) whose sidecar holds one legal but wrong label.
+
+    Plane 0's first two lines are in R10 (label 1); they get a 4, which the
+    load's spot checks do not see.
+    """
     cache = str(tmp_path / "cache")
     assert run_cli(capsys, "--cache", cache, "space", "build", "--space", "o6plus_q2")[0] == 0
     sidecar = cli._space_path(cache, "O6plus", 2) + ".labels.npy"
     labels = np.load(sidecar)
-    a, b = o6plus2.plane_lines_arr[0, :2]
+    a, b = space.plane_lines_arr[0, :2]
     assert labels[a, b] == labels[b, a] == 1
     labels[a, b] = labels[b, a] = 4
     np.save(sidecar, labels)
     assert run_cli(capsys, "--cache", cache, "space", "info", "--space", "o6plus_q2")[0] == 0
+    return cache
+
+
+def test_a_legal_but_wrong_label_in_the_sidecar_fails_scheme_verify(tmp_path, capsys, o6plus2):
+    # only the table check, which compares every row of the table with the
+    # incidence's products, can see the wrong label
+    cache = _wrong_label_cache(tmp_path, capsys, o6plus2)
     code, out = run_cli(capsys, "--cache", cache, "scheme", "verify", "--space", "o6plus_q2")
     assert code == 1
     doc = json.loads(out)  # one document: nothing was printed before the error
     assert set(doc) == {"error"} and "disagrees with the incidence" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regular", "--j", "11", "--size", "15"],
+        ["probe", "--support", "11,20", "--size", "35", "--budget", "2000"],
+    ],
+    ids=["regular", "projector-probe"],
+)
+def test_a_legal_but_wrong_label_in_the_sidecar_fails_a_search(tmp_path, capsys, o6plus2, argv):
+    # the search core reads the table's rows, so a search first checks them
+    # against the incidence; unchecked, V11/15 gave 20 sets of the 28 and
+    # called itself complete
+    cache = _wrong_label_cache(tmp_path, capsys, o6plus2)
+    argv = ["search", argv[0], "--space", "o6plus_q2", *argv[1:]]
+    code, out = run_cli(capsys, "--cache", cache, *argv)
+    assert code == 1
+    doc = json.loads(out)  # one document: nothing was printed before the error
+    assert doc == {"error": "relation table disagrees with the incidence at line 0"}
+
+
+def test_set_eval_reads_the_incidence_not_a_wrong_label(tmp_path, capsys, o6plus2):
+    cache = _wrong_label_cache(tmp_path, capsys, o6plus2)
+    set_file = str(tmp_path / "plane.json")
+    argv = ["construct", "plane", "--space", "o6plus_q2", "--index", "0", "-o", set_file]
+    assert run_cli(capsys, "--cache", cache, *argv)[0] == 0
+    argv = ["set", "eval", "--space", "o6plus_q2", "--file", set_file]
+    code, out = run_cli(capsys, "--cache", cache, *argv)
+    assert code == 0
+    assert json.loads(out)["a"] == ["1", "6", "0", "0", "0"]
 
 
 def test_report_rationals_are_exact_strings(o6plus2):

@@ -1,10 +1,10 @@
-import copy
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polarlines import analysis, files, schemetables, search
+from polarlines import analysis, files, schemetables
 from polarlines import constructions as con
 from polarlines.analysis import (
     eigenspace_support,
@@ -16,7 +16,7 @@ from polarlines.gf import field_make
 from polarlines.linalg import rref
 from polarlines.schemetables import tables_for_space
 from polarlines.search import line_spread_search
-from polarlines.spaces import GeometryError
+from polarlines.spaces import GeometryError, build_space
 
 
 def one_system_of(space):
@@ -129,21 +129,56 @@ def test_section_line_sets_check_the_closed_form(o6plus2, monkeypatch):
         con.section_line_sets(o6plus2, "gq")
 
 
-def test_section_line_sets_name_the_first_bad_row(o6plus2):
-    """A label changed inside later sections fails the first of them, with its own distribution."""
-    space = copy.copy(o6plus2)
+def test_section_line_sets_name_the_first_bad_row(monkeypatch, o6plus2):
+    """A relation changed inside later sections fails the first of them, with its own distribution.
+
+    The relation products are what the check reads, so they move the pair
+    (a, b) of section 5 from its relation r to r + 1, as a changed label did
+    in the table.
+    """
     _, incidence = con.section_line_sets(o6plus2, "gq")
     a, b = np.flatnonzero(incidence[5])[:2]
-    space.labels = o6plus2.labels.copy()
-    space.labels[a, b] = space.labels[b, a] = (space.labels[a, b] + 1) % 5
+    r = int(o6plus2.labels[a, b])
+    exact = schemetables.relation_products
+
+    def moved(space, Y):
+        Y = np.asarray(Y, dtype=np.int64)
+        AY = exact(space, Y)
+        for x, y in ((a, b), (b, a)):
+            AY[r, x] -= Y[y]
+            AY[(r + 1) % 5, x] += Y[y]
+        return AY
+
+    for module in (analysis, con):
+        monkeypatch.setattr(module, "relation_products", moved)
     first = int(np.flatnonzero(incidence[:, a] & incidence[:, b])[0])
     row = np.flatnonzero(incidence[first]).tolist()
-    want, _, what = con._section_closed_form(space, "gq")
-    message = f"{what}: inner distribution {inner_distribution(space, row)} != expected "
+    want, _, what = con._section_closed_form(o6plus2, "gq")
+    message = f"{what}: inner distribution {inner_distribution(o6plus2, row)} != expected "
     message += str(tuple(Fraction(v) for v in want))
     with pytest.raises(GeometryError) as info:
-        con.section_line_sets(space, "gq")
+        con.section_line_sets(o6plus2, "gq")
     assert str(info.value) == message
+
+
+# (sections, sha256 of their dual points and packed incidence rows) of each
+# kind that exists, as a bulk census of the label table gave them
+_SECTION_DIGESTS = {
+    ("o6plus2", "gq"): (28, "23419740e2a32055"),
+    ("o6plus3", "gq"): (234, "42bbbe9f665b20f4"),
+    ("o8minus2", "rank3"): (136, "bd83037e92020e92"),
+    ("o73", "rank3"): (378, "9f6174ffd937f161"),
+    ("o73", "gq"): (351, "080561352ed4ec04"),
+    ("u64", "gq"): (672, "eb3380d17fdc7e50"),
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(_SECTION_DIGESTS))
+def test_section_line_sets_keep_their_sections_and_incidence(request, name, kind):
+    sections, incidence = con.section_line_sets(request.getfixturevalue(name), kind)
+    digest = hashlib.sha256(np.array([s.dual_point for s in sections], dtype=np.uint8).tobytes())
+    digest.update(np.packbits(incidence, axis=1).tobytes())
+    assert (len(sections), digest.hexdigest()[:16]) == _SECTION_DIGESTS[name, kind]
 
 
 def test_quadric_sections_in_sp62(sp62):
@@ -326,16 +361,16 @@ def test_spread_planes_match_the_trace_dual_construction(sp62, sp63):
 
 
 def test_each_checked_line_set_is_counted_once(monkeypatch, o6plus2, o8minus2, sp62):
-    """One relation census per construction, regularity check and evaluation report."""
-    census = schemetables.relation_census
+    """One relation product per construction, regularity check and evaluation report."""
+    exact = schemetables.relation_products
     calls = []
 
-    def counted(labels):
-        calls.append(labels.shape)
-        return census(labels)
+    def counted(space, Y):
+        calls.append(np.shape(Y))
+        return exact(space, Y)
 
-    for module in (analysis, con, schemetables, search):
-        monkeypatch.setattr(module, "relation_census", counted)
+    for module in (analysis, con, schemetables):
+        monkeypatch.setattr(module, "relation_products", counted)
     tables = tables_for_space(sp62)
     hexagon = con.hexagon_lines(sp62)
     rank3, gq = con.find_section(o8minus2, "rank3"), con.find_section(o6plus2, "gq")
@@ -355,6 +390,39 @@ def test_each_checked_line_set_is_counted_once(monkeypatch, o6plus2, o8minus2, s
         calls.clear()
         run()
         assert len(calls) == 1, what
+
+
+def test_constructions_and_reports_read_no_label():
+    """On freshly built spaces, whose table is built on first use, none is built."""
+    families = (("O6plus", 2), ("O6plus", 3), ("O8minus", 2), ("Sp6", 2))
+    o62, o63, o82, sp = (build_space(family, q) for family, q in families)
+    gq3 = con.find_section(o63, "gq")
+    runs = {
+        "plane": lambda: con.plane_lines(o62, 0),
+        "pencil": lambda: con.point_pencil(o62, 0),
+        "perp-avoiding pencil": lambda: con.point_pencil(o62, 0, "perp_avoiding"),
+        "gq section": lambda: con.hyperplane_section_lines(o62, con.find_section(o62, "gq")),
+        "rank-3 section": lambda: con.hyperplane_section_lines(o82, con.find_section(o82, "rank3")),
+        "gq sections in bulk": lambda: con.section_line_sets(o63, "gq"),
+        "rank-3 sections in bulk": lambda: con.section_line_sets(o82, "rank3"),
+        "pencil union": lambda: con.pencil_union(o62, con.elliptic_ovoid(o62)),
+        "m-ovoid lift": lambda: con.m_ovoid_lift(
+            o63, gq3, con.elliptic_ovoid(o63, fixed_duals=[gq3.dual_point])
+        ),
+        "plus quadric section": lambda: con.quadric_section_lines(
+            sp, con.quadric_section(sp, "plus")
+        ),
+        "minus quadric section": lambda: con.quadric_section_lines(
+            sp, con.quadric_section(sp, "minus")
+        ),
+        "spread lines": lambda: con.symplectic_spread_lines(sp),
+        "hexagon": lambda: con.hexagon_lines(sp),
+        "two-weight profile": lambda: con.two_weight_profile(sp, one_system_of(sp)),
+        "report": lambda: files.build_report(sp, tables_for_space(sp), con.hexagon_lines(sp)),
+    }
+    for what, run in runs.items():
+        run()
+        assert all("labels" not in vars(space) for space in (o62, o63, o82, sp)), what
 
 
 def test_spread_rejected_outside_sp6(o6plus2):

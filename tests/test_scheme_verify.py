@@ -7,7 +7,7 @@ from polarlines import schemetables
 from polarlines.schemetables import (
     _check_table,
     _project,
-    relation_census,
+    checked_labels,
     relation_products,
     tables_for_space,
     verify_scheme,
@@ -271,29 +271,24 @@ def test_relation_products_reject_an_operand_of_another_height(o6plus2):
             relation_products(o6plus2, Y)
 
 
-def test_relation_census_is_a_per_row_bincount(o6plus2, sp62):
-    rng = np.random.default_rng(5)
-    # 513 columns make blocks of 511 rows, so the last block holds two rows
-    for labels in (
-        o6plus2.labels,
-        sp62.labels,
-        sp62.labels[:, ::7],
-        rng.integers(0, 5, size=(513, 513), dtype=np.uint8),
-    ):
-        want = np.stack([np.bincount(row, minlength=5) for row in labels])
-        assert np.array_equal(relation_census(labels), want)
-
-
 @pytest.mark.parametrize("row", [0, 512])
 def test_readers_reject_a_label_above_4(row):
-    # relation 4 is counted as the complement of the others, so a 7 would
-    # otherwise be read as relation 4
+    # the check weighs each label by its value, and the search indexes its
+    # rows by label, so a 7 must be stopped before either reads it
     labels = _random_labels(np.random.default_rng(9), 513)
     labels[row, 1] = labels[1, row] = 7
     X = np.ones((513, 1), dtype=np.int64)
     with pytest.raises(ValueError, match="outside 0..4"):
         _check_table(labels, X, _integer_relation_products(labels, X))
-    with pytest.raises(ValueError, match="outside 0..4"):
-        relation_census(labels)
-    with pytest.raises(ValueError, match="outside 0..4"):
-        relation_census(labels[:, [0, 1]])
+
+
+def test_checked_labels_hands_out_only_a_table_that_matches_the_incidence(o6plus2):
+    assert checked_labels(o6plus2) is o6plus2.labels
+    # plane 0's first two lines are in R10; a 4 there is a legal but wrong label
+    a, b = o6plus2.plane_lines_arr[0, :2]
+    for label, message in ((4, f"disagrees with the incidence at line {min(a, b)}$"), (7, "0..4")):
+        broken = copy.copy(o6plus2)
+        broken.labels = o6plus2.labels.copy()
+        broken.labels[a, b] = broken.labels[b, a] = label
+        with pytest.raises(ValueError, match=message):
+            checked_labels(broken)

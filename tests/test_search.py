@@ -14,7 +14,7 @@ from polarlines.analysis import (
     inner_distribution,
     regular_set_check,
 )
-from polarlines.schemetables import make_tables, relation_census, tables_for_space
+from polarlines.schemetables import make_tables, tables_for_space
 from polarlines.spaces import REL_TAGS
 from polarlines.search import (
     SearchResult,
@@ -472,8 +472,17 @@ class _ReferenceMembershipSearch:
     """
 
     def __init__(
-        self, n, budget, size=None, labels=None, degrees=None, projectors=None, blocks=()
+        self,
+        n,
+        budget,
+        size=None,
+        labels=None,
+        valencies=None,
+        degrees=None,
+        projectors=None,
+        blocks=(),
     ):
+        # valencies goes unused: the reference counts each line's from the table itself
         self.nodes = _Nodes(budget)
         self.size = size
         self.status = bytearray([_UNDECIDED]) * n
@@ -493,7 +502,8 @@ class _ReferenceMembershipSearch:
                 ys = np.flatnonzero(row)
                 self.nbr.append((row[ys].astype(np.intp) - 1) * n + ys)
             self.cnt = np.zeros((4, n), dtype=np.int32)
-            self.und = np.ascontiguousarray(relation_census(labels)[:, 1:].T)
+            census = np.stack([np.bincount(row, minlength=5) for row in labels])
+            self.und = np.ascontiguousarray(census[:, 1:].T, dtype=np.int32)
             self.cnt_flat, self.und_flat = self.cnt.reshape(-1), self.und.reshape(-1)
         self.degrees = None
         if degrees is not None:
@@ -694,7 +704,7 @@ def test_membership_search_matches_the_reference_core(o6plus2, sp62):
             lo, hi = (-1, len(members[0]) + 1) if rnd.random() < 0.1 else (0, len(members[0]))
             kwargs["blocks"] = [(members[b], rnd.randint(lo, hi)) for b in picked]
         if rule != "blocks":
-            kwargs["labels"] = space.labels
+            kwargs["labels"], kwargs["valencies"] = space.labels, tables.valencies
         return n, kwargs
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -728,7 +738,13 @@ def test_block_fields_at_their_width_boundaries_match_the_reference_core(o6plus2
     for target in (-1, 0, 1, size - 1, size, size + 1):
         blocks = [(first, target), (second, target), (third, 1)]
         for kwargs in (
-            {"n": o6plus2.n_lines, "size": 15, "labels": o6plus2.labels, "degrees": degrees},
+            {
+                "n": o6plus2.n_lines,
+                "size": 15,
+                "labels": o6plus2.labels,
+                "valencies": tables.valencies,
+                "degrees": degrees,
+            },
             {"n": shift + 2 * size + 2},
         ):
             n = kwargs.pop("n")
@@ -772,7 +788,12 @@ def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
         ({"projectors": _projector_rows(tables, {"11"})}, "P", np.int64),
     ):
         search = _MembershipSearch(
-            o6plus2.n_lines, None, labels=o6plus2.labels, blocks=[((0, 1, 2), 1)], **kwargs
+            o6plus2.n_lines,
+            None,
+            labels=o6plus2.labels,
+            valencies=tables.valencies,
+            blocks=[((0, 1, 2), 1)],
+            **kwargs,
         )
         live = getattr(search, attr)
         before = live.copy()
@@ -822,8 +843,12 @@ def test_saved_copies_never_outnumber_the_open_in_branchings(monkeypatch, o6plus
     sp_tables, o_tables = tables_for_space(sp62), tables_for_space(o6plus2)
     inside, outside = expected_degrees(o_tables, 2, 30)
     constraints = _orbit_constraints(o6plus2, o_tables, "11", 30)
-    probe = {"projectors": _projector_rows(sp_tables, {"10", "20"})}
+    probe = {
+        "valencies": sp_tables.valencies,
+        "projectors": _projector_rows(sp_tables, {"10", "20"}),
+    }
     regular = {
+        "valencies": o_tables.valencies,
         "degrees": ([int(v) for v in inside[1:]], [int(v) for v in outside[1:]]),
         "blocks": [(lines, target) for members, target in constraints for lines in members],
     }
@@ -850,20 +875,17 @@ def test_bits_reads_every_set_bit():
             assert bits.tolist() == [bool(v >> k & 1) for k in range(n)]
 
 
-def test_a_valency_beyond_the_16_bit_fields_is_rejected(monkeypatch, o6plus2):
-    import polarlines.search as pl_search
-
-    census = relation_census(o6plus2.labels)
+def test_a_valency_beyond_the_16_bit_fields_is_rejected(o6plus2):
     n = o6plus2.n_lines
     for valency, ok in ((0x7FFF, True), (0x8000, False)):
-        big = census.copy()
-        big[7, 3] = valency
-        monkeypatch.setattr(pl_search, "relation_census", lambda labels: big)
+        valencies = list(tables_for_space(o6plus2).valencies)
+        valencies[3] = valency
+        kwargs = {"labels": o6plus2.labels, "valencies": valencies, "degrees": ([0] * 4, [0] * 4)}
         if ok:
-            _MembershipSearch(n, None, labels=o6plus2.labels, degrees=([0] * 4, [0] * 4))
+            _MembershipSearch(n, None, **kwargs)
         else:
             with pytest.raises(ValueError, match="exceeds 0x7fff"):
-                _MembershipSearch(n, None, labels=o6plus2.labels, degrees=([0] * 4, [0] * 4))
+                _MembershipSearch(n, None, **kwargs)
 
 
 @pytest.mark.parametrize(
