@@ -204,8 +204,8 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
     Also checks that the projections sum back to x.  Returns a report dict;
     report["ok"] is True iff all 25 (relation, eigenspace) pairs pass on all
     vectors.  The k vectors and their five projections are stacked, so
-    relation_products runs twice whatever k is.  The relation table is read
-    once, by _check_table against the first products.
+    relation_products runs twice whatever k is, and the check reads the
+    incidence arrays alone, never the relation table.
     """
     if tables.n != space.n_lines:
         raise ValueError("tables do not match the space")
@@ -215,7 +215,6 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
     n = space.n_lines
     X = np.stack([rng.integers(-9, 10, size=n) for _ in range(k)], axis=1).astype(np.int64)
     AX = relation_products(space, X)
-    _check_table(space.labels, X, AX)
     parts = [_project(tables, j, AX) for j in range(5)]
     AZ = relation_products(space, np.concatenate([Z for Z, _ in parts], axis=1))
     pair_ok = {
@@ -236,46 +235,6 @@ def verify_scheme(space, tables, k=5, seed=0x5EED):
         "vectors": k,
         "seed": seed,
     }
-
-
-def checked_labels(space):
-    """The relation table of the space, once _check_table has held it against the incidence.
-
-    The search core reads the table's rows and has no check of its own.  A
-    wrong label inside 0..4 passes only where both seeded vectors are 0 at its
-    column.
-    """
-    X = np.random.default_rng(0x5EED).integers(-9, 10, size=(space.n_lines, 2))
-    _check_table(space.labels, X, relation_products(space, X))
-    return space.labels
-
-
-# entries of a row block of the label table: the table check's float32 copy of
-# a block, 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
-_BLOCK_ENTRIES = 2**18
-
-
-def _check_table(labels, X, AX):
-    """Raise ValueError naming the first line whose table row disagrees with AX.
-
-    AX = relation_products(space, X).  The table's label-weighted product
-    sum_i i [labels = i] X is one float32 pass over row blocks of about
-    _BLOCK_ENTRIES entries, and must equal sum_i i A_i X.  Each block is
-    first checked to hold no label above 4, which raises too.  With |X| <= 9,
-    every partial sum is then an integer of magnitude at most 36 n < 2^24
-    (n < 466,033, past any table that fits in memory), so the pass is exact.
-    """
-    Xf = X.astype(np.float32)
-    want = AX[1] + 2 * AX[2] + 3 * AX[3] + 4 * AX[4]
-    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
-    for lo in range(0, labels.shape[0], rows):
-        block = labels[lo : lo + rows]
-        if block.max(initial=0) > 4:
-            raise ValueError("relation table holds a label outside 0..4")
-        wrong = (block.astype(np.float32) @ Xf != want[lo : lo + len(block)]).any(axis=1)
-        if wrong.any():
-            line = lo + int(np.argmax(wrong))
-            raise ValueError(f"relation table disagrees with the incidence at line {line}")
 
 
 def empirical_valencies(space):

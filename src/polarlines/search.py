@@ -24,7 +24,7 @@ from .analysis import (
     span_orthogonal_divisor,
 )
 from .groups import o6plus_generators, vector_permutation
-from .schemetables import checked_labels, integer_column
+from .schemetables import integer_column
 from .spaces import REL_TAGS, bare_tag
 
 
@@ -507,7 +507,7 @@ def _regular_search(space, tables, j, size, budget, stop_after):
         space.n_lines,
         budget,
         size=size,
-        labels=checked_labels(space),
+        labels=space.labels,
         valencies=tables.valencies,
         degrees=([int(v) for v in inside[1:]], [int(v) for v in outside[1:]]),
         blocks=[(lines, target) for members, target in constraints for lines in members],
@@ -645,9 +645,8 @@ def feasibility_probe(space, tables, support, size, budget=None, prefilter=True,
         result = _regular_search(space, tables, next(iter(support)), size, budget, 1)
     else:
         projectors = _projector_rows(tables, support)
-        labels = checked_labels(space)
         search = _MembershipSearch(
-            space.n_lines, budget, size, labels, tables.valencies, projectors=projectors
+            space.n_lines, budget, size, space.labels, tables.valencies, projectors=projectors
         )
         result = search.run(stop_after=1)
     if result.sets:  # the one solution asked for

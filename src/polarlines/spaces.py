@@ -22,7 +22,6 @@ import hashlib
 import itertools
 import json
 import os
-import random
 from functools import cached_property
 
 import numpy as np
@@ -336,7 +335,7 @@ _RELATION_OF_ST = np.array([[4, 3, 255], [255, 2, 1], [255, 255, 0]], dtype=np.u
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
-    def __init__(self, form, points, line_bases, plane_bases, labels=None):
+    def __init__(self, form, points, line_bases, plane_bases):
         """A space from its points and the canonical bases of its lines and planes.
 
         Each argument is a uint8 array, or anything np.asarray turns into one:
@@ -347,8 +346,7 @@ class PolarSpace:
         ValueError.  Every line's and every plane's point set comes from one
         bulk span pass over its bases.  Two distinct points are perpendicular
         exactly when a line joins them, so perp_points is read off the lines.
-        labels, if given, is the relation table, as load_space maps it from
-        a sidecar; without it the table is built on first use.
+        The relation table, labels, is built from them on first use.
         """
         self.form = form
         self.family = form.family
@@ -391,13 +389,11 @@ class PolarSpace:
             self.plane_lines_arr, self.n_lines, s + 1, "planes through a line"
         )
 
-        if labels is not None:
-            self.labels = labels
         self.fingerprint = _fingerprint(self.form, line_bases)
 
     @cached_property
     def labels(self):
-        """The n x n uint8 relation table, built on first use."""
+        """The n x n uint8 relation table of a built or a loaded space, built on first use."""
         return self._label_table()
 
     def _label_table(self):
@@ -636,7 +632,8 @@ def save_space(space, path):
     """Write the space cache file: a JSON header, the points and the canonical bases.
 
     The points and the line and plane bases are in index order, each the
-    base64 text of its uint8 array's C-order bytes.
+    base64 text of its uint8 array's C-order bytes.  The relation table goes
+    to a labels sidecar that no load reads.
     """
     f = space.field
     doc = {
@@ -656,7 +653,8 @@ def save_space(space, path):
         "planes": _encoded(space.plane_basis_arr),
     }
     path = str(path)
-    # the JSON goes last: a reader never sees it before its labels
+    # written only for the benchmark harness: perfbench/run.py's _fill_cache renames
+    # it and perfbench/tracer.py's _save_info sizes it; ROADMAP item 2b drops all three
     _write_atomically(path + ".labels.npy", lambda fh: np.save(fh, space.labels))
     _write_atomically(path, lambda fh: fh.write(json.dumps(doc).encode()))
 
@@ -679,7 +677,8 @@ def load_space(path):
 
     The document's shape, fingerprint, counts and points are checked before
     any geometry is derived from it, and a malformed, corrupt or stale file
-    raises ValueError.
+    raises ValueError.  No labels sidecar is read: the space builds its
+    relation table from the bases on first use, as a built one does.
     """
     path = str(path)
     with open(path) as fh:
@@ -708,18 +707,7 @@ def load_space(path):
     if not np.array_equal(points, _space_points(form)):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
-    try:
-        # copy-on-write: only the pages read are loaded, and writes stay private;
-        # sidecars are replaced only by rename, so a mapped file never shrinks
-        table = np.lib.format.open_memmap(path + ".labels.npy", mode="c")
-    except OSError:  # no sidecar: the table is built on first use
-        return PolarSpace(form, points, lines, planes)
-    except ValueError as exc:  # empty, not .npy, cut short or not mappable
-        raise ValueError("labels sidecar corrupt or stale") from exc
-    space = PolarSpace(form, points, lines, planes, labels=table.view(np.ndarray))
-    if not _labels_look_right(space):
-        raise ValueError("labels sidecar corrupt or stale")
-    return space
+    return PolarSpace(form, points, lines, planes)
 
 
 def _encoded(arr):
@@ -741,13 +729,3 @@ def _cached_rows(doc, key, form, shape):
     if arr is None or arr.size != np.prod(shape) or (arr >= form.q).any():
         raise ValueError(f"space cache has a missing or malformed {key!r} list")
     return arr.reshape(shape)
-
-
-def _labels_look_right(space):
-    """Shape and dtype of a loaded relation table, and a seeded spot check of its pairs."""
-    n, labels = space.n_lines, space.labels
-    if labels.shape != (n, n) or labels.dtype != np.uint8:
-        return False
-    rng = random.Random(n)
-    li, mi = np.array([(rng.randrange(n), rng.randrange(n)) for _ in range(32)]).T
-    return bool((labels[li, mi] == space.classify_pairs_geometric(li, mi)).all())

@@ -3,15 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from polarlines import schemetables
-from polarlines.schemetables import (
-    _check_table,
-    _project,
-    checked_labels,
-    relation_products,
-    tables_for_space,
-    verify_scheme,
-)
+from polarlines.schemetables import _project, relation_products, tables_for_space, verify_scheme
 from polarlines.spaces import GeometryError
 
 # the seven test spaces: hyperbolic, symplectic, parabolic, elliptic and Hermitian
@@ -97,6 +89,35 @@ def _reference_relation_products(labels, Y):
     return out
 
 
+# entries of a row block of the label table: the reference check's float32 copy
+# of a block, 1 MiB, stays in cache and below numpy's 4 MiB huge-page threshold
+_BLOCK_ENTRIES = 2**18
+
+
+def _check_table(labels, X, AX):
+    """Raise ValueError naming the first line whose table row disagrees with AX.
+
+    The reference that a relation table is the incidence's: AX =
+    relation_products(space, X).  The table's label-weighted product
+    sum_i i [labels = i] X is one float32 pass over row blocks of about
+    _BLOCK_ENTRIES entries, and must equal sum_i i A_i X.  Each block is
+    first checked to hold no label above 4, which raises too.  With |X| <= 9,
+    every partial sum is then an integer of magnitude at most 36 n < 2^24
+    (n < 466,033, past any table that fits in memory), so the pass is exact.
+    """
+    Xf = X.astype(np.float32)
+    want = AX[1] + 2 * AX[2] + 3 * AX[3] + 4 * AX[4]
+    rows = max(1, _BLOCK_ENTRIES // max(labels.shape[1], 1))
+    for lo in range(0, labels.shape[0], rows):
+        block = labels[lo : lo + rows]
+        if block.max(initial=0) > 4:
+            raise ValueError("relation table holds a label outside 0..4")
+        wrong = (block.astype(np.float32) @ Xf != want[lo : lo + len(block)]).any(axis=1)
+        if wrong.any():
+            line = lo + int(np.argmax(wrong))
+            raise ValueError(f"relation table disagrees with the incidence at line {line}")
+
+
 def _integer_relation_products(labels, Y):
     """The five integer-matmul masks, by row blocks: exact wherever every A_i Y fits in int64."""
     out = np.empty((5, len(labels), Y.shape[1]), dtype=np.int64)
@@ -117,17 +138,28 @@ def _moved_pair_copy(space, label=4):
     return broken, a
 
 
-def test_verify_scheme_rejects_a_moved_relation_pair(o6plus2):
-    # the products come from the incidence, so only the table check sees the
-    # move: it names the first line whose row disagrees
+def test_a_moved_relation_pair_is_seen_by_the_reference_check_alone(o6plus2):
+    # verify_scheme reads the incidence and no table, so its report on the
+    # moved copy is the clean one; the reference check names the moved row
     tables = tables_for_space(o6plus2)
-    for label in (4, 0):
+    clean = verify_scheme(o6plus2, tables, k=2)
+    assert clean["ok"] is True
+    X = np.random.default_rng(0x5EED).integers(-9, 10, size=(o6plus2.n_lines, 2))
+    AX = relation_products(o6plus2, X)
+    for label in (4, 0, 7):
         broken, a = _moved_pair_copy(o6plus2, label)
-        with pytest.raises(ValueError, match=f"disagrees with the incidence at line {a}$"):
-            verify_scheme(broken, tables, k=2)
-    with pytest.raises(ValueError, match="outside 0..4"):
-        verify_scheme(_moved_pair_copy(o6plus2, 7)[0], tables, k=2)
-    assert verify_scheme(o6plus2, tables, k=2)["ok"] is True
+        assert verify_scheme(broken, tables, k=2) == clean
+        message = "outside 0..4" if label == 7 else f"disagrees with the incidence at line {a}$"
+        with pytest.raises(ValueError, match=message):
+            _check_table(broken.labels, X, AX)
+
+
+@pytest.mark.parametrize("seed", [3, 0x5EED])
+@pytest.mark.parametrize("space", SPACES)
+def test_the_built_table_matches_the_incidence_products(request, space, seed):
+    space = request.getfixturevalue(space)
+    X = np.random.default_rng(seed).integers(-9, 10, size=(space.n_lines, 2))
+    _check_table(space.labels, X, relation_products(space, X))
 
 
 def test_moved_pair_report_matches_the_reference_route(o6plus2):
@@ -210,22 +242,21 @@ def _changed_incidence_copy(space, name, line):
 
 @pytest.mark.parametrize("space", ["o6plus2", "sp62", "o73", "u64"])
 @pytest.mark.parametrize("name", ["line_planes_arr", "line_points_arr"])
-def test_a_changed_incidence_entry_is_never_ok(request, monkeypatch, space, name):
+def test_a_changed_incidence_entry_is_never_ok(request, space, name):
     space = request.getfixturevalue(space)
     tables = tables_for_space(space)
+    X = np.random.default_rng(0x5EED).integers(-9, 10, size=(space.n_lines, 2))
     for line in (0, space.n_lines // 2, space.n_lines - 1):
         broken = _changed_incidence_copy(space, name, line)
-        # the table check sees that the table is no longer the incidence's
+        # the reference check sees that the table is no longer the incidence's
         with pytest.raises((ValueError, GeometryError)):
-            verify_scheme(broken, tables, k=2)
-        # and without the table, the scheme identities fail on the products
-        with monkeypatch.context() as m:
-            m.setattr(schemetables, "_check_table", lambda labels, X, AX: None)
-            try:
-                report = verify_scheme(broken, tables, k=2)
-            except GeometryError:  # a perp count that q does not divide
-                continue
-            assert report["ok"] is False
+            _check_table(space.labels, X, relation_products(broken, X))
+        # and verify_scheme, which reads no table, fails the scheme identities
+        try:
+            report = verify_scheme(broken, tables, k=2)
+        except GeometryError:  # a perp count that q does not divide
+            continue
+        assert report["ok"] is False
 
 
 def test_a_point_off_the_line_leaves_a_remainder(o6plus2):
@@ -280,15 +311,3 @@ def test_readers_reject_a_label_above_4(row):
     X = np.ones((513, 1), dtype=np.int64)
     with pytest.raises(ValueError, match="outside 0..4"):
         _check_table(labels, X, _integer_relation_products(labels, X))
-
-
-def test_checked_labels_hands_out_only_a_table_that_matches_the_incidence(o6plus2):
-    assert checked_labels(o6plus2) is o6plus2.labels
-    # plane 0's first two lines are in R10; a 4 there is a legal but wrong label
-    a, b = o6plus2.plane_lines_arr[0, :2]
-    for label, message in ((4, f"disagrees with the incidence at line {min(a, b)}$"), (7, "0..4")):
-        broken = copy.copy(o6plus2)
-        broken.labels = o6plus2.labels.copy()
-        broken.labels[a, b] = broken.labels[b, a] = label
-        with pytest.raises(ValueError, match=message):
-            checked_labels(broken)

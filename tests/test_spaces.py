@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
 
 import numpy as np
@@ -625,43 +626,11 @@ def test_build_matches_the_perp_route_discovery(family, q):
 # -- the labels sidecar -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("corrupt", ["wrong_shape", "reversed"])
-def test_corrupt_labels_sidecar_is_rejected(tmp_path, o6plus2, corrupt):
-    path = tmp_path / "o6plus_q2.json"
-    save_space(o6plus2, path)
-    sidecar = str(path) + ".labels.npy"
-    bad = np.zeros((3, 3), dtype=np.uint8) if corrupt == "wrong_shape" else o6plus2.labels[::-1]
-    np.save(sidecar, np.ascontiguousarray(bad))
-    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
-        load_space(path)
-
-
 def test_a_missing_labels_sidecar_is_rebuilt(tmp_path, o6plus2):
     path = tmp_path / "o6plus_q2.json"
     save_space(o6plus2, path)
     (tmp_path / "o6plus_q2.json.labels.npy").unlink()
     assert np.array_equal(load_space(path).labels, o6plus2.labels)
-
-
-def test_a_wrong_label_inside_0_to_4_at_a_spot_checked_pair_is_rejected(tmp_path, o6plus2):
-    path = tmp_path / "o6plus_q2.json"
-    save_space(o6plus2, path)
-    n = o6plus2.n_lines
-    rng = random.Random(n)
-    li, mi = rng.randrange(n), rng.randrange(n)  # the first pair the load checks
-    labels = o6plus2.labels.copy()
-    labels[li, mi] = labels[mi, li] = (labels[li, mi] + 1) % 5
-    np.save(str(path) + ".labels.npy", labels)
-    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
-        load_space(path)
-
-
-def test_labels_sidecar_with_wrong_dtype_is_rejected(tmp_path, o6plus2):
-    path = tmp_path / "o6plus_q2.json"
-    save_space(o6plus2, path)
-    np.save(str(path) + ".labels.npy", o6plus2.labels.astype(np.int64))
-    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
-        load_space(path)
 
 
 @pytest.mark.parametrize("failing", ["labels", "json"])
@@ -693,17 +662,6 @@ def test_failed_cache_write_keeps_the_previous_cache(tmp_path, monkeypatch, o6pl
     assert np.array_equal(again.labels, o6plus2.labels)
 
 
-@pytest.mark.parametrize("fault", ["empty", "garbage", "truncated"])
-def test_an_unreadable_labels_sidecar_is_rejected(tmp_path, o6plus2, fault):
-    path = tmp_path / "o6plus_q2.json"
-    save_space(o6plus2, path)
-    sidecar = tmp_path / "o6plus_q2.json.labels.npy"
-    whole = sidecar.read_bytes()
-    sidecar.write_bytes({"empty": b"", "garbage": b"no npy", "truncated": whole[:-100]}[fault])
-    with pytest.raises(ValueError, match="labels sidecar corrupt or stale"):
-        load_space(path)
-
-
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
 def test_a_reloaded_table_is_the_built_one_byte_for_byte(tmp_path, spaces, family, q):
     space = spaces.get(family, q)
@@ -718,26 +676,16 @@ def test_a_built_space_builds_its_table_on_first_use():
     assert "labels" in vars(space)
 
 
-def test_a_loaded_table_is_a_private_copy_on_write_mapping(tmp_path, o6plus2):
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_loaded_space_holds_no_file_open(tmp_path, o6plus2):
     path = tmp_path / "o6plus_q2.json"
     save_space(o6plus2, path)
-    sidecar = tmp_path / "o6plus_q2.json.labels.npy"
-    before = sidecar.read_bytes()
-    loaded = load_space(path)
-    assert type(loaded.labels) is np.ndarray and loaded.labels.flags.writeable
-    loaded.labels[0, 1] = 9
-    assert loaded.labels[0, 1] == 9
-    assert sidecar.read_bytes() == before
-
-
-def test_saving_over_a_loaded_space_leaves_its_table_intact(tmp_path, o6plus2, sp62):
-    # sidecars are only ever replaced by a rename, so the mapped file is never cut short
-    path = tmp_path / "space.json"
-    save_space(o6plus2, path)
-    loaded = load_space(path)
-    save_space(sp62, path)
-    assert np.array_equal(loaded.labels, o6plus2.labels)
-    assert load_space(path).fingerprint == sp62.fingerprint
+    before = len(os.listdir("/proc/self/fd"))
+    kept = [load_space(path) for _ in range(50)]
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert all(space.fingerprint == o6plus2.fingerprint for space in kept)
+    # and no table: a loaded space builds its own on first use, as a built one does
+    assert "labels" not in vars(kept[0])
 
 
 # -- the relation table against incidence counts ----------------------------------
