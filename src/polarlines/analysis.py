@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .schemetables import relation_products
+from .schemetables import integer_column, relation_products
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 # eigenspaces carry the relations' tags, in the same order
@@ -127,53 +127,70 @@ def regular_set_check(space, tables, y):
     idx = _as_indices(space, y)
     if not idx:
         raise ValueError("regularity undefined for the empty set")
-    return _regular_set_check(space, tables, idx)[2]
+    return _regular_set_check(space, tables, _line_mask(space, idx)[:, None])[0][2]
 
 
-def _regular_set_check(space, tables, idx):
-    """(a, aQ, regular_set_check) of the sorted nonempty indices idx, from one n x 5 census.
+def _regular_set_check(space, tables, X):
+    """[(a, aQ, regular_set_check)] of the columns of X, an n x k bool matrix of nonempty sets.
 
-    Row y of the census counts the lines of Y in each relation to y, so its
-    rows at Y sum to |Y| a.
+    Both routes run on every column, and the columns go through
+    relation_products in blocks, so memory stays bounded.  Entry (y, i) of a
+    set's census counts its lines in relation i to the line y.  The support
+    route sums it over the set to chi^T A_i chi = |Y| a_i, whose product with
+    L Q, column j of Q times its least common denominator L_j, is |Y| L_j aQ
+    in exact int64.  The degree route compares n times it with the targets.
     """
-    if len(idx) == space.n_lines:
+    n, P = space.n_lines, np.array(tables.P, dtype=np.int64)
+    sizes = X.sum(axis=0)
+    if (sizes == n).any():
         raise ValueError("regularity undefined for the full line set")
-
-    in_mask = _line_mask(space, idx)
-    counts = relation_products(space, in_mask[:, None])[..., 0].T
-    a = tuple(Fraction(int(c), len(idx)) for c in counts[in_mask].sum(axis=0))
-    aq = _dual(tables, a)
-    support = _support(aq)
-    j_tag = next(iter(support)) if len(support) == 1 else None
-
-    # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular set;
-    # rows j = 10..21, and a fractional target would miss everywhere
-    P = np.array(tables.P, dtype=np.int64)
-    want = len(idx) * (P[0] - P[1:])[:, None, :] + tables.n * P[1:, None, :] * in_mask[:, None]
-    off = counts * tables.n != want
-    clean = ~off.any(axis=(1, 2))
-    degree_tag = REL_TAGS[1 + int(clean.argmax())] if clean.any() else None
-    if degree_tag != j_tag:
-        raise GeometryError("support-based and degree-based regularity verdicts disagree")
-
-    inside = outside = witness = None
-    if degree_tag:
-        inside, outside = expected_degrees(tables, REL_TAGS.index(degree_tag), len(idx))
-    else:
-        # the first (line, relation) off the V10 targets
-        x, i = divmod(int(off[0].argmax()), 5)
-        want_x = expected_degrees(tables, 1, len(idx))[0 if in_mask[x] else 1]
-        witness = (x, REL_TAGS[i], int(counts[x, i]), str(want_x[i]))
-
-    return a, aq, RegularSetReport(
-        is_regular=j_tag is not None,
-        eigenspace=j_tag,
-        size=len(idx),
-        support=support,
-        inside_degrees=tuple(int(v) for v in inside) if inside else None,
-        outside_degrees=tuple(int(v) for v in outside) if outside else None,
-        witness=witness,
-    )
+    cols, Ls = zip(*(integer_column(tables, j) for j in range(5)))
+    LQ = np.array(cols, dtype=np.int64).T
+    # the pair counts of a set are nonnegative and sum to |Y|^2 <= n^2
+    if n * n * int(abs(LQ).max()) >= 2**63:
+        raise OverflowError("line count too large for exact int64 dual distributions")
+    out = []
+    block = max(1, 2**16 // n)
+    for lo in range(0, X.shape[1], block):
+        Y, m = X[:, lo : lo + block], sizes[lo : lo + block]
+        counts = relation_products(space, Y).transpose(2, 1, 0)  # set x line x relation
+        pairs = (counts * Y.T[:, :, None]).sum(axis=1)
+        dual = pairs @ LQ
+        if (dual < 0).any():
+            raise GeometryError("negative dual distribution entry for a genuine subset")
+        # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular
+        # set; j = 10..21 on axis 1, and a fractional target would miss everywhere
+        in_Y = Y.T[:, None, :, None]
+        want = m[:, None, None, None] * (P[0] - P[1:])[:, None] + n * P[1:, None] * in_Y
+        off = counts[:, None] * n != want
+        clean = ~off.any(axis=(2, 3))
+        for c, size in enumerate(m.tolist()):
+            a = tuple(Fraction(int(v), size) for v in pairs[c])
+            aq = tuple(Fraction(int(v), size * L) for v, L in zip(dual[c], Ls))
+            support = _support(aq)
+            j_tag = next(iter(support)) if len(support) == 1 else None
+            degree_tag = REL_TAGS[1 + int(clean[c].argmax())] if clean[c].any() else None
+            if degree_tag != j_tag:
+                raise GeometryError("support-based and degree-based regularity verdicts disagree")
+            inside = outside = witness = None
+            if degree_tag:
+                inside, outside = expected_degrees(tables, REL_TAGS.index(degree_tag), size)
+            else:
+                # the first (line, relation) off the V10 targets
+                x, i = divmod(int(off[c, 0].argmax()), 5)
+                want_x = expected_degrees(tables, 1, size)[0 if Y[x, c] else 1]
+                witness = (x, REL_TAGS[i], int(counts[c, x, i]), str(want_x[i]))
+            report = RegularSetReport(
+                is_regular=j_tag is not None,
+                eigenspace=j_tag,
+                size=size,
+                support=support,
+                inside_degrees=tuple(int(v) for v in inside) if inside else None,
+                outside_degrees=tuple(int(v) for v in outside) if outside else None,
+                witness=witness,
+            )
+            out.append((a, aq, report))
+    return out
 
 
 # -- divisibility conditions ---------------------------------------------------

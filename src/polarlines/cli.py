@@ -481,6 +481,8 @@ def main(argv=None):
         return 1
     except (CommandError, ValueError, OSError) as exc:
         code, error = 1, exc
+    except MemoryError as exc:  # a space too large for this machine is bad input too
+        code, error = 1, f"out of memory: {exc}"
     except RuntimeError as exc:  # GeometryError among them: the program contradicts itself
         code, error = 3, exc
     print(json.dumps({"error": str(error)}))

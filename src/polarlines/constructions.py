@@ -99,8 +99,8 @@ class HyperplaneSection:
 
 
 def ambient_projective_points(space):
-    """All projective points of the ambient GF(q)^d, in lex order."""
-    return _projective_points(space.field, space.d)
+    """All projective points of the ambient GF(q)^d, in lex order, as tuples."""
+    return [tuple(u) for u in _projective_points(space.field, space.d).tolist()]
 
 
 def hyperplane_sections(space):
@@ -286,7 +286,8 @@ def elliptic_ovoid(space, fixed_duals=()):
     q = space.q
     duals = ambient_projective_points(space)
     vals = form_values(space.form, space.pts_arr, duals)
-    fixed = _vector_indices(space.field, duals, np.reshape(fixed_duals, (-1, space.d))).tolist()
+    fixed_rows = np.reshape(np.asarray(fixed_duals, np.uint8), (-1, space.d))
+    fixed = _vector_indices(space.field, duals, fixed_rows.T).tolist()
     if -1 in fixed:
         raise ValueError("cannot normalize the zero vector")
     need = 2 - len(fixed)

@@ -14,6 +14,7 @@ from .analysis import (
     LineSet,
     _as_indices,
     _design_check,
+    _line_mask,
     _regular_set_check,
     divisibility_report,
     make_lineset,
@@ -146,7 +147,7 @@ def build_report(space, tables, y):
     if not idx:
         raise ValueError("inner distribution undefined for the empty set")
     # one census of n x Y feeds a, aQ, both regularity routes and the design supports
-    a, aq, reg = _regular_set_check(space, tables, idx)
+    ((a, aq, reg),) = _regular_set_check(space, tables, _line_mask(space, idx)[:, None])
     prof = plane_profile(space, idx)
     divis = {}
     for j in REL_TAGS[1:]:

@@ -68,7 +68,7 @@ def vector_permutation(field, vectors, g):
     """
     vectors = np.asarray(vectors, dtype=np.uint8)
     images = _table_matmul(field, vectors, np.asarray(g, dtype=np.uint8))
-    pos = _vector_indices(field, vectors, images)
+    pos = _vector_indices(field, vectors, images.T)
     if (pos < 0).any():
         raise ValueError("the matrix sends a vector outside the given ones")
     if (np.bincount(pos, minlength=len(pos)) > 1).any():

@@ -17,10 +17,10 @@ import numpy as np
 from .analysis import (
     PENCIL_SPAN,
     PLANE_SPAN,
+    _regular_set_check,
     divisibility_report,
     eigenspace_support,
     expected_degrees,
-    regular_set_check,
     span_orthogonal_divisor,
 )
 from .groups import o6plus_generators, vector_permutation
@@ -520,9 +520,9 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
 
     Sizes failing the divisibility conditions are rejected without search;
     sizes above n/2 are searched through their complements (a set is regular
-    for V_j exactly when its complement is).  Every found set is re-checked
-    through regular_set_check.  A search stopped by the node budget or by
-    stop_after is incomplete, and its stopped_by says which of the two stopped it.
+    for V_j exactly when its complement is).  All found sets are re-checked
+    by both routes of regular_set_check at once.  A search stopped by the node
+    budget or by stop_after is incomplete, and its stopped_by says which.
     """
     report = divisibility_report(size, j, space.q, space.e2)  # raises on a j outside 10..21
     if stop_after is not None and stop_after < 1:
@@ -539,8 +539,10 @@ def enumerate_regular_sets(space, tables, j, size, budget=None, stop_after=None)
         sets = tuple(tuple(sorted(full - set(s))) for s in result.sets)
         detail = _joined(result.detail, "searched via complements")
         result = replace(result, sets=sets, detail=detail)
-    for sol in result.sets:
-        rep = regular_set_check(space, tables, sol)
+    found = np.zeros((space.n_lines, len(result.sets)), dtype=bool)
+    for c, y in enumerate(result.sets):
+        found[list(y), c] = True
+    for _, _, rep in _regular_set_check(space, tables, found):
         if not rep.is_regular or rep.eigenspace != j:
             raise RuntimeError("search returned a set that fails independent verification")
     return result

@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import json
 import os
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def _anisotropic_binary(field):
 
     Q(a v) = a^2 Q(v), so it is enough that Q vanishes at no projective point.
     """
-    P = np.array(_projective_points(field, 2), dtype=np.uint8)
+    P = _projective_points(field, 2)
     for c1, c0 in itertools.product(range(field.q), range(1, field.q)):
         if _quad_values(field, ((0, 0, 1), (0, 1, c1), (1, 1, c0)), P, P).all():
             return c1, c0
@@ -184,14 +184,14 @@ class FormSpec:
 
 
 def _projective_points(field, d):
-    """All projective points of GF(q)^d, leading coordinate 1, in lex order."""
+    """All projective points of GF(q)^d, leading coordinate 1, in lex order, as a uint8 array.
+
+    Base-q codes, as _codes makes them, order vectors lexicographically, and
+    those led by 1 at coordinate d-1-k are q^k .. 2q^k - 1.
+    """
     q = field.q
-    pts = []
-    for lead in range(d):
-        for tail in itertools.product(range(q), repeat=d - lead - 1):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return pts
+    codes = np.concatenate([np.arange(q**k, 2 * q**k) for k in range(d)])
+    return (codes[:, None] // q ** np.arange(d - 1, -1, -1) % q).astype(np.uint8)
 
 
 def _table_matmul(field, A, M):
@@ -219,25 +219,33 @@ def form_values(form, X, Y):
     return _table_matmul(f, X, _table_matmul(f, gram, Y.T))
 
 
-def _vector_indices(field, vectors, rows):
-    """The index in vectors of each row of rows up to a nonzero scalar, else -1.
+def _codes(q, coords):
+    """The base-q code of each vector from its coordinate arrays, the first most significant.
+
+    The codes are int64, which holds q^d <= 32^8; the first coordinate is cast to it.
+    """
+    coords = iter(coords)
+    return reduce(lambda code, x: code * q + x, coords, np.asarray(next(coords), np.int64))
+
+
+def _vector_indices(field, vectors, coords):
+    """The index in vectors of each vector given by coords up to a nonzero scalar, else -1.
 
     vectors holds one vector of each of some distinct points, one per row;
-    rows lie along the last axis of a uint8 array of any shape.  A dense
-    table over all q^d base-q codes maps every nonzero multiple of each of
-    the vectors to its index, so each row is looked up by its own code with
-    no normalization.  The zero row, code 0, and a row whose point is not
-    among the vectors give -1.
+    coords yields the d coordinate arrays of the vectors to look up, as
+    np.moveaxis(rows, -1, 0) does.  A dense table over all q^d codes maps every
+    nonzero multiple of each of the vectors to its index, so each vector is
+    looked up by its own code with no normalization.  The zero vector, code
+    0, and a vector whose point is not among the vectors give -1.
     """
-    vectors, rows = np.asarray(vectors, dtype=np.uint8), np.asarray(rows, dtype=np.uint8)
-    shape = (field.q,) * rows.shape[-1]
+    vectors = np.asarray(vectors, dtype=np.uint8)
     # q^d is at most about q times the line count in every family, so the
     # table is tiny next to the n x n label table
-    table = np.full(field.q ** rows.shape[-1], -1, dtype=np.int32)
+    table = np.full(field.q ** vectors.shape[1], -1, dtype=np.int32)
     index = np.arange(len(vectors), dtype=np.int32)
     for c in range(1, field.q):
-        table[np.ravel_multi_index(field.times(c, vectors).T, shape)] = index
-    return table[np.ravel_multi_index(np.moveaxis(rows, -1, 0), shape)]
+        table[_codes(field.q, field.times(c, vectors).T)] = index
+    return table[_codes(field.q, coords)]
 
 
 def _span_points(field, points, bases):
@@ -245,21 +253,24 @@ def _span_points(field, points, bases):
 
     The normalized coefficient vectors of GF(q)^r, in _projective_points
     order, times an RREF basis are the normalized vectors of its span, one
-    per point, each looked up among the points by _vector_indices.  Raises
-    ValueError if a basis is not in RREF or its span holds a vector that is
-    not a point.
+    per point.  Their coordinate i is read, for all of them at once, off a
+    table over the q^r possible columns i of a basis, and is added to their
+    codes for _vector_indices.  Raises ValueError if a basis is not in RREF
+    or its span holds a vector that is not a point.
     """
     bases = np.asarray(bases, dtype=np.uint8)
-    r = bases.shape[1]
+    q, r = field.q, bases.shape[1]
+    # the code of each column of each basis; in RREF the pivots rise, and pivot
+    # column k is the unit vector e_k, of code q^(r-1-k)
+    columns = _codes(q, np.moveaxis(bases, 1, 0))
     pivots = (bases != 0).argmax(axis=2)
-    at_pivots = np.take_along_axis(bases, np.repeat(pivots[:, None], r, axis=1), axis=2)
-    if not ((np.diff(pivots, axis=1) > 0).all() and (at_pivots == np.eye(r)).all()):
+    units = np.take_along_axis(columns, pivots, axis=1) == q ** np.arange(r - 1, -1, -1)
+    if not ((np.diff(pivots, axis=1) > 0).all() and units.all()):
         raise ValueError("a line or plane basis is not in reduced row echelon form")
-    coeffs = np.array(_projective_points(field, r), dtype=np.uint8)
-    vectors = np.zeros((len(bases), len(coeffs), bases.shape[2]), dtype=np.uint8)
-    for k in range(r):
-        vectors = field.axpy(vectors, coeffs[:, k, None], bases[:, None, k])
-    pos = _vector_indices(field, points, vectors)
+    # row u: the entries that each coefficient vector makes of the column of code u
+    entries = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.uint8)
+    combined = _table_matmul(field, entries, _projective_points(field, r).T)
+    pos = _vector_indices(field, points, (np.take(combined, u, axis=0) for u in columns.T))
     if (pos < 0).any():
         raise ValueError("a line or plane basis spans a vector that is not a point of the space")
     return pos
@@ -299,7 +310,7 @@ def _plane_lines(field, pair, plane_pos):
     plane's theta lines are the lines through those pairs of its points.
     Raises GeometryError if a pair is on no line or two pairs are on one.
     """
-    coeffs = np.array(_projective_points(field, 3), dtype=np.uint8)
+    coeffs = _projective_points(field, 3)
     on = _table_matmul(field, coeffs, coeffs.T) == 0
     two = np.nonzero(on)[1].reshape(len(coeffs), field.q + 1)[:, :2]
     lines = np.sort(pair[plane_pos[:, two[:, 0]], plane_pos[:, two[:, 1]]], axis=1)
@@ -318,8 +329,9 @@ def _transpose(members, n, per_object, what):
     flat = members.ravel()
     if (np.bincount(flat, minlength=n) != per_object).any():
         raise GeometryError(f"{what} is not the predicted constant")
-    # a stable sort keeps each object's rows in ascending order
-    return (np.argsort(flat, kind="stable") // members.shape[1]).reshape(n, per_object)
+    # a stable sort keeps each object's rows in order; NumPy radix-sorts keys of <= 16 bits
+    key = flat.astype(np.min_scalar_type(max(n - 1, 0)))
+    return (np.argsort(key, kind="stable") // members.shape[1]).reshape(n, per_object)
 
 
 def _tuples(arr):
@@ -368,10 +380,13 @@ class PolarSpace:
         for bases in (line_bases, plane_bases):
             _check_increasing(bases)
             spans.append(_span_points(self.field, self.pts_arr, bases))
-            # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof
-            for a, b in itertools.combinations(range(bases.shape[1]), 2):
-                if form._bilinear_rows(bases[:, a], bases[:, b]).any():
-                    raise ValueError("a line or plane basis spans no totally isotropic subspace")
+        # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof:
+        # B must vanish on the basis pair of each line and the three of each plane
+        L, P = line_bases, plane_bases
+        X = np.concatenate([L[:, 0], P[:, 0], P[:, 0], P[:, 1]])
+        Y = np.concatenate([L[:, 1], P[:, 1], P[:, 2], P[:, 2]])
+        if form._bilinear_rows(X, Y).any():
+            raise ValueError("a line or plane basis spans no totally isotropic subspace")
         self.line_points_arr, self.plane_points_arr = (np.sort(pos, axis=1) for pos in spans)
 
         # the validated uint8 bases
@@ -486,7 +501,10 @@ class PolarSpace:
 
     def point_indices(self, vectors):
         """The point of each vector along the last axis, by _vector_indices; -1 if none."""
-        return _vector_indices(self.field, self.pts_arr, vectors)
+        vectors = np.asarray(vectors, dtype=np.uint8)
+        if (vectors >= self.q).any():
+            raise ValueError(f"a vector has an entry outside GF({self.q})")
+        return _vector_indices(self.field, self.pts_arr, np.moveaxis(vectors, -1, 0))
 
     def basis_indices(self, bases):
         """For each basis, the line (2 rows) or plane (3 rows) it is the RREF basis of, or -1.
@@ -610,7 +628,7 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
 
 def _space_points(form):
     """The points of the space: its singular normalized vectors, in lexicographic order."""
-    candidates = np.array(_projective_points(form.field, form.d), dtype=np.uint8)
+    candidates = _projective_points(form.field, form.d)
     return candidates[form.singular_rows(candidates)]
 
 
@@ -654,7 +672,7 @@ def save_space(space, path):
     }
     path = str(path)
     # written only for the benchmark harness: perfbench/run.py's _fill_cache renames
-    # it and perfbench/tracer.py's _save_info sizes it; ROADMAP item 2b drops all three
+    # it and perfbench/tracer.py's _save_info sizes it; ROADMAP item 1b drops all three
     _write_atomically(path + ".labels.npy", lambda fh: np.save(fh, space.labels))
     _write_atomically(path, lambda fh: fh.write(json.dumps(doc).encode()))
 

@@ -201,7 +201,8 @@ def test_the_census_of_a_set_is_a_bincount_of_its_table_columns(monkeypatch, spa
     for y in sets:
         idx = np.sort(y)
         seen.clear()
-        a, _, _ = analysis._regular_set_check(space, tables, idx.tolist())
+        mask = analysis._line_mask(space, idx)[:, None]
+        ((a, _, _),) = analysis._regular_set_check(space, tables, mask)
         want = np.stack([np.bincount(row, minlength=5) for row in space.labels[:, idx]])
         assert len(seen) == 1 and np.array_equal(seen[0], want)
         assert a == tuple(F(int(c), len(idx)) for c in want[idx].sum(axis=0))

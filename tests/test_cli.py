@@ -332,6 +332,31 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+def test_running_out_of_memory_is_a_json_error_with_exit_code_1():
+    """A U(7,4) build, which peaks near 530 MiB, under a 400 MiB address-space limit.
+
+    The limit is set in the child alone, and leaves room for import numpy.
+    """
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["space", "build", "--space", "u7_q4", "--max-lines", "100000"]
+    done = subprocess.run(
+        [sys.executable, "-m", "polarlines.cli", *argv],
+        capture_output=True,
+        env=env,
+        preexec_fn=limit,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+    doc = json.loads(done.stdout)
+    assert set(doc) == {"error"} and doc["error"].startswith("out of memory")
+
+
 def test_usage_error_keeps_exit_code_2(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["space", "info"])

@@ -3,11 +3,14 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from math import lcm
 
 import pytest
 
+from polarlines import analysis as pl_analysis
 from polarlines import constructions as con
+from polarlines import search as pl_search
 from polarlines.analysis import (
     eigenspace_support,
     expected_degrees,
@@ -63,6 +66,62 @@ def test_no_regular_v10_set_of_size_42(o6plus2):
     res = enumerate_regular_sets(o6plus2, tables, "10", 42)
     assert res.complete and not res.sets
     assert res.nodes == 1745
+
+
+def test_the_stacked_recheck_matches_the_per_set_check(o6plus2, o73):
+    """_regular_set_check over many columns, against regular_set_check one set at a time.
+
+    On O+(6,2): the V11/15 sets, the V20/35 ones (there are none), the
+    complements of the first and seeded random sets, in one block.  On O(7,3)
+    the hexagon, its complement and random sets span three blocks of columns.
+    """
+    t62 = tables_for_space(o6plus2)
+    v20 = enumerate_regular_sets(o6plus2, t62, "20", 35).sets
+    assert v20 == ()
+    v11 = enumerate_regular_sets(o6plus2, t62, "11", 15).sets
+    hexagon = con.hexagon_lines(o73).indices
+    for space, sets in ((o6plus2, v11 + v20), (o73, (hexagon,))):
+        n = space.n_lines
+        rng = np.random.default_rng(n)
+        sets += tuple(tuple(sorted(set(range(n)) - set(y))) for y in sets)
+        sets += tuple(tuple(rng.choice(n, k, replace=False)) for k in rng.integers(1, n, 40))
+        X = np.zeros((n, len(sets)), dtype=bool)
+        for c, y in enumerate(sets):
+            X[list(y), c] = True
+        tables = tables_for_space(space)
+        stacked = pl_analysis._regular_set_check(space, tables, X)
+        assert [rep for _, _, rep in stacked] == [regular_set_check(space, tables, y) for y in sets]
+        assert [a for a, _, _ in stacked[::9]] == [inner_distribution(space, y) for y in sets[::9]]
+        # the regular sets and their complements, and no random set
+        assert sum(rep.is_regular for _, _, rep in stacked) == len(sets) - 40
+
+
+def _planted(monkeypatch, extra):
+    """Let _regular_search return one more set than it found."""
+    search = pl_search._regular_search
+
+    def planted(*args):
+        result = search(*args)
+        return replace(result, sets=result.sets + (tuple(extra),))
+
+    monkeypatch.setattr(pl_search, "_regular_search", planted)
+
+
+def test_a_planted_irregular_set_fails_the_recheck(monkeypatch, o6plus2):
+    tables = tables_for_space(o6plus2)
+    y = tuple(sorted(random.Random(15).sample(range(o6plus2.n_lines), 15)))
+    assert not regular_set_check(o6plus2, tables, y).is_regular
+    _planted(monkeypatch, y)
+    with pytest.raises(RuntimeError, match="fails independent verification"):
+        enumerate_regular_sets(o6plus2, tables, "11", 15)
+
+
+def test_a_planted_set_of_another_eigenspace_fails_the_recheck(monkeypatch, sp62):
+    tables = tables_for_space(sp62)
+    (y,) = enumerate_regular_sets(sp62, tables, "11", 45, stop_after=1).sets
+    _planted(monkeypatch, y)
+    with pytest.raises(RuntimeError, match="fails independent verification"):
+        enumerate_regular_sets(sp62, tables, "20", 63, stop_after=1)
 
 
 def test_inadmissible_sizes_rejected_without_search(o6plus2):
@@ -894,7 +953,6 @@ def test_a_valency_beyond_the_16_bit_fields_is_rejected(o6plus2):
 )
 def test_searches_match_the_reference_core(monkeypatch, o6plus2, sp62, o73, case):
     """The public searches give the same results on the reference core, node counts included."""
-    from polarlines import search as pl_search
 
     t62, tsp = tables_for_space(o6plus2), tables_for_space(sp62)
     sec = con.find_section(o73, "gq")

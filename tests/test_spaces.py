@@ -11,13 +11,14 @@ import pytest
 
 from polarlines.gf import _CONWAY, field_make
 from polarlines.linalg import rref
-from polarlines.schemetables import empirical_valencies, tables_for_space
+from polarlines.schemetables import empirical_valencies, tables_for_space, verify_scheme
 from polarlines.spaces import (
     REL_TAGS,
     FormSpec,
     GeometryError,
     PolarSpace,
     _anisotropic_binary,
+    _fingerprint,
     _pair_lines,
     _plane_lines,
     _projective_points,
@@ -223,13 +224,26 @@ def test_degenerate_form_is_rejected(monkeypatch):
         FormSpec("O8minus", 2)
 
 
-def test_u7_form_exists_even_though_enumeration_is_out_of_reach():
+def test_u7_form_is_the_hermitian_identity():
     form = FormSpec("U7", 4)
     assert form.d == 7 and form.e2 == 3
     # Hermitian Gram is the identity with conjugation on the second slot
     assert form.bilinear((1,) + (0,) * 6, (1,) + (0,) * 6) == 1
     assert form.singular_rows((1, 1, 0, 0, 0, 0, 0))[0]  # 1 + 1 = 0 in GF(4) norms
 
+
+
+@pytest.mark.slow
+def test_u7_q4_is_built_past_the_line_cap():
+    """U(7,4), the smallest space of the sixth family, has 89,397 lines.
+
+    No save: the labels sidecar would force its 7.44 GiB relation table.
+    """
+    space = build_space("U7", 4, max_lines=100_000)
+    assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == (2709, 89397, 38313)
+    assert empirical_valencies(space) == (1, 180, 640, 23040, 65536)
+    assert verify_scheme(space, tables_for_space(space), k=2)["ok"]
+    assert space.fingerprint == "d1bfd35f15590521"
 
 
 def _reference_is_singular(form, v):
@@ -463,6 +477,11 @@ def test_lookup_gives_minus_one_for_what_is_no_point_line_or_plane(o6plus2):
     assert space.basis_indices(no_lines).tolist() == [-1] * 3
     plane = space.plane_basis_arr[0]
     assert space.basis_indices([plane, [plane[0], plane[1], plane[1]]]).tolist() == [0, -1]
+    # over GF(2), 3 e5 would share its base-2 code with e4 + e5 were entries not checked
+    with pytest.raises(ValueError, match="outside GF"):
+        space.point_indices([3 * e[5]])
+    with pytest.raises(ValueError, match="outside GF"):
+        space.basis_indices([[e[0], 2 * e[2]]])
 
 
 @pytest.mark.parametrize(
@@ -609,6 +628,96 @@ def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
     # an RREF basis whose first row has Q = x0 x1 + x2 x3 + x4 x5 = 1
     with pytest.raises(ValueError, match="not a point of the space"):
         _span_points(space.field, space.pts_arr, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
+
+
+def _reference_projective_points(q, d):
+    """The normalized vectors of GF(q)^d, each a leading 1 and any tail, sorted."""
+    pts = []
+    for lead in range(d):
+        for tail in itertools.product(range(q), repeat=d - lead - 1):
+            pts.append((0,) * lead + (1,) + tail)
+    return sorted(pts)
+
+
+# (q, d) = (2, 2), (3, 3), (4, 6), (4, 7), (5, 3), (8, 3) and (9, 3)
+@pytest.mark.parametrize(
+    "p,h,d", [(2, 1, 2), (3, 1, 3), (2, 2, 6), (2, 2, 7), (5, 1, 3), (2, 3, 3), (3, 2, 3)]
+)
+def test_projective_points_match_the_itertools_definition(p, h, d):
+    field = field_make(p, h)
+    points = _projective_points(field, d)
+    assert points.dtype == np.uint8
+    assert [tuple(v) for v in points.tolist()] == _reference_projective_points(field.q, d)
+
+
+def _reference_span_points(field, points, bases):
+    """Span positions by whole span vectors: an axpy per coefficient, then a lookup by index.
+
+    Every normalized coefficient vector times each basis is built as a d-vector,
+    and its point is read off a table over the ravel_multi_index codes of every
+    nonzero multiple of the points.
+    """
+    q, (_, r, d) = field.q, bases.shape
+    coeffs = np.array(_reference_projective_points(q, r), dtype=np.uint8)
+    vectors = np.zeros((len(bases), len(coeffs), d), dtype=np.uint8)
+    for k in range(r):
+        vectors = field.axpy(vectors, coeffs[:, k, None], bases[:, None, k])
+    table = np.full(q**d, -1, dtype=np.int64)
+    for c in range(1, q):
+        table[np.ravel_multi_index(field.times(c, points).T, (q,) * d)] = np.arange(len(points))
+    return table[np.ravel_multi_index(np.moveaxis(vectors, -1, 0), (q,) * d)]
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
+def test_span_points_match_the_whole_vector_route(spaces, family, q):
+    space = spaces.get(family, q)
+    for bases in (space.line_basis_arr, space.plane_basis_arr):
+        want = _reference_span_points(space.field, space.pts_arr, bases)
+        assert np.array_equal(_span_points(space.field, space.pts_arr, bases), want)
+
+
+def _replaced_in_order(bases, basis):
+    """The bases with basis put in place of the first one above it, so they still increase."""
+    bases = [list(map(list, b)) for b in bases]
+    k = next(i for i, b in enumerate(bases) if _basis_key(b) > _basis_key(basis))
+    bases[k] = [list(row) for row in basis]
+    return bases
+
+
+@pytest.mark.parametrize(
+    "family,q,key,fault,message",
+    [
+        # the last row of a plane times 2: its pivot entry is no 1
+        ("O6plus", 3, "planes", "scaled", "is not in reduced row echelon form"),
+        # Q(x) = x0 x1 + x2 x3 + x4 x5 is 1 at the first row
+        (
+            "O6plus", 2, "lines", ((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)),
+            "spans a vector that is not a point of the space",
+        ),
+        # every vector of Sp(6,2) is a point, but B(e0, e3) = 1
+        (
+            "Sp6", 2, "lines", ((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)),
+            "spans no totally isotropic subspace",
+        ),
+    ],
+)
+def test_a_cache_with_a_bad_basis_is_rejected(tmp_path, spaces, family, q, key, fault, message):
+    space = spaces.get(family, q)
+    path = tmp_path / "space.json"
+    save_space(space, path)
+    doc = decoded_cache(json.loads(path.read_text()))
+    if fault == "scaled":
+        # a plane whose neighbours differ from it before its last row, so the order holds
+        rows = [b[:2] for b in doc[key]]
+        k = next(i for i in range(1, len(rows) - 1) if rows[i - 1] != rows[i] != rows[i + 1])
+        doc[key][k][2] = [space.field.mul(2, x) for x in doc[key][k][2]]
+    else:
+        doc[key] = _replaced_in_order(doc[key], fault)
+    lines = np.array(doc["lines"], dtype=np.uint8)
+    doc["fingerprint"] = _fingerprint(space.form, lines)
+    path.write_text(json.dumps(encoded_cache(doc)))
+    with pytest.raises(ValueError, match=f"^a line or plane basis {message}$"):
+        load_space(path)
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
