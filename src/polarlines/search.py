@@ -558,29 +558,11 @@ def _projector_rows(tables, support):
     return [(c[0], c[1:]) for c in cols]
 
 
-def _find_disjoint_members(pool, k, budget):
-    """The first k pairwise-disjoint sets of the pool, or None if none are found in budget."""
-    chosen = []
-
-    def dfs(start, used):
-        nodes.tick()
-        if len(chosen) == k:
-            raise _Stop("found")
-        for idx in range(start, len(pool)):
-            s = pool[idx]
-            if not (s & used):
-                chosen.append(idx)
-                dfs(idx + 1, used | s)
-                chosen.pop()
-
-    nodes = _Nodes(budget)
-    if nodes.run(dfs, 0, frozenset()) == "found":
-        return [pool[i] for i in chosen]
-    return None
-
-
 def _catalog_witness(space, tables, support, size, budget):
-    """Try to assemble a witness from known structured families, each search within the budget."""
+    """Try to assemble a witness from known structured families, each search within the budget.
+
+    The witness is a clique of size / unit members in the family's disjointness graph.
+    """
     from .constructions import section_line_sets
 
     q, s = space.q, space.qe
@@ -596,11 +578,13 @@ def _catalog_witness(space, tables, support, size, budget):
             continue
         if rows is None:
             # the sections are classified only when their size divides the set's
-            rows = [np.flatnonzero(row) for row in section_line_sets(space, "gq")[1]]
-        pool = [frozenset(row.tolist()) for row in rows]
-        hit = _find_disjoint_members(pool, size // unit, budget)
-        if hit is not None:
-            cand = sorted(set().union(*hit))
+            incidence = section_line_sets(space, "gq")[1]
+        else:
+            incidence = np.zeros((len(rows), space.n_lines), dtype=bool)
+            np.put_along_axis(incidence, rows, True, axis=1)
+        res = max_clique(_disjointness(incidence), budget, goal=size // unit)
+        if res.stopped_by == "found":
+            cand = np.flatnonzero(incidence[list(res.sets[0])].any(axis=0)).tolist()
             if len(cand) == size and eigenspace_support(space, tables, cand) <= support:
                 return tuple(cand)
     return None
@@ -763,7 +747,13 @@ def _orbit_representatives(n, automorphisms):
         label = lowered
 
 
-def max_clique(adj, budget=None, automorphisms=()):
+def _disjointness(incidence):
+    """The adjacency of the rows of a bool incidence matrix that share no column."""
+    packed = np.packbits(incidence, axis=1)
+    return np.array([~(row & packed).any(axis=1) for row in packed])
+
+
+def max_clique(adj, budget=None, automorphisms=(), goal=None):
     """Exact maximum clique by branch and bound with greedy coloring bounds.
 
     adj is a square symmetric matrix whose nonzero entries are the edges; its
@@ -771,12 +761,16 @@ def max_clique(adj, budget=None, automorphisms=()):
 
     Each node colours its candidates greedily, lowest vertex first, and
     branches on them from the last vertex of the last colour class down,
-    returning at the first vertex whose colour c has |current| + c <= |best|.
-    With kmin = |best| - |current| at the node's start, the classes 1..kmin
-    are still swept, since later classes depend on them, but their vertices
-    are never listed: best only grows, so the branch loop would return before
-    it reached any of them.  The tree and its node count are those of listing
-    every vertex.
+    returning at the first vertex whose colour c has |current| + c <= beat,
+    where beat is |best|, or goal - 1 if that is larger.  With kmin = beat -
+    |current| at the node's start, the classes 1..kmin are still swept, since
+    later classes depend on them, but their vertices are never listed: beat
+    only grows, so the branch loop would return before it reached any of
+    them.  The tree and its node count are those of listing every vertex.
+
+    With a goal of at least 1 and no automorphisms (ValueError otherwise), the
+    search stops "found" at the first clique of goal vertices; "exhausted"
+    proves there is none, and returns the empty set.
 
     automorphisms are vertex permutations p, as integer arrays, each checked
     to be a bijection with adj[p][:, p] == adj off the diagonal; ValueError
@@ -795,6 +789,8 @@ def max_clique(adj, budget=None, automorphisms=()):
     n = edges.shape[0]
     np.fill_diagonal(edges, False)
     automorphisms = [np.asarray(p) for p in automorphisms]
+    if goal is not None and (goal < 1 or automorphisms):
+        raise ValueError(f"goal must be at least 1, and given without automorphisms, got {goal}")
     for p in automorphisms:
         if p.shape != (n,) or p.dtype.kind not in "iu" or (np.sort(p) != np.arange(n)).any():
             raise ValueError(f"an automorphism must permute the {n} vertices")
@@ -804,13 +800,13 @@ def max_clique(adj, budget=None, automorphisms=()):
     rows = np.packbits(edges, axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
     keep = [full ^ (m | 1 << v) for v, m in enumerate(masks)]  # non-neighbours, v excluded
-    best, goal = [], None
+    best, beat = [], (goal or 1) - 1
     nodes = _Nodes(budget)
 
     def expand(current, cand):
-        nonlocal best
+        nonlocal best, beat
         nodes.tick()
-        kmin = len(best) - len(current)
+        kmin = beat - len(current)
         color, rest = 0, cand
         while color < kmin and rest:
             color += 1
@@ -833,31 +829,34 @@ def max_clique(adj, budget=None, automorphisms=()):
         for c in range(len(classes), 0, -1):
             bound = len(current) + color + c
             for v in reversed(classes[c - 1]):
-                if bound <= len(best):
+                if bound <= beat:
                     return
                 current.append(v)
+                if len(current) == goal:
+                    best = list(current)
+                    raise _Stop("found")
                 nxt = cand & masks[v]
                 if nxt:
                     expand(current, nxt)
-                elif len(current) > len(best):
+                elif len(current) > beat:
                     best = list(current)
-                    if len(best) == goal:
-                        raise _Stop("found")
+                    beat = len(best)
                 current.pop()
                 cand ^= 1 << v
 
     def through_representatives():
-        nonlocal best
+        nonlocal best, beat
         for r in _orbit_representatives(n, automorphisms):
             if masks[r]:
                 expand([r], masks[r])
             elif not best:
-                best = [r]
+                best, beat = [r], 1
 
     stop, largest = "exhausted", []
     if automorphisms:
         stop = nodes.run(through_representatives)
         largest, best, goal = best, [], len(best)
+        beat = max(0, goal - 1)
     if stop != "budget":
         stop = nodes.run(expand, [], full)
     # a recovery search cut short by the budget keeps the larger clique of the first stage
@@ -881,8 +880,7 @@ def disjoint_section_packing(space, budget=None):
     if space.family != "O6plus":
         raise ValueError("section packings are computed for O6plus")
     sections, incidence = section_line_sets(space, "gq")
-    packed = np.packbits(incidence, axis=1)
-    adj = np.array([~(row & packed).any(axis=1) for row in packed])
+    adj = _disjointness(incidence)
     duals = [sec.dual_point for sec in sections]
     moves = [vector_permutation(space.field, duals, g) for g in o6plus_generators(space.field)]
     res = max_clique(adj, budget=budget, automorphisms=moves)

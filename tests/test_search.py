@@ -24,6 +24,7 @@ from polarlines.search import (
     _MembershipSearch,
     _Nodes,
     _bits,
+    _disjointness,
     _guards_set,
     _orbit_constraints,
     _projector_rows,
@@ -253,12 +254,29 @@ def test_the_catalog_stops_at_the_node_budget(o6plus2, sp62):
     """The budget bounds each catalog search; the nodes reported are the exhaustive search's."""
     res = feasibility_probe(sp62, tables_for_space(sp62), {"10", "20"}, 280, budget=10)
     assert (res.status, res.nodes, res.note) == ("unknown", 11, "node budget exhausted")
-    # five disjoint planes of O+(6,2) are found in six nodes, one a plane and the root
+    # five disjoint planes of O+(6,2) are a clique found in five nodes, the root and one
+    # per plane but the last
     tables = tables_for_space(o6plus2)
-    found = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=6)
+    found = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=5)
     assert (found.status, found.nodes, found.note) == ("witness", 0, "catalog construction")
-    short = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=5)
-    assert (short.status, short.nodes, short.note) == ("unknown", 6, "node budget exhausted")
+    short = feasibility_probe(o6plus2, tables, {"10", "20"}, 35, budget=4)
+    assert (short.status, short.nodes, short.note) == ("unknown", 5, "node budget exhausted")
+
+
+def test_the_catalog_finds_thirty_disjoint_planes_within_a_small_budget(sp62):
+    tables = tables_for_space(sp62)
+    res = feasibility_probe(sp62, tables, {"10", "20"}, 210, budget=1000)
+    assert (res.status, res.nodes, res.note) == ("witness", 0, "catalog construction")
+    assert len(res.witness) == 210
+    assert eigenspace_support(sp62, tables, res.witness) <= {"10", "20"}
+
+
+def test_the_clique_search_proves_there_are_no_forty_disjoint_sp62_planes(sp62):
+    """Sp(6,2) has at most 36 pairwise line-disjoint planes, so a catalog of 40 ends."""
+    incidence = np.zeros((len(sp62.plane_lines_arr), sp62.n_lines), dtype=bool)
+    np.put_along_axis(incidence, sp62.plane_lines_arr, True, axis=1)
+    res = max_clique(_disjointness(incidence), goal=40)
+    assert (res.stopped_by, res.nodes, res.sets) == ("exhausted", 74_397, ((),))
 
 
 def test_line_spread_of_minus_quadric_section(sp62):
@@ -400,6 +418,34 @@ def test_max_clique_matches_the_reference_search(seed):
             full = _reference_max_clique(adj)
             for budget in (None, 1, max(1, full.nodes // 2)):
                 assert max_clique(adj, budget) == _reference_max_clique(adj, budget)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_max_clique_reaches_a_goal_exactly_when_the_clique_number_does(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3) + tuple(rng.integers(4, 61, size=4).tolist()):
+        for density in (0.1, 0.5, 0.9):
+            adj = _random_graph(rng, n, density)
+            omega = len(_reference_max_clique(adj).sets[0])
+            for goal in range(1, omega + 3):
+                res = max_clique(adj, goal=goal)
+                (clique,) = res.sets
+                if goal <= omega:
+                    assert (res.stopped_by, len(clique)) == ("found", goal)
+                    assert all(adj[a, b] for a, b in itertools.combinations(clique, 2))
+                else:
+                    assert (res.stopped_by, clique) == ("exhausted", ())
+
+
+def test_max_clique_rejects_a_goal_below_one():
+    with pytest.raises(ValueError, match="goal must be at least 1, .* got 0"):
+        max_clique(np.ones((3, 3), dtype=bool), goal=0)
+
+
+def test_max_clique_rejects_a_goal_with_automorphisms():
+    adj = _circulant(5, {1})
+    with pytest.raises(ValueError, match="given without automorphisms, got 2"):
+        max_clique(adj, goal=2, automorphisms=[(np.arange(5) + 1) % 5])
 
 
 def test_max_clique_property():

@@ -9,6 +9,8 @@ import random
 import numpy as np
 import pytest
 
+from polarlines.analysis import regular_set_check
+from polarlines.constructions import hexagon_lines
 from polarlines.gf import _CONWAY, field_make
 from polarlines.linalg import rref
 from polarlines.schemetables import empirical_valencies, tables_for_space, verify_scheme
@@ -244,6 +246,36 @@ def test_u7_q4_is_built_past_the_line_cap():
     assert empirical_valencies(space) == (1, 180, 640, 23040, 65536)
     assert verify_scheme(space, tables_for_space(space), k=2)["ok"]
     assert space.fingerprint == "d1bfd35f15590521"
+
+
+@functools.lru_cache(maxsize=1)  # the hexagon test and the first case share Sp(6,4)
+def _past_the_cap(family, q):
+    return build_space(family, q, max_lines=30_000)
+
+
+def test_the_hexagon_past_the_default_line_cap():
+    """The split Cayley hexagon of Sp(6,4) is V20-regular; regular_set_check runs both routes."""
+    space = _past_the_cap("Sp6", 4)
+    y = hexagon_lines(space)
+    assert len(y) == 1365
+    rep = regular_set_check(space, tables_for_space(space), y)
+    assert rep.is_regular and rep.eigenspace == "20"
+
+
+@pytest.mark.parametrize(
+    "family,q,counts,fingerprint,valencies",
+    [
+        ("Sp6", 4, (1365, 23205, 5525), "bce7e8b7e00e0563", (1, 100, 320, 6400, 16384)),
+        ("O8minus", 3, (1066, 29848, 22960), "51a60a715ad5be78", (1, 120, 324, 9720, 19683)),
+    ],
+)
+def test_spaces_past_the_default_line_cap(family, q, counts, fingerprint, valencies):
+    """Sp(6,4) and O-(8,3) have more lines than the default cap admits, so they are built past it."""
+    space = _past_the_cap(family, q)
+    assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == counts
+    assert space.fingerprint == fingerprint
+    assert empirical_valencies(space) == valencies
+    assert verify_scheme(space, tables_for_space(space), k=2)["ok"]
 
 
 def _reference_is_singular(form, v):
