@@ -207,8 +207,8 @@ def _table_matmul(field, A, M):
 def form_values(form, X, Y):
     """The matrix of B(x_i, y_j) over GF(q), for row vectors x_i of X and y_j of Y.
 
-    Table-driven: build_space reads the perp matrix of the points off
-    form_values(form, pts, pts) == 0.
+    Table-driven, for the sections' points x duals matrices; build_space
+    evaluates B rowwise, only on the point pairs in echelon position.
     """
     f = form.field
     X = np.asarray(X, dtype=np.uint8).reshape(-1, form.d)
@@ -603,9 +603,11 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
     the others' leading positions.  Conversely, r pairwise perpendicular
     points in echelon position are the RREF basis of the totally isotropic
     space they span.  So each line is one pair and each plane one triple of
-    such points, read off the perp matrix with no rref call.  The points are
-    in lexicographic order, so the row-major order of np.nonzero is already
-    the order of the bases' bytes.
+    such points, found with no rref call.  B is evaluated rowwise only on the
+    pairs in echelon position, and the perpendicular ones are the entries of
+    follows; a line's third points are the common ones of its two rows,
+    ANDed bit-packed.  The points are in lexicographic order, so the
+    row-major order of np.nonzero is already the order of the bases' bytes.
     """
     form = FormSpec(family, q)
     n_pred = predicted_line_count(family, q)
@@ -614,16 +616,34 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
     pts = _space_points(form)
-    perp = form_values(form, pts, pts) == 0
-    # follows[i, j]: j may come after i in an RREF basis of points, the two
-    # perpendicular, j's leading position past i's and i zero at it
+    # follows[i, j]: j may come after i in an RREF basis of points, j's leading
+    # position past i's, i zero at it, and the two perpendicular
     lead = (pts != 0).argmax(axis=1)
-    follows = perp & (lead[:, None] < lead) & (pts[:, lead] == 0)
+    i, j = np.nonzero((lead[:, None] < lead) & (pts[:, lead] == 0))
+    perp = form._bilinear_rows(pts[i], pts[j]) == 0
+    follows = np.zeros((len(pts), len(pts)), dtype=bool)
+    follows[i[perp], j[perp]] = True
     a, b = np.nonzero(follows)
-    line, c = np.nonzero(follows[a] & follows[b])
+    line, c = _common_followers(follows, a, b)
     line_bases = np.stack((pts[a], pts[b]), axis=1)
     plane_bases = np.stack((pts[a[line]], pts[b[line]], pts[c]), axis=1)
     return PolarSpace(form, pts, line_bases, plane_bases)
+
+
+def _common_followers(follows, a, b):
+    """The pairs (k, c) with follows[a[k], c] and follows[b[k], c], in row-major order.
+
+    The two rows are ANDed bit-packed, 8 points to a byte, and only the
+    nonzero bytes are unpacked, so no len(a) x points bool array is made;
+    the packed arrays are freed on return, before PolarSpace derives the
+    incidence.
+    """
+    packed = np.packbits(follows, axis=1)
+    both = packed[a]
+    both &= packed[b]
+    k, byte = np.nonzero(both)
+    hit, bit = np.nonzero(np.unpackbits(both[k, byte][:, None], axis=1))
+    return k[hit], 8 * byte[hit] + bit
 
 
 def _space_points(form):

@@ -1,3 +1,4 @@
+import functools
 import os
 
 import pytest
@@ -34,6 +35,30 @@ class SpacePool:
 @pytest.fixture(scope="session")
 def spaces():
     return SpacePool(cache_dir=os.environ.get(_CACHE_ENV))
+
+
+@functools.lru_cache(maxsize=1)
+def _past_the_cap(family, q, max_lines):
+    return build_space(family, q, max_lines=max_lines)
+
+
+@pytest.fixture(scope="session")
+def past_the_cap():
+    """build_space(family, q, max_lines), keeping the last space only, so one is alive at a time.
+
+    These spaces are never saved: the labels sidecar would force their n x n
+    relation table.
+    """
+    return _past_the_cap
+
+
+@pytest.fixture(scope="session")
+def u74():
+    """U(7,4), the smallest space of the sixth family: 89,397 lines, past the default cap.
+
+    Never saved, like the spaces of past_the_cap; it holds about 26 MiB of arrays.
+    """
+    return build_space("U7", 4, max_lines=100_000)
 
 
 @pytest.fixture(scope="session")

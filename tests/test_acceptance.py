@@ -5,6 +5,7 @@ budget-limited stretch cases report their flags honestly and never pass
 silently.
 """
 
+import itertools
 import os
 from fractions import Fraction
 
@@ -56,11 +57,11 @@ CRITERION_SPACES = [
 ]
 
 
-def test_criterion_1_scheme_realization(spaces):
-    for family, q in CRITERION_SPACES:
-        space = spaces.get(family, q)
+def test_criterion_1_scheme_realization(spaces, u74):
+    """The six families: the seven test spaces, and U(7,4) built past the default line cap."""
+    for space in itertools.chain((spaces.get(*fq) for fq in CRITERION_SPACES), [u74]):
+        family, q, s = space.family, space.q, space.qe
         tables = tables_for_space(space)
-        s = space.qe
         assert space.n_lines == (s * q + 1) * (s * q * q + 1) * (q * q + q + 1)
         assert empirical_valencies(space) == tables.valencies
         report = verify_scheme(space, tables, k=2, seed=0x5EED)
@@ -179,7 +180,7 @@ def test_criterion_2_appendix_oracles(spaces):
     print(f"[criterion 2] PASS {len(checked)} family instances match the published a and aQ exactly")
 
 
-def test_criterion_3_regular_verdicts(spaces):
+def test_criterion_3_regular_verdicts(spaces, past_the_cap):
     cases = []
     o62 = spaces.get("O6plus", 2)
     cases.append((o62, con.pencil_union(o62, con.elliptic_ovoid(o62)), "11", 45))
@@ -193,6 +194,8 @@ def test_criterion_3_regular_verdicts(spaces):
     cases.append((sp62, con.hexagon_lines(sp62), "20", 63))
     o73 = spaces.get("O7", 3)
     cases.append((o73, con.hexagon_lines(o73), "20", 364))
+    o75 = past_the_cap("O7", 5, 120_000)
+    cases.append((o75, con.hexagon_lines(o75), "20", 3906))
     cases.append((o62, con.hyperplane_section_lines(o62, con.find_section(o62, "gq")), "11", 15))
     for space, y, j, size in cases:
         tables = tables_for_space(space)
@@ -354,8 +357,6 @@ def _gq_section_sets(space):
 
 def _all_ovoids(space):
     """Every elliptic 4-space ovoid, by scanning functional pairs."""
-    import itertools
-
     duals = con.ambient_projective_points(space)
     masks = form_values(space.form, space.pts_arr, duals) == 0
     q = space.q

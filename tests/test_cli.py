@@ -332,8 +332,8 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
-def test_running_out_of_memory_is_a_json_error_with_exit_code_1():
-    """A U(7,4) build, which peaks near 530 MiB, under a 400 MiB address-space limit.
+def _run_in_400_mib(argv):
+    """The CLI in a child process under a 400 MiB address-space limit.
 
     The limit is set in the child alone, and leaves room for import numpy.
     """
@@ -344,17 +344,33 @@ def test_running_out_of_memory_is_a_json_error_with_exit_code_1():
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["space", "build", "--space", "u7_q4", "--max-lines", "100000"]
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "polarlines.cli", *argv],
         capture_output=True,
         env=env,
         preexec_fn=limit,
         timeout=120,
     )
+
+
+def test_a_u7_q4_build_fits_in_400_mib():
+    """U(7,4), 89,397 lines past the default cap, builds under the 400 MiB limit."""
+    done = _run_in_400_mib(["space", "build", "--space", "u7_q4", "--max-lines", "100000"])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["fingerprint"] == "d1bfd35f15590521"
+
+
+def test_running_out_of_memory_is_a_json_error_with_exit_code_1(tmp_path):
+    """A cached U(7,4) build under the 400 MiB limit, whose labels sidecar needs a 7.44 GiB table.
+
+    The failed write leaves nothing in the cache.
+    """
+    argv = ["space", "build", "--space", "u7_q4", "--max-lines", "100000", "--cache", str(tmp_path)]
+    done = _run_in_400_mib(argv)
     assert (done.returncode, done.stderr) == (1, b"")
     doc = json.loads(done.stdout)
     assert set(doc) == {"error"} and doc["error"].startswith("out of memory")
+    assert os.listdir(tmp_path) == []
 
 
 def test_usage_error_keeps_exit_code_2(capsys):

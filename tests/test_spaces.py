@@ -24,6 +24,7 @@ from polarlines.spaces import (
     _pair_lines,
     _plane_lines,
     _projective_points,
+    _space_points,
     _span_points,
     build_space,
     form_values,
@@ -236,26 +237,34 @@ def test_u7_form_is_the_hermitian_identity():
 
 
 @pytest.mark.slow
-def test_u7_q4_is_built_past_the_line_cap():
+def test_u7_q4_is_built_past_the_line_cap(u74):
     """U(7,4), the smallest space of the sixth family, has 89,397 lines.
 
-    No save: the labels sidecar would force its 7.44 GiB relation table.
+    The build is criterion 1's; no save, since the labels sidecar would force
+    its 7.44 GiB relation table.
     """
-    space = build_space("U7", 4, max_lines=100_000)
+    space = u74
     assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == (2709, 89397, 38313)
     assert empirical_valencies(space) == (1, 180, 640, 23040, 65536)
     assert verify_scheme(space, tables_for_space(space), k=2)["ok"]
     assert space.fingerprint == "d1bfd35f15590521"
 
 
-@functools.lru_cache(maxsize=1)  # the hexagon test and the first case share Sp(6,4)
-def _past_the_cap(family, q):
-    return build_space(family, q, max_lines=30_000)
+# O(7,5) first: criterion 3's hexagon leaves it built
+@pytest.mark.slow
+@pytest.mark.parametrize("family,fingerprint", [("O7", "7aba17f8b1ded221"), ("Sp6", "e1f1aabdd2921b63")])
+def test_spaces_of_over_100_000_lines(past_the_cap, family, fingerprint):
+    """O(7,5) and Sp(6,5), 101,556 lines each, built one at a time with room to spare."""
+    space = past_the_cap(family, 5, 120_000)
+    assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == (3906, 101556, 19656)
+    assert space.fingerprint == fingerprint
+    assert empirical_valencies(space) == (1, 180, 750, 22500, 78125)
+    assert verify_scheme(space, tables_for_space(space), k=2)["ok"]
 
 
-def test_the_hexagon_past_the_default_line_cap():
+def test_the_hexagon_past_the_default_line_cap(past_the_cap):
     """The split Cayley hexagon of Sp(6,4) is V20-regular; regular_set_check runs both routes."""
-    space = _past_the_cap("Sp6", 4)
+    space = past_the_cap("Sp6", 4, 30_000)
     y = hexagon_lines(space)
     assert len(y) == 1365
     rep = regular_set_check(space, tables_for_space(space), y)
@@ -269,9 +278,9 @@ def test_the_hexagon_past_the_default_line_cap():
         ("O8minus", 3, (1066, 29848, 22960), "51a60a715ad5be78", (1, 120, 324, 9720, 19683)),
     ],
 )
-def test_spaces_past_the_default_line_cap(family, q, counts, fingerprint, valencies):
+def test_spaces_past_the_default_line_cap(past_the_cap, family, q, counts, fingerprint, valencies):
     """Sp(6,4) and O-(8,3) have more lines than the default cap admits, so they are built past it."""
-    space = _past_the_cap(family, q)
+    space = past_the_cap(family, q, 30_000)
     assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == counts
     assert space.fingerprint == fingerprint
     assert empirical_valencies(space) == valencies
@@ -762,6 +771,29 @@ def test_build_matches_the_perp_route_discovery(family, q):
     line_bases, plane_bases = _reference_bases(space.form)
     assert space.line_basis == line_bases
     assert space.plane_basis == plane_bases
+
+
+def _dense_echelon_bases(form):
+    """The line and plane bases by the dense route that build_space's kernel replaced.
+
+    follows is read off the points x points matrix of B, and the third points
+    of the lines off one bool per (line, point), the AND of their two rows.
+    """
+    pts = _space_points(form)
+    lead = (pts != 0).argmax(axis=1)
+    follows = (form_values(form, pts, pts) == 0) & (lead[:, None] < lead) & (pts[:, lead] == 0)
+    a, b = np.nonzero(follows)
+    line, c = np.nonzero(follows[a] & follows[b])
+    return np.stack((pts[a], pts[b]), axis=1), np.stack((pts[a[line]], pts[b[line]], pts[c]), axis=1)
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS) + [("O8minus", 3), ("Sp6", 4)])
+def test_build_matches_the_dense_echelon_route(family, q):
+    """The bases of the echelon pairs' B and the bit-packed AND, against the dense route."""
+    space = build_space(family, q, max_lines=30_000)
+    line_bases, plane_bases = _dense_echelon_bases(space.form)
+    assert np.array_equal(space.line_basis_arr, line_bases)
+    assert np.array_equal(space.plane_basis_arr, plane_bases)
 
 
 # -- the labels sidecar -----------------------------------------------------------
