@@ -86,10 +86,13 @@ def _get_space(args):
 
 
 def _parse_e(text):
-    e = Fraction(text)
-    e2 = e * 2
+    bad = CommandError(f"e must be one of 0, 1/2, 1, 3/2, 2, got {text!r}")
+    try:
+        e2 = Fraction(text) * 2
+    except ZeroDivisionError:  # 1/0 and 0/0
+        raise bad from None
     if e2.denominator != 1 or e2 < 0 or e2 > 4:
-        raise CommandError(f"e must be one of 0, 1/2, 1, 3/2, 2, got {text!r}")
+        raise bad
     return int(e2)
 
 

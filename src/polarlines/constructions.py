@@ -77,7 +77,9 @@ def point_pencil(space, point_index, mode="through"):
         return _checked(space, lines, f"pencil[{point_index}]", "point pencil", a=a)
     if mode != "perp_avoiding":
         raise ValueError("mode must be 'through' or 'perp_avoiding'")
-    avoiding = space.perp_points[point_index].copy()
+    # the points of p^perp other than p: the points on the lines through p
+    avoiding = np.zeros(len(space.pts_arr), dtype=bool)
+    avoiding[space.line_points_arr[space.point_lines_arr[point_index]]] = True
     avoiding[point_index] = False
     keep = space.lines_inside(avoiding)
     a = (1, q * q - 1, s * q * (q + 1), (q * q - 1) * s * q, s * s * q**3)
@@ -306,8 +308,9 @@ def elliptic_ovoid(space, fixed_duals=()):
         pts = np.nonzero(mask)[0]
         if len(pts) != q * q + 1:
             continue
-        sub = space.perp_points[np.ix_(pts, pts)]
-        if (sub & ~np.eye(len(pts), dtype=bool)).any():
+        # pairwise non-collinear points have pairwise disjoint pencils
+        pencils = space.point_lines_arr[pts].ravel()
+        if len(np.unique(pencils)) != len(pencils):
             continue
         if not fixed_duals and (mask[space.plane_points_arr].sum(axis=1) != 1).any():
             raise GeometryError("elliptic section is not one point per plane")

@@ -32,7 +32,7 @@ def _space_header(space):
     return {"family": space.family, "p": space.field.p, "h": space.field.h}
 
 
-def write_lineset(space, y, path, with_bases=False):
+def write_lineset(space, y, path):
     doc = {
         "version": LINESET_VERSION,
         "space": _space_header(space),
@@ -40,8 +40,6 @@ def write_lineset(space, y, path, with_bases=False):
         "name": y.name if isinstance(y, LineSet) else "",
         "lines": list(y.indices if isinstance(y, LineSet) else sorted(y)),
     }
-    if with_bases:
-        doc["bases"] = space.line_basis_arr[doc["lines"]].tolist()
     with open(str(path), "w") as fh:
         json.dump(doc, fh)
 

@@ -8,7 +8,10 @@ Field.axpy, each one read of a flat table at a uint16 index.
 
 The reduction polynomials are hardcoded (Conway polynomials), so element
 encodings, canonical forms and all derived indices are reproducible across
-runs and machines.
+runs and machines.  Conway polynomials are primitive: the q - 1 powers of x
+are the nonzero elements.  So addition is digitwise mod p, and multiplication,
+inverses, conjugation and powers are read off one walk over the powers of x,
+as sums of discrete logarithms.
 """
 
 from __future__ import annotations
@@ -54,39 +57,6 @@ def is_prime(n):
     return True
 
 
-def _digits(k, p, h):
-    out = []
-    for _ in range(h):
-        out.append(k % p)
-        k //= p
-    return out
-
-
-def _undigits(ds, p):
-    k = 0
-    for c in reversed(ds):
-        k = k * p + c
-    return k
-
-
-def _poly_mul_mod(a, b, red, p):
-    """Multiply coefficient lists a*b and reduce modulo the monic poly red."""
-    h = len(red) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, h - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(h + 1):
-                prod[i - h + j] = (prod[i - h + j] - c * red[j]) % p
-    prod = prod[:h] + [0] * max(0, h - len(prod))
-    return prod[:h]
-
-
 class Field:
     """GF(q) with table-driven arithmetic and optional conjugation x -> x^r."""
 
@@ -103,47 +73,39 @@ class Field:
         # conjugation of order 2 exists iff h is even: x -> x^(p^(h/2))
         self.r = p ** (h // 2) if h % 2 == 0 else None
 
-        red = list(self.poly)
-        add = np.zeros((q, q), dtype=np.uint8)
-        mul = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            da = _digits(a, p, h)
-            for b in range(a, q):
-                db = _digits(b, p, h)
-                s = _undigits([(x + y) % p for x, y in zip(da, db)], p)
-                m = _undigits(_poly_mul_mod(da, db, red, p), p)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        self.ADD = add
-        self.MUL = mul
-        neg = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg[a] = _undigits([(-c) % p for c in _digits(a, p, h)], p)
-        self.NEG = neg
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self.INV = inv
+        # base-p digits of every code, least significant first: a q x h array
+        weights = p ** np.arange(h)
+        digits = np.arange(q)[:, None] // weights % p
+        self.ADD = ((digits[:, None] + digits) % p @ weights).astype(np.uint8)
+        self.NEG = (-digits % p @ weights).astype(np.uint8)
+        # x times each code: its digits shifted up, less its top digit times the
+        # monic polynomial.  For h = 1 the polynomial is x - g, so x is g.
+        shifted = digits[np.arange(q) * p % q]  # a p mod q: a's digits moved up, the top one dropped
+        times_x = ((shifted - digits[:, -1:] * self.poly[:h]) % p @ weights).tolist()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_x[exp[-1]])
+        if sorted(exp) != list(range(1, q)):
+            raise ValueError(f"unsupported field: the polynomial {self.poly} is not primitive")
+        # x^k at _exp[k] for k < q - 1, and k at _log[x^k]; _log[0] is unused
+        self._exp = np.array(exp, dtype=np.uint8)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._exp] = np.arange(q - 1)
+        logs = self._log[1:]
+        self.MUL = mul = np.zeros((q, q), dtype=np.uint8)
+        mul[1:, 1:] = self._exp[(logs[:, None] + logs) % (q - 1)]
+        self.INV = np.zeros(q, dtype=np.uint8)
+        self.INV[1:] = self._exp[-logs % (q - 1)]
+        self.CONJ = None
         if self.r is not None:
-            # x -> x^(p^(h/2)): apply the Frobenius x -> x^p h/2 times
-            frob = np.zeros(q, dtype=np.uint8)
-            for a in range(q):
-                acc = a
-                for _ in range(p - 1):
-                    acc = int(mul[acc, a])
-                frob[a] = acc
-            conj = np.arange(q, dtype=np.uint8)
-            for _ in range(h // 2):
-                conj = frob[conj]
-            self.CONJ = conj
-        else:
-            self.CONJ = None
+            # x -> x^r multiplies a logarithm by r
+            self.CONJ = np.zeros(q, dtype=np.uint8)
+            self.CONJ[1:] = self._exp[logs * self.r % (q - 1)]
         # the kernels' flat tables: a*b at a q + b, and a + c b at (a q + c) q + b,
         # an index below q^3 <= 32,768, so uint16 holds it
         self._q16 = np.uint16(q)
         self._times = mul.ravel()
-        self._axpy = add[:, mul].ravel()
+        self._axpy = self.ADD[:, mul].ravel()
 
     # array kernels: uint8 arrays or ints in, broadcast together; uint8 out.  Each
     # operand is cast to uint16 first, so no NumPy casting rule can compute the
@@ -183,13 +145,10 @@ class Field:
         return int(self.CONJ[a])
 
     def pow(self, a, k):
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        """a^k for k >= 0, with 0^0 = 1."""
+        if a == 0:
+            return int(k == 0)
+        return int(self._exp[self._log[a] * k % (self.q - 1)])
 
     def scale(self, c, v):
         return tuple(int(self.MUL[c, x]) for x in v)

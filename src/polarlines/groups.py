@@ -17,14 +17,8 @@ from .spaces import _table_matmul, _vector_indices
 
 
 def _primitive_element(field):
-    """The least generator of the multiplicative group of the field."""
-    for a in range(2, field.q):
-        x, order = a, 1
-        while x != 1:
-            x, order = field.mul(x, a), order + 1
-        if order == field.q - 1:
-            return a
-    return 1  # GF(2)
+    """The least generator of GF(q)*: the least a >= 2 with log a prime to q - 1; 1 in GF(2)."""
+    return next((a for a in range(2, field.q) if np.gcd(field._log[a], field.q - 1) == 1), 1)
 
 
 def _coordinate_permutation(images):

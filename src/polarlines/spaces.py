@@ -357,8 +357,9 @@ class PolarSpace:
         order of their bytes, as build_space writes them; otherwise this raises
         ValueError.  Every line's and every plane's point set comes from one
         bulk span pass over its bases.  Two distinct points are perpendicular
-        exactly when a line joins them, so perp_points is read off the lines.
-        The relation table, labels, is built from them on first use.
+        exactly when a line joins them, and a line's perp holds exactly the
+        points of the planes on it, so no points x points array is kept.
+        The relation table, labels, is built from the incidence on first use.
         """
         self.form = form
         self.family = form.family
@@ -394,9 +395,8 @@ class PolarSpace:
         self.n_lines = len(line_bases)
         q, s = self.q, self.qe
         pair = _pair_lines(len(self.pts_arr), self.line_points_arr)
-        self.perp_points = pair >= 0
-        np.fill_diagonal(self.perp_points, True)
         self.plane_lines_arr = _plane_lines(self.field, pair, spans[1])
+        del pair  # points x points int32: free it before the transposes
         self.point_lines_arr = _transpose(
             self.line_points_arr, len(self.pts_arr), (q + 1) * (s * q + 1), "lines through a point"
         )
@@ -415,8 +415,9 @@ class PolarSpace:
         """n x n uint8 relation table, one exact gather-sum per row block.
 
         W^T is the points x lines table whose entry (p, M) is [p in M^perp] +
-        (q+2) [p in M].  Row L of the table's code matrix is the sum of the
-        q+1 rows of W^T at L's points, so entry (L, M) is t + (q+2) s, where
+        (q+2) [p in M]; the points of M^perp are those of the planes on M.
+        Row L of the table's code matrix is the sum of the q+1 rows of W^T at
+        L's points, so entry (L, M) is t + (q+2) s, where
         s = |L cap M| and t = |L cap M^perp| count points.  Both are at most
         q+1, so the entry fixes (s, t), and it is at most (q+1)(q+3) <= 254:
         the sums are exact in uint8.  The five legal codes rise as 0 < 1 <
@@ -428,9 +429,10 @@ class PolarSpace:
         if (q + 1) * (q + 3) > 254:
             raise GeometryError(f"q={q} is too large for the uint8 relation decode")
         upper = [t + (q + 2) * s for s, t in ((0, 1), (1, 1), (1, q + 1), (q + 1, q + 1))]
-        lines, perp = self.line_points_arr, self.perp_points
-        WT = np.ascontiguousarray((perp[lines[:, 0]] & perp[lines[:, 1]]).T, dtype=np.uint8)
-        WT[lines, np.arange(n)[:, None]] += q + 2
+        lines, at_line = self.line_points_arr, np.arange(n)[:, None]
+        WT = np.zeros((len(self.pts_arr), n), dtype=np.uint8)
+        WT[self.plane_points_arr[self.line_planes_arr].reshape(n, -1), at_line] = 1
+        WT[lines, at_line] += q + 2
         labels = np.empty((n, n), dtype=np.uint8)
         # a block of codes is decoded while it is still in cache
         block = max(1, 2**18 // max(n, 1))

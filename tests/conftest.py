@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from polarlines.spaces import build_space, load_space, save_space
+from polarlines.spaces import build_space, form_values, load_space, save_space
 from polarlines.schemetables import tables_for_space
 
 _CACHE_ENV = "POLARLINES_TEST_CACHE"
@@ -98,3 +98,12 @@ def u64(spaces):
 
 def tables_of(space):
     return tables_for_space(space)
+
+
+def form_perp(space):
+    """points x points bool: the pairs of points on which the form B vanishes.
+
+    The tests' oracle of perpendicularity, from the form alone and not from
+    the incidence.  Every point is singular, so the diagonal is True.
+    """
+    return form_values(space.form, space.pts_arr, space.pts_arr) == 0

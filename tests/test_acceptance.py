@@ -33,6 +33,7 @@ from polarlines.search import (
 )
 from polarlines.spaces import form_values, q_to_e_power
 
+from conftest import form_perp
 from test_analysis import (
     aq_gq,
     aq_one_system,
@@ -359,14 +360,14 @@ def _all_ovoids(space):
     """Every elliptic 4-space ovoid, by scanning functional pairs."""
     duals = con.ambient_projective_points(space)
     masks = form_values(space.form, space.pts_arr, duals) == 0
-    q = space.q
+    q, perp = space.q, form_perp(space)
     out = set()
     for i, j in itertools.combinations(range(len(duals)), 2):
         mask = masks[:, i] & masks[:, j]
         pts = np.nonzero(mask)[0]
         if len(pts) != q * q + 1:
             continue
-        sub = space.perp_points[np.ix_(pts, pts)]
+        sub = perp[np.ix_(pts, pts)]
         if (sub & ~np.eye(len(pts), dtype=bool)).any():
             continue
         out.add(tuple(int(p) for p in pts))

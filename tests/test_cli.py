@@ -148,9 +148,10 @@ def test_lineset_bases_resolution(tmp_path, o6plus2):
 
     y = plane_lines(o6plus2, 0)
     path = tmp_path / "plane.json"
-    write_lineset(o6plus2, y, path, with_bases=True)
+    write_lineset(o6plus2, y, path)
     doc = json.loads(path.read_text())
-    del doc["lines"]  # force resolution through the canonical bases
+    # no lines, only the bases: force resolution through the canonical bases
+    doc["bases"] = o6plus2.line_basis_arr[doc.pop("lines")].tolist()
     path.write_text(json.dumps(doc))
     again = parse_lineset_file(path, o6plus2)
     assert again.indices == y.indices
@@ -267,6 +268,22 @@ def test_a_tag_with_more_than_one_r_is_a_json_error(capsys, argv, given):
     assert code == 1
     doc = json.loads(out)
     assert set(doc) == {"error"} and repr(given) in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scheme", "tables", "--q", "2", "--e", "1/0"],
+        ["lp", "bound", "--q", "2", "--e", "0/0", "--forbid", "R11"],
+    ],
+    ids=["scheme", "lp"],
+)
+def test_an_e_with_a_zero_denominator_is_a_json_error(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert set(doc) == {"error"} and doc["error"].startswith("e must be one of 0, 1/2, 1, 3/2, 2")
 
 
 @pytest.mark.parametrize("size", ["-7", "106"])

@@ -5,6 +5,7 @@ import pytest
 
 from polarlines import gf
 from polarlines.gf import MAX_Q, _CONWAY, field_make, field_for_order, is_prime
+from polarlines.groups import _primitive_element
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
 
@@ -35,6 +36,126 @@ def test_multiplication_is_a_group(q):
     full = set(range(q))
     for a in range(1, q):
         assert set(int(x) for x in f.MUL[a]) == full
+
+
+# -- the schoolbook construction: the oracle of the tables read off the powers of x
+
+
+def _digits(k, p, h):
+    out = []
+    for _ in range(h):
+        out.append(k % p)
+        k //= p
+    return out
+
+
+def _undigits(ds, p):
+    k = 0
+    for c in reversed(ds):
+        k = k * p + c
+    return k
+
+
+def _poly_mul_mod(a, b, red, p):
+    """Multiply coefficient lists a*b and reduce modulo the monic poly red."""
+    h = len(red) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, h - 1, -1):
+        c = prod[i]
+        for j in range(h + 1):
+            prod[i - h + j] = (prod[i - h + j] - c * red[j]) % p
+    return prod[:h]
+
+
+def _schoolbook_tables(p, h):
+    """ADD, MUL, NEG, INV and CONJ from digits and polynomial products mod the Conway polynomial.
+
+    INV is found by searching each row of MUL for 1, and CONJ by iterating the
+    Frobenius map a -> a^p h/2 times (None for odd h).
+    """
+    q, red = p**h, list(_CONWAY[(p, h)])
+    add = np.zeros((q, q), dtype=np.uint8)
+    mul = np.zeros((q, q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(q):
+            da, db = _digits(a, p, h), _digits(b, p, h)
+            add[a, b] = _undigits([(x + y) % p for x, y in zip(da, db)], p)
+            mul[a, b] = _undigits(_poly_mul_mod(da, db, red, p), p)
+    neg = np.array([_undigits([-c % p for c in _digits(a, p, h)], p) for a in range(q)], np.uint8)
+    inv = np.zeros(q, dtype=np.uint8)
+    for a in range(1, q):
+        inv[a] = [b for b in range(q) if mul[a, b] == 1][0]
+    conj = None
+    if h % 2 == 0:
+        frob = np.zeros(q, dtype=np.uint8)
+        for a in range(q):
+            acc = a
+            for _ in range(p - 1):
+                acc = mul[acc, a]
+            frob[a] = acc
+        conj = np.arange(q, dtype=np.uint8)
+        for _ in range(h // 2):
+            conj = frob[conj]
+    return add, mul, neg, inv, conj
+
+
+def _square_and_multiply(mul, a, k):
+    out, base = 1, a
+    while k:
+        if k & 1:
+            out = int(mul[out, base])
+        base = int(mul[base, base])
+        k >>= 1
+    return out
+
+
+def _order(mul, a):
+    x, order = a, 1
+    while x != 1:
+        x, order = int(mul[x, a]), order + 1
+    return order
+
+
+@pytest.mark.parametrize("p,h", sorted(_CONWAY))
+def test_tables_match_the_schoolbook_construction(p, h):
+    """All seven tables byte for byte, dtype included; powers; the primitive element."""
+    f = field_make(p, h)
+    q = f.q
+    add, mul, neg, inv, conj = _schoolbook_tables(p, h)
+    want = {
+        "ADD": add,
+        "MUL": mul,
+        "NEG": neg,
+        "INV": inv,
+        "CONJ": conj,
+        "_times": mul.ravel(),
+        "_axpy": add[:, mul].ravel(),
+    }
+    for name, table in want.items():
+        got = getattr(f, name)
+        if table is None:
+            assert got is None, name
+        else:
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                table.dtype,
+                table.shape,
+                table.tobytes(),
+            ), name
+    for a in range(q):
+        for k in range(2 * q + 1):
+            assert f.pow(a, k) == _square_and_multiply(mul, a, k), (a, k)
+    generators = [a for a in range(2, q) if _order(mul, a) == q - 1]
+    assert _primitive_element(f) == (generators[0] if generators else 1)
+
+
+def test_a_polynomial_that_is_not_primitive_is_refused(monkeypatch):
+    # x^2 + 1 is irreducible over GF(3), but x^4 = 1, so the powers of x miss half of GF(9)*
+    monkeypatch.setitem(_CONWAY, (3, 2), (1, 0, 1))
+    with pytest.raises(ValueError, match="not primitive"):
+        gf.Field(3, 2)
 
 
 def test_gf4_generator_cubes_to_one():

@@ -33,6 +33,7 @@ from polarlines.spaces import (
     save_space,
 )
 
+from conftest import form_perp
 from test_linalg import intersection, nullspace, span_vectors
 
 
@@ -535,7 +536,7 @@ def test_reload_gives_the_built_incidence(tmp_path, spaces, family, q):
     again = load_space(path)
     assert again.line_points == space.line_points
     assert np.array_equal(again.plane_points_arr, space.plane_points_arr)
-    assert np.array_equal(again.perp_points, space.perp_points)
+    assert np.array_equal(_collinear(again), form_perp(space))
     # build and load share one constructor, so equal incidence shows that the
     # cache keeps every basis in its order
     assert again.point_lines == space.point_lines
@@ -646,7 +647,7 @@ def _reference_bases(form):
 def test_span_points_match_the_perp_route(spaces, family, q):
     """Span-derived point sets, against the perp matrix read from their first points."""
     space = spaces.get(family, q)
-    perp = space.perp_points
+    perp = form_perp(space)
     for pts in space.line_points:
         assert _line_points(perp, *pts[:2]) == pts
     for pts in map(tuple, space.plane_points_arr.tolist()):
@@ -656,12 +657,19 @@ def test_span_points_match_the_perp_route(spaces, family, q):
         assert _plane_points(perp, a, b, x) == pts
 
 
+def _collinear(space):
+    """points x points bool, read off the incidence: a line joins the pair, or it is one point."""
+    collinear = np.eye(len(space.pts_arr), dtype=bool)
+    lines = space.line_points_arr
+    collinear[lines[:, :, None], lines[:, None, :]] = True
+    return collinear
+
+
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
 def test_perp_from_the_lines_matches_the_form(spaces, family, q):
-    """perp_points, read off the lines, against the form on every pair of points."""
+    """Collinearity, read off the lines, against the form on every pair of points."""
     space = spaces.get(family, q)
-    values = form_values(space.form, space.pts_arr, space.pts_arr)
-    assert np.array_equal(space.perp_points, values == 0)
+    assert np.array_equal(_collinear(space), form_perp(space))
 
 
 def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
@@ -915,7 +923,7 @@ def _reference_label_table(space):
     decode = np.full(256, 255, dtype=np.uint8)
     for rel, (s, t) in enumerate(((q + 1, q + 1), (1, q + 1), (1, 1), (0, 1), (0, 0))):
         decode[t + (q + 2) * s] = rel
-    lines, perp = space.line_points_arr, space.perp_points
+    lines, perp = space.line_points_arr, form_perp(space)
     N = np.zeros((n, len(space.points)), dtype=np.float32)
     N[np.arange(n)[:, None], lines] = 1
     W = (perp[lines[:, 0]] & perp[lines[:, 1]]) + (q + 2) * N
@@ -936,17 +944,23 @@ def test_label_table_matches_the_float_product(spaces, family, q):
 
 
 def _made_up_space(q, extra_perp, n_lines=2):
-    """n_lines point-disjoint lines {0, 1, 2}, {3, 4, 5}, ..., each perpendicular to itself only.
+    """n_lines point-disjoint lines {0, 1, 2}, {3, 4, 5}, ..., each on one plane of its own points.
 
-    extra_perp adds (point, point) entries to the perp matrix, which need not
-    stay symmetric.
+    extra_perp corrupts that plane incidence: each (line, point) adds the point
+    to the line's plane, so to the line's perp, which need not stay symmetric.
     """
     space = PolarSpace.__new__(PolarSpace)
-    space.q, space.n_lines, space.points = q, n_lines, range(3 * n_lines)
+    space.q, space.n_lines = q, n_lines
+    space.pts_arr = np.zeros((3 * n_lines, 0), dtype=np.uint8)
     space.line_points_arr = np.arange(3 * n_lines).reshape(n_lines, 3)
-    space.perp_points = np.kron(np.eye(n_lines, dtype=bool), np.ones((3, 3), dtype=bool))
-    for a, b in extra_perp:
-        space.perp_points[a, b] = True
+    planes = [
+        pts + [p for line, p in extra_perp if line == k]
+        for k, pts in enumerate(space.line_points_arr.tolist())
+    ]
+    width = max(map(len, planes))
+    # rows padded with their first point, which the perp holds anyway
+    space.plane_points_arr = np.array([pts + pts[:1] * (width - len(pts)) for pts in planes])
+    space.line_planes_arr = np.arange(n_lines)[:, None]
     return space
 
 
@@ -954,17 +968,17 @@ def test_label_table_decode_rejects_what_no_space_gives():
     assert _made_up_space(2, [])._label_table().tolist() == [[0, 4], [4, 0]]
     # line 0's perp meets line 1 in one point, not conversely: R20 one way, R21 back
     with pytest.raises(GeometryError, match="not symmetric"):
-        _made_up_space(2, [(0, 3), (1, 3)])._label_table()
+        _made_up_space(2, [(0, 3)])._label_table()
     # two points of line 0 in line 1's perp: no relation has s = 0, t = 2
     with pytest.raises(GeometryError, match="lines 0,1: s-count=0, t-count=2"):
-        _made_up_space(2, [(3, 0), (4, 0), (3, 1), (4, 1)])._label_table()
+        _made_up_space(2, [(1, 0), (1, 1)])._label_table()
     # with 600 lines, row 599 lies in the last, partial row block of 2^18
     # entries, and the pair of lines 599 and 0 in an off-diagonal 256 x 256 tile
     assert np.array_equal(_made_up_space(2, [], 600)._label_table(), 4 - 4 * np.eye(600))
     with pytest.raises(GeometryError, match="not symmetric"):
-        _made_up_space(2, [(0, 1797), (1, 1797)], 600)._label_table()
+        _made_up_space(2, [(0, 1797)], 600)._label_table()
     with pytest.raises(GeometryError, match="lines 599,0: s-count=0, t-count=2"):
-        _made_up_space(2, [(0, 1797), (1, 1797), (0, 1798), (1, 1798)], 600)._label_table()
+        _made_up_space(2, [(0, 1797), (0, 1798)], 600)._label_table()
     # (q+1)(q+3) = 323 does not fit the uint8 decode
     with pytest.raises(GeometryError, match="too large"):
         _made_up_space(16, [])._label_table()
