@@ -56,11 +56,6 @@ def _as_indices(space, y):
     return idx
 
 
-def complement(space, y):
-    idx = set(_as_indices(space, y))
-    return make_lineset(space, [i for i in range(space.n_lines) if i not in idx])
-
-
 def inner_distribution(space, y):
     """The 5-vector a with a_i = (ordered pairs of Y in relation i) / |Y|."""
     idx = _as_indices(space, y)

@@ -33,12 +33,16 @@ def _space_header(space):
 
 
 def write_lineset(space, y, path):
+    """Write a line-set file; a set of another space or an index out of range raises ValueError.
+
+    The indices are checked, deduplicated and made ints before the file is opened.
+    """
     doc = {
         "version": LINESET_VERSION,
         "space": _space_header(space),
         "fingerprint": space.fingerprint,
         "name": y.name if isinstance(y, LineSet) else "",
-        "lines": list(y.indices if isinstance(y, LineSet) else sorted(y)),
+        "lines": _as_indices(space, y),
     }
     with open(str(path), "w") as fh:
         json.dump(doc, fh)

@@ -276,40 +276,29 @@ def _span_points(field, points, bases):
     return pos
 
 
-def _check_increasing(bases):
-    """Raise ValueError unless the rows' bytes strictly increase.
+def _keys(q, n_points, point_sets):
+    """Each line's or plane's key: the int64 code, base n_points, of the points of its RREF rows.
 
-    Each pair of neighbours is compared at its first differing byte; equal
-    neighbours have none, and fail too.
+    point_sets holds their ascending point indices.  For an RREF basis B,
+    c -> cB keeps the lexicographic order of the normalized vectors c, and the
+    points are in that order, so B's rows are a line's points 1 and 0 and a
+    plane's points q+1, 1 and 0, and keys compare as the bases' bytes do.
     """
-    flat = bases.reshape(len(bases), -1)
-    a, b = flat[:-1], flat[1:]
-    first = (a != b).argmax(axis=1)[:, None]
-    if not (np.take_along_axis(a, first, 1) < np.take_along_axis(b, first, 1)).all():
-        raise ValueError("line or plane bases are not in strictly increasing order")
+    rows = [1, 0] if point_sets.shape[1] == q + 1 else [q + 1, 1, 0]
+    return _codes(n_points, point_sets[:, rows].T)
 
 
-def _pair_lines(n_points, line_points):
-    """points x points int32 array: the line through each collinear pair, else -1.
-
-    The diagonal is -1 too, since a point alone names no line.
-    """
-    lines = np.asarray(line_points)
-    pair = np.full((n_points, n_points), -1, dtype=np.int32)
-    index = np.arange(len(lines), dtype=np.int32)
-    pair[lines[:, :, None], lines[:, None, :]] = index[:, None, None]
-    np.fill_diagonal(pair, -1)
-    return pair
-
-
-def _plane_lines(field, pair, plane_pos):
+def _plane_lines(field, n_points, line_points, plane_pos):
     """Each plane's ascending line indices, from its span points in coefficient order.
 
     The lines of PG(2,q) are fixed in coefficient space: each is {c : u.c = 0}
-    for a dual point u, and its first two coefficient points name it.  So a
-    plane's theta lines are the lines through those pairs of its points.
-    Raises GeometryError if a pair is on no line or two pairs are on one.
+    for a dual point u, and its first two coefficient points name it; they
+    map to the line's two least points (see _keys), the only pair at which a
+    points x points table holds it.  Raises GeometryError if a pair is on no
+    line or two pairs are on one.
     """
+    pair = np.full((n_points, n_points), -1, dtype=np.int32)
+    pair[line_points[:, 0], line_points[:, 1]] = np.arange(len(line_points), dtype=np.int32)
     coeffs = _projective_points(field, 3)
     on = _table_matmul(field, coeffs, coeffs.T) == 0
     two = np.nonzero(on)[1].reshape(len(coeffs), field.q + 1)[:, :2]
@@ -356,9 +345,11 @@ class PolarSpace:
         bases must be RREF, totally isotropic and strictly increasing in the
         order of their bytes, as build_space writes them; otherwise this raises
         ValueError.  Every line's and every plane's point set comes from one
-        bulk span pass over its bases.  Two distinct points are perpendicular
-        exactly when a line joins them, and a line's perp holds exactly the
-        points of the planes on it, so no points x points array is kept.
+        bulk span pass over its bases, whose sorted point set gives its key
+        (_keys) for the order check, _plane_lines and basis_indices.  Two
+        distinct points are perpendicular exactly when a line joins them, and
+        a line's perp holds exactly the points of the planes on it, so no
+        points x points array is kept.
         The relation table, labels, is built from the incidence on first use.
         """
         self.form = form
@@ -377,10 +368,12 @@ class PolarSpace:
         if got != want:
             raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
 
-        spans = []
-        for bases in (line_bases, plane_bases):
-            _check_increasing(bases)
-            spans.append(_span_points(self.field, self.pts_arr, bases))
+        n, q, s = len(self.pts_arr), self.q, self.qe
+        spans = [_span_points(self.field, self.pts_arr, b) for b in (line_bases, plane_bases)]
+        self.line_points_arr, self.plane_points_arr = (np.sort(pos, axis=1) for pos in spans)
+        for point_sets in (self.line_points_arr, self.plane_points_arr):
+            if not (np.diff(_keys(q, n, point_sets)) > 0).all():
+                raise ValueError("line or plane bases are not in strictly increasing order")
         # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof:
         # B must vanish on the basis pair of each line and the three of each plane
         L, P = line_bases, plane_bases
@@ -388,17 +381,13 @@ class PolarSpace:
         Y = np.concatenate([L[:, 1], P[:, 1], P[:, 2], P[:, 2]])
         if form._bilinear_rows(X, Y).any():
             raise ValueError("a line or plane basis spans no totally isotropic subspace")
-        self.line_points_arr, self.plane_points_arr = (np.sort(pos, axis=1) for pos in spans)
 
         # the validated uint8 bases
         self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases
         self.n_lines = len(line_bases)
-        q, s = self.q, self.qe
-        pair = _pair_lines(len(self.pts_arr), self.line_points_arr)
-        self.plane_lines_arr = _plane_lines(self.field, pair, spans[1])
-        del pair  # points x points int32: free it before the transposes
+        self.plane_lines_arr = _plane_lines(self.field, n, self.line_points_arr, spans[1])
         self.point_lines_arr = _transpose(
-            self.line_points_arr, len(self.pts_arr), (q + 1) * (s * q + 1), "lines through a point"
+            self.line_points_arr, n, (q + 1) * (s * q + 1), "lines through a point"
         )
         self.line_planes_arr = _transpose(
             self.plane_lines_arr, self.n_lines, s + 1, "planes through a line"
@@ -515,17 +504,16 @@ class PolarSpace:
         basis is found exactly when it spans a line or a plane.
         Each row of a totally isotropic basis is a point, and the point indices
         of a basis's rows combine into one int64 code, base the point count.
-        The points are in lexicographic order, so the codes of the canonical
-        bases ascend, and each given code is searched among them.
+        Only the given rows are looked up: each code is searched among the
+        keys, which ascend.
         """
         bases = np.asarray(bases, dtype=np.uint8)
-        known = {2: self.line_basis_arr, 3: self.plane_basis_arr}[bases.shape[1]]
-        weights = len(self.pts_arr) ** np.arange(known.shape[1] - 1, -1, -1, dtype=np.int64)
-        # the given and the canonical bases share one lookup table
-        rows = self.point_indices(np.concatenate([bases, known]))
-        codes, known_codes = np.split(rows @ weights, [len(bases)])
-        pos = np.searchsorted(known_codes, codes).clip(max=len(known) - 1)
-        found = (rows[: len(bases)] >= 0).all(axis=1) & (known_codes[pos] == codes)
+        n = len(self.pts_arr)
+        known = _keys(self.q, n, {2: self.line_points_arr, 3: self.plane_points_arr}[bases.shape[1]])
+        rows = self.point_indices(bases)
+        codes = _codes(n, rows.T)
+        pos = np.searchsorted(known, codes).clip(max=len(known) - 1)
+        found = (rows >= 0).all(axis=1) & (known[pos] == codes)
         return np.where(found, pos, -1)
 
     # -- queries ---------------------------------------------------------------

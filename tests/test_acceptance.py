@@ -14,7 +14,6 @@ import pytest
 
 from polarlines import constructions as con
 from polarlines.analysis import (
-    complement,
     divisibility_report,
     dual_distribution,
     eigenspace_support,

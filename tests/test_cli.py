@@ -143,6 +143,25 @@ def test_lineset_file_roundtrip(tmp_path, o6plus2):
     assert y.name == "demo"
 
 
+def test_a_numpy_lineset_round_trips(tmp_path, o6plus2):
+    path = tmp_path / "set.json"
+    write_lineset(o6plus2, np.array([3, 1, 2]), path)
+    assert json.loads(path.read_text())["lines"] == [1, 2, 3]
+    assert parse_lineset_file(path, o6plus2).indices == (1, 2, 3)
+
+
+def test_a_lineset_its_reader_would_reject_is_not_written(tmp_path, o6plus2, sp62):
+    from polarlines.analysis import make_lineset
+
+    path = tmp_path / "set.json"
+    # O+(6,2) has 105 lines
+    with pytest.raises(ValueError, match="line index out of range"):
+        write_lineset(o6plus2, [5, 5, 200], path)
+    with pytest.raises(ValueError, match="different space"):
+        write_lineset(o6plus2, make_lineset(sp62, [0, 1]), path)
+    assert not path.exists()
+
+
 def test_lineset_bases_resolution(tmp_path, o6plus2):
     from polarlines.constructions import plane_lines
 

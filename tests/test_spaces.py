@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from polarlines import spaces as spaces_module
 from polarlines.analysis import regular_set_check
 from polarlines.constructions import hexagon_lines
 from polarlines.gf import _CONWAY, field_make
@@ -21,7 +22,6 @@ from polarlines.spaces import (
     PolarSpace,
     _anisotropic_binary,
     _fingerprint,
-    _pair_lines,
     _plane_lines,
     _projective_points,
     _space_points,
@@ -559,6 +559,21 @@ def test_cache_with_a_non_isotropic_point_is_rejected(tmp_path, u64):
     path.write_text(json.dumps(encoded_cache(doc)))
     with pytest.raises(ValueError, match="space cache points are not the points of the space"):
         load_space(path)
+
+
+def _pair_lines(n_points, line_points):
+    """points x points int32 array: the line through each collinear pair, else -1.
+
+    Every ordered pair of a line's points, (q+1)^2 writes per line, with the
+    diagonal reset to -1 since a point alone names no line.  _plane_lines
+    writes each line once, at its two least points.
+    """
+    lines = np.asarray(line_points)
+    pair = np.full((n_points, n_points), -1, dtype=np.int32)
+    index = np.arange(len(lines), dtype=np.int32)
+    pair[lines[:, :, None], lines[:, None, :]] = index[:, None, None]
+    np.fill_diagonal(pair, -1)
+    return pair
 
 
 def _lines_in(pair, point_sets, per_set):
@@ -1116,9 +1131,20 @@ def test_geometric_classification_matches_the_intersections_over_extension_field
 # -- the lines of a plane from theta pair lookups ---------------------------------
 
 
-@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS) + [("O6plus", 4)])
-def test_plane_lines_match_the_theta_squared_route(spaces, family, q):
-    space = spaces.get(family, q)
+# built through past_the_cap, which keeps one space alive at a time
+PAST_THE_CAP = [("Sp6", 4), ("O8minus", 3)]
+
+
+def _space(spaces, past_the_cap, family, q):
+    """A test space from the pool, or one of PAST_THE_CAP through past_the_cap."""
+    if (family, q) in PAST_THE_CAP:
+        return past_the_cap(family, q, 30_000)
+    return spaces.get(family, q)
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS) + [("O6plus", 4)] + PAST_THE_CAP)
+def test_plane_lines_match_the_theta_squared_route(spaces, past_the_cap, family, q):
+    space = _space(spaces, past_the_cap, family, q)
     pair = _pair_lines(len(space.pts_arr), space.line_points_arr)
     assert np.array_equal(
         space.plane_lines_arr, _lines_in(pair, space.plane_points_arr, space.theta)
@@ -1127,12 +1153,58 @@ def test_plane_lines_match_the_theta_squared_route(spaces, family, q):
 
 def test_plane_lines_reject_a_pair_on_no_line_or_two_pairs_on_one(o6plus2):
     space = o6plus2
-    pair = _pair_lines(len(space.pts_arr), space.line_points_arr)
+    n, lines = len(space.pts_arr), space.line_points_arr
     plane_pos = _span_points(space.field, space.pts_arr, space.plane_basis_arr)
-    assert np.array_equal(_plane_lines(space.field, pair, plane_pos), space.plane_lines_arr)
-    for bad in (np.full_like(pair, -1), np.zeros_like(pair)):
-        with pytest.raises(GeometryError, match="lines in a plane"):
-            _plane_lines(space.field, bad, plane_pos)
+    assert np.array_equal(_plane_lines(space.field, n, lines, plane_pos), space.plane_lines_arr)
+    # no line filed: every pair is on none
+    with pytest.raises(GeometryError, match="lines in a plane"):
+        _plane_lines(space.field, n, lines[:0], plane_pos)
+    # coefficient point 5, (1,1,0), is in the first pair of one line of PG(2,2)
+    # only, {0, 5, 6}; made plane 0's point 1, it names plane 0's line {0, 1, 2} twice
+    twice = plane_pos.copy()
+    twice[0, 5] = twice[0, 1]
+    with pytest.raises(GeometryError, match="lines in a plane"):
+        _plane_lines(space.field, n, lines, twice)
+
+
+# -- one key per line and plane: the points of its RREF rows -----------------------
+
+
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS) + PAST_THE_CAP)
+def test_the_rref_rows_are_the_least_points(spaces, past_the_cap, family, q):
+    """A line's RREF rows are its points 1 and 0, and a plane's its points q+1, 1 and 0."""
+    space = _space(spaces, past_the_cap, family, q)
+    rows = space.point_indices(space.line_basis_arr)
+    assert np.array_equal(rows, space.line_points_arr[:, [1, 0]])
+    rows = space.point_indices(space.plane_basis_arr)
+    assert np.array_equal(rows, space.plane_points_arr[:, [q + 1, 1, 0]])
+    for bases in (space.line_basis_arr, space.plane_basis_arr):
+        assert np.array_equal(space.basis_indices(bases), np.arange(len(bases)))
+
+
+@pytest.mark.parametrize("which", ["lines", "planes"])
+@pytest.mark.parametrize("fault", ["dropped", "zeroed"])
+def test_the_order_check_reads_the_keys(monkeypatch, o6plus2, which, fault):
+    """Neighbouring keys are compared: one dropped leaves them increasing, one zeroed does not."""
+    space = o6plus2
+    keys, width = spaces_module._keys, {"lines": space.q + 1, "planes": space.theta}[which]
+
+    def faulty(q, n_points, point_sets):
+        k = keys(q, n_points, point_sets)
+        if point_sets.shape[1] != width:
+            return k
+        if fault == "dropped":
+            return np.delete(k, len(k) // 2)
+        k[len(k) // 2] = 0
+        return k
+
+    monkeypatch.setattr(spaces_module, "_keys", faulty)
+    args = (space.form, space.pts_arr, space.line_basis_arr, space.plane_basis_arr)
+    if fault == "dropped":
+        assert PolarSpace(*args).fingerprint == space.fingerprint
+    else:
+        with pytest.raises(ValueError, match="bases are not in strictly increasing order"):
+            PolarSpace(*args)
 
 
 def test_o6plus_q4_is_pinned(spaces):
