@@ -10,6 +10,7 @@ degrees are constant in every relation graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,10 +39,19 @@ class LineSet:
         return len(self.indices)
 
 
+def _distinct_indices(values, n, what):
+    """values as ascending distinct ints below n; a non-integral or out-of-range one raises ValueError."""
+    try:
+        idx = sorted(set(map(operator.index, values)))
+    except TypeError:
+        raise ValueError(f"{what} indices must be integers") from None
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise ValueError(f"{what} index out of range")
+    return idx
+
+
 def make_lineset(space, indices, name=""):
-    idx = tuple(sorted(set(int(i) for i in indices)))
-    if idx and (idx[0] < 0 or idx[-1] >= space.n_lines):
-        raise ValueError("line index out of range")
+    idx = tuple(_distinct_indices(indices, space.n_lines, "line"))
     return LineSet(indices=idx, fingerprint=space.fingerprint, name=name)
 
 
@@ -50,10 +60,7 @@ def _as_indices(space, y):
         if y.fingerprint != space.fingerprint:
             raise ValueError("line set belongs to a different space")
         return list(y.indices)
-    idx = sorted(set(int(i) for i in y))
-    if idx and (idx[0] < 0 or idx[-1] >= space.n_lines):
-        raise ValueError("line index out of range")
-    return idx
+    return _distinct_indices(y, space.n_lines, "line")
 
 
 def inner_distribution(space, y):
@@ -133,24 +140,23 @@ def _regular_set_check(space, tables, X):
     set's census counts its lines in relation i to the line y.  The support
     route sums it over the set to chi^T A_i chi = |Y| a_i, whose product with
     L Q, column j of Q times its least common denominator L_j, is |Y| L_j aQ
-    in exact int64.  The degree route compares n times it with the targets.
+    in exact Python ints.  The degree route compares n times it with the
+    targets in int64, whose operands are at most n times a valency.
     """
     n, P = space.n_lines, np.array(tables.P, dtype=np.int64)
     sizes = X.sum(axis=0)
     if (sizes == n).any():
         raise ValueError("regularity undefined for the full line set")
     cols, Ls = zip(*(integer_column(tables, j) for j in range(5)))
-    LQ = np.array(cols, dtype=np.int64).T
-    # the pair counts of a set are nonnegative and sum to |Y|^2 <= n^2
-    if n * n * int(abs(LQ).max()) >= 2**63:
-        raise OverflowError("line count too large for exact int64 dual distributions")
+    # Python ints, so the sets x 25 products of the dual have no ceiling
+    LQ = np.array(cols, dtype=object).T
     out = []
     block = max(1, 2**16 // n)
     for lo in range(0, X.shape[1], block):
         Y, m = X[:, lo : lo + block], sizes[lo : lo + block]
         counts = relation_products(space, Y).transpose(2, 1, 0)  # set x line x relation
         pairs = (counts * Y.T[:, :, None]).sum(axis=1)
-        dual = pairs @ LQ
+        dual = pairs.astype(object) @ LQ
         if (dual < 0).any():
             raise GeometryError("negative dual distribution entry for a genuine subset")
         # n cnt_i(y) = |Y| (P0i - Pji) + n Pji [y in Y] at every line y of a V_j-regular

@@ -97,8 +97,8 @@ def _parse_e(text):
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write of the whole text, not json.dump's one per chunk
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     # a reader that closed stdout early fails the command here, not at exit
     sys.stdout.flush()
 

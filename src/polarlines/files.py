@@ -14,6 +14,7 @@ from .analysis import (
     LineSet,
     _as_indices,
     _design_check,
+    _distinct_indices,
     _line_mask,
     _regular_set_check,
     divisibility_report,
@@ -33,7 +34,7 @@ def _space_header(space):
 
 
 def write_lineset(space, y, path):
-    """Write a line-set file; a set of another space or an index out of range raises ValueError.
+    """Write a line-set file; a set of another space or a bad index raises ValueError.
 
     The indices are checked, deduplicated and made ints before the file is opened.
     """
@@ -44,8 +45,14 @@ def write_lineset(space, y, path):
         "name": y.name if isinstance(y, LineSet) else "",
         "lines": _as_indices(space, y),
     }
+    _write_json(path, doc)
+
+
+def _write_json(path, doc):
+    # json.dumps runs the C encoder, where json.dump writes chunk by chunk in Python
+    text = json.dumps(doc)
     with open(str(path), "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def _read_object(path, what):
@@ -107,15 +114,18 @@ def parse_lineset_file(path, space):
 
 
 def write_pointset(space, points, path, name=""):
+    """Write a point-set file; a non-integral or out-of-range index raises ValueError.
+
+    The indices are checked, deduplicated and made ints before the file is opened.
+    """
     doc = {
         "version": POINTSET_VERSION,
         "space": _space_header(space),
         "fingerprint": space.fingerprint,
         "name": name,
-        "points": sorted(int(p) for p in points),
+        "points": _distinct_indices(points, len(space.pts_arr), "point"),
     }
-    with open(str(path), "w") as fh:
-        json.dump(doc, fh)
+    _write_json(path, doc)
 
 
 def parse_pointset_file(path, space):

@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import json
 import os
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class FormSpec:
                     gram[j][i] = field.add(gram[j][i], c)
         self.gram = tuple(tuple(r) for r in gram)
         self.quad = tuple(quad)
+        # the (i, j, c) terms of B(x, y), for _bilinear_rows
+        self._gram_terms = tuple((i, j, c) for i, r in enumerate(gram) for j, c in enumerate(r) if c)
 
         if len(rref(self.gram, field)[0]) != d:
             raise GeometryError(f"{family}/q={q}: bilinear form is degenerate")
@@ -165,8 +167,7 @@ class FormSpec:
         f = self.field
         if self.kind == "hermitian":
             Y = f.CONJ[Y]
-        terms = [(i, j, c) for i, row in enumerate(self.gram) for j, c in enumerate(row) if c]
-        return _quad_values(f, terms, X, Y)
+        return _quad_values(f, self._gram_terms, X, Y)
 
     def singular_rows(self, X):
         """Boolean mask of the singular rows of an n x d uint8 array.
@@ -183,6 +184,12 @@ class FormSpec:
         return self._bilinear_rows(X, X) == 0
 
 
+@lru_cache(maxsize=None)
+def _standard_form(family, q):
+    """FormSpec(family, q), built once per family and q and shared; a form is never changed."""
+    return FormSpec(family, q)
+
+
 def _projective_points(field, d):
     """All projective points of GF(q)^d, leading coordinate 1, in lex order, as a uint8 array.
 
@@ -192,6 +199,22 @@ def _projective_points(field, d):
     q = field.q
     codes = np.concatenate([np.arange(q**k, 2 * q**k) for k in range(d)])
     return (codes[:, None] // q ** np.arange(d - 1, -1, -1) % q).astype(np.uint8)
+
+
+def _read_only(arr):
+    """arr, made read-only: the tables built once per field or space are shared."""
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _coefficient_points(field, r):
+    """The points of PG(r-1,q), as _projective_points gives them, built once per field.
+
+    Only the coefficient spaces of lines and planes (r = 2, 3) are cached; the
+    ambient point list of GF(q)^d is not, since it reaches 33 MB at O(7,9).
+    """
+    return _read_only(_projective_points(field, r))
 
 
 def _table_matmul(field, A, M):
@@ -219,58 +242,82 @@ def form_values(form, X, Y):
     return _table_matmul(f, X, _table_matmul(f, gram, Y.T))
 
 
-def _codes(q, coords):
+def _codes(q, coords, dtype=np.int64):
     """The base-q code of each vector from its coordinate arrays, the first most significant.
 
-    The codes are int64, which holds q^d <= 32^8; the first coordinate is cast to it.
+    The codes are built in place in a copy of the first coordinate, cast to
+    dtype; the default int64 holds q^d <= 32^8.
     """
     coords = iter(coords)
-    return reduce(lambda code, x: code * q + x, coords, np.asarray(next(coords), np.int64))
+    code = np.array(next(coords), dtype)
+    for x in coords:
+        code *= q
+        code += x
+    return code
+
+
+def _point_table(field, vectors):
+    """A dense int32 table over all q^d codes that maps every nonzero multiple of each vector to its index.
+
+    vectors holds one vector of each of some distinct points, one per row.  So
+    a vector is looked up by its own code, as _codes makes it, with no
+    normalization; the zero vector, code 0, and a vector whose point is not
+    among the vectors read -1.
+    """
+    vectors = np.asarray(vectors, dtype=np.uint8)
+    # q^d is at most about q times the line count in every family, so the
+    # table is small next to the incidence
+    table = np.full(field.q ** vectors.shape[1], -1, dtype=np.int32)
+    index = np.arange(len(vectors), dtype=np.int32)
+    for c in range(1, field.q):
+        table[_codes(field.q, field.times(c, vectors).T)] = index
+    return table
 
 
 def _vector_indices(field, vectors, coords):
     """The index in vectors of each vector given by coords up to a nonzero scalar, else -1.
 
-    vectors holds one vector of each of some distinct points, one per row;
     coords yields the d coordinate arrays of the vectors to look up, as
-    np.moveaxis(rows, -1, 0) does.  A dense table over all q^d codes maps every
-    nonzero multiple of each of the vectors to its index, so each vector is
-    looked up by its own code with no normalization.  The zero vector, code
-    0, and a vector whose point is not among the vectors give -1.
+    np.moveaxis(rows, -1, 0) does; they are read off _point_table(field, vectors).
     """
-    vectors = np.asarray(vectors, dtype=np.uint8)
-    # q^d is at most about q times the line count in every family, so the
-    # table is tiny next to the n x n label table
-    table = np.full(field.q ** vectors.shape[1], -1, dtype=np.int32)
-    index = np.arange(len(vectors), dtype=np.int32)
-    for c in range(1, field.q):
-        table[_codes(field.q, field.times(c, vectors).T)] = index
-    return table[_codes(field.q, coords)]
+    return _point_table(field, vectors)[_codes(field.q, coords)]
 
 
-def _span_points(field, points, bases):
+@lru_cache(maxsize=None)
+def _span_entries(field, r):
+    """Row u: the entries that each coefficient vector makes of a basis column of code u.
+
+    A q^r x theta_r table, built once per field: the vectors of GF(q)^r in
+    code order times the transposed coefficient points.
+    """
+    q = field.q
+    columns = np.arange(q**r)[:, None] // q ** np.arange(r - 1, -1, -1) % q
+    return _read_only(_table_matmul(field, columns.astype(np.uint8), _coefficient_points(field, r).T))
+
+
+def _span_points(field, table, bases):
     """Point indices of the spans of many RREF bases of one dimension r, in coefficient order.
 
     The normalized coefficient vectors of GF(q)^r, in _projective_points
     order, times an RREF basis are the normalized vectors of its span, one
-    per point.  Their coordinate i is read, for all of them at once, off a
-    table over the q^r possible columns i of a basis, and is added to their
-    codes for _vector_indices.  Raises ValueError if a basis is not in RREF
-    or its span holds a vector that is not a point.
+    per point.  Their coordinate i is read, for all of them at once, off
+    _span_entries at the code of column i of a basis, and is added to their
+    codes for table, the points' _point_table.  Raises ValueError if a basis
+    is not in RREF or its span holds a vector that is not a point.
     """
     bases = np.asarray(bases, dtype=np.uint8)
     q, r = field.q, bases.shape[1]
     # the code of each column of each basis; in RREF the pivots rise, and pivot
     # column k is the unit vector e_k, of code q^(r-1-k)
-    columns = _codes(q, np.moveaxis(bases, 1, 0))
+    columns = _codes(q, bases.transpose(1, 0, 2))
     pivots = (bases != 0).argmax(axis=2)
-    units = np.take_along_axis(columns, pivots, axis=1) == q ** np.arange(r - 1, -1, -1)
-    if not ((np.diff(pivots, axis=1) > 0).all() and units.all()):
+    units = columns[np.arange(len(bases))[:, None], pivots] == q ** np.arange(r - 1, -1, -1)
+    if not ((pivots[:, 1:] > pivots[:, :-1]).all() and units.all()):
         raise ValueError("a line or plane basis is not in reduced row echelon form")
-    # row u: the entries that each coefficient vector makes of the column of code u
-    entries = np.array(list(itertools.product(range(q), repeat=r)), dtype=np.uint8)
-    combined = _table_matmul(field, entries, _projective_points(field, r).T)
-    pos = _vector_indices(field, points, (np.take(combined, u, axis=0) for u in columns.T))
+    entries = _span_entries(field, r)
+    # a code is below len(table) = q^d, which int32 holds for any table that fits in memory
+    dtype = np.int32 if len(table) <= 2**31 else np.int64
+    pos = table[_codes(q, (np.take(entries, u, axis=0) for u in columns.T), dtype)]
     if (pos < 0).any():
         raise ValueError("a line or plane basis spans a vector that is not a point of the space")
     return pos
@@ -288,21 +335,30 @@ def _keys(q, n_points, point_sets):
     return _codes(n_points, point_sets[:, rows].T)
 
 
+@lru_cache(maxsize=None)
+def _first_pairs(field):
+    """The first two coefficient points of each line of PG(2,q), in dual-point order, once per field.
+
+    A 2 x theta table: row k holds the k-th point of each line {c : u.c = 0}.
+    """
+    coeffs = _coefficient_points(field, 3)
+    on = _table_matmul(field, coeffs, coeffs.T) == 0
+    return _read_only(np.nonzero(on)[1].reshape(len(coeffs), field.q + 1)[:, :2].T.copy())
+
+
 def _plane_lines(field, n_points, line_points, plane_pos):
     """Each plane's ascending line indices, from its span points in coefficient order.
 
     The lines of PG(2,q) are fixed in coefficient space: each is {c : u.c = 0}
-    for a dual point u, and its first two coefficient points name it; they
-    map to the line's two least points (see _keys), the only pair at which a
-    points x points table holds it.  Raises GeometryError if a pair is on no
-    line or two pairs are on one.
+    for a dual point u, and its first two coefficient points (_first_pairs)
+    name it; they map to the line's two least points (see _keys), the only
+    pair at which a points x points table holds it.  Raises GeometryError if
+    a pair is on no line or two pairs are on one.
     """
     pair = np.full((n_points, n_points), -1, dtype=np.int32)
     pair[line_points[:, 0], line_points[:, 1]] = np.arange(len(line_points), dtype=np.int32)
-    coeffs = _projective_points(field, 3)
-    on = _table_matmul(field, coeffs, coeffs.T) == 0
-    two = np.nonzero(on)[1].reshape(len(coeffs), field.q + 1)[:, :2]
-    lines = np.sort(pair[plane_pos[:, two[:, 0]], plane_pos[:, two[:, 1]]], axis=1)
+    first, second = _first_pairs(field)
+    lines = np.sort(pair[plane_pos[:, first], plane_pos[:, second]], axis=1)
     if (lines[:, 0] < 0).any() or (lines[:, 1:] == lines[:, :-1]).any():
         raise GeometryError("lines in a plane is not the predicted constant")
     return lines
@@ -369,10 +425,13 @@ class PolarSpace:
             raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
 
         n, q, s = len(self.pts_arr), self.q, self.qe
-        spans = [_span_points(self.field, self.pts_arr, b) for b in (line_bases, plane_bases)]
+        # the point lookup of the spans, point_indices and basis_indices
+        self._point_table = _point_table(self.field, self.pts_arr)
+        spans = [_span_points(self.field, self._point_table, b) for b in (line_bases, plane_bases)]
         self.line_points_arr, self.plane_points_arr = (np.sort(pos, axis=1) for pos in spans)
         for point_sets in (self.line_points_arr, self.plane_points_arr):
-            if not (np.diff(_keys(q, n, point_sets)) > 0).all():
+            keys = _keys(q, n, point_sets)
+            if not (keys[1:] > keys[:-1]).all():
                 raise ValueError("line or plane bases are not in strictly increasing order")
         # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof:
         # B must vanish on the basis pair of each line and the three of each plane
@@ -491,11 +550,11 @@ class PolarSpace:
     # -- lookups -----------------------------------------------------------------
 
     def point_indices(self, vectors):
-        """The point of each vector along the last axis, by _vector_indices; -1 if none."""
+        """The point of each vector along the last axis, up to a nonzero scalar; -1 if none."""
         vectors = np.asarray(vectors, dtype=np.uint8)
         if (vectors >= self.q).any():
             raise ValueError(f"a vector has an entry outside GF({self.q})")
-        return _vector_indices(self.field, self.pts_arr, np.moveaxis(vectors, -1, 0))
+        return self._point_table[_codes(self.q, np.moveaxis(vectors, -1, 0))]
 
     def basis_indices(self, bases):
         """For each basis, the line (2 rows) or plane (3 rows) it is the RREF basis of, or -1.
@@ -599,13 +658,14 @@ def build_space(family, q, max_lines=DEFAULT_MAX_LINES):
     ANDed bit-packed.  The points are in lexicographic order, so the
     row-major order of np.nonzero is already the order of the bases' bytes.
     """
-    form = FormSpec(family, q)
+    form = _standard_form(family, q)
     n_pred = predicted_line_count(family, q)
     if n_pred > max_lines:
         raise ValueError(
             f"{family}/q={q} has {n_pred} lines, over the enumeration budget of {max_lines}"
         )
-    pts = _space_points(form)
+    # a copy, so every space's arrays are its own and writable
+    pts = _space_points(family, q).copy()
     # follows[i, j]: j may come after i in an RREF basis of points, j's leading
     # position past i's, i zero at it, and the two perpendicular
     lead = (pts != 0).argmax(axis=1)
@@ -636,10 +696,16 @@ def _common_followers(follows, a, b):
     return k[hit], 8 * byte[hit] + bit
 
 
-def _space_points(form):
-    """The points of the space: its singular normalized vectors, in lexicographic order."""
+@lru_cache(maxsize=None)
+def _space_points(family, q):
+    """The points of the space: its singular normalized vectors, in lexicographic order.
+
+    Built once per family and q and read-only, for load_space to compare a
+    cache's points with; build_space takes a copy.
+    """
+    form = _standard_form(family, q)
     candidates = _projective_points(form.field, form.d)
-    return candidates[form.singular_rows(candidates)]
+    return _read_only(candidates[form.singular_rows(candidates)])
 
 
 def _fingerprint(form, line_bases):
@@ -720,7 +786,7 @@ def load_space(path):
         raise ValueError("space cache has a malformed family or field")
     if p**h > MAX_Q:
         raise ValueError(f"unsupported field: q={p}^{h}")
-    form = FormSpec(family, p**h)
+    form = _standard_form(family, p**h)
     n_points, n_lines, n_planes = _predicted_counts(family, form.q)
     points = _cached_rows(doc, "points", form, (n_points,))
     lines = _cached_rows(doc, "lines", form, (n_lines, 2))
@@ -732,7 +798,7 @@ def load_space(path):
         counts.get(k) for k in ("points", "lines", "planes")
     ):
         raise ValueError("space cache counts mismatch; file corrupt or stale")
-    if not np.array_equal(points, _space_points(form)):
+    if not np.array_equal(points, _space_points(family, form.q)):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
     return PolarSpace(form, points, lines, planes)

@@ -455,3 +455,35 @@ def test_lineset_space_mismatch(o6plus2, sp62):
     y = make_lineset(sp62, [0, 1])
     with pytest.raises(ValueError, match="different space"):
         inner_distribution(o6plus2, y)
+
+
+def test_the_dual_distribution_has_no_int64_ceiling(monkeypatch, o6plus2, o73):
+    """a, aQ and both routes' verdicts, with each L Q column and its L scaled by 2^45.
+
+    That is past the old guard, n^2 max|LQ| < 2^63, on both spaces, and the
+    O(7,3) hexagon's |Y|^2 max|LQ| is past 2^63 too, so an int64 dual would wrap.
+    """
+    from polarlines.search import enumerate_regular_sets
+
+    v11 = enumerate_regular_sets(o6plus2, tables_for_space(o6plus2), "11", 15).sets
+    assert len(v11) == 28
+    cases = []
+    for space, sets in ((o6plus2, v11), (o73, [con.hexagon_lines(o73)])):
+        X = np.zeros((space.n_lines, len(sets)), dtype=bool)
+        for c, y in enumerate(sets):
+            X[analysis._as_indices(space, y), c] = True
+        cases.append((space, tables_for_space(space), X))
+    plain = [analysis._regular_set_check(*case) for case in cases]
+    assert [{r.eigenspace for _, _, r in checks} for checks in plain] == [{"11"}, {"20"}]
+
+    unscaled = analysis.integer_column
+
+    def scaled(tables, j):
+        col, L = unscaled(tables, j)
+        return [c * 2**45 for c in col], L * 2**45
+
+    monkeypatch.setattr(analysis, "integer_column", scaled)
+    for (space, tables, X), want in zip(cases, plain):
+        top = max(abs(c) for j in range(5) for c in scaled(tables, j)[0])
+        assert space.n_lines**2 * top >= 2**63
+        assert analysis._regular_set_check(space, tables, X) == want

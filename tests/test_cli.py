@@ -11,7 +11,13 @@ import pytest
 from polarlines import cli
 from polarlines.analysis import LineSet
 from polarlines.cli import main
-from polarlines.files import build_report, parse_lineset_file, parse_pointset_file, write_lineset
+from polarlines.files import (
+    build_report,
+    parse_lineset_file,
+    parse_pointset_file,
+    write_lineset,
+    write_pointset,
+)
 from polarlines.schemetables import tables_for_space
 from polarlines.spaces import FormSpec, GeometryError, _fingerprint
 
@@ -159,7 +165,41 @@ def test_a_lineset_its_reader_would_reject_is_not_written(tmp_path, o6plus2, sp6
         write_lineset(o6plus2, [5, 5, 200], path)
     with pytest.raises(ValueError, match="different space"):
         write_lineset(o6plus2, make_lineset(sp62, [0, 1]), path)
+    with pytest.raises(ValueError, match="line indices must be integers"):
+        write_lineset(o6plus2, np.array([1.5]), path)
     assert not path.exists()
+
+
+def test_a_numpy_pointset_round_trips(tmp_path, o6plus2):
+    path = tmp_path / "points.json"
+    write_pointset(o6plus2, np.array([3, 1, 3]), path, name="three")
+    assert json.loads(path.read_text())["points"] == [1, 3]
+    assert parse_pointset_file(path, o6plus2) == (1, 3)
+
+
+def test_a_pointset_with_an_index_out_of_range_is_not_written(tmp_path, o6plus2):
+    path = tmp_path / "points.json"
+    # O+(6,2) has 35 points
+    for points in ([0, 999], [-1, 3]):
+        with pytest.raises(ValueError, match="point index out of range"):
+            write_pointset(o6plus2, points, path)
+    assert not path.exists()
+
+
+def test_a_pointset_with_a_non_integral_index_is_not_written(tmp_path, o6plus2):
+    path = tmp_path / "points.json"
+    for points in (np.array([1.5]), [2, 3.0]):
+        with pytest.raises(ValueError, match="point indices must be integers"):
+            write_pointset(o6plus2, points, path)
+    assert not path.exists()
+
+
+def test_emit_prints_what_json_dump_prints(capsys, o6plus2):
+    doc = build_report(o6plus2, tables_for_space(o6plus2), [0, 1, 2])
+    want = io.StringIO()
+    json.dump(doc, want, indent=2, sort_keys=True)
+    cli._emit(doc)
+    assert capsys.readouterr().out == want.getvalue() + "\n"
 
 
 def test_lineset_bases_resolution(tmp_path, o6plus2):

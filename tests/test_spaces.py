@@ -21,10 +21,14 @@ from polarlines.spaces import (
     GeometryError,
     PolarSpace,
     _anisotropic_binary,
+    _coefficient_points,
     _fingerprint,
+    _first_pairs,
     _plane_lines,
+    _point_table,
     _projective_points,
     _space_points,
+    _span_entries,
     _span_points,
     build_space,
     form_values,
@@ -691,7 +695,7 @@ def test_span_points_reject_a_span_vector_that_is_no_point(o6plus2):
     space = o6plus2
     # an RREF basis whose first row has Q = x0 x1 + x2 x3 + x4 x5 = 1
     with pytest.raises(ValueError, match="not a point of the space"):
-        _span_points(space.field, space.pts_arr, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
+        _span_points(space.field, space._point_table, [((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))])
 
 
 def _reference_projective_points(q, d):
@@ -737,7 +741,7 @@ def test_span_points_match_the_whole_vector_route(spaces, family, q):
     space = spaces.get(family, q)
     for bases in (space.line_basis_arr, space.plane_basis_arr):
         want = _reference_span_points(space.field, space.pts_arr, bases)
-        assert np.array_equal(_span_points(space.field, space.pts_arr, bases), want)
+        assert np.array_equal(_span_points(space.field, space._point_table, bases), want)
 
 
 def _replaced_in_order(bases, basis):
@@ -802,7 +806,7 @@ def _dense_echelon_bases(form):
     follows is read off the points x points matrix of B, and the third points
     of the lines off one bool per (line, point), the AND of their two rows.
     """
-    pts = _space_points(form)
+    pts = _space_points(form.family, form.q)
     lead = (pts != 0).argmax(axis=1)
     follows = (form_values(form, pts, pts) == 0) & (lead[:, None] < lead) & (pts[:, lead] == 0)
     a, b = np.nonzero(follows)
@@ -1069,7 +1073,7 @@ def test_span_points_match_the_two_index_route(p, h):
         for k in range(r):
             vectors = f.ADD[vectors, f.MUL[coeffs[:, k, None], bases[:, None, k]]]
         want = [[index[_normalize(f, v)] for v in row] for row in vectors.tolist()]
-        assert _span_points(f, points, bases).tolist() == want
+        assert _span_points(f, _point_table(f, points), bases).tolist() == want
 
 
 def _random_in(field, rng, basis):
@@ -1154,7 +1158,7 @@ def test_plane_lines_match_the_theta_squared_route(spaces, past_the_cap, family,
 def test_plane_lines_reject_a_pair_on_no_line_or_two_pairs_on_one(o6plus2):
     space = o6plus2
     n, lines = len(space.pts_arr), space.line_points_arr
-    plane_pos = _span_points(space.field, space.pts_arr, space.plane_basis_arr)
+    plane_pos = _span_points(space.field, space._point_table, space.plane_basis_arr)
     assert np.array_equal(_plane_lines(space.field, n, lines, plane_pos), space.plane_lines_arr)
     # no line filed: every pair is on none
     with pytest.raises(GeometryError, match="lines in a plane"):
@@ -1213,3 +1217,37 @@ def test_o6plus_q4_is_pinned(spaces):
     assert (len(space.pts_arr), space.n_lines, len(space.plane_basis_arr)) == (357, 1785, 170)
     assert space.fingerprint == "1e713514815842f4"
     assert hashlib.sha256(space.labels.tobytes()).hexdigest()[:16] == "35460c1f5f43fcf8"
+
+
+@pytest.mark.parametrize("family,q", [("O6plus", 3), ("U6", 4)])
+def test_the_cached_tables_are_shared_and_read_only(family, q):
+    field = FormSpec(family, q).field
+    makers = [
+        functools.partial(_coefficient_points, field, 2),
+        functools.partial(_coefficient_points, field, 3),
+        functools.partial(_span_entries, field, 2),
+        functools.partial(_span_entries, field, 3),
+        functools.partial(_first_pairs, field),
+        functools.partial(_space_points, family, q),
+    ]
+    for make in makers:
+        table = make()
+        assert make() is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
+def test_a_built_and_a_loaded_space_own_writable_points(tmp_path):
+    built = build_space("O6plus", 2)
+    path = tmp_path / "O6plus_q2.json"
+    save_space(built, path)
+    loaded = load_space(path)
+    want = (built.fingerprint, built.line_basis_arr.copy(), built.plane_basis_arr.copy())
+    for space in (built, loaded):
+        assert space.pts_arr.flags.writeable
+        assert not np.shares_memory(space.pts_arr, _space_points("O6plus", 2))
+        space.pts_arr[:] = 0
+    fresh = build_space("O6plus", 2)
+    assert fresh.fingerprint == want[0] == "f3cba4a549f48de9"
+    assert np.array_equal(fresh.line_basis_arr, want[1])
+    assert np.array_equal(fresh.plane_basis_arr, want[2])
