@@ -13,10 +13,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .schemetables import integer_column, relation_products
+from .schemetables import integer_column, pair_counts, relation_products
 from .spaces import REL_TAGS, GeometryError, q_to_e_power
 
 # eigenspaces carry the relations' tags, in the same order
@@ -69,7 +70,7 @@ def inner_distribution(space, y):
     if not idx:
         raise ValueError("inner distribution undefined for the empty set")
     mask = _line_mask(space, idx)
-    counts = relation_products(space, mask[:, None])[:, mask, 0].sum(axis=1)
+    counts = pair_counts(space, mask[:, None])[:, 0]
     return tuple(Fraction(int(c), len(idx)) for c in counts)
 
 
@@ -79,8 +80,18 @@ def dual_distribution(space, tables, y):
 
 
 def _dual(tables, a):
-    """aQ of an inner distribution a, checked nonnegative."""
-    aq = tuple(sum(a[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
+    """aQ of an inner distribution a, checked nonnegative.
+
+    With D the common denominator of a, A = D a and (LQ_j, L_j) the integer
+    columns, (aQ)_j = sum_i A_i LQ_ij / (D L_j): Python ints and one Fraction
+    per entry.
+    """
+    D = lcm(*(v.denominator for v in a))
+    A = [v.numerator * (D // v.denominator) for v in a]
+    aq = tuple(
+        Fraction(sum(x * c for x, c in zip(A, col)), D * L)
+        for col, L in (integer_column(tables, j) for j in range(5))
+    )
     if any(v < 0 for v in aq):
         raise GeometryError("negative dual distribution entry for a genuine subset")
     return aq

@@ -25,7 +25,7 @@ from .spaces import (
     _vector_indices,
     form_values,
 )
-from .schemetables import relation_products, tables_for_space
+from .schemetables import pair_counts, tables_for_space
 
 
 def _checked(space, lines, name, what, a=None, support=None, size=None):
@@ -203,12 +203,11 @@ def section_line_sets(space, kind):
         incidence &= inside[:, lines[:, c]]
     a, support, what = _section_closed_form(space, kind)
     # a section of sum(a) lines has sum(a) a_i pairs in relation i; the
-    # sections' incidence columns go to the relation products 24 at a time,
-    # near the fastest width on O+(6,3), O-(8,2), O(7,3) and U(6,4)
+    # sections' incidence columns go to the pair counts 24 at a time
     want = np.multiply(a, sum(a))[:, None]
     for lo in range(0, len(sections), 24):
         Y = incidence[lo : lo + 24].T
-        bad = ((relation_products(space, Y) * Y).sum(axis=1) != want).any(axis=0)
+        bad = (pair_counts(space, Y) != want).any(axis=0)
         if bad.any():
             # the first bad row's own distribution names it, as a one-row check would
             _checked(space, np.flatnonzero(Y[:, bad.argmax()]), "", what, a=a)
@@ -295,19 +294,8 @@ def elliptic_ovoid(space, fixed_duals=()):
     need = 2 - len(fixed)
     if need < 0:
         raise ValueError("at most two functionals cut out a 4-space in dimension 6")
-    masks = vals == 0
-    fixed_mask = np.ones(len(space.pts_arr), dtype=bool)
-    for k in fixed:
-        fixed_mask &= masks[:, k]
-    for combo in itertools.combinations(range(len(duals)), need):
-        if any(k in fixed for k in combo):
-            continue
-        mask = fixed_mask.copy()
-        for k in combo:
-            mask &= masks[:, k]
+    for mask in _four_spaces(vals == 0, fixed, need, q * q + 1):
         pts = np.nonzero(mask)[0]
-        if len(pts) != q * q + 1:
-            continue
         # pairwise non-collinear points have pairwise disjoint pencils
         pencils = space.point_lines_arr[pts].ravel()
         if len(np.unique(pencils)) != len(pencils):
@@ -316,6 +304,30 @@ def elliptic_ovoid(space, fixed_duals=()):
             raise GeometryError("elliptic section is not one point per plane")
         return tuple(pts.tolist())
     raise GeometryError("no elliptic 4-space found")
+
+
+def _four_spaces(masks, fixed, need, size):
+    """The point masks of the subspaces that the fixed duals and need further ones cut out
+    and that hold size points; masks[p, k] is whether point p lies in dual k's hyperplane.
+
+    They come in the lexicographic order of the further duals, which skip the
+    fixed ones.  For each choice of all but the last further dual, one column
+    count of the points left gives every last dual that cuts size of them.
+    """
+    base = np.logical_and.reduce(masks[:, fixed], axis=1)
+    if not need:
+        if base.sum() == size:
+            yield base
+        return
+    for head in itertools.combinations(range(masks.shape[1]), need - 1):
+        if any(k in fixed for k in head):
+            continue
+        mask = base & np.logical_and.reduce(masks[:, list(head)], axis=1)
+        start = head[-1] + 1 if head else 0
+        counts = masks[mask, start:].sum(axis=0)
+        for k in (np.flatnonzero(counts == size) + start).tolist():
+            if k not in fixed:
+                yield mask & masks[:, k]
 
 
 def pencil_union(space, ovoid_points):

@@ -7,7 +7,8 @@ polytope has at most 4 dimensions, so the solver enumerates all basic
 solutions exactly over the rationals and certifies the optimum with exact
 dual multipliers.  Each constraint row is scaled to integers once, and each
 basis is solved fraction-free, so feasibility is a test of integer
-inequalities and only the vertices become Fractions.
+inequalities, each vertex's objective is one Fraction and only the optimal
+vertices become Fractions.
 """
 
 from __future__ import annotations
@@ -83,15 +84,18 @@ def delsarte_lp_bound(q, e2, forbidden):
         # the vertex is x = N / d with d > 0, so g.x >= h is g.N >= h d
         N, d = [row[0] for row in solved[0]], solved[1]
         if all(_dot(g, N) >= h * d for _, g, h, _ in constraints):
-            vertices.append(tuple(Fraction(v, d) for v in N))
+            vertices.append((N, d))
     if not vertices:
         raise RuntimeError("LP infeasible; impossible since a = (1,0,0,0,0) is feasible")
 
-    def objective(x):
-        return 1 + sum(x)
-
-    best = max(objective(x) for x in vertices)
-    optimal = [x for x in vertices if objective(x) == best]
+    # the objective 1 + sum(x) = (d + sum(N)) / d
+    objectives = [Fraction(d + sum(N), d) for N, d in vertices]
+    best = max(objectives)
+    optimal = [
+        tuple(Fraction(v, d) for v in N)
+        for (N, d), value in zip(vertices, objectives)
+        if value == best
+    ]
 
     def inner(x):
         """The inner distribution (1, a_10, ..., a_21) with the free values x."""

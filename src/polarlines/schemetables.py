@@ -90,6 +90,8 @@ class SchemeTables:
     P: tuple
     Q: tuple
     multiplicities: tuple
+    # per eigenspace j, (L Q[:, j], L) with L the least common denominator of the column
+    integer_columns: tuple
 
     @property
     def valencies(self):
@@ -116,8 +118,11 @@ def make_tables(q, e2):
         raise RuntimeError(f"multiplicities do not sum to n at (q={q}, e2={e2})")
     if sum(P[0]) != n or any(sum(row) != 0 for row in P[1:]):
         raise RuntimeError(f"P row sums wrong at (q={q}, e2={e2})")
+    dens = [lcm(*(Q[i][j].denominator for i in range(5))) for j in range(5)]
+    columns = tuple((tuple(int(Q[i][j] * L) for i in range(5)), L) for j, L in enumerate(dens))
+    mult = tuple(int(m) for m in mult)
     return SchemeTables(
-        q=q, e2=e2, qe=s, n=n, P=P, Q=Q, multiplicities=tuple(int(m) for m in mult)
+        q=q, e2=e2, qe=s, n=n, P=P, Q=Q, multiplicities=mult, integer_columns=columns
     )
 
 
@@ -173,23 +178,56 @@ def relation_products(space, Y):
     return np.stack([Y, A10, A11, A20, col_sums - Y - A10 - A11 - A20])
 
 
+def pair_counts(space, Y):
+    """chi^T A_i chi for each 0/1 column chi of Y (n x width), as an int64 array (5, width).
+
+    From m = |chi|, the point degrees d = N^T chi and the plane degrees
+    k = K^T chi, by the identities of relation_products summed over chi:
+    chi^T A_10 chi = |k|^2 - (s+1) m, chi^T A_11 chi = |d|^2 - (q+1) m - A_10,
+    chi^T A_20 chi = d.t - (q+1) (m + A_10) - A_11 and A_21 the rest of m^2,
+    where t = T^T chi = ((C + I) d - m) / q with C the collinearity of points,
+    C + I = N^T N - (lpp-1) I.  A remainder of t raises GeometryError.
+    """
+    Y = np.asarray(Y)
+    n, q = space.n_lines, space.q
+    if Y.ndim != 2 or len(Y) != n:
+        raise ValueError(f"operand of shape {Y.shape} does not fit {n} lines")
+    if Y.dtype != bool and ((Y != 0) & (Y != 1)).any():
+        raise ValueError("pair counts need 0/1 columns")
+    Y = Y.astype(bool, copy=False)
+    on_line, on_point = space.line_points_arr, space.point_lines_arr
+    m = Y.sum(axis=0, dtype=np.int64)
+    d = _gather_sum(Y, on_point)
+    k = _gather_sum(Y, space.plane_lines_arr)
+    A10 = (k * k).sum(axis=0) - space.line_planes_arr.shape[1] * m
+    A11 = (d * d).sum(axis=0) - (q + 1) * m - A10
+    NtNd = _gather_sum(_gather_sum(d, on_line), on_point)
+    t, rest = np.divmod(NtNd - (on_point.shape[1] - 1) * d - m, q)
+    if rest.any():
+        raise GeometryError("incidence of no polar space: a perp count is not a multiple of q")
+    A20 = (d * t).sum(axis=0) - (q + 1) * (m + A10) - A11
+    return np.stack([m, A10, A11, A20, m * m - m - A10 - A11 - A20])
+
+
 def _gather_sum(Y, rows):
     """For each row r of the index array rows, the sum of the rows of Y at r.
 
     The width of rows goes outermost, so each summand is one contiguous block:
-    a sum over a middle axis of a few columns costs several times more.
+    a sum over a middle axis of a few columns costs several times more.  Y may
+    be bool; the sums are int64.
     """
-    return np.take(Y, rows.T, axis=0).sum(axis=0)
+    return np.take(Y, rows.T, axis=0).sum(axis=0, dtype=np.int64)
 
 
 def integer_column(tables, j):
     """(L Q[:, j] as a list of ints, L), with L the least common denominator of the column.
 
     n E_j = sum_i Q[i][j] A_i, so the column scaled by L gives the integer
-    projector nL E_j = sum_i (L Q[i][j]) A_i.
+    projector nL E_j = sum_i (L Q[i][j]) A_i.  make_tables builds the columns
+    once, and every reader takes them from here.
     """
-    L = lcm(*(tables.Q[i][j].denominator for i in range(5)))
-    return [int(tables.Q[i][j] * L) for i in range(5)], L
+    col, L = tables.integer_columns[j]
+    return list(col), L
 
 
 def _project(tables, j, AX):

@@ -234,7 +234,8 @@ class _MembershipSearch:
       is set exactly when its block is full.  An item adds inc[x], a unit in
       the field of each of its blocks: a guard bit already set there is a
       contradiction, and one it turns on marks a block that just filled,
-      which propagation settles depth first.
+      which propagation settles depth first.  An item in no block has
+      inc[x] = 0 and skips both ints.
 
     Backtracking restores saved state instead of undoing each set.  A
     branching saves IN, OUT and packed by reference, since ints are
@@ -242,7 +243,9 @@ class _MembershipSearch:
     to its out branch copies them back and frees the buffers at once.  So
     copies are held only by the root and by each branching whose in branch
     is running: per such branching, 16n bytes for the degree words and
-    16Rn bytes for R projector rows.
+    16Rn bytes for R projector rows.  A search with neither, such as an
+    m-ovoid search, saves no copies at all.  The members are counted only
+    when the size or the degree rule reads the count.
     """
 
     def __init__(
@@ -262,7 +265,6 @@ class _MembershipSearch:
         self.IN = self.OUT = 0
         self.solutions = []
         self.stop_after = None
-        self.labels = labels
 
         self.state = None
         if degrees is not None:
@@ -285,7 +287,8 @@ class _MembershipSearch:
                 (int(_pack(low_out - low)), int(_pack(high - high_out))),
                 (int(_pack(low_in - low)), int(_pack(high - high_in))),
             )
-            self.rows = _UNIT[labels]
+            # one view per line: a list item is cheaper to reach than a row of the array
+            self.rows = list(_UNIT[labels])
         self.P = None
         if projectors:
             c = np.array([[p[0], *p[1]] for p in projectors], dtype=np.int64)
@@ -293,7 +296,9 @@ class _MembershipSearch:
             # lo and -hi start from every item undecided and climb as items settle
             bounds = np.concatenate([-neg, -pos]) @ np.array(valencies, dtype=np.int64)
             self.P = np.repeat(bounds[:, None], n, axis=1)
+            self.P_flat = self.P.reshape(-1)
             self.steps = (np.concatenate([neg, pos]), np.concatenate([pos, neg]))  # out, in
+            self.labels = list(labels)
             self.step = np.empty_like(self.P)
 
         sizes = np.array([len(m) for m, _ in blocks], dtype=np.int64)
@@ -328,14 +333,16 @@ class _MembershipSearch:
             self.IN |= 1 << x
         else:
             self.OUT |= 1 << x
-        guard, side = self.guard_of[x], self.packed[val]
-        if side & guard:
-            self.conflict = True  # x overfills a block that is already full
-        side += self.inc[x]
-        self.packed[val] = side
-        full = side & guard
-        if full:  # the blocks that just filled
-            self.hot.append((val, full))
+        inc = self.inc[x]
+        if inc:  # x lies in a block
+            guard, side = self.guard_of[x], self.packed[val]
+            if side & guard:
+                self.conflict = True  # x overfills a block that is already full
+            side += inc
+            self.packed[val] = side
+            full = side & guard
+            if full:  # the blocks that just filled
+                self.hot.append((val, full))
         if self.state is not None:
             word = self.words[val]
             np.subtract(word, self.rows[x], out=word)
@@ -343,25 +350,32 @@ class _MembershipSearch:
             self.cells[x] += a
             self.cells[self.n + x] += b
         if self.P is not None:
-            self.steps[val].take(self.labels[x], axis=1, out=self.step)
+            # labels are 0..4, as the table admits no other code, so the clip never
+            # acts; with the default mode, "raise", NumPy buffers out through a copy
+            self.steps[val].take(self.labels[x], axis=1, out=self.step, mode="clip")
             np.add(self.P, self.step, out=self.P)
 
     def _save(self):
-        """The node's state for _restore: its ints, and copies of its arrays in free buffers."""
+        """The node's state for _restore: its ints, and copies of its arrays in free buffers.
+
+        A search with no arrays saves None for its copies.
+        """
+        copies = None
         if self.free:
             copies = self.free.pop()
             for copy, a in zip(copies, self.arrays):
                 np.copyto(copy, a)
-        else:
+        elif self.arrays:
             copies = [a.copy() for a in self.arrays]
         return self.IN, self.OUT, self.packed[0], self.packed[1], copies
 
     def _restore(self, saved):
         """Return to a saved state; its buffers go back to the free list."""
         self.IN, self.OUT, self.packed[0], self.packed[1], copies = saved
-        for a, copy in zip(self.arrays, copies):
-            np.copyto(a, copy)
-        self.free.append(copies)
+        if copies is not None:
+            for a, copy in zip(self.arrays, copies):
+                np.copyto(a, copy)
+            self.free.append(copies)
         self.hot.clear()
         self.conflict = False
 
@@ -371,7 +385,7 @@ class _MembershipSearch:
         The fixpoint does not depend on the order in which forced items are
         applied, so neither do the search tree and its node count.
         """
-        hot, masks, w = self.hot, self.masks, self.w
+        hot, masks, w, set_ = self.hot, self.masks, self.w, self._set
         while True:
             if self.conflict:
                 return False
@@ -382,18 +396,20 @@ class _MembershipSearch:
                     hot.append((val, full ^ low))
                 # the lowest full block is settled: its undecided members take the other side
                 rest = masks[low.bit_length() // w - 1] & ~(self.IN | self.OUT)
+                other = 1 - val
                 while rest:
                     bit = rest & -rest
-                    self._set(bit.bit_length() - 1, 1 - val)
+                    set_(bit.bit_length() - 1, other)
                     if self.conflict:
                         return False
                     rest ^= bit
-            n_in = self.IN.bit_count()
-            n_und = self.n - n_in - self.OUT.bit_count()
-            if self.size is not None and not n_in <= self.size <= n_in + n_und:
-                return False
+            if self.size is not None or self.state is not None:
+                n_in = self.IN.bit_count()
+                n_und = self.n - n_in - self.OUT.bit_count()
+                if self.size is not None and not n_in <= self.size <= n_in + n_und:
+                    return False
             if self.P is not None:
-                return self.P.max() <= 0
+                return np.maximum.reduce(self.P_flat) <= 0
             if self.state is None:
                 return True
             forced = self._degree_forced(n_in, n_und)
@@ -446,30 +462,34 @@ class _MembershipSearch:
         out branch runs.  An out branch needs no state: once it ends, the
         next restore is that of a branching further up, or of the root.
         """
-        stack = []
-        root = self._save()
+        tick, propagate, save, restore, set_ = (
+            self.nodes.tick, self._propagate, self._save, self._restore, self._set
+        )
+        n, solutions, stack = self.n, self.solutions, []
+        push, pop = stack.append, stack.pop
+        root = save()
         while True:
-            self.nodes.tick()
-            if self._propagate():
+            tick()
+            if propagate():
                 decided = self.IN | self.OUT
                 x = (~decided & (decided + 1)).bit_length() - 1  # the lowest undecided item
-                if x < self.n:
-                    stack.append((x, self._save()))
-                    self._set(x, _IN)
+                if x < n:
+                    push((x, save()))
+                    set_(x, _IN)
                     continue
-                self.solutions.append(tuple(np.flatnonzero(_bits(self.IN, self.n)).tolist()))
-                if self.stop_after is not None and len(self.solutions) >= self.stop_after:
+                solutions.append(tuple(np.flatnonzero(_bits(self.IN, n)).tolist()))
+                if self.stop_after is not None and len(solutions) >= self.stop_after:
                     raise _Stop("solution_cap")
             # back to the deepest branching whose out branch has not run
             while stack:
-                x, saved = stack.pop()
+                x, saved = pop()
                 if saved is not None:
-                    self._restore(saved)
-                    stack.append((x, None))
-                    self._set(x, _OUT)
+                    restore(saved)
+                    push((x, None))
+                    set_(x, _OUT)
                     break
             else:
-                self._restore(root)
+                restore(root)
                 return
 
 

@@ -392,7 +392,7 @@ _RELATION_OF_ST = np.array([[4, 3, 255], [255, 2, 1], [255, 255, 0]], dtype=np.u
 class PolarSpace:
     """An enumerated rank-3 polar space with its line-pair relation table."""
 
-    def __init__(self, form, points, line_bases, plane_bases):
+    def __init__(self, form, points, line_bases, plane_bases, fingerprint=None):
         """A space from its points and the canonical bases of its lines and planes.
 
         Each argument is a uint8 array, or anything np.asarray turns into one:
@@ -407,6 +407,8 @@ class PolarSpace:
         a line's perp holds exactly the points of the planes on it, so no
         points x points array is kept.
         The relation table, labels, is built from the incidence on first use.
+        fingerprint is _fingerprint(form, line_bases), hashed here unless the
+        caller has already checked it, as load_space has.
         """
         self.form = form
         self.family = form.family
@@ -452,7 +454,9 @@ class PolarSpace:
             self.plane_lines_arr, self.n_lines, s + 1, "planes through a line"
         )
 
-        self.fingerprint = _fingerprint(self.form, line_bases)
+        if fingerprint is None:
+            fingerprint = _fingerprint(self.form, line_bases)
+        self.fingerprint = fingerprint
 
     @cached_property
     def labels(self):
@@ -791,7 +795,8 @@ def load_space(path):
     points = _cached_rows(doc, "points", form, (n_points,))
     lines = _cached_rows(doc, "lines", form, (n_lines, 2))
     planes = _cached_rows(doc, "planes", form, (n_planes, 3))
-    if _fingerprint(form, lines) != doc.get("fingerprint"):
+    fingerprint = _fingerprint(form, lines)
+    if fingerprint != doc.get("fingerprint"):
         raise ValueError("space cache fingerprint mismatch; file corrupt or stale")
     counts = doc.get("counts")
     if not isinstance(counts, dict) or (n_points, n_lines, n_planes) != tuple(
@@ -801,7 +806,7 @@ def load_space(path):
     if not np.array_equal(points, _space_points(family, form.q)):
         raise ValueError("space cache points are not the points of the space")
     del doc  # freed before the geometry is derived, to lower the peak memory of a load
-    return PolarSpace(form, points, lines, planes)
+    return PolarSpace(form, points, lines, planes, fingerprint)
 
 
 def _encoded(arr):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -134,25 +135,25 @@ def test_section_line_sets_check_the_closed_form(o6plus2, monkeypatch):
 def test_section_line_sets_name_the_first_bad_row(monkeypatch, o6plus2):
     """A relation changed inside later sections fails the first of them, with its own distribution.
 
-    The relation products are what the check reads, so they move the pair
-    (a, b) of section 5 from its relation r to r + 1, as a changed label did
-    in the table.
+    The pair counts are what the check reads, so they move the pair (a, b)
+    of section 5, both of its orders, from its relation r to r + 1 in every
+    set that holds both lines, as a changed label did in the table.
     """
     _, incidence = con.section_line_sets(o6plus2, "gq")
     a, b = np.flatnonzero(incidence[5])[:2]
     r = int(o6plus2.labels[a, b])
-    exact = schemetables.relation_products
+    exact = schemetables.pair_counts
 
     def moved(space, Y):
         Y = np.asarray(Y, dtype=np.int64)
-        AY = exact(space, Y)
-        for x, y in ((a, b), (b, a)):
-            AY[r, x] -= Y[y]
-            AY[(r + 1) % 5, x] += Y[y]
-        return AY
+        counts = exact(space, Y)
+        both = 2 * Y[a] * Y[b]
+        counts[r] -= both
+        counts[(r + 1) % 5] += both
+        return counts
 
     for module in (analysis, con):
-        monkeypatch.setattr(module, "relation_products", moved)
+        monkeypatch.setattr(module, "pair_counts", moved)
     first = int(np.flatnonzero(incidence[:, a] & incidence[:, b])[0])
     row = np.flatnonzero(incidence[first]).tolist()
     want, _, what = con._section_closed_form(o6plus2, "gq")
@@ -234,6 +235,38 @@ def test_elliptic_ovoid(o6plus2, o6plus3):
     for plane_pts in o6plus2.plane_points_arr.tolist():
         assert len(set(plane_pts) & set(ov2)) == 1
     assert len(con.elliptic_ovoid(o6plus3)) == 10
+
+
+def _reference_elliptic_ovoid(space, fixed_duals=()):
+    """The first elliptic 4-space over every combination of further duals: the
+    ovoid's points and the duals that cut it, or None."""
+    duals = con.ambient_projective_points(space)
+    masks = con.form_values(space.form, space.pts_arr, duals) == 0
+    fixed = [duals.index(tuple(u)) for u in fixed_duals]
+    for combo in itertools.combinations(range(len(duals)), 2 - len(fixed)):
+        if any(k in fixed for k in combo):
+            continue
+        pts = np.flatnonzero(masks[:, fixed + list(combo)].all(axis=1))
+        pencils = space.point_lines_arr[pts].ravel()
+        if len(pts) == space.q**2 + 1 and len(np.unique(pencils)) == len(pencils):
+            return tuple(pts.tolist()), [duals[k] for k in fixed + list(combo)]
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_elliptic_ovoid_matches_the_search_over_every_pair_of_duals(spaces, q):
+    """With no fixed dual, one, the two that cut the first ovoid, and one given twice."""
+    space = spaces.get("O6plus", q)
+    first, cut = _reference_elliptic_ovoid(space)
+    gq = con.find_section(space, "gq").dual_point
+    for fixed in ((), (gq,), tuple(cut), (gq, gq)):
+        want = _reference_elliptic_ovoid(space, fixed)
+        if want is None:
+            with pytest.raises(GeometryError, match="no elliptic 4-space found"):
+                con.elliptic_ovoid(space, fixed)
+        else:
+            assert con.elliptic_ovoid(space, fixed) == want[0]
+    assert con.elliptic_ovoid(space) == first
 
 
 def test_ovoid_points_pairwise_non_perpendicular(o6plus2):
@@ -364,16 +397,22 @@ def test_spread_planes_match_the_trace_dual_construction(sp62, sp63):
 
 
 def test_each_checked_line_set_is_counted_once(monkeypatch, o6plus2, o8minus2, sp62):
-    """One relation product per construction, regularity check and evaluation report."""
-    exact = schemetables.relation_products
+    """One census, a relation product or a pair count, per construction,
+    regularity check and evaluation report."""
     calls = []
 
-    def counted(space, Y):
-        calls.append(np.shape(Y))
-        return exact(space, Y)
+    def counted(exact):
+        def census(space, Y):
+            calls.append(np.shape(Y))
+            return exact(space, Y)
 
-    for module in (analysis, con, schemetables):
-        monkeypatch.setattr(module, "relation_products", counted)
+        return census
+
+    for name in ("relation_products", "pair_counts"):
+        census = counted(getattr(schemetables, name))
+        for module in (analysis, con, schemetables):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, census)
     tables = tables_for_space(sp62)
     hexagon = con.hexagon_lines(sp62)
     rank3, gq = con.find_section(o8minus2, "rank3"), con.find_section(o6plus2, "gq")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polarlines import constructions as con
+from polarlines.analysis import _dual
 from polarlines.delsarte import LPResult, _normalize_tags, delsarte_lp_bound
 from polarlines.schemetables import make_tables
 from polarlines.spaces import REL_TAGS, q_to_e_power
@@ -260,3 +261,18 @@ def test_integer_lp_matches_the_fraction_lp(q):
         for forbidden in FORBIDDEN_SETS:
             want = _outcome(reference_lp_bound, q, e2, forbidden)
             assert _outcome(delsarte_lp_bound, q, e2, forbidden) == want, (q, e2, forbidden)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_the_integer_dual_matches_the_fraction_dual(q):
+    """_dual in Python ints against sum_i a_i Q_ij in Fractions, on the optimal
+    distribution of every case of the integer LP grid."""
+    for e2 in range(5):
+        for forbidden in FORBIDDEN_SETS:
+            try:
+                result = delsarte_lp_bound(q, e2, forbidden)
+            except ValueError:  # odd e2 without square q
+                continue
+            tables, a = make_tables(q, e2), result.a
+            want = tuple(sum(a[i] * tables.Q[i][j] for i in range(5)) for j in range(5))
+            assert repr(_dual(tables, a)) == repr(want), (q, e2, forbidden)

@@ -3,7 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from polarlines.schemetables import _project, relation_products, tables_for_space, verify_scheme
+from polarlines.schemetables import (
+    _project,
+    pair_counts,
+    relation_products,
+    tables_for_space,
+    verify_scheme,
+)
 from polarlines.spaces import GeometryError
 
 # the seven test spaces: hyperbolic, symplectic, parabolic, elliptic and Hermitian
@@ -269,6 +275,50 @@ def test_a_point_off_the_line_leaves_a_remainder(o6plus2):
     Y[M] = 1
     with pytest.raises(GeometryError, match="not a multiple of q"):
         relation_products(broken, Y)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_pair_counts_match_the_relation_products(request, space):
+    """chi^T A_i chi from the point and plane degrees, against A_i chi summed over chi.
+
+    Seeded random 0/1 sets of widths 1 and 24, each column with its own
+    density, as bool and as int64 columns.
+    """
+    space = request.getfixturevalue(space)
+    rng = np.random.default_rng(space.n_lines)
+    for width in (1, 24):
+        Y = rng.random((space.n_lines, width)) < rng.random(width)
+        want = (relation_products(space, Y) * Y).sum(axis=1)
+        for operand in (Y, Y.astype(np.int64)):
+            got = pair_counts(space, operand)
+            assert got.dtype == np.int64 and got.shape == (5, width)
+            assert np.array_equal(got, want)
+
+
+def test_pair_counts_see_a_corrupted_pencil(o6plus2):
+    """A line moved into point 0's pencil leaves a perp count that q does not divide.
+
+    The line M that comes in and the line that goes out each give point 0 a
+    degree its q+1 points on the line do not match.
+    """
+    broken = copy.copy(o6plus2)
+    pencils = o6plus2.point_lines_arr.copy()
+    out = pencils[0, 0]
+    pencils[0, 0] = next(m for m in range(o6plus2.n_lines) if m not in pencils[0])
+    broken.point_lines_arr = pencils
+    for line in (pencils[0, 0], out):
+        Y = np.zeros((o6plus2.n_lines, 1), dtype=bool)
+        Y[line] = True
+        assert pair_counts(o6plus2, Y)[:, 0].tolist() == [1, 0, 0, 0, 0]
+        with pytest.raises(GeometryError, match="not a multiple of q"):
+            pair_counts(broken, Y)
+
+
+def test_pair_counts_take_only_0_1_columns(o6plus2):
+    with pytest.raises(ValueError, match="0/1 columns"):
+        pair_counts(o6plus2, np.full((o6plus2.n_lines, 1), 2))
+    with pytest.raises(ValueError, match="does not fit"):
+        pair_counts(o6plus2, np.ones((o6plus2.n_lines - 1, 1), dtype=bool))
 
 
 def _random_labels(rng, n):

@@ -920,6 +920,26 @@ def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
         assert live.tobytes() == before.tobytes() and search.free == [buffers]
 
 
+def test_a_search_keeps_only_the_state_its_rules_use(o6plus2, o73):
+    """A blocks-only search saves no array copies, so its free list stays empty;
+    a projector-only search never touches its block ints."""
+    sec = con.find_section(o73, "gq")
+    points = con.section_point_indices(o73, sec)
+    lines = con.hyperplane_section_lines(o73, sec).indices
+    _, _, local = pl_search._section_lines(o73, points, lines)
+    search = _MembershipSearch(len(points), 2000, blocks=[(ln, 2) for ln in local])
+    assert search.run().nodes == 2001 and search.free == []
+
+    tables = tables_for_space(o6plus2)
+    projectors = _projector_rows(tables, {"10", "20"})
+    search = _MembershipSearch(
+        o6plus2.n_lines, 2000, 7, o6plus2.labels, tables.valencies, projectors=projectors
+    )
+    packed = list(search.packed)
+    search.guard_of = None  # an item in no block reads no guard bits
+    assert search.run().nodes == 2001 and search.packed == packed
+
+
 def test_saved_copies_never_outnumber_the_open_in_branchings(monkeypatch, o6plus2, sp62):
     """At every node at most |IN| + 1 saved copies are held, by the root and by
     each branching whose in branch runs, and the results are the reference core's.

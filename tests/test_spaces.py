@@ -90,6 +90,27 @@ def test_fingerprints_are_pinned(spaces, family, q):
     assert spaces.get(family, q).fingerprint == EXPECTED_FINGERPRINTS[(family, q)]
 
 
+@pytest.mark.parametrize("family,q", sorted(EXPECTED_FINGERPRINTS))
+def test_a_load_hashes_the_line_bases_once(monkeypatch, tmp_path, spaces, family, q):
+    """load_space checks the file's fingerprint and hands it to the space, which does not hash again."""
+    path = tmp_path / "space.json"
+    save_space(spaces.get(family, q), path)
+    hashed = []
+    digest = spaces_module._fingerprint
+
+    def counted(form, line_bases):
+        hashed.append(form.family)
+        return digest(form, line_bases)
+
+    monkeypatch.setattr(spaces_module, "_fingerprint", counted)
+    assert load_space(path).fingerprint == EXPECTED_FINGERPRINTS[(family, q)]
+    assert hashed == [family]
+    if (family, q) == ("O6plus", 2):
+        hashed.clear()
+        assert build_space(family, q).fingerprint == EXPECTED_FINGERPRINTS[(family, q)]
+        assert hashed == [family]
+
+
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
 def test_incidence_constants(spaces, family, q):
     space = spaces.get(family, q)
