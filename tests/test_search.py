@@ -21,11 +21,11 @@ from polarlines.schemetables import make_tables, tables_for_space
 from polarlines.spaces import REL_TAGS
 from polarlines.search import (
     SearchResult,
+    _GUARD_WORD,
     _MembershipSearch,
     _Nodes,
     _bits,
     _disjointness,
-    _guards_set,
     _orbit_constraints,
     _projector_rows,
     _reach_words,
@@ -876,7 +876,8 @@ def test_packed_reachability_matches_the_interval_test():
         low, high = _reach_words(cnt, und, *_target_fields(t))
         assert low.dtype == high.dtype == np.uint64
         want = ((0 <= t - cnt) & (t - cnt <= und)).all(axis=1)
-        assert (_guards_set(low, high) == want).all()
+        # the test _degree_forced applies to a line's two words
+        assert (((low & high & _GUARD_WORD) == _GUARD_WORD) == want).all()
 
 
 def test_packed_state_stays_uint64_after_a_set_and_an_undo(o6plus2):
