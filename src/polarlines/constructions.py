@@ -123,12 +123,12 @@ def _section_census(space):
     theta = space.theta
     rank3_count = ((s // q) * q * q + 1) * theta if space.e2 >= 2 else None
     gq_count = (s * q * q + 1) * (q + 1)
-    duals = ambient_projective_points(space)
+    duals = _projective_points(space.field, space.d)
     inside = form_values(space.form, space.pts_arr, duals) == 0
     # u is normalized, so it is singular exactly when it is a point
     radicals = space.point_indices(duals).tolist()
     out = []
-    for u, cnt, pt in zip(duals, inside.sum(axis=0).tolist(), radicals):
+    for u, cnt, pt in zip(map(tuple, duals.tolist()), inside.sum(axis=0).tolist(), radicals):
         if pt >= 0:
             out.append(HyperplaneSection(u, "degenerate", pt, cnt))
         elif rank3_count is not None and cnt == rank3_count:
@@ -285,7 +285,7 @@ def elliptic_ovoid(space, fixed_duals=()):
     if space.family != "O6plus":
         raise ValueError("elliptic ovoids are built in O6plus only")
     q = space.q
-    duals = ambient_projective_points(space)
+    duals = _projective_points(space.field, space.d)
     vals = form_values(space.form, space.pts_arr, duals)
     fixed_rows = np.reshape(np.asarray(fixed_duals, np.uint8), (-1, space.d))
     fixed = _vector_indices(space.field, duals, fixed_rows.T).tolist()
@@ -537,7 +537,7 @@ def two_weight_profile(space, y):
     small = big - s * q
 
     cov = covered_points(space, y)
-    duals = ambient_projective_points(space)
+    duals = _projective_points(space.field, space.d)
     counts = (form_values(space.form, space.pts_arr[list(cov)], duals) == 0).sum(axis=0)
     # only a degenerate hyperplane, u a point, can have a covered radical
     radical_covered = np.isin(space.point_indices(duals), cov).tolist()

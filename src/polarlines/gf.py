@@ -4,7 +4,10 @@ Elements of GF(p^h) are encoded as integers 0..q-1: the integer whose base-p
 digits are (c_0, c_1, ..., c_{h-1}) stands for c_0 + c_1*x + ... + c_{h-1}*x^{h-1}
 modulo the reduction polynomial.  Scalar arithmetic reads precomputed q-by-q
 numpy tables; array arithmetic goes through two kernels, Field.times and
-Field.axpy, each one read of a flat table at a uint16 index.
+Field.axpy, each one read of a flat table at a uint16 index.  The codes of a
+prime field are its residues 0..p-1, so the sums of products in spaces' two
+form kernels, _quad_values and _table_matmul, run over GF(p) in integers with
+one reduction mod p, and only an extension field reads these tables there.
 
 The reduction polynomials are hardcoded (Conway polynomials), so element
 encodings, canonical forms and all derived indices are reproducible across

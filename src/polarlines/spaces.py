@@ -79,17 +79,51 @@ def _anisotropic_binary(field):
     raise GeometryError("no anisotropic binary quadratic form found")
 
 
+def _sum_dtype(p, terms, factors):
+    """The signed integer dtype that holds a sum of terms products of factors residues mod p.
+
+    A prime field's codes are its residues 0..p-1, so such a sum is at most
+    terms * (p-1)^factors: int16 below 2^15, as for every form's terms over
+    GF(p) with p <= 13, else int32.
+    """
+    return np.int16 if terms * (p - 1) ** factors < 2**15 else np.int32
+
+
 def _quad_values(field, terms, X, Y):
     """The sum of c * x_i * y_j over the (i, j, c) terms, for vectors along the last axis.
 
     X and Y are uint8 arrays of one shape; the result has that shape without
     its last axis.  With Y = X and a quadratic form's terms it is Q(x); with
-    the nonzero Gram entries it is B(x, y).
+    the nonzero Gram entries it is B(x, y).  Over a prime field the sum runs
+    in integers with one reduction mod p; an extension field reads the tables.
     """
-    acc = np.zeros(np.shape(X)[:-1], dtype=np.uint8)
+    shape = np.shape(X)[:-1]
+    if field.h > 1:
+        acc = np.zeros(shape, dtype=np.uint8)
+        for i, j, c in terms:
+            acc = field.axpy(acc, c, field.times(X[..., i], Y[..., j]))
+        return acc
+    dtype = _sum_dtype(field.p, len(terms), 3)
+    acc, tmp = np.zeros(shape, dtype=dtype), np.empty(shape, dtype=dtype)
     for i, j, c in terms:
-        acc = field.axpy(acc, c, field.times(X[..., i], Y[..., j]))
-    return acc
+        np.multiply(X[..., i], Y[..., j], out=tmp, dtype=dtype)
+        if c != 1:
+            tmp *= dtype(c)
+        acc += tmp
+    return _residues(acc, field.p)
+
+
+def _residues(acc, p):
+    """The nonnegative integer sums of acc, reduced mod p in place, as uint8 codes.
+
+    As acc - p (acc // p): NumPy divides an integer array by a scalar with a
+    multiply and a shift, but np.remainder divides, 6-9 times slower here.
+    """
+    p = acc.dtype.type(p)
+    quot = acc // p
+    quot *= p
+    acc -= quot
+    return acc.astype(np.uint8)
 
 
 class FormSpec:
@@ -218,20 +252,35 @@ def _coefficient_points(field, r):
 
 
 def _table_matmul(field, A, M):
-    """(A . M) over GF(q) for uint8 arrays A (n,d) and M (d,m), one kernel call per column of A."""
-    out = np.zeros((A.shape[0], M.shape[1]), dtype=np.uint8)
+    """(A . M) over GF(q) for uint8 arrays A (n,d) and M (d,m), one outer product per column of A.
+
+    Over a prime field the products are summed in integers and reduced mod p
+    once, as in _quad_values; an extension field reads the tables.
+    """
+    shape = (A.shape[0], M.shape[1])
+    if field.h > 1:
+        out = np.zeros(shape, dtype=np.uint8)
+        for l in range(A.shape[1]):
+            col = A[:, l]
+            if col.any():
+                out = field.axpy(out, col[:, None], M[l][None, :])
+        return out
+    dtype = _sum_dtype(field.p, A.shape[1], 2)
+    # both factors cast up front, so no product casts through a buffer
+    A, M = A.astype(dtype), M.astype(dtype)
+    acc, tmp = np.zeros(shape, dtype=dtype), np.empty(shape, dtype=dtype)
     for l in range(A.shape[1]):
         col = A[:, l]
         if col.any():
-            out = field.axpy(out, col[:, None], M[l][None, :])
-    return out
+            acc += np.multiply(col[:, None], M[l][None, :], out=tmp)
+    return _residues(acc, field.p)
 
 
 def form_values(form, X, Y):
     """The matrix of B(x_i, y_j) over GF(q), for row vectors x_i of X and y_j of Y.
 
-    Table-driven, for the sections' points x duals matrices; build_space
-    evaluates B rowwise, only on the point pairs in echelon position.
+    Two _table_matmul products, for the sections' points x duals matrices;
+    build_space evaluates B rowwise, only on the point pairs in echelon position.
     """
     f = form.field
     X = np.asarray(X, dtype=np.uint8).reshape(-1, form.d)
@@ -397,11 +446,11 @@ class PolarSpace:
 
         Each argument is a uint8 array, or anything np.asarray turns into one:
         points is n x d, and the bases are n x 2 x d and n x 3 x d.  The points
-        must be normalized and in lexicographic order.  The line and plane
-        bases must be RREF, totally isotropic and strictly increasing in the
-        order of their bytes, as build_space writes them; otherwise this raises
-        ValueError.  Every line's and every plane's point set comes from one
-        bulk span pass over its bases, whose sorted point set gives its key
+        must be normalized, singular and in lexicographic order.  The line and
+        plane bases must be RREF, totally isotropic and strictly increasing in
+        the order of their bytes, as build_space writes them; otherwise this
+        raises ValueError.  Every line's and every plane's point set comes from
+        one bulk span pass over its bases, whose sorted point set gives its key
         (_keys) for the order check, _plane_lines and basis_indices.  Two
         distinct points are perpendicular exactly when a line joins them, and
         a line's perp holds exactly the points of the planes on it, so no
@@ -427,6 +476,8 @@ class PolarSpace:
             raise GeometryError(f"{self.family}/q={self.q}: counts {got} != predicted {want}")
 
         n, q, s = len(self.pts_arr), self.q, self.qe
+        if not form.singular_rows(self.pts_arr).all():
+            raise ValueError("a point of the space is not a singular vector of its form")
         # the point lookup of the spans, point_indices and basis_indices
         self._point_table = _point_table(self.field, self.pts_arr)
         spans = [_span_points(self.field, self._point_table, b) for b in (line_bases, plane_bases)]
@@ -435,13 +486,18 @@ class PolarSpace:
             keys = _keys(q, n, point_sets)
             if not (keys[1:] > keys[:-1]).all():
                 raise ValueError("line or plane bases are not in strictly increasing order")
-        # all vectors of Sp(6,q) are isotropic, so a point set alone is no proof:
-        # B must vanish on the basis pair of each line and the three of each plane
-        L, P = line_bases, plane_bases
-        X = np.concatenate([L[:, 0], P[:, 0], P[:, 0], P[:, 1]])
-        Y = np.concatenate([L[:, 1], P[:, 1], P[:, 2], P[:, 2]])
-        if form._bilinear_rows(X, Y).any():
-            raise ValueError("a line or plane basis spans no totally isotropic subspace")
+        # For singular a and b, Q(a + λb) = λ B(a, b), and for isotropic Hermitian
+        # ones H(a + λb, a + λb) = Tr(λ H(b, a)), with Tr onto GF(sqrt q): both vanish
+        # for every λ only when B(a, b) = 0.  So the span pass above, with every
+        # point singular, already proves each basis pair perpendicular.  Every
+        # vector of Sp(6,q) is isotropic, so there B must vanish on the basis
+        # pair of each line and the three of each plane.
+        if form.kind == "symplectic":
+            L, P = line_bases, plane_bases
+            X = np.concatenate([L[:, 0], P[:, 0], P[:, 0], P[:, 1]])
+            Y = np.concatenate([L[:, 1], P[:, 1], P[:, 2], P[:, 2]])
+            if form._bilinear_rows(X, Y).any():
+                raise ValueError("a line or plane basis spans no totally isotropic subspace")
 
         # the validated uint8 bases
         self.line_basis_arr, self.plane_basis_arr = line_bases, plane_bases

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,30 @@ def test_section_line_sets_keep_their_sections_and_incidence(request, name, kind
     digest = hashlib.sha256(np.array([s.dual_point for s in sections], dtype=np.uint8).tobytes())
     digest.update(np.packbits(incidence, axis=1).tobytes())
     assert (len(sections), digest.hexdigest()[:16]) == _SECTION_DIGESTS[name, kind]
+
+
+# (hyperplanes, sha256 of the JSON list of each one's dual point, kind, radical
+# point and singular count) of the census, as the table-driven form values gave it
+_CENSUS_DIGESTS = {
+    "o6plus2": (63, "5b7c95ef9b14ce4b"),
+    "o8minus2": (255, "c38810b5df96c0c0"),
+    "o6plus3": (364, "2695159385a9c84a"),
+    "o73": (1093, "5ddc6e74a61faa2c"),
+    "u64": (1365, "768bb430a134ca87"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CENSUS_DIGESTS))
+def test_hyperplane_census_is_unchanged(request, name):
+    """json.dumps also rejects a NumPy integer in place of a Python one."""
+    sections = con.hyperplane_sections(request.getfixturevalue(name))
+    rows = [(s.dual_point, s.kind, s.radical_point, s.singular_count) for s in sections]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert (len(rows), digest) == _CENSUS_DIGESTS[name]
+
+
+def test_elliptic_ovoid_of_o6plus3_is_unchanged(o6plus3):
+    assert con.elliptic_ovoid(o6plus3) == (16, 49, 82, 83, 92, 99, 119, 120, 123, 124)
 
 
 def test_quadric_sections_in_sp62(sp62):

@@ -788,6 +788,18 @@ def _replaced_in_order(bases, basis):
             "Sp6", 2, "lines", ((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)),
             "spans no totally isotropic subspace",
         ),
+        # x xbar = 1 for every nonzero x of GF(4), so a vector is isotropic when it has an
+        # even number of nonzero entries: the rows a and b have two, but H(a, b) = 1
+        # and a + w b = (1, w, w^2, 0, 0, 0) has three
+        (
+            "U6", 4, "lines", ((1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0)),
+            "spans a vector that is not a point of the space",
+        ),
+        # e0, e1 and e2 are points of Q(x) = x0 x1 + x2 x3 + x4 x5 + x6^2, but Q(e0 + e1) = 1
+        (
+            "O7", 3, "planes", tuple(tuple(int(i == k) for i in range(7)) for k in range(3)),
+            "spans a vector that is not a point of the space",
+        ),
     ],
 )
 def test_a_cache_with_a_bad_basis_is_rejected(tmp_path, spaces, family, q, key, fault, message):
@@ -807,6 +819,59 @@ def test_a_cache_with_a_bad_basis_is_rejected(tmp_path, spaces, family, q, key, 
     path.write_text(json.dumps(encoded_cache(doc)))
     with pytest.raises(ValueError, match=f"^a line or plane basis {message}$"):
         load_space(path)
+
+
+@pytest.mark.parametrize(
+    "family,q,pairs", [("O6plus", 2, None), ("O8minus", 2, 600), ("O7", 3, 600), ("U6", 4, 600)]
+)
+def test_two_points_span_only_points_exactly_when_perpendicular(spaces, family, q, pairs):
+    """The lemma by which singular points and the span pass prove total isotropy.
+
+    For points a != b, every a + λb is a point exactly when B(a, b) = 0:
+    checked on every pair of O+(6,2) and on seeded samples elsewhere, with B
+    one scalar field operation at a time.
+    """
+    space = spaces.get(family, q)
+    f, n = space.field, len(space.pts_arr)
+    if pairs is None:
+        a, b = np.triu_indices(n, 1)
+    else:
+        a, b = np.random.default_rng(n).integers(0, n, size=(2, pairs))
+        a, b = a[a != b], b[a != b]
+    A, B = space.pts_arr[a], space.pts_arr[b]
+    span = f.axpy(A[:, None], np.arange(f.q, dtype=np.uint8)[:, None], B[:, None])
+    only_points = (space.point_indices(span) >= 0).all(axis=1)
+    perp = np.array([space.form.bilinear(u, v) == 0 for u, v in zip(A.tolist(), B.tolist())])
+    assert perp.any() and not perp.all()
+    assert np.array_equal(only_points, perp)
+
+
+def test_a_space_with_a_non_singular_point_is_rejected(o6plus3):
+    """One point of O+(6,3) swapped for the non-singular e0 + e1 is named before any span."""
+    points = o6plus3.pts_arr.copy()
+    assert not o6plus3.form.singular_rows([1, 1, 0, 0, 0, 0])[0]
+    points[-1] = [1, 1, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match="^a point of the space is not a singular vector of its form$"):
+        PolarSpace(o6plus3.form, points, o6plus3.line_basis_arr, o6plus3.plane_basis_arr)
+
+
+def test_the_space_of_another_quadric_with_the_same_polarity_is_rejected(monkeypatch):
+    """O+(6,2) of Q' = Q + x0^2, whose polarization is Q's B.
+
+    Its points, lines and planes are consistent, and B vanishes on every
+    basis pair, so only the check that each point is singular for Q tells
+    them from those of Q's space.
+    """
+    form, other = FormSpec("O6plus", 2), FormSpec("O6plus", 2)
+    other.quad += ((0, 0, 1),)
+    assert other.gram == form.gram
+    monkeypatch.setattr(spaces_module, "_standard_form", lambda family, q: other)
+    monkeypatch.setattr(spaces_module, "_space_points", spaces_module._space_points.__wrapped__)
+    built = build_space("O6plus", 2)
+    assert not form.singular_rows(built.pts_arr).all()
+    assert not form._bilinear_rows(*built.line_basis_arr.transpose(1, 0, 2)).any()
+    with pytest.raises(ValueError, match="^a point of the space is not a singular vector of its form$"):
+        PolarSpace(form, built.pts_arr, built.line_basis_arr, built.plane_basis_arr)
 
 
 @pytest.mark.parametrize("family,q", sorted(EXPECTED_COUNTS))
@@ -1073,6 +1138,55 @@ def test_form_kernels_match_the_two_index_route(p, h):
         else:
             singular = np.ones(len(X), dtype=bool)
         assert np.array_equal(form.singular_rows(X), singular)
+
+
+def _flat_table_quad_values(field, terms, X, Y):
+    """spaces._quad_values by one Field.times and one Field.axpy per term."""
+    acc = np.zeros(np.shape(X)[:-1], dtype=np.uint8)
+    for i, j, c in terms:
+        acc = field.axpy(acc, c, field.times(X[..., i], Y[..., j]))
+    return acc
+
+
+def _flat_table_matmul(field, A, M):
+    """spaces._table_matmul by one Field.axpy per column of A."""
+    out = np.zeros((A.shape[0], M.shape[1]), dtype=np.uint8)
+    for l in range(A.shape[1]):
+        out = field.axpy(out, A[:, l, None], M[l][None, :])
+    return out
+
+
+@pytest.mark.parametrize("p,h", sorted(k for k in _CONWAY if k[1] == 1) + [(2, 2), (3, 2)])
+def test_integer_kernels_match_the_flat_tables(p, h):
+    """_quad_values and _table_matmul against the flat-table route, on every prime field.
+
+    Over GF(p) the sums run in int16 or int32: the all-(p-1) operands with
+    O8minus's Gram terms, each coefficient raised to p-1, reach the sum's bound,
+    in int16 up to p = 13 and in int32 from p = 17; so do the 64-column
+    products in int16 up to p = 23 and in int32 from p = 29.  GF(4) and GF(9)
+    keep the tables.
+    """
+    f = field_make(p, h)
+    rng = np.random.default_rng(f.q)
+    gram_terms = FormSpec("O8minus", f.q)._gram_terms
+    top = [(i, j, f.q - 1) for i, j, _ in gram_terms]
+    if h == 1:
+        assert spaces_module._sum_dtype(p, len(top), 3) == (np.int16 if p <= 13 else np.int32)
+        assert spaces_module._sum_dtype(p, 64, 2) == (np.int16 if p <= 23 else np.int32)
+    X = rng.integers(0, f.q, size=(50, 8), dtype=np.uint8)
+    Y = rng.integers(0, f.q, size=(50, 8), dtype=np.uint8)
+    full = np.full((3, 8), f.q - 1, dtype=np.uint8)
+    picked = [tuple(int(x) for x in rng.integers(0, (8, 8, f.q))) for _ in range(12)]
+    for terms in (gram_terms, top, picked):
+        for U, V in ((X, Y), (full, full), (X.reshape(5, 10, 8), Y.reshape(5, 10, 8))):
+            want = _flat_table_quad_values(f, terms, U, V)
+            assert np.array_equal(spaces_module._quad_values(f, terms, U, V), want)
+    for A, M in ((X, Y.T), (full, full.T), (X[:5], Y[:8, :1])):
+        assert np.array_equal(spaces_module._table_matmul(f, A, M), _flat_table_matmul(f, A, M))
+    wide = np.full((4, 64), f.q - 1, dtype=np.uint8)
+    wide[1] = rng.integers(0, f.q, size=64)
+    want = _flat_table_matmul(f, wide, wide.T)
+    assert np.array_equal(spaces_module._table_matmul(f, wide, wide.T), want)
 
 
 @pytest.mark.parametrize("p,h", KERNEL_FIELDS)
